@@ -2,16 +2,13 @@
 
 Times the adaptive engine's per-iteration scoring sweep — counts,
 entropies, and confidence intervals for every live attribute at each
-sample size of the paper's doubling schedule — three ways:
+sample size of the paper's doubling schedule — two ways:
 
 * ``scalar`` — the pre-refactor per-attribute path: one
   ``marginal_counts`` / ``entropy_from_counts`` / ``entropy_interval``
   chain per attribute per iteration (λ and bias recomputed every call);
 * ``batched-numpy`` — the batched path the engine now uses
-  (:meth:`ScoreProvider.intervals`) on the default backend;
-* ``batched-threads`` — the same batched path on the thread-pool
-  backend (informative only: on a single-core box the pool adds
-  overhead and cannot win).
+  (:meth:`ScoreProvider.intervals`) on the default backend.
 
 The sampler (whose shuffle is identical before and after the refactor)
 is constructed outside the timed region; what is measured is exactly
@@ -251,10 +248,6 @@ def main(argv: list[str] | None = None) -> int:
                 "batched-numpy",
                 lambda: batched_entropy_sweep(store, names, schedule, p_entropy, "numpy"),
             ),
-            (
-                "batched-threads",
-                lambda: batched_entropy_sweep(store, names, schedule, p_entropy, "threads"),
-            ),
         ],
     )
     print("mi sweep:")
@@ -266,10 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             (
                 "batched-numpy",
                 lambda: batched_mi_sweep(store, names, target, schedule, p_mi, "numpy"),
-            ),
-            (
-                "batched-threads",
-                lambda: batched_mi_sweep(store, names, target, schedule, p_mi, "threads"),
             ),
         ],
     )

@@ -54,7 +54,7 @@ MI_ETA = 0.3
 #: iterations — the dominated serve that never touches data.
 EXCLUDE_ETA = 5.0
 EXCLUDE_ETA_DERIVED = 5.5
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy"]
 
 
 def build_store() -> ColumnStore:

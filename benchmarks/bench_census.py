@@ -39,7 +39,7 @@ SCENARIO = "skewed"
 SEED = 0
 SCALE = 1.0  # the registry size: 60k rows, supports 16..4000
 REPS = 3
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy"]
 
 
 def measure(run, reps: int) -> tuple[object, list[float]]:

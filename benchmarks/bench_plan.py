@@ -49,7 +49,7 @@ REPS = 5
 TOP_K = 3
 ENTROPY_ETA = 3.0
 MI_ETA = 0.3
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy"]
 
 
 def build_store() -> tuple[ColumnStore, str]:

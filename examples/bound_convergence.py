@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from repro import ColumnStore, QueryTrace, swope_top_k_entropy
+from repro import ColumnStore, InMemorySink, swope_top_k_entropy
 
 
 def build_store(num_rows: int) -> ColumnStore:
@@ -34,10 +34,10 @@ def build_store(num_rows: int) -> ColumnStore:
 
 
 def show_trace(store: ColumnStore, epsilon: float) -> None:
-    trace = QueryTrace()
-    result = swope_top_k_entropy(store, 1, epsilon=epsilon, seed=0, trace=trace)
+    sink = InMemorySink()
+    result = swope_top_k_entropy(store, 1, epsilon=epsilon, seed=0, trace=sink)
     print(f"--- epsilon = {epsilon} ---")
-    for snapshot in trace.iterations:
+    for snapshot in sink.of_kind("iteration"):
         leader_bounds = snapshot.bounds.get("leader")
         runner_bounds = snapshot.bounds.get("runner_up")
         parts = [f"M={snapshot.sample_size:>7,}"]
@@ -52,6 +52,8 @@ def show_trace(store: ColumnStore, epsilon: float) -> None:
         parts.append(f"alive={len(snapshot.candidates)}")
         parts.append("STOP" if snapshot.stopped else "double")
         print("  " + "  ".join(parts))
+    widths = ", ".join(f"{w:.2f}" for _, w in sink.widths("leader"))
+    print(f"  leader interval widths: {widths}")
     stats = result.stats
     print(
         f"  answer: {result.attributes}   sampled"

@@ -48,7 +48,6 @@ from repro.core import (
     CancellationToken,
     QueryBudget,
     QuerySession,
-    QueryTrace,
     ConfidenceInterval,
     FilterResult,
     GuaranteeStatus,
@@ -123,7 +122,6 @@ __all__ = [
     "QueryCancelledError",
     "QueryInterruptedError",
     "QuerySession",
-    "QueryTrace",
     "ReproError",
     "RunStats",
     "SampleSchedule",

@@ -7,12 +7,14 @@
   the paper improves on;
 * :mod:`repro.baselines.mi_rank` / :mod:`repro.baselines.mi_filter` — the
   same exact stopping rules over mutual-information bounds (Section 6.3
-  competitors);
-* :mod:`repro.baselines.naive_sampling` — fixed-size sampling with no
-  guarantee (ablation only).
+  competitors).
+
+The four adaptive baselines run the engine's loops
+(:func:`repro.core.engine.adaptive_top_k`/:func:`~repro.core.engine.adaptive_filter`)
+with ``epsilon=None``, the exact stopping rule, so they differ from SWOPE
+only in that rule.
 """
 
-from repro.baselines.adaptive_exact import exact_stopping_filter, exact_stopping_top_k
 from repro.baselines.entropy_filter import entropy_filter
 from repro.baselines.entropy_rank import entropy_rank_top_k
 from repro.baselines.exact import (
@@ -28,12 +30,6 @@ from repro.baselines.exact import (
 )
 from repro.baselines.mi_filter import entropy_filter_mutual_information
 from repro.baselines.mi_rank import entropy_rank_top_k_mutual_information
-from repro.baselines.naive_sampling import (
-    naive_filter_entropy,
-    naive_sample_entropies,
-    naive_sample_mutual_informations,
-    naive_top_k_entropy,
-)
 
 __all__ = [
     "entropy_filter",
@@ -47,12 +43,6 @@ __all__ = [
     "exact_joint_entropy",
     "exact_mutual_information",
     "exact_mutual_informations",
-    "exact_stopping_filter",
-    "exact_stopping_top_k",
     "exact_top_k_entropy",
     "exact_top_k_mutual_information",
-    "naive_filter_entropy",
-    "naive_sample_entropies",
-    "naive_sample_mutual_informations",
-    "naive_top_k_entropy",
 ]

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.adaptive_exact import exact_stopping_top_k
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.engine import EntropyScoreProvider, default_failure_probability
+from repro.core.engine import (
+    EntropyScoreProvider,
+    adaptive_top_k,
+    default_failure_probability,
+)
 from repro.core.results import TopKResult
 from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import SchemaError
+from repro.exceptions import ParameterError, SchemaError
 
 __all__ = ["entropy_rank_top_k"]
 
@@ -48,6 +51,8 @@ def entropy_rank_top_k(
     unknown = [a for a in names if a not in store]
     if unknown:
         raise SchemaError(f"unknown attributes: {unknown}")
+    if not names:
+        raise ParameterError("top-k query needs at least one candidate attribute")
     if failure_probability is None:
         failure_probability = default_failure_probability(store.num_rows)
     if sampler is None:
@@ -61,11 +66,15 @@ def entropy_rank_top_k(
         )
     per_bound = schedule.per_round_failure(failure_probability, len(names))
     provider = EntropyScoreProvider(sampler, per_bound)
-    return exact_stopping_top_k(
+    # The exact rule is not a QuerySpec variant (it would add a field to
+    # plans, cache keys and checkpoints), so the baseline drives the loop
+    # directly with epsilon=None.
+    return adaptive_top_k(  # noqa: SWP011
         provider,
         sampler,
         names,
         k,
+        None,
         schedule,
         prune=prune,
         budget=budget,

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.adaptive_exact import exact_stopping_filter
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.engine import (
     MutualInformationScoreProvider,
+    adaptive_filter,
     default_failure_probability,
 )
 from repro.core.results import FilterResult
@@ -76,11 +76,15 @@ def entropy_filter_mutual_information(
         failure_probability, len(names), bounds_per_attribute=3
     )
     provider = MutualInformationScoreProvider(sampler, target, per_bound)
-    return exact_stopping_filter(
+    # The exact rule is not a QuerySpec variant (it would add a field to
+    # plans, cache keys and checkpoints), so the baseline drives the loop
+    # directly with epsilon=None.
+    return adaptive_filter(  # noqa: SWP011
         provider,
         sampler,
         names,
         threshold,
+        None,
         schedule,
         target=target,
         budget=budget,

@@ -32,18 +32,14 @@ from repro.core.bounds import (
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.engine import (
     EntropyScoreProvider,
-    IterationTrace,
     MutualInformationScoreProvider,
     PhaseTimings,
-    QueryTrace,
     default_failure_probability,
 )
 from repro.core.estimators import (
     entropy_from_counts,
     entropy_from_probabilities,
-    jackknife_entropy,
     joint_entropy_from_counter,
-    miller_madow_entropy,
     mutual_information_from_counts,
 )
 from repro.core.filtering import swope_filter_entropy
@@ -77,7 +73,6 @@ __all__ = [
     "EntropyScoreProvider",
     "FilterResult",
     "GuaranteeStatus",
-    "IterationTrace",
     "MutualInformationInterval",
     "PhaseTimings",
     "PlanExecutor",
@@ -87,7 +82,6 @@ __all__ = [
     "QueryPlan",
     "QuerySession",
     "QuerySpec",
-    "QueryTrace",
     "MutualInformationScoreProvider",
     "RunStats",
     "SampleSchedule",
@@ -100,13 +94,11 @@ __all__ = [
     "entropy_interval",
     "entropy_intervals",
     "initial_sample_size",
-    "jackknife_entropy",
     "joint_entropy_from_counter",
     "joint_entropy_interval",
     "load_plan",
     "max_iterations",
     "mi_intervals",
-    "miller_madow_entropy",
     "mutual_information_from_counts",
     "mutual_information_interval",
     "permutation_half_width",

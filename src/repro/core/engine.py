@@ -11,6 +11,10 @@ top-k or filtering. This module factors the common structure:
 * **Generic loops** (:func:`adaptive_top_k`, :func:`adaptive_filter`)
   implement the doubling iteration, the stopping rules, and the candidate
   pruning exactly as in the paper's pseudo-code, over any provider.
+  ``epsilon=None`` swaps SWOPE's relative-error rule for the exact
+  stopping rule of EntropyRank/EntropyFilter (KDD'19, the paper's
+  ref. [32]), so the baselines in :mod:`repro.baselines` differ from
+  SWOPE only in that rule.
 
 The entropy/MI-specific public entry points in :mod:`repro.core.topk`,
 :mod:`repro.core.filtering`, :mod:`repro.core.mi_topk`, and
@@ -27,7 +31,7 @@ import heapq
 import math
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Union
 
 from repro.core.bounds import (
@@ -56,7 +60,7 @@ from repro.core.results import (
 )
 from repro.core.schedule import SampleSchedule
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import ParameterError, SchemaError, UnknownAttributeError
+from repro.exceptions import ParameterError, SchemaError
 from repro.obs.events import (
     BudgetDegradationEvent,
     IterationEvent,
@@ -70,13 +74,10 @@ from repro.obs.sinks import TraceSink
 
 __all__ = [
     "EntropyScoreProvider",
-    "IterationTrace",
     "LoopCheckpoint",
     "MutualInformationScoreProvider",
     "PhaseTimings",
-    "QueryTrace",
     "ScoreProvider",
-    "TraceTarget",
     "adaptive_top_k",
     "adaptive_filter",
     "validate_epsilon",
@@ -167,18 +168,14 @@ class ScoreProvider(Protocol):
     #: Cumulative counting/bounds wall-clock, snapshotted by the loops.
     timings: PhaseTimings
 
-    def interval(self, attribute: str, sample_size: int) -> Interval:
-        """Confidence interval of the attribute's score at ``sample_size``."""
-        ...  # pragma: no cover - protocol
-
     def intervals(
         self, attributes: Sequence[str], sample_size: int
     ) -> Mapping[str, Interval]:
         """Confidence intervals of a batch of attributes at ``sample_size``.
 
         One counting pass and one bounds pass for the whole batch; each
-        returned interval is bit-identical to the scalar
-        :meth:`interval` for the same attribute and sample size.
+        returned interval is bit-identical to the one a single-attribute
+        batch yields for the same attribute and sample size.
         """
         ...  # pragma: no cover - protocol
 
@@ -205,9 +202,6 @@ class EntropyScoreProvider:
         self._n = sampler.num_rows
         self._beta_mode = beta_mode
         self.timings = PhaseTimings()
-
-    def interval(self, attribute: str, sample_size: int) -> ConfidenceInterval:
-        return self.intervals((attribute,), sample_size)[attribute]
 
     def intervals(
         self, attributes: Sequence[str], sample_size: int
@@ -278,9 +272,6 @@ class MutualInformationScoreProvider:
         self._target_cache = (sample_size, iv)
         return iv
 
-    def interval(self, attribute: str, sample_size: int) -> MutualInformationInterval:
-        return self.intervals((attribute,), sample_size)[attribute]
-
     def intervals(
         self, attributes: Sequence[str], sample_size: int
     ) -> dict[str, MutualInformationInterval]:
@@ -317,78 +308,8 @@ class MutualInformationScoreProvider:
 
 
 # ----------------------------------------------------------------------
-# Tracing
+# Loop state
 # ----------------------------------------------------------------------
-@dataclass
-class IterationTrace:
-    """Snapshot of one adaptive iteration (for diagnostics/teaching).
-
-    Attributes
-    ----------
-    sample_size:
-        ``M`` of the iteration.
-    candidates:
-        Attributes still alive when the iteration started.
-    bounds:
-        ``{attribute: (lower, upper)}`` of every interval computed.
-    decided:
-        Attributes retired this iteration (filtering loops; empty for
-        top-k, which retires candidates only by pruning).
-    stopped:
-        Whether the stopping rule fired at this sample size.
-    """
-
-    sample_size: int
-    candidates: list[str]
-    bounds: dict[str, tuple[float, float]]
-    decided: list[str] = field(default_factory=list)
-    stopped: bool = False
-
-
-@dataclass
-class QueryTrace:
-    """Per-iteration history of one adaptive query.
-
-    Pass a fresh instance as ``trace=`` to any SWOPE query function; the
-    engine fills ``iterations`` as it runs. Interval widths over
-    ``iterations`` visualise how the bounds tighten and exactly when the
-    stopping rule fires (see ``examples/bound_convergence.py``).
-    """
-
-    iterations: list[IterationTrace] = field(default_factory=list)
-
-    def widths(self, attribute: str) -> list[tuple[int, float]]:
-        """``(sample_size, upper - lower)`` wherever ``attribute`` appears.
-
-        Raises
-        ------
-        UnknownAttributeError
-            If ``attribute`` never appears in any recorded iteration —
-            neither as a live candidate nor in the computed bounds. A
-            silent ``[]`` here used to mask typos in diagnostics code.
-        """
-        out = []
-        known = False
-        for snapshot in self.iterations:
-            if attribute in snapshot.bounds:
-                known = True
-                lower, upper = snapshot.bounds[attribute]
-                out.append((snapshot.sample_size, upper - lower))
-            elif attribute in snapshot.candidates:
-                known = True
-        if not known:
-            raise UnknownAttributeError(
-                f"attribute {attribute!r} appears in no recorded iteration"
-                " of this trace"
-            )
-        return out
-
-
-#: Accepted by every ``trace=`` parameter: the legacy in-process
-#: :class:`QueryTrace` recorder, or any :class:`repro.obs.sinks.TraceSink`.
-TraceTarget = Union[QueryTrace, TraceSink]
-
-
 @dataclass(frozen=True)
 class LoopCheckpoint:
     """Resumable state of an adaptive loop at one iteration boundary.
@@ -462,25 +383,19 @@ def _score_name(provider: ScoreProvider) -> str:
 
 
 class _TraceState:
-    """Routes the loops' observations to a QueryTrace and/or a TraceSink.
+    """Routes the loops' observations to a TraceSink.
 
-    Splits the polymorphic ``trace=`` argument into its two legal shapes
-    and pre-computes the only flag the hot loop consults:
-    ``active`` — whether structured events must be constructed at all.
-    A disabled sink (:class:`repro.obs.sinks.NullSink`) and ``trace=None``
-    are indistinguishable here, which is what makes the default path
+    Pre-computes the only flag the hot loop consults: ``active`` —
+    whether structured events must be constructed at all. A disabled
+    sink (:class:`repro.obs.sinks.NullSink`) and ``trace=None`` are
+    indistinguishable here, which is what makes the default path
     zero-overhead: no event objects, no bounds dicts, no emit calls.
     """
 
-    __slots__ = ("legacy", "sink", "active", "events")
+    __slots__ = ("sink", "active", "events")
 
-    def __init__(self, trace: TraceTarget | None) -> None:
-        self.legacy: QueryTrace | None = None
-        self.sink: TraceSink | None = None
-        if isinstance(trace, QueryTrace):
-            self.legacy = trace
-        elif trace is not None and getattr(trace, "enabled", True):
-            self.sink = trace
+    def __init__(self, trace: TraceSink | None) -> None:
+        self.sink = trace if trace is not None and trace.enabled else None
         self.active = self.sink is not None
         self.events = 0
 
@@ -559,6 +474,33 @@ def _estimate_from_interval(
     )
 
 
+def _filter_decision(
+    iv: Interval, threshold: float, epsilon: float | None, final_round: bool
+) -> bool | None:
+    """Include (True), exclude (False) or keep sampling (None) one attribute.
+
+    With ``epsilon`` set this is SWOPE's rule (see :func:`adaptive_filter`).
+    With ``epsilon=None`` it is EntropyFilter's exact rule: include once
+    ``lower > η``, exclude once ``upper < η``. A score exactly at ``η``
+    satisfies neither strict inequality, so on the final round (``M = N``,
+    exact bounds) the comparison is closed as ``estimate >= η`` — the
+    exact answer's threshold.
+    """
+    if epsilon is None:
+        if iv.lower > threshold:
+            return True
+        if iv.upper < threshold:
+            return False
+        return iv.estimate >= threshold if final_round else None
+    if iv.width < 2.0 * epsilon * threshold:
+        return iv.midpoint >= threshold
+    if iv.lower >= (1.0 - epsilon) * threshold:
+        return True
+    if iv.upper < (1.0 + epsilon) * threshold:
+        return False
+    return None
+
+
 def _kth_largest(values: list[float], k: int) -> float:
     """The k-th largest element of ``values`` (1-based k, k <= len).
 
@@ -573,12 +515,12 @@ def adaptive_top_k(
     sampler: PrefixSampler,
     candidates: list[str],
     k: int,
-    epsilon: float,
+    epsilon: float | None,
     schedule: SampleSchedule,
     *,
     prune: bool = True,
     target: str | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -586,7 +528,7 @@ def adaptive_top_k(
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
 ) -> TopKResult:
-    """Generic SWOPE approximate top-k loop (Algorithms 1 and 3).
+    """Generic adaptive top-k loop (Algorithms 1 and 3, and EntropyRank).
 
     Parameters
     ----------
@@ -600,7 +542,8 @@ def adaptive_top_k(
     k:
         Number of attributes to return; clamped to ``len(candidates)``.
     epsilon:
-        Relative-error parameter of Definition 5.
+        Relative-error parameter of Definition 5, or ``None`` for the
+        exact stopping rule of the EntropyRank baseline (see Notes).
     schedule:
         Sample-size growth schedule.
     prune:
@@ -622,12 +565,11 @@ def adaptive_top_k(
         best-effort result as ``.partial``) instead of returning a
         degraded answer.
     trace:
-        A :class:`QueryTrace` (in-process per-iteration history, the
-        legacy shape) or any :class:`~repro.obs.sinks.TraceSink`, which
-        receives the structured event stream (``query_start``,
-        ``iteration``, ``prune``, ``budget_degradation``, ``query_end``)
-        — including for degraded and strict-raised runs. ``None`` or a
-        disabled sink costs nothing.
+        Any :class:`~repro.obs.sinks.TraceSink`, which receives the
+        structured event stream (``query_start``, ``iteration``,
+        ``prune``, ``budget_degradation``, ``query_end``) — including for
+        degraded and strict-raised runs. ``None`` or a disabled sink
+        costs nothing.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; the run's
         accounting feeds the standard instruments via
@@ -652,8 +594,16 @@ def adaptive_top_k(
     for entropy and ``6λ + b'_max`` for MI. A non-positive ``Ū_k`` means
     every remaining score is exactly zero, so any k attributes satisfy
     Definition 5 and the loop stops.
+
+    With ``epsilon=None`` the candidates are ranked by *lower* bound and
+    the loop stops once the k-th largest lower bound is at least the
+    (k+1)-th largest upper bound (or at most k candidates are live): the
+    answer is then provably the exact top-k. A converged exact run
+    carries ``result.guarantee = None`` — exactness needs no certificate —
+    and a truncated one reports ``requested_epsilon=0.0``.
     """
-    epsilon = validate_epsilon(epsilon)
+    exact = epsilon is None
+    requested = 0.0 if epsilon is None else validate_epsilon(epsilon)
     k = validate_k(k)
     if not candidates:
         raise ParameterError("top-k query needs at least one candidate attribute")
@@ -676,7 +626,7 @@ def adaptive_top_k(
                 score=_score_name(provider),
                 candidates=tuple(candidates),
                 population_size=sampler.num_rows,
-                epsilon=epsilon,
+                epsilon=requested,
                 k=k,
                 target=target,
                 schedule=tuple(schedule.sizes),
@@ -697,21 +647,20 @@ def adaptive_top_k(
         sample_size = schedule.sizes[index]
         iterations += 1
         intervals = provider.intervals(live, sample_size)
-        by_upper = sorted(live, key=lambda a: intervals[a].upper, reverse=True)
-        answer = [(a, intervals[a]) for a in by_upper[:k_effective]]
-        upper_k = answer[-1][1].upper
-        width_max = max(iv.width for _, iv in answer)
-        stopped = upper_k <= 0.0 or (
-            (upper_k - width_max) / upper_k >= 1.0 - epsilon
-        )
-        if tracer.legacy is not None:
-            tracer.legacy.iterations.append(
-                IterationTrace(
-                    sample_size=sample_size,
-                    candidates=list(live),
-                    bounds={a: (iv.lower, iv.upper) for a, iv in intervals.items()},
-                    stopped=stopped,
-                )
+        if exact:  # EntropyRank ranks by lower bound, SWOPE by upper.
+            ranked = sorted(live, key=lambda a: intervals[a].lower, reverse=True)
+        else:
+            ranked = sorted(live, key=lambda a: intervals[a].upper, reverse=True)
+        answer = [(a, intervals[a]) for a in ranked[:k_effective]]
+        if exact:
+            stopped = len(live) <= k_effective or answer[-1][1].lower >= (
+                _kth_largest([intervals[a].upper for a in live], k_effective + 1)
+            )
+        else:
+            upper_k = answer[-1][1].upper
+            width_max = max(iv.width for _, iv in answer)
+            stopped = upper_k <= 0.0 or (
+                (upper_k - width_max) / upper_k >= 1.0 - requested
             )
         if tracer.active:
             tracer.emit(
@@ -727,8 +676,8 @@ def adaptive_top_k(
             stop_reason = "converged"
             break
         if index == len(schedule.sizes) - 1:
-            # M reached N: λ = b = 0 so the condition above must have fired
-            # unless upper_k <= 0, which also fired. Defensive only.
+            # M reached N: λ = b = 0 so either rule must have fired (the
+            # bounds are exact, so the ranking is the answer). Defensive.
             break  # pragma: no cover
         stop_reason = ctx.interruption(budget, cancellation, schedule.sizes[index + 1])
         if stop_reason is not None:
@@ -772,14 +721,15 @@ def adaptive_top_k(
     reason = stop_reason if stop_reason is not None else "converged"
     # Back-solve the achieved ε from the stopping quantity: the answer
     # satisfies Definition 5 with ε' = w_max / Ū_k (0 when every
-    # remaining score is exactly zero).
-    upper_k = answer[-1][1].upper
+    # remaining score is exactly zero). Ū_k is the smallest upper bound
+    # in R — the last one when R is ranked by upper bound.
+    upper_k = min(iv.upper for _, iv in answer)
     width_max = max(iv.width for _, iv in answer)
     achieved = 0.0 if upper_k <= 0.0 else width_max / upper_k
     guarantee = GuaranteeStatus(
         guarantee_met=reason == "converged",
         stopping_reason=reason,
-        requested_epsilon=epsilon,
+        requested_epsilon=requested,
         achieved_epsilon=achieved,
     )
     result = TopKResult(
@@ -788,14 +738,14 @@ def adaptive_top_k(
         stats=stats,
         k=k,
         target=target,
-        guarantee=guarantee,
+        guarantee=None if exact and guarantee.guarantee_met else guarantee,
     )
     if tracer.active:
         tracer.emit(
             QueryEndEvent(
                 stopping_reason=reason,
                 guarantee_met=guarantee.guarantee_met,
-                requested_epsilon=epsilon,
+                requested_epsilon=requested,
                 achieved_epsilon=achieved,
                 iterations=iterations,
                 final_sample_size=sample_size,
@@ -822,11 +772,11 @@ def adaptive_filter(
     sampler: PrefixSampler,
     candidates: list[str],
     threshold: float,
-    epsilon: float,
+    epsilon: float | None,
     schedule: SampleSchedule,
     *,
     target: str | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -834,7 +784,7 @@ def adaptive_filter(
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
 ) -> FilterResult:
-    """Generic SWOPE approximate filtering loop (Algorithms 2 and 4).
+    """Generic adaptive filtering loop (Algorithms 2 and 4, and EntropyFilter).
 
     For each undecided attribute at each sample size, in the paper's order:
 
@@ -845,7 +795,10 @@ def adaptive_filter(
 
     The loop ends when no attribute is undecided or the sample is the whole
     dataset (at which point widths are zero and rule 1 or 2 retires
-    everything). ``budget``/``cancellation``/``strict``/``trace``/
+    everything). ``epsilon=None`` selects EntropyFilter's exact rule
+    instead (see :func:`_filter_decision`); a converged exact run carries
+    ``result.guarantee = None``.
+    ``budget``/``cancellation``/``strict``/``trace``/
     ``metrics``/``checkpoint``/``resume_state`` behave as in
     :func:`adaptive_top_k`; a truncated run resolves the still-undecided
     attributes best-effort by interval midpoint and lists them in
@@ -853,7 +806,8 @@ def adaptive_filter(
     carries the already-included attributes and retired estimates, in
     decision order, so a resumed run's final ordering is bit-identical.
     """
-    epsilon = validate_epsilon(epsilon)
+    epsilon = None if epsilon is None else validate_epsilon(epsilon)
+    requested = 0.0 if epsilon is None else epsilon
     threshold = validate_threshold(threshold)
     if not candidates:
         raise ParameterError("filtering query needs at least one candidate attribute")
@@ -875,7 +829,7 @@ def adaptive_filter(
                 score=_score_name(provider),
                 candidates=tuple(candidates),
                 population_size=sampler.num_rows,
-                epsilon=epsilon,
+                epsilon=requested,
                 threshold=threshold,
                 target=target,
                 schedule=tuple(schedule.sizes),
@@ -898,45 +852,23 @@ def adaptive_filter(
     for index in range(start_index, len(schedule.sizes)):
         sample_size = schedule.sizes[index]
         iterations += 1
+        final_round = index == len(schedule.sizes) - 1
         still: list[str] = []
         decided_now: list[str] = []
-        snapshot = (
-            IterationTrace(
-                sample_size=sample_size,
-                candidates=list(undecided),
-                bounds={},
-            )
-            if tracer.legacy is not None
-            else None
-        )
         intervals = provider.intervals(undecided, sample_size)
         for attribute in undecided:
             iv = intervals[attribute]
             last_intervals[attribute] = iv
-            if snapshot is not None:
-                snapshot.bounds[attribute] = (iv.lower, iv.upper)
-            decided = True
-            if iv.width < 2.0 * epsilon * threshold:
-                if iv.midpoint >= threshold:
-                    included.append(attribute)
-            elif iv.lower >= (1.0 - epsilon) * threshold:
-                included.append(attribute)
-            elif iv.upper < (1.0 + epsilon) * threshold:
-                pass  # excluded
-            else:
-                decided = False
+            include = _filter_decision(iv, threshold, epsilon, final_round)
+            if include is None:
                 still.append(attribute)
-            if decided:
-                decided_now.append(attribute)
-                estimates[attribute] = _estimate_from_interval(
-                    attribute, iv, sample_size
-                )
-                sampler.release(attribute)
+                continue
+            if include:
+                included.append(attribute)
+            decided_now.append(attribute)
+            estimates[attribute] = _estimate_from_interval(attribute, iv, sample_size)
+            sampler.release(attribute)
         undecided = still
-        if snapshot is not None and tracer.legacy is not None:
-            snapshot.decided.extend(decided_now)
-            snapshot.stopped = not undecided
-            tracer.legacy.iterations.append(snapshot)
         if tracer.active:
             tracer.emit(
                 IterationEvent(
@@ -951,7 +883,7 @@ def adaptive_filter(
         if not undecided:
             stop_reason = "converged"
             break
-        if index < len(schedule.sizes) - 1:
+        if not final_round:
             stop_reason = ctx.interruption(
                 budget, cancellation, schedule.sizes[index + 1]
             )
@@ -976,8 +908,9 @@ def adaptive_filter(
                 )
     if stop_reason is None:
         # At M = N all widths are 0, so rule 1 (η > 0) or rule 2 (η = 0)
-        # retires every attribute; reaching here with undecided attributes
-        # would indicate a bounds bug.
+        # — or the exact rule's closing comparison — retires every
+        # attribute; reaching here with undecided attributes would
+        # indicate a bounds bug.
         assert not undecided, "filtering loop ended with undecided attributes"
         stop_reason = "converged"
     undecided_at_stop = tuple(undecided)
@@ -988,19 +921,19 @@ def adaptive_filter(
         if iv.midpoint >= threshold:
             included.append(attribute)
         estimates[attribute] = _estimate_from_interval(attribute, iv, sample_size)
-    achieved = epsilon
+    achieved = requested
     if undecided_at_stop:
         if threshold > 0.0:
             # Smallest ε' whose width rule (width < 2ε'η) would have
             # decided every remaining attribute at the final intervals.
             worst = max(last_intervals[a].width for a in undecided_at_stop)
-            achieved = max(epsilon, worst / (2.0 * threshold))
+            achieved = max(requested, worst / (2.0 * threshold))
         else:  # pragma: no cover - η = 0 decides every attribute instantly
             achieved = float("inf")
     guarantee = GuaranteeStatus(
         guarantee_met=stop_reason == "converged",
         stopping_reason=stop_reason,
-        requested_epsilon=epsilon,
+        requested_epsilon=requested,
         achieved_epsilon=achieved,
         undecided=undecided_at_stop,
     )
@@ -1012,14 +945,14 @@ def adaptive_filter(
         stats=stats,
         threshold=threshold,
         target=target,
-        guarantee=guarantee,
+        guarantee=None if epsilon is None and guarantee.guarantee_met else guarantee,
     )
     if tracer.active:
         tracer.emit(
             QueryEndEvent(
                 stopping_reason=stop_reason,
                 guarantee_met=guarantee.guarantee_met,
-                requested_epsilon=epsilon,
+                requested_epsilon=requested,
                 achieved_epsilon=achieved,
                 iterations=iterations,
                 final_sample_size=sample_size,

@@ -9,12 +9,10 @@ These are the score functions the paper's queries rank and filter by
 
 All functions work directly on occurrence-count arrays, which is the only
 data representation the sampling substrate produces; none of them ever see
-raw records. Everything is base-2 (bits), matching the paper.
-
-Two bias-aware variants beyond the paper's plug-in estimator are included
-(Miller–Madow and jackknife) because downstream users frequently reach for
-them; they are *not* used by the SWOPE algorithms, whose bias handling is
-the explicit ``b(α)`` term of Lemma 1 (see :mod:`repro.core.bounds`).
+raw records. Everything is base-2 (bits), matching the paper. The SWOPE
+algorithms correct the plug-in estimator's downward bias through the
+explicit ``b(α)`` term of Lemma 1 (see :mod:`repro.core.bounds`), not
+through a bias-corrected point estimate.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ __all__ = [
     "entropy_from_probabilities",
     "joint_entropy_from_counter",
     "mutual_information_from_counts",
-    "miller_madow_entropy",
-    "jackknife_entropy",
 ]
 
 
@@ -184,52 +180,3 @@ def mutual_information_from_counts(
     h2 = entropy_from_counts(counts_second)
     h12 = joint_entropy_from_counter(joint)
     return max(0.0, h1 + h2 - h12)
-
-
-def miller_madow_entropy(counts: np.ndarray) -> float:
-    """Miller–Madow bias-corrected entropy estimate (bits).
-
-    Adds ``(K - 1) / (2 M ln 2)`` to the plug-in estimate, where ``K`` is
-    the number of observed distinct values and ``M`` the sample size. A
-    classical first-order correction for the plug-in estimator's downward
-    bias; provided as a convenience, not used by SWOPE.
-    """
-    arr = _validated_counts(counts)
-    total = int(arr.sum())
-    if total == 0:
-        return 0.0
-    observed = int((arr > 0).sum())
-    correction = (observed - 1) / (2.0 * total * math.log(2.0))
-    return entropy_from_counts(arr) + correction
-
-
-def jackknife_entropy(counts: np.ndarray) -> float:
-    """Jackknifed entropy estimate (bits).
-
-    Computes ``M * H - (M - 1) * mean(H_leave_one_out)`` where the
-    leave-one-out entropies are aggregated per distinct value (all
-    leave-outs of records sharing a value give the same entropy), so the
-    cost is ``O(K)`` rather than ``O(M)``.
-    """
-    arr = _validated_counts(counts)
-    total = int(arr.sum())
-    if total <= 1:
-        return 0.0
-    h_full = entropy_from_counts(arr)
-    positive = arr[arr > 0].astype(np.float64)
-    m = float(total)
-    # Leaving out one record of value i turns the count vector's i-th entry
-    # from n_i to n_i - 1 and the total from M to M - 1. Entropy of that
-    # vector, computed via the decomposition H = log2(M') - S/M' with
-    # S = Σ n log2 n over the adjusted counts.
-    def _log2_weighted(values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        mask = values > 0
-        out[mask] = values[mask] * np.log2(values[mask])
-        return out
-
-    s_full = _log2_weighted(positive).sum()
-    s_minus = s_full - _log2_weighted(positive) + _log2_weighted(positive - 1.0)
-    h_loo = np.log2(m - 1.0) - s_minus / (m - 1.0)
-    mean_loo = float((positive / m * h_loo).sum())
-    return max(0.0, m * h_full - (m - 1.0) * mean_loo)

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, cast
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.engine import TraceTarget
 from repro.core.plan import QuerySpec, run_query_spec
 from repro.core.results import TopKResult
 from repro.core.schedule import SampleSchedule
@@ -28,6 +27,7 @@ from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
 from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
     from repro.cache import CachePartition, PlanCache
@@ -48,7 +48,7 @@ def swope_top_k_mutual_information(
     sampler: PrefixSampler | None = None,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,

@@ -67,7 +67,6 @@ from repro.core.engine import (
     LoopCheckpoint,
     MutualInformationScoreProvider,
     ScoreProvider,
-    TraceTarget,
     adaptive_filter,
     adaptive_top_k,
     default_failure_probability,
@@ -202,8 +201,8 @@ class QuerySpec:
     target:
         MI target attribute (``mutual_information`` specs only).
     attributes:
-        Candidate attributes; ``None`` means all attributes of the
-        store (minus the target for MI specs).
+        Candidate attributes (at least one); ``None`` means all
+        attributes of the store (minus the target for MI specs).
     prune:
         Apply top-k candidate pruning (ignored by ``filter`` specs).
     name:
@@ -253,8 +252,14 @@ class QuerySpec:
                 f"an entropy spec cannot carry a target attribute"
                 f" (got target={self.target!r})"
             )
-        if self.attributes is not None and not isinstance(self.attributes, tuple):
-            object.__setattr__(self, "attributes", tuple(self.attributes))
+        if self.attributes is not None:
+            if not isinstance(self.attributes, tuple):
+                object.__setattr__(self, "attributes", tuple(self.attributes))
+            if not self.attributes:
+                raise PlanError(
+                    "a query spec needs at least one candidate attribute"
+                    " (got an empty attributes list)"
+                )
 
     def describe(self) -> str:
         """One-line human rendering (CLI batch output)."""
@@ -670,9 +675,6 @@ class _RecordingProvider:
             tuple[int, dict[str, tuple[float, float, float, float]]]
         ] = []
 
-    def interval(self, attribute: str, sample_size: int) -> Any:
-        return self._inner.interval(attribute, sample_size)
-
     def intervals(
         self, attributes: Sequence[str], sample_size: int
     ) -> Mapping[str, Any]:
@@ -731,7 +733,7 @@ def run_query_spec(
     schedule: SampleSchedule | None = None,
     sampler: PrefixSampler | None = None,
     backend: str | CountingBackend | None = None,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -794,7 +796,6 @@ def run_query_spec(
         if spec.kind == "filter"
         else float(spec.k or 0)
     )
-    sink = _plan_sink(trace)
     name = spec.name if spec.name is not None else spec.describe()
     if (
         partition is not None
@@ -817,7 +818,7 @@ def run_query_spec(
         if served is not None:
             result: QueryResult = served.result
             _emit(
-                sink,
+                trace,
                 CacheHitEvent(
                     name=name,
                     kind=spec.kind,
@@ -828,7 +829,7 @@ def run_query_spec(
                 ),
             )
             _emit(
-                sink,
+                trace,
                 AnswerReusedEvent(
                     name=name,
                     mode=served.mode,
@@ -851,7 +852,7 @@ def run_query_spec(
             if owned_cache is not None:
                 owned_cache.flush()
             return result
-        _emit(sink, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
+        _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
         if metrics is not None:
             record_cache(metrics, hit=False)
     provider: ScoreProvider
@@ -956,13 +957,6 @@ _UNSET: Any = object()
 def _emit(sink: TraceSink | None, event: TraceEvent) -> None:
     if sink is not None and sink.enabled:
         sink.emit(event)
-
-
-def _plan_sink(trace: TraceTarget | None) -> TraceSink | None:
-    """The plan-event destination: sinks only (QueryTrace is per-query)."""
-    if isinstance(trace, TraceSink):
-        return trace
-    return None
 
 
 def _retired_event(
@@ -1241,7 +1235,7 @@ class PlanExecutor:
         budget: QueryBudget | None = _UNSET,
         cancellation: CancellationToken | None = None,
         strict: bool = False,
-        trace: TraceTarget | None = _UNSET,
+        trace: TraceSink | None = _UNSET,
         metrics: MetricsRegistry | None = _UNSET,
         backend: str | CountingBackend | None = None,
         checkpoint: CheckpointHook | None = None,
@@ -1344,7 +1338,6 @@ class PlanExecutor:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
-        sink = _plan_sink(trace)
         started = time.perf_counter()
         cells_at_start = self._sampler.cells_scanned
         results: dict[str, QueryResult] = {}
@@ -1366,7 +1359,7 @@ class PlanExecutor:
             if metrics is not None:
                 record_resume(metrics, queries_completed=completed)
             _emit(
-                sink,
+                trace,
                 PlanResumedEvent(
                     queries_completed=completed,
                     total_queries=len(plan.specs),
@@ -1392,7 +1385,7 @@ class PlanExecutor:
                     population_size=plan.population_size,
                 )
                 _emit(
-                    sink,
+                    trace,
                     PlanEndEvent(
                         queries_completed=completed,
                         total_queries=len(plan.specs),
@@ -1408,7 +1401,7 @@ class PlanExecutor:
             resume_cells = in_flight["cells_before"]
         else:
             _emit(
-                sink,
+                trace,
                 PlanStartEvent(
                     num_queries=len(plan.specs),
                     queries=plan.names,
@@ -1419,7 +1412,7 @@ class PlanExecutor:
             )
             if plan.order == "cost":
                 _emit(
-                    sink,
+                    trace,
                     ScheduleChosenEvent(
                         order=plan.order,
                         queries=plan.names,
@@ -1445,7 +1438,7 @@ class PlanExecutor:
                     },
                     budget=budget,
                     started=started,
-                    sink=sink,
+                    sink=trace,
                     metrics=metrics,
                 )
         try:
@@ -1470,7 +1463,7 @@ class PlanExecutor:
                         cells_at_start=cells_at_start,
                         budget=budget,
                         started=started,
-                        sink=sink,
+                        sink=trace,
                         metrics=metrics,
                         name=name,
                         index=index,
@@ -1493,14 +1486,14 @@ class PlanExecutor:
                     if isinstance(partial, (TopKResult, FilterResult)):
                         per_query_cells[name] = self._last_cells
                         _emit(
-                            sink,
+                            trace,
                             _retired_event(name, index, partial, self._last_cells),
                         )
                     raise
                 results[name] = result
                 per_query_cells[name] = self._last_cells
                 completed += 1
-                _emit(sink, _retired_event(name, index, result, self._last_cells))
+                _emit(trace, _retired_event(name, index, result, self._last_cells))
                 if self._checkpoint_path is not None:
                     if index + 1 < len(plan.specs):
                         nxt = plan.specs[index + 1]
@@ -1524,7 +1517,7 @@ class PlanExecutor:
                         in_flight=next_in_flight,
                         budget=budget,
                         started=started,
-                        sink=sink,
+                        sink=trace,
                         metrics=metrics,
                     )
         finally:
@@ -1541,7 +1534,7 @@ class PlanExecutor:
                 population_size=plan.population_size,
             )
             _emit(
-                sink,
+                trace,
                 PlanEndEvent(
                     queries_completed=completed,
                     total_queries=len(plan.specs),

@@ -153,7 +153,7 @@ class RunStats:
     trace_event_count:
         Number of structured trace events the run emitted to its
         :class:`~repro.obs.sinks.TraceSink` (0 when tracing was disabled
-        or a legacy :class:`~repro.core.engine.QueryTrace` was used).
+        or no sink was given).
     cells_saved:
         Attribute values *not* read because the plan cache supplied them
         (warm-started counters, or a whole served answer). The

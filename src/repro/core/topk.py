@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, cast
 import numpy as np
 
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.engine import TraceTarget
 from repro.core.plan import QuerySpec, run_query_spec
 from repro.core.results import TopKResult
 from repro.core.schedule import SampleSchedule
@@ -31,6 +30,7 @@ from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnSource
 from repro.data.sampling import PrefixSampler
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.cache sits above)
     from repro.cache import CachePartition, PlanCache
@@ -50,7 +50,7 @@ def swope_top_k_entropy(
     sampler: PrefixSampler | None = None,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
-    trace: TraceTarget | None = None,
+    trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -101,10 +101,10 @@ def swope_top_k_entropy(
         :class:`~repro.exceptions.QueryCancelledError` on truncation
         instead of returning a best-effort result.
     trace:
-        A :class:`~repro.core.engine.QueryTrace` (per-iteration history)
-        or a :class:`~repro.obs.sinks.TraceSink` receiving the
-        structured event stream — at a fixed seed the JSONL rendering is
-        byte-stable (see ``docs/OBSERVABILITY.md``).
+        A :class:`~repro.obs.sinks.TraceSink` receiving the structured
+        event stream — at a fixed seed the JSONL rendering is byte-stable
+        (see ``docs/OBSERVABILITY.md``); an
+        :class:`~repro.obs.sinks.InMemorySink` keeps it in process.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` fed the
         run's counters and latency histograms.

@@ -15,10 +15,8 @@ with incremental marginal/joint counters (:mod:`repro.data.sampling`,
 from repro.data.backends import (
     BACKEND_NAMES,
     CountingBackend,
-    GILBoundBackendWarning,
     NumpyBackend,
     ProcessBackend,
-    ThreadedBackend,
     backend_names,
     register_backend,
     resolve_backend,
@@ -44,7 +42,6 @@ __all__ = [
     "ColumnStore",
     "CategoricalEncoder",
     "CountingBackend",
-    "GILBoundBackendWarning",
     "JointCounter",
     "MmapStore",
     "MmapStoreWriter",
@@ -53,7 +50,6 @@ __all__ = [
     "ProcessBackend",
     "PAPER_MAX_SUPPORT",
     "StreamingCounts",
-    "ThreadedBackend",
     "backend_names",
     "describe_store",
     "drop_constant_columns",

@@ -14,12 +14,6 @@ swap the execution strategy without touching cost accounting or results:
 * :class:`NumpyBackend` — one sequential gather + ``bincount`` pass per
   column (the default; equivalent to the historical per-attribute path,
   minus the per-call overhead).
-* :class:`ThreadedBackend` — the same per-column work fanned out over a
-  thread pool. NumPy releases the GIL inside fancy indexing and
-  ``bincount``, but the gather/histogram kernels are memory-bound and the
-  dispatch runs under the GIL, so the measured end-to-end win is ~1.01×
-  (``BENCH_backend.json``); :func:`resolve_backend` warns once per
-  process and points at ``process``.
 * :class:`ProcessBackend` — row-sharded ``multiprocessing`` workers.
   Each worker receives the shared permutation/rows block (a
   ``multiprocessing.shared_memory`` segment, or a plain slice in
@@ -47,9 +41,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from typing import Any, Protocol
 
@@ -61,10 +54,8 @@ __all__ = [
     "BACKEND_NAMES",
     "BACKEND_REGISTRY",
     "CountingBackend",
-    "GILBoundBackendWarning",
     "NumpyBackend",
     "ProcessBackend",
-    "ThreadedBackend",
     "backend_names",
     "register_backend",
     "resolve_backend",
@@ -72,10 +63,6 @@ __all__ = [
 
 #: Environment variable consulted when no backend is specified.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-class GILBoundBackendWarning(UserWarning):
-    """The selected backend cannot scale past the GIL for this workload."""
 
 
 def _count_one(
@@ -128,61 +115,6 @@ class NumpyBackend:
             _count_one(column, rows, support)
             for column, support in zip(columns, support_sizes)
         ]
-
-
-class ThreadedBackend:
-    """Backend counting candidate columns concurrently on a thread pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Thread-pool size; defaults to ``os.cpu_count()``. A single-column
-        batch bypasses the pool entirely (no dispatch overhead).
-
-    The pool is created lazily on first use and reused for the backend's
-    lifetime. Per-column results are independent and returned in request
-    order, so the output is bit-identical to :class:`NumpyBackend`.
-
-    .. note::
-       The gather + ``bincount`` kernels release the GIL but are
-       memory-bandwidth-bound, and the per-column dispatch runs under
-       the GIL — the measured end-to-end speedup on the h=64/N=1e6
-       entropy sweep is ~1.01× (``BENCH_backend.json``). For real core
-       scaling use :class:`ProcessBackend`.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-count",
-            )
-        return self._executor
-
-    def count_columns(
-        self,
-        columns: Sequence[np.ndarray],
-        support_sizes: Sequence[int],
-        rows: np.ndarray | slice,
-    ) -> list[np.ndarray]:
-        if len(columns) < 2:
-            return [
-                _count_one(column, rows, support)
-                for column, support in zip(columns, support_sizes)
-            ]
-        futures = [
-            self._pool().submit(_count_one, column, rows, support)
-            for column, support in zip(columns, support_sizes)
-        ]
-        return [future.result() for future in futures]
 
 
 # ----------------------------------------------------------------------
@@ -570,45 +502,20 @@ def backend_names() -> tuple[str, ...]:
 
 
 register_backend("numpy", NumpyBackend)
-register_backend("threads", ThreadedBackend)
 register_backend("process", ProcessBackend)
 
 #: The built-in backend names (a static snapshot; use
 #: :func:`backend_names` to include backends registered at runtime).
 BACKEND_NAMES = backend_names()
 
-#: One GIL warning per process, not one per resolved sampler.
-_THREADS_WARNING_EMITTED = False
-
-
-def _warn_threads_once() -> None:
-    global _THREADS_WARNING_EMITTED
-    if _THREADS_WARNING_EMITTED:
-        return
-    _THREADS_WARNING_EMITTED = True
-    warnings.warn(
-        "the 'threads' counting backend is GIL-bound for this workload"
-        " (measured 1.01x over 'numpy' on the h=64/N=1e6 entropy sweep —"
-        " see BENCH_backend.json and docs/ARCHITECTURE.md); use"
-        " backend='process' for multi-core scaling",
-        GILBoundBackendWarning,
-        stacklevel=3,
-    )
-
-
 def resolve_backend(backend: str | CountingBackend | None) -> CountingBackend:
     """Normalise a backend spelling into a :class:`CountingBackend`.
 
     ``None`` reads the ``REPRO_BACKEND`` environment variable (default
     ``"numpy"``) — which is how CI runs the whole test suite under the
-    threaded or process backend without touching call sites. A string
-    picks a registered name from :data:`BACKEND_REGISTRY`; anything else
-    must already satisfy the protocol and is returned as-is.
-
-    Resolving ``"threads"`` emits a one-per-process
-    :class:`GILBoundBackendWarning`: the thread pool cannot scale the
-    memory-bound counting kernels past the GIL, and ``"process"`` is the
-    backend that does.
+    process backend without touching call sites. A string picks a
+    registered name from :data:`BACKEND_REGISTRY`; anything else must
+    already satisfy the protocol and is returned as-is.
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR, "numpy")
@@ -619,8 +526,6 @@ def resolve_backend(backend: str | CountingBackend | None) -> CountingBackend:
                 f"unknown counting backend {backend!r}; choose one of"
                 f" {backend_names()} or pass a CountingBackend instance"
             )
-        if backend == "threads":
-            _warn_threads_once()
         return factory()
     if not hasattr(backend, "count_columns"):
         raise ParameterError(

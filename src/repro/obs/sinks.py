@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import IO, Iterator, Protocol, Union, runtime_checkable
 
 from repro.durability.atomic import AtomicTextFile
-from repro.obs.events import TraceEvent, header_record
+from repro.exceptions import UnknownAttributeError
+from repro.obs.events import IterationEvent, TraceEvent, header_record
 
 __all__ = [
     "TraceSink",
@@ -87,6 +88,30 @@ class InMemorySink:
     def kinds(self) -> list[str]:
         """The discriminator sequence, in emission order."""
         return [type(e).event for e in self.events]
+
+    def widths(self, attribute: str) -> list[tuple[int, float]]:
+        """``(sample_size, upper - lower)`` of every iteration bounding ``attribute``.
+
+        An attribute decided or pruned early keeps the widths of the
+        iterations it took part in.
+
+        Raises
+        ------
+        UnknownAttributeError
+            If ``attribute`` appears in no recorded ``iteration`` event —
+            a silent ``[]`` would mask typos in diagnostics code.
+        """
+        out = []
+        for event in self.events:
+            if isinstance(event, IterationEvent) and attribute in event.bounds:
+                lower, upper = event.bounds[attribute]
+                out.append((event.sample_size, upper - lower))
+        if not out:
+            raise UnknownAttributeError(
+                f"attribute {attribute!r} appears in no recorded iteration"
+                " of this trace"
+            )
+        return out
 
 
 class JsonlSink:

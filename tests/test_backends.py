@@ -3,7 +3,7 @@
 Three layers:
 
 * the :mod:`repro.data.backends` seam itself — resolution, the protocol,
-  and count equivalence of ``numpy`` vs ``threads``;
+  and count equivalence of ``numpy`` vs ``process``;
 * the sampler's batch methods — bit-identical counts and identical cost
   accounting vs the scalar calls they replaced;
 * the bounds/engine batch path — batched intervals exactly equal (``==``
@@ -35,10 +35,8 @@ import repro.data.backends as backends_module
 from repro.data.backends import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
-    GILBoundBackendWarning,
     NumpyBackend,
     ProcessBackend,
-    ThreadedBackend,
     backend_names,
     register_backend,
     resolve_backend,
@@ -68,7 +66,6 @@ def random_store(
 class TestResolveBackend:
     def test_names_map_to_backends(self):
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
-        assert isinstance(resolve_backend("threads"), ThreadedBackend)
         assert isinstance(resolve_backend("process"), ProcessBackend)
 
     def test_none_defaults_to_numpy(self, monkeypatch):
@@ -76,8 +73,8 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), NumpyBackend)
 
     def test_none_honours_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        assert isinstance(resolve_backend(None), ThreadedBackend)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        assert isinstance(resolve_backend(None), ProcessBackend)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ParameterError, match="unknown counting backend"):
@@ -89,51 +86,26 @@ class TestResolveBackend:
             resolve_backend(None)
 
     def test_instance_passes_through(self):
-        backend = ThreadedBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_non_backend_object_rejected(self):
         with pytest.raises(ParameterError, match="count_columns"):
             resolve_backend(object())  # type: ignore[arg-type]
 
-    def test_threaded_worker_count_validated(self):
-        with pytest.raises(ParameterError, match="max_workers"):
-            ThreadedBackend(max_workers=0)
-
     def test_backend_names_are_stable(self):
-        assert BACKEND_NAMES == ("numpy", "threads", "process")
+        assert BACKEND_NAMES == ("numpy", "process")
         assert NumpyBackend().name == "numpy"
-        assert ThreadedBackend().name == "threads"
         assert ProcessBackend().name == "process"
 
     def test_process_worker_count_validated(self):
         with pytest.raises(ParameterError, match="max_workers"):
             ProcessBackend(max_workers=0)
 
-    def test_threads_resolution_warns_once(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_THREADS_WARNING_EMITTED", False)
-        with pytest.warns(GILBoundBackendWarning, match="GIL"):
-            resolve_backend("threads")
-        # Second resolution in the same process stays silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GILBoundBackendWarning)
-            resolve_backend("threads")
-
-    def test_numpy_and_process_do_not_warn(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_THREADS_WARNING_EMITTED", False)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GILBoundBackendWarning)
-            resolve_backend("numpy")
-            resolve_backend("process")
-
 
 class TestBackendRegistry:
     def test_backend_names_reflects_registry(self):
-        assert backend_names() == ("numpy", "threads", "process")
+        assert backend_names() == ("numpy", "process")
 
     def test_register_custom_backend(self, monkeypatch):
         monkeypatch.setattr(
@@ -151,8 +123,8 @@ class TestBackendRegistry:
         monkeypatch.setattr(
             backends_module, "BACKEND_REGISTRY", dict(backends_module.BACKEND_REGISTRY)
         )
-        register_backend("numpy", ThreadedBackend, replace=True)
-        assert isinstance(resolve_backend("numpy"), ThreadedBackend)
+        register_backend("numpy", ProcessBackend, replace=True)
+        assert isinstance(resolve_backend("numpy"), ProcessBackend)
 
     def test_env_var_accepts_registered_backend(self, monkeypatch):
         monkeypatch.setattr(
@@ -191,14 +163,6 @@ class TestCountColumns:
             assert len(got) == len(expected)
             for g, e in zip(got, expected):
                 np.testing.assert_array_equal(g, e)
-
-    def test_threaded_single_column_bypasses_pool(self):
-        backend = ThreadedBackend(max_workers=2)
-        rng = np.random.default_rng(5)
-        column = rng.integers(0, 4, size=50)
-        out = backend.count_columns([column], [4], slice(0, 50))
-        np.testing.assert_array_equal(out[0], np.bincount(column, minlength=4))
-        assert backend._executor is None  # pool never created
 
 
 class TestProcessBackend:
@@ -388,7 +352,7 @@ class TestBatchedBounds:
         for sample_size in (17, 80, 300):
             batch = batch_provider.intervals(names, sample_size)
             for a in names:
-                assert batch[a] == scalar_provider.interval(a, sample_size)
+                assert batch[a] == scalar_provider.intervals([a], sample_size)[a]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 5])
@@ -405,7 +369,7 @@ class TestBatchedBounds:
         for sample_size in (25, 120, 300):
             batch = batch_provider.intervals(names, sample_size)
             for a in names:
-                assert batch[a] == scalar_provider.interval(a, sample_size)
+                assert batch[a] == scalar_provider.intervals([a], sample_size)[a]
 
     def test_mi_batch_rejects_target_candidate(self):
         store = random_store(9)
@@ -418,7 +382,7 @@ class TestBatchedBounds:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: identical answers under numpy and threads
+# End-to-end: identical answers under numpy and process
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
@@ -442,17 +406,21 @@ class TestBackendEquivalence:
             return topk, filt, mi_topk, mi_filt
 
         numpy_results = run_all("numpy")
-        thread_results = run_all("threads")
-        for via_numpy, via_threads in zip(numpy_results, thread_results):
-            assert via_numpy.attributes == via_threads.attributes
+        process = ProcessBackend(max_workers=2, min_parallel_cells=0)
+        try:
+            process_results = run_all(process)
+        finally:
+            process.close()
+        for via_numpy, via_process in zip(numpy_results, process_results):
+            assert via_numpy.attributes == via_process.attributes
             assert (
-                via_numpy.stats.cells_scanned == via_threads.stats.cells_scanned
+                via_numpy.stats.cells_scanned == via_process.stats.cells_scanned
             )
             assert (
                 via_numpy.stats.final_sample_size
-                == via_threads.stats.final_sample_size
+                == via_process.stats.final_sample_size
             )
-            n_est, t_est = via_numpy.estimates, via_threads.estimates
+            n_est, t_est = via_numpy.estimates, via_process.estimates
             if isinstance(n_est, dict):
                 assert set(n_est) == set(t_est)
                 pairs = [(n_est[a], t_est[a]) for a in n_est]
@@ -515,9 +483,10 @@ class TestBackendEquivalence:
         store = random_store(1)
         sampler = PrefixSampler(store, seed=1)
         with pytest.raises(ParameterError, match="either sampler= or backend="):
-            swope_top_k_entropy(store, 2, sampler=sampler, backend="threads")
+            swope_top_k_entropy(store, 2, sampler=sampler, backend="process")
 
-    def test_session_threads_backend_matches_numpy(self):
+    def test_session_process_backend_matches_numpy(self):
+        # 500 rows stay under min_parallel_cells: the serial fallback runs.
         store = random_store(2, num_rows=500)
         answers = []
         for backend in BACKENDS:

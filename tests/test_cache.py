@@ -179,7 +179,8 @@ def test_executor_rejects_cache_and_cache_dir(tmp_path: Path) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["numpy", "threads"])
+# By name, "process" runs its serial fallback at this store size.
+@pytest.mark.parametrize("backend", ["numpy", "process"])
 def test_cold_warm_bit_identity(tmp_path: Path, backend: str) -> None:
     store = _store()
     cold_exec = PlanExecutor(

@@ -47,7 +47,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SCALE = 0.01  # ~512-600 rows per dataset: full track in well under a second
 GOLDEN_SEED = 7
 GOLDEN_SCENARIO = "correlated"
-BACKENDS = ("numpy", "threads")
+# By name, "process" stays under its min_parallel_cells threshold at this
+# scale and runs the serial fallback.
+BACKENDS = ("numpy", "process")
 AUDIT_SEEDS = tuple(range(20))
 
 
@@ -81,8 +83,8 @@ def test_track_is_bit_identical_across_backends() -> None:
         backend: run_census_track(seeds=(3,), scale=SCALE, backend=backend)
         for backend in BACKENDS
     }
-    numpy_run, threads_run = runs["numpy"], runs["threads"]
-    for a, b in zip(numpy_run.outcomes, threads_run.outcomes):
+    numpy_run, process_run = runs["numpy"], runs["process"]
+    for a, b in zip(numpy_run.outcomes, process_run.outcomes):
         assert a.fingerprint == b.fingerprint
         assert a.cells_scanned == b.cells_scanned
         for qa, qb in zip(a.queries, b.queries):
@@ -195,7 +197,7 @@ def test_census_plan_trace_matches_golden(update_golden: bool) -> None:
 
 
 def test_census_plan_trace_identical_across_backends() -> None:
-    assert _golden_trace_lines("numpy") == _golden_trace_lines("threads")
+    assert _golden_trace_lines("numpy") == _golden_trace_lines("process")
 
 
 def test_census_manifest_matches_golden(update_golden: bool) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
+from repro.data.backends import ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.durability import execute_plan_with_recovery
 from repro.exceptions import ParameterError
@@ -38,7 +39,10 @@ from repro.testing.chaos import (
 from repro.testing.faults import FlakyStore
 
 SEED = 7
-BACKENDS = ["numpy", "threads"]
+# By name, "process" stays under its min_parallel_cells threshold on this
+# 2000-row store and runs the serial fallback; the cross-backend resume
+# test below drives the worker pool explicitly.
+BACKENDS = ["numpy", "process"]
 
 
 def _golden_store() -> ColumnStore:
@@ -181,8 +185,13 @@ def test_cross_backend_resume_is_identical(tmp_path):
         PlanExecutor(
             store, seed=SEED, backend="numpy", checkpoint_path=path
         ).execute(plan, cancellation=token)
-    resumed = PlanExecutor.resume(path, store, backend="threads")
-    assert plan_fingerprint(resumed.execute(resumed.resumed_plan())) == reference_fp
+    process = ProcessBackend(max_workers=2, min_parallel_cells=0)
+    try:
+        resumed = PlanExecutor.resume(path, store, backend=process)
+        outcome = resumed.execute(resumed.resumed_plan())
+    finally:
+        process.close()
+    assert plan_fingerprint(outcome) == reference_fp
 
 
 def test_cancel_fault_degrades_with_honest_guarantee():

@@ -1,11 +1,11 @@
-"""Tests for the Dataset facade and the QueryTrace diagnostics."""
+"""Tests for the Dataset facade and its trace diagnostics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import Dataset, QueryTrace
+from repro import Dataset, InMemorySink
 from repro.data.column_store import ColumnStore
 from repro.exceptions import SchemaError, UnknownAttributeError
 
@@ -90,43 +90,45 @@ class TestConveniences:
 
 class TestQueryTrace:
     def test_topk_trace_structure(self, survey):
-        trace = QueryTrace()
-        survey.top_k_entropy(1, seed=0, epsilon=0.05, trace=trace)
-        assert trace.iterations
-        sizes = [t.sample_size for t in trace.iterations]
+        sink = InMemorySink()
+        survey.top_k_entropy(1, seed=0, epsilon=0.05, trace=sink)
+        iterations = sink.of_kind("iteration")
+        assert iterations
+        sizes = [t.sample_size for t in iterations]
         assert sizes == sorted(sizes)
-        assert all(not t.stopped for t in trace.iterations[:-1])
-        assert trace.iterations[-1].stopped
+        assert all(not t.stopped for t in iterations[:-1])
+        assert iterations[-1].stopped
 
     def test_widths_monotone_down(self, survey):
-        trace = QueryTrace()
-        survey.top_k_entropy(1, seed=0, epsilon=0.05, trace=trace)
-        widths = [w for _, w in trace.widths("region")]
+        sink = InMemorySink()
+        survey.top_k_entropy(1, seed=0, epsilon=0.05, trace=sink)
+        widths = [w for _, w in sink.widths("region")]
         assert len(widths) >= 2
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
 
     def test_filter_trace_records_decisions(self, survey):
-        trace = QueryTrace()
-        survey.filter_entropy(2.0, seed=0, trace=trace)
-        decided = [a for t in trace.iterations for a in t.decided]
+        sink = InMemorySink()
+        survey.filter_entropy(2.0, seed=0, trace=sink)
+        decided = [a for t in sink.of_kind("iteration") for a in t.decided]
         assert sorted(decided) == sorted(survey.attributes)
 
     def test_mi_trace(self, survey):
-        trace = QueryTrace()
-        survey.top_k_mutual_information("income", 1, seed=0, trace=trace)
-        assert trace.iterations
-        assert "region" in trace.iterations[0].bounds
+        sink = InMemorySink()
+        survey.top_k_mutual_information("income", 1, seed=0, trace=sink)
+        iterations = sink.of_kind("iteration")
+        assert iterations
+        assert "region" in iterations[0].bounds
 
     def test_widths_for_unknown_attribute_raises(self, survey):
-        trace = QueryTrace()
-        survey.top_k_entropy(1, seed=0, trace=trace)
+        sink = InMemorySink()
+        survey.top_k_entropy(1, seed=0, trace=sink)
         with pytest.raises(UnknownAttributeError, match="ghost"):
-            trace.widths("ghost")
+            sink.widths("ghost")
 
     def test_widths_for_pruned_attribute_still_works(self, survey):
         # An attribute decided early stops appearing in later iterations'
         # bounds but must not be treated as unknown.
-        trace = QueryTrace()
-        survey.filter_entropy(2.0, seed=0, trace=trace)
+        sink = InMemorySink()
+        survey.filter_entropy(2.0, seed=0, trace=sink)
         for attribute in survey.attributes:
-            assert trace.widths(attribute)
+            assert sink.widths(attribute)

@@ -5,13 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.adaptive_exact import exact_stopping_top_k
-from repro.baselines.entropy_filter import entropy_filter
-from repro.baselines.entropy_rank import entropy_rank_top_k
-from repro.core.engine import EntropyScoreProvider
+from repro.baselines import (
+    entropy_filter,
+    entropy_filter_mutual_information,
+    entropy_rank_top_k,
+    entropy_rank_top_k_mutual_information,
+)
+from repro.core import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
+from repro.core.engine import EntropyScoreProvider, adaptive_top_k
+from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
+from repro.exceptions import ParameterError, PlanError
 from repro.experiments.runner import run_entropy_top_k, run_mi_filter
 from repro.synth.datasets import load_dataset
 
@@ -61,7 +72,7 @@ class TestExactStoppingEdges:
         assert result.stats.final_sample_size == store.num_rows
 
     def test_custom_provider_loop(self, small_store):
-        # Drive the generic exact-stopping loop directly with a provider.
+        # Drive the engine loop with the exact rule (epsilon=None).
         sampler = PrefixSampler(small_store, seed=0)
         schedule = SampleSchedule(
             population_size=small_store.num_rows, initial_size=64
@@ -69,10 +80,71 @@ class TestExactStoppingEdges:
         provider = EntropyScoreProvider(
             sampler, schedule.per_round_failure(0.01, 4)
         )
-        result = exact_stopping_top_k(
-            provider, sampler, list(small_store.attributes), 1, schedule
+        result = adaptive_top_k(
+            provider, sampler, list(small_store.attributes), 1, None, schedule
         )
         assert result.attributes == ["wide"]
+        assert result.guarantee is None
+
+
+def _run_plan_entry(store, entry):
+    plan = plan_queries(store, [QuerySpec.from_dict(entry)])
+    return PlanExecutor(store, seed=0).execute(plan)
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda s: swope_top_k_entropy(s, 1, attributes=[]), PlanError),
+        (lambda s: swope_filter_entropy(s, 1.0, attributes=[]), PlanError),
+        (
+            lambda s: swope_top_k_mutual_information(s, "wide", 1, candidates=[]),
+            PlanError,
+        ),
+        (
+            lambda s: swope_filter_mutual_information(
+                s, "wide", 0.5, candidates=[]
+            ),
+            PlanError,
+        ),
+        (lambda s: entropy_rank_top_k(s, 1, attributes=[]), ParameterError),
+        (lambda s: entropy_filter(s, 1.0, attributes=[]), ParameterError),
+        (
+            lambda s: entropy_rank_top_k_mutual_information(
+                s, "wide", 1, candidates=[]
+            ),
+            ParameterError,
+        ),
+        (
+            lambda s: entropy_filter_mutual_information(
+                s, "wide", 0.5, candidates=[]
+            ),
+            ParameterError,
+        ),
+        (
+            lambda s: _run_plan_entry(
+                s, {"kind": "topk-entropy", "k": 1, "attributes": []}
+            ),
+            PlanError,
+        ),
+    ],
+    ids=[
+        "swope_top_k_entropy",
+        "swope_filter_entropy",
+        "swope_top_k_mutual_information",
+        "swope_filter_mutual_information",
+        "entropy_rank_top_k",
+        "entropy_filter",
+        "entropy_rank_top_k_mutual_information",
+        "entropy_filter_mutual_information",
+        "plan_file_entry",
+    ],
+)
+def test_empty_candidate_list_raises_typed_error(small_store, call, error):
+    # An empty candidate list used to escape as a bare ValueError from
+    # the schedule's max() over support sizes.
+    with pytest.raises(error, match="at least one candidate attribute"):
+        call(small_store)
 
 
 class TestGeneratorSeeds:

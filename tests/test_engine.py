@@ -55,7 +55,7 @@ class TestEntropyProvider:
     def test_interval_consistent_with_counts(self, small_store):
         sampler = PrefixSampler(small_store, seed=0)
         provider = EntropyScoreProvider(sampler, 0.01)
-        iv = provider.interval("wide", 1000)
+        iv = provider.intervals(["wide"], 1000)["wide"]
         counts = PrefixSampler(small_store, seed=0).marginal_counts("wide", 1000)
         assert iv.estimate == pytest.approx(entropy_from_counts(counts))
         assert iv.lower <= iv.estimate <= iv.upper
@@ -63,14 +63,14 @@ class TestEntropyProvider:
     def test_interval_tightens_with_sample_size(self, small_store):
         sampler = PrefixSampler(small_store, seed=0)
         provider = EntropyScoreProvider(sampler, 0.01)
-        wide = provider.interval("wide", 200)
-        narrow = provider.interval("wide", 4000)
+        wide = provider.intervals(["wide"], 200)["wide"]
+        narrow = provider.intervals(["wide"], 4000)["wide"]
         assert narrow.width < wide.width
 
     def test_interval_exact_at_full_sample(self, small_store):
         sampler = PrefixSampler(small_store, seed=0)
         provider = EntropyScoreProvider(sampler, 0.01)
-        iv = provider.interval("narrow", small_store.num_rows)
+        iv = provider.intervals(["narrow"], small_store.num_rows)["narrow"]
         exact = entropy_from_counts(small_store.value_counts("narrow"))
         assert iv.lower == pytest.approx(exact)
         assert iv.upper == pytest.approx(exact)
@@ -80,25 +80,25 @@ class TestMIProvider:
     def test_target_interval_cached_per_sample_size(self, correlated_store):
         sampler = PrefixSampler(correlated_store, seed=0)
         provider = MutualInformationScoreProvider(sampler, "target", 0.001)
-        provider.interval("noisy", 500)
+        provider.intervals(["noisy"], 500)["noisy"]
         cost = sampler.cells_scanned
         # A second candidate at the same sample size must not re-read the
         # target column.
-        provider.interval("independent", 500)
+        provider.intervals(["independent"], 500)["independent"]
         extra = sampler.cells_scanned - cost
         assert extra == 500 + 2 * 500  # candidate marginal + joint pair
 
     def test_interval_brackets_sample_mi(self, correlated_store):
         sampler = PrefixSampler(correlated_store, seed=0)
         provider = MutualInformationScoreProvider(sampler, "target", 0.001)
-        iv = provider.interval("copy", 2000)
+        iv = provider.intervals(["copy"], 2000)["copy"]
         assert iv.lower <= iv.estimate <= iv.upper
 
     def test_candidate_equal_target_rejected(self, correlated_store):
         sampler = PrefixSampler(correlated_store, seed=0)
         provider = MutualInformationScoreProvider(sampler, "target", 0.001)
         with pytest.raises(SchemaError):
-            provider.interval("target", 100)
+            provider.intervals(["target"], 100)["target"]
 
     def test_unknown_target_rejected(self, correlated_store):
         sampler = PrefixSampler(correlated_store, seed=0)
@@ -109,7 +109,7 @@ class TestMIProvider:
         n = correlated_store.num_rows
         sampler = PrefixSampler(correlated_store, seed=0)
         provider = MutualInformationScoreProvider(sampler, "target", 0.001)
-        iv = provider.interval("copy", n)
+        iv = provider.intervals(["copy"], n)["copy"]
         h_target = entropy_from_counts(correlated_store.value_counts("target"))
         assert iv.lower == pytest.approx(h_target)
         assert iv.upper == pytest.approx(h_target)

@@ -10,9 +10,7 @@ import pytest
 from repro.core.estimators import (
     entropy_from_counts,
     entropy_from_probabilities,
-    jackknife_entropy,
     joint_entropy_from_counter,
-    miller_madow_entropy,
     mutual_information_from_counts,
 )
 from repro.data.joint import JointCounter
@@ -130,42 +128,3 @@ class TestJointEntropyAndMI:
             np.bincount(a, minlength=3), np.bincount(b, minlength=3), counter
         )
         assert mi >= 0.0
-
-
-class TestBiasCorrectedEstimators:
-    def test_miller_madow_exceeds_plug_in(self):
-        counts = np.array([3, 1, 2, 1, 1])
-        assert miller_madow_entropy(counts) > entropy_from_counts(counts)
-
-    def test_miller_madow_on_single_value(self):
-        assert miller_madow_entropy(np.array([10])) == pytest.approx(0.0)
-
-    def test_miller_madow_empty(self):
-        assert miller_madow_entropy(np.array([], dtype=int)) == 0.0
-
-    def test_miller_madow_correction_magnitude(self):
-        counts = np.array([5, 5])
-        expected = entropy_from_counts(counts) + 1 / (20 * math.log(2))
-        assert miller_madow_entropy(counts) == pytest.approx(expected)
-
-    def test_jackknife_close_to_truth_on_large_sample(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 16, 20_000)
-        counts = np.bincount(data, minlength=16)
-        assert jackknife_entropy(counts) == pytest.approx(4.0, abs=0.01)
-
-    def test_jackknife_reduces_bias_versus_plug_in(self):
-        # Small samples from a uniform distribution: plug-in is biased low;
-        # the jackknife estimate should be larger on average.
-        rng = np.random.default_rng(4)
-        plug, jack = [], []
-        for _ in range(50):
-            data = rng.integers(0, 8, 40)
-            counts = np.bincount(data, minlength=8)
-            plug.append(entropy_from_counts(counts))
-            jack.append(jackknife_entropy(counts))
-        assert np.mean(jack) > np.mean(plug)
-
-    def test_jackknife_tiny_sample(self):
-        assert jackknife_entropy(np.array([1])) == 0.0
-        assert jackknife_entropy(np.array([], dtype=int)) == 0.0

@@ -33,6 +33,7 @@ from repro.core.mi_topk import swope_top_k_mutual_information
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.schedule import SampleSchedule
 from repro.core.topk import swope_top_k_entropy
+from repro.data.backends import CountingBackend, ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.obs import TRACE_SCHEMA_VERSION, JsonlSink
 
@@ -76,7 +77,9 @@ def _mixed_specs() -> list[QuerySpec]:
     ]
 
 
-def _run_case(case: str, sink: JsonlSink, backend: str | None = None) -> None:
+def _run_case(
+    case: str, sink: JsonlSink, backend: str | CountingBackend | None = None
+) -> None:
     store = _golden_store()
     if case == "plan_mixed":
         executor = PlanExecutor(store, seed=SEED, backend=backend)
@@ -132,7 +135,9 @@ def _run_case(case: str, sink: JsonlSink, backend: str | None = None) -> None:
         raise AssertionError(f"unknown golden case {case!r}")
 
 
-def _trace_lines(case: str, backend: str | None = None) -> list[str]:
+def _trace_lines(
+    case: str, backend: str | CountingBackend | None = None
+) -> list[str]:
     buffer = io.StringIO()
     sink = JsonlSink(buffer)
     _run_case(case, sink, backend)
@@ -180,7 +185,12 @@ def test_trace_byte_identical_across_runs(case: str) -> None:
 def test_trace_identical_across_backends(case: str) -> None:
     # Counting backends are bit-identical by contract, so the event
     # stream — which contains only counted quantities — must be too.
-    assert _trace_lines(case, "numpy") == _trace_lines(case, "threads")
+    # min_parallel_cells=0 sends every batch through the worker pool.
+    process = ProcessBackend(max_workers=2, min_parallel_cells=0)
+    try:
+        assert _trace_lines(case, "numpy") == _trace_lines(case, process)
+    finally:
+        process.close()
 
 
 def test_schema_version_matches_goldens() -> None:

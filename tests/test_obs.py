@@ -10,13 +10,16 @@ import pytest
 
 from repro.cli import main
 from repro.core.budget import QueryBudget
-from repro.core.engine import QueryTrace
 from repro.core.filtering import swope_filter_entropy
 from repro.core.schedule import SampleSchedule
 from repro.core.session import QuerySession
 from repro.core.topk import swope_top_k_entropy
 from repro.data.column_store import ColumnStore
-from repro.exceptions import ParameterError, QueryInterruptedError
+from repro.exceptions import (
+    ParameterError,
+    QueryInterruptedError,
+    UnknownAttributeError,
+)
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
     InMemorySink,
@@ -105,6 +108,16 @@ class TestSinks:
         assert [type(e).event for e in sink] == sink.kinds()
         assert len(sink.of_kind("prune")) == 1
         assert sink.of_kind("iteration") == []
+
+    def test_in_memory_sink_widths_over_iteration_events(self):
+        sink = InMemorySink()
+        sink.emit(IterationEvent(0, 8, ("a", "b"), {"a": (1.0, 3.0), "b": (0.0, 0.5)}))
+        sink.emit(PruneEvent(sample_size=8, pruned=("b",), survivors=1))
+        sink.emit(IterationEvent(1, 16, ("a",), {"a": (1.5, 2.5)}))
+        assert sink.widths("a") == [(8, 2.0), (16, 1.0)]
+        assert sink.widths("b") == [(8, 0.5)]
+        with pytest.raises(UnknownAttributeError, match="ghost"):
+            sink.widths("ghost")
 
     def test_jsonl_sink_owns_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -284,12 +297,6 @@ class TestEngineEmission:
         baseline = swope_top_k_entropy(store, 2, seed=3)
         assert result.stats.trace_event_count == 0
         assert result.attributes == baseline.attributes
-
-    def test_legacy_query_trace_still_works(self, store):
-        trace = QueryTrace()
-        result = swope_top_k_entropy(store, 2, seed=3, trace=trace)
-        assert trace.iterations
-        assert result.stats.trace_event_count == 0
 
     def test_metrics_without_trace(self, store):
         registry = MetricsRegistry()

@@ -38,6 +38,7 @@ from repro.core.plan import (
 )
 from repro.core.session import QuerySession
 from repro.core.topk import swope_top_k_entropy
+from repro.data.backends import ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     DataFormatError,
@@ -49,7 +50,19 @@ from repro.exceptions import (
 from repro.obs import InMemorySink, MetricsRegistry
 
 SEED = 7
-BACKENDS = ["numpy", "threads"]
+BACKENDS = ["numpy", "process"]
+
+
+@pytest.fixture(scope="module")
+def pooled_process():
+    """A process backend that sends every batch through its worker pool."""
+    backend = ProcessBackend(max_workers=2, min_parallel_cells=0)
+    yield backend
+    backend.close()
+
+
+def _backend(name: str, pooled: ProcessBackend) -> str | ProcessBackend:
+    return pooled if name == "process" else name
 
 
 @pytest.fixture()
@@ -308,7 +321,10 @@ LEGACY = {
 class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(LEGACY))
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_query_plan_matches_legacy(self, store, name, backend):
+    def test_single_query_plan_matches_legacy(
+        self, store, name, backend, pooled_process
+    ):
+        backend = _backend(backend, pooled_process)
         spec = next(s for s in _mixed_specs() if s.name == name)
         executor = PlanExecutor(store, seed=SEED, backend=backend)
         plan = plan_queries(store, [spec])
@@ -318,7 +334,10 @@ class TestBitIdentity:
         assert outcome[name].stats.cells_scanned == legacy.stats.cells_scanned
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_plan_matches_sequential_session(self, store, backend):
+    def test_mixed_plan_matches_sequential_session(
+        self, store, backend, pooled_process
+    ):
+        backend = _backend(backend, pooled_process)
         executor = PlanExecutor(store, seed=SEED, backend=backend)
         plan = plan_queries(store, _mixed_specs())
         outcome = executor.execute(plan)
@@ -422,7 +441,7 @@ class TestPlanResilience:
         executor = PlanExecutor(store, seed=SEED)
         spec = QuerySpec(kind="top_k", score="entropy", k=1)
         with pytest.raises(ParameterError):
-            executor.execute_one(spec, backend="threads")
+            executor.execute_one(spec, backend="process")
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.core.bounds import (
 )
 from repro.core.estimators import (
     entropy_from_counts,
-    miller_madow_entropy,
     mutual_information_from_counts,
 )
 from repro.core.schedule import SampleSchedule
@@ -59,10 +58,6 @@ class TestEntropyProperties:
         assert entropy_from_counts(counts) == pytest.approx(
             entropy_from_counts(counts * factor), abs=1e-9
         )
-
-    @given(counts=counts_strategy)
-    def test_miller_madow_at_least_plug_in(self, counts):
-        assert miller_madow_entropy(counts) >= entropy_from_counts(counts) - 1e-12
 
     @given(counts=counts_strategy)
     def test_zero_padding_is_noop(self, counts):
