@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 import _bench_config as cfg
-from repro.core.topk import swope_top_k_entropy
-from repro.data.sampling import PrefixSampler
+from repro.core.swope import swope_top_k_entropy
 
 
 @pytest.mark.parametrize("dataset_key", cfg.DATASET_KEYS)
@@ -21,9 +20,8 @@ def test_ablation_pruning(benchmark, dataset_key, prune):
     store = cfg.dataset(dataset_key).store
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
         return swope_top_k_entropy(
-            store, 4, epsilon=0.1, sampler=sampler, prune=prune
+            store, 4, epsilon=0.1, sequential=True, prune=prune
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -39,12 +37,10 @@ def test_ablation_pruning_same_answer(benchmark, dataset_key):
 
     def run():
         with_prune = swope_top_k_entropy(
-            store, 4, epsilon=0.1,
-            sampler=PrefixSampler(store, sequential=True), prune=True,
+            store, 4, epsilon=0.1, sequential=True, prune=True
         )
         without = swope_top_k_entropy(
-            store, 4, epsilon=0.1,
-            sampler=PrefixSampler(store, sequential=True), prune=False,
+            store, 4, epsilon=0.1, sequential=True, prune=False
         )
         return with_prune, without
 

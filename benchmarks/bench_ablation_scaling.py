@@ -13,8 +13,7 @@ from __future__ import annotations
 import pytest
 
 import _bench_config as cfg
-from repro.core.topk import swope_top_k_entropy
-from repro.data.sampling import PrefixSampler
+from repro.core.swope import swope_top_k_entropy
 from repro.synth.datasets import load_dataset
 
 SCALES = (0.05, 0.1, 0.2, 0.4)
@@ -30,8 +29,7 @@ def test_ablation_scaling_speedup_grows_with_n(benchmark, scale):
     store = dataset.store
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
-        return swope_top_k_entropy(store, 4, epsilon=0.1, sampler=sampler)
+        return swope_top_k_entropy(store, 4, epsilon=0.1, sequential=True)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     exact_cells = store.num_attributes * store.num_rows

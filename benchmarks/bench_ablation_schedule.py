@@ -13,8 +13,7 @@ import pytest
 
 import _bench_config as cfg
 from repro.core.schedule import SampleSchedule, initial_sample_size
-from repro.core.topk import swope_top_k_entropy
-from repro.data.sampling import PrefixSampler
+from repro.core.swope import swope_top_k_entropy
 
 
 def _schedule(store, mode, factor):
@@ -40,9 +39,8 @@ def test_ablation_schedule(benchmark, dataset_key, mode, factor):
     schedule = _schedule(store, mode, factor)
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
         return swope_top_k_entropy(
-            store, 4, epsilon=0.1, schedule=schedule, sampler=sampler
+            store, 4, epsilon=0.1, schedule=schedule, sequential=True
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

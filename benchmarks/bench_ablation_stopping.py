@@ -13,8 +13,10 @@ import pytest
 import _bench_config as cfg
 from repro.baselines.entropy_filter import entropy_filter
 from repro.baselines.entropy_rank import entropy_rank_top_k
-from repro.core.filtering import swope_filter_entropy
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_top_k_entropy,
+)
 from repro.data.sampling import PrefixSampler
 
 
@@ -24,10 +26,11 @@ def test_ablation_stopping_topk(benchmark, dataset_key, rule):
     store = cfg.dataset(dataset_key).store
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
         if rule == "swope-approximate":
-            return swope_top_k_entropy(store, 4, epsilon=0.1, sampler=sampler)
-        return entropy_rank_top_k(store, 4, sampler=sampler)
+            return swope_top_k_entropy(store, 4, epsilon=0.1, sequential=True)
+        return entropy_rank_top_k(
+            store, 4, sampler=PrefixSampler(store, sequential=True)
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned
@@ -40,10 +43,13 @@ def test_ablation_stopping_filter(benchmark, dataset_key, rule):
     store = cfg.dataset(dataset_key).store
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
         if rule == "swope-approximate":
-            return swope_filter_entropy(store, 2.0, epsilon=0.05, sampler=sampler)
-        return entropy_filter(store, 2.0, sampler=sampler)
+            return swope_filter_entropy(
+                store, 2.0, epsilon=0.05, sequential=True
+            )
+        return entropy_filter(
+            store, 2.0, sampler=PrefixSampler(store, sequential=True)
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned

@@ -19,7 +19,9 @@ Public API layers
 -----------------
 * the four SWOPE query functions (:func:`swope_top_k_entropy`,
   :func:`swope_filter_entropy`, :func:`swope_top_k_mutual_information`,
-  :func:`swope_filter_mutual_information`);
+  :func:`swope_filter_mutual_information`), each a one-query run of
+  :class:`PlanExecutor`, which also answers several queries over one
+  shared scan;
 * exact and adaptive-exact baselines under :mod:`repro.baselines`;
 * the data substrate under :mod:`repro.data`;
 * synthetic census-like datasets under :mod:`repro.synth`;
@@ -47,7 +49,7 @@ from repro.core import (
     AttributeEstimate,
     CancellationToken,
     QueryBudget,
-    QuerySession,
+    PlanExecutor,
     ConfidenceInterval,
     FilterResult,
     GuaranteeStatus,
@@ -116,12 +118,12 @@ __all__ = [
     "MutualInformationInterval",
     "NullSink",
     "ParameterError",
+    "PlanExecutor",
     "PrefixSampler",
     "ProcessBackend",
     "QueryBudget",
     "QueryCancelledError",
     "QueryInterruptedError",
-    "QuerySession",
     "ReproError",
     "RunStats",
     "SampleSchedule",

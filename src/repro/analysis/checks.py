@@ -708,8 +708,9 @@ def _check_direct_output(context: ModuleContext) -> Iterator[Violation]:
 _ADAPTIVE_LOOPS = {"adaptive_top_k", "adaptive_filter"}
 
 #: Modules allowed to touch the loops directly: the engine defines them,
-#: and the planner's ``run_query_spec`` is the single sanctioned dispatch
-#: point (the four ``swope_*`` entry points are spec wrappers over it).
+#: and the planner's ``PlanExecutor.execute_one`` is the single sanctioned
+#: dispatch point (plans, the executor's query methods, and the four
+#: ``swope_*`` functions all run through it).
 _ADAPTIVE_LOOP_MODULES = {"repro.core.engine", "repro.core.plan"}
 
 
@@ -723,8 +724,8 @@ _ADAPTIVE_LOOP_MODULES = {"repro.core.engine", "repro.core.plan"}
 def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
     """Keep the adaptive loops behind the query-planner seam.
 
-    :func:`repro.core.plan.run_query_spec` is the single place that
-    builds providers, schedules, and failure budgets before entering
+    :meth:`repro.core.plan.PlanExecutor.execute_one` is the single place
+    that builds providers, schedules, and failure budgets before entering
     :func:`~repro.core.engine.adaptive_top_k` /
     :func:`~repro.core.engine.adaptive_filter`; a direct call elsewhere
     in ``src/repro`` re-derives (and eventually diverges from) that
@@ -755,8 +756,8 @@ def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
                 this,
                 node,
                 f"{name}() outside repro.core.plan: build a QuerySpec and"
-                " call run_query_spec (or a swope_* entry point) so budgets,"
-                " shared-scan accounting, and plan events stay wired, or"
+                " call PlanExecutor.execute_one (or a swope_* entry point) so"
+                " budgets, shared-scan accounting, and plan events stay wired, or"
                 " '# noqa: SWP011' with a justification",
             )
 

@@ -9,9 +9,8 @@ reachability-based rule (SWP014, SWP016) starts from.
 Entry-point contract (kept in sync with ``docs/ANALYSIS.md``):
 
 * module-level functions named ``swope_*`` (the paper-facing API);
-* ``run_query_spec`` (the planner dispatch seam, SWP011's target);
-* public methods (no leading underscore) of ``PlanExecutor`` and
-  ``QuerySession``;
+* public methods (no leading underscore) of ``PlanExecutor``, whose
+  ``execute_one`` is the planner dispatch seam (SWP011's target);
 * ``repro.cli.main`` (the command-line surface).
 """
 
@@ -27,10 +26,7 @@ from repro.analysis.rules import Rule, Violation
 __all__ = ["ProjectContext", "entry_point_keys"]
 
 #: Class names whose public methods are externally callable surfaces.
-_ENTRY_CLASSES = {"PlanExecutor", "QuerySession"}
-
-#: Module-level function names that are entry points regardless of prefix.
-_ENTRY_FUNCTIONS = {"run_query_spec", "main"}
+_ENTRY_CLASSES = {"PlanExecutor"}
 
 
 def entry_point_keys(graph: ProjectGraph) -> list[str]:
@@ -41,10 +37,7 @@ def entry_point_keys(graph: ProjectGraph) -> list[str]:
         if info.cls is None and "<locals>" not in info.qualname:
             if info.name.startswith("swope_"):
                 keys.append(key)
-            elif info.name in _ENTRY_FUNCTIONS and info.module in (
-                "repro.cli",
-                "repro.core.plan",
-            ):
+            elif info.name == "main" and info.module == "repro.cli":
                 keys.append(key)
         elif (
             info.cls in _ENTRY_CLASSES

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.exact import exact_mutual_informations
-from repro.core.mi_topk import swope_top_k_mutual_information
+from repro.core.swope import swope_top_k_mutual_information
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, SchemaError
 

@@ -29,8 +29,10 @@ from repro.baselines.exact import (
     exact_mutual_informations,
 )
 from repro.core.conditional import conditional_mutual_information
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
+from repro.core.swope import (
+    swope_filter_mutual_information,
+    swope_top_k_mutual_information,
+)
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError
 

@@ -40,8 +40,10 @@ def entropy_filter(
 ) -> FilterResult:
     """Answer an *exact* entropy filtering query by adaptive sampling.
 
-    Parameters mirror :func:`repro.core.filtering.swope_filter_entropy`,
+    Parameters mirror :func:`repro.core.swope.swope_filter_entropy`,
     minus ``epsilon``.
+    ``sampler=`` runs on a pre-built
+    :class:`~repro.data.sampling.PrefixSampler` (e.g. a sequential one).
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
     names = list(attributes) if attributes is not None else list(store.attributes)

@@ -43,8 +43,10 @@ def entropy_rank_top_k(
 ) -> TopKResult:
     """Answer an *exact* entropy top-k query by adaptive sampling.
 
-    Parameters mirror :func:`repro.core.topk.swope_top_k_entropy`, minus
+    Parameters mirror :func:`repro.core.swope.swope_top_k_entropy`, minus
     ``epsilon`` — this baseline has no approximation knob.
+    ``sampler=`` runs on a pre-built
+    :class:`~repro.data.sampling.PrefixSampler` (e.g. a sequential one).
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
     names = list(attributes) if attributes is not None else list(store.attributes)

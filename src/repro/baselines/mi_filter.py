@@ -40,8 +40,10 @@ def entropy_filter_mutual_information(
     """Answer an *exact* MI filtering query by adaptive sampling.
 
     Parameters mirror
-    :func:`repro.core.mi_filtering.swope_filter_mutual_information`, minus
+    :func:`repro.core.swope.swope_filter_mutual_information`, minus
     ``epsilon``.
+    ``sampler=`` runs on a pre-built
+    :class:`~repro.data.sampling.PrefixSampler` (e.g. a sequential one).
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
     if target not in store:

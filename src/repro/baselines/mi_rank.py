@@ -42,8 +42,10 @@ def entropy_rank_top_k_mutual_information(
     """Answer an *exact* MI top-k query by adaptive sampling.
 
     Parameters mirror
-    :func:`repro.core.mi_topk.swope_top_k_mutual_information`, minus
+    :func:`repro.core.swope.swope_top_k_mutual_information`, minus
     ``epsilon``.
+    ``sampler=`` runs on a pre-built
+    :class:`~repro.data.sampling.PrefixSampler` (e.g. a sequential one).
     ``budget``/``cancellation``/``strict`` behave as in the SWOPE engine.
     """
     if target not in store:

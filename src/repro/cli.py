@@ -50,13 +50,11 @@ from repro.applications.feature_selection import (
 from repro.core import (
     PlanExecutor,
     QueryBudget,
+    QuerySpec,
     load_plan,
     plan_queries,
-    swope_filter_entropy,
-    swope_filter_mutual_information,
-    swope_top_k_entropy,
-    swope_top_k_mutual_information,
 )
+from repro.core.plan import _COMBINED_KINDS
 from repro.data.backends import backend_names
 from repro.data.describe import describe_store
 from repro.data.mmap_store import MmapStore
@@ -510,37 +508,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
     registry = (
         MetricsRegistry() if (args.metrics_out or args.emit_metrics) else None
     )
-    cache_dir = _resolved_cache_dir(args)
-    cache = None
-    if cache_dir is not None:
-        from repro.cache import PlanCache
-
-        cache = PlanCache(Path(cache_dir))
-    resilience = {
-        "budget": budget, "strict": args.strict, "backend": args.backend,
-        "trace": sink, "metrics": registry, "cache": cache,
-    }
+    kind, score = _COMBINED_KINDS[args.kind]
+    spec = QuerySpec(
+        kind=kind,
+        score=score,
+        k=args.k if kind == "top_k" else None,
+        threshold=args.eta if kind == "filter" else None,
+        epsilon=args.epsilon,
+        target=target if score == "mutual_information" else None,
+    )
     try:
-        if args.kind == "topk-entropy":
-            result = swope_top_k_entropy(
-                store, args.k, epsilon=args.epsilon or 0.1, seed=args.seed,
-                **resilience,
-            )
-        elif args.kind == "filter-entropy":
-            result = swope_filter_entropy(
-                store, args.eta, epsilon=args.epsilon or 0.05, seed=args.seed,
-                **resilience,
-            )
-        elif args.kind == "topk-mi":
-            result = swope_top_k_mutual_information(
-                store, target, args.k, epsilon=args.epsilon or 0.5, seed=args.seed,
-                **resilience,
-            )
-        else:
-            result = swope_filter_mutual_information(
-                store, target, args.eta, epsilon=args.epsilon or 0.5, seed=args.seed,
-                **resilience,
-            )
+        executor = PlanExecutor(
+            store, seed=args.seed, backend=args.backend, budget=budget,
+            trace=sink, metrics=registry, cache_dir=_resolved_cache_dir(args),
+        )
+        result = executor.execute_one(spec, strict=args.strict)
     finally:
         # Strict-mode truncation raises after the sink/registry already
         # received the degraded run — flush them so the trace and metrics

@@ -9,11 +9,12 @@ The primary contribution of the paper lives here:
 * :mod:`repro.core.plan` — declarative :class:`~repro.core.plan.QuerySpec`
   batches, the planner, and the shared-scan
   :class:`~repro.core.plan.PlanExecutor`;
-* :func:`~repro.core.topk.swope_top_k_entropy` — Algorithm 1;
-* :func:`~repro.core.filtering.swope_filter_entropy` — Algorithm 2;
-* :func:`~repro.core.mi_topk.swope_top_k_mutual_information` — Algorithm 3;
-* :func:`~repro.core.mi_filtering.swope_filter_mutual_information` —
-  Algorithm 4.
+* :mod:`repro.core.swope` — Algorithms 1–4 as one-query functions
+  (:func:`~repro.core.swope.swope_top_k_entropy`,
+  :func:`~repro.core.swope.swope_filter_entropy`,
+  :func:`~repro.core.swope.swope_top_k_mutual_information`,
+  :func:`~repro.core.swope.swope_filter_mutual_information`), each a
+  one-spec :class:`~repro.core.plan.PlanExecutor` run.
 """
 
 from repro.core.bounds import (
@@ -42,9 +43,6 @@ from repro.core.estimators import (
     joint_entropy_from_counter,
     mutual_information_from_counts,
 )
-from repro.core.filtering import swope_filter_entropy
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
 from repro.core.plan import (
     PlanExecutor,
     PlanResult,
@@ -53,7 +51,6 @@ from repro.core.plan import (
     QuerySpec,
     load_plan,
     plan_queries,
-    run_query_spec,
 )
 from repro.core.results import (
     AttributeEstimate,
@@ -63,8 +60,12 @@ from repro.core.results import (
     TopKResult,
 )
 from repro.core.schedule import SampleSchedule, initial_sample_size, max_iterations
-from repro.core.session import QuerySession
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 
 __all__ = [
     "AttributeEstimate",
@@ -80,7 +81,6 @@ __all__ = [
     "PlanStats",
     "QueryBudget",
     "QueryPlan",
-    "QuerySession",
     "QuerySpec",
     "MutualInformationScoreProvider",
     "RunStats",
@@ -103,7 +103,6 @@ __all__ = [
     "mutual_information_interval",
     "permutation_half_width",
     "plan_queries",
-    "run_query_spec",
     "sample_size_for_width",
     "swope_filter_entropy",
     "swope_filter_mutual_information",

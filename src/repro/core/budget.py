@@ -57,8 +57,8 @@ class QueryBudget:
         Maximum attribute values the query may read (the same
         machine-independent cost metric as
         :attr:`~repro.core.results.RunStats.cells_scanned`, counted
-        relative to the query's start so session-shared samplers are
-        budgeted per query).
+        relative to the query's start so samplers shared across an
+        executor's queries are budgeted per query).
     max_sample_size:
         Largest sample prefix ``M`` the schedule may grow to. The first
         iteration always runs even if its sample size already exceeds

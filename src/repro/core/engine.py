@@ -16,10 +16,9 @@ top-k or filtering. This module factors the common structure:
   ref. [32]), so the baselines in :mod:`repro.baselines` differ from
   SWOPE only in that rule.
 
-The entropy/MI-specific public entry points in :mod:`repro.core.topk`,
-:mod:`repro.core.filtering`, :mod:`repro.core.mi_topk`, and
-:mod:`repro.core.mi_filtering` are thin wrappers that build the provider
-and schedule, then delegate here. The unifying observation that makes this
+:meth:`repro.core.plan.PlanExecutor.execute_one` — behind the four
+:mod:`repro.core.swope` functions and every plan — builds the provider and
+schedule, then delegates here. The unifying observation that makes this
 factoring exact: for both scores the stopping quantity of the top-k rule,
 ``2λ + b_max`` (entropy) or ``6λ + b'_max`` (MI), equals the maximum
 interval *width* over the current answer set ``R``.
@@ -145,7 +144,8 @@ class PhaseTimings:
     Providers accumulate into one instance over their lifetime; the
     adaptive loops snapshot it at query start and write the per-query
     deltas into :class:`~repro.core.results.RunStats`, so a
-    session-shared provider attributes each query only its own time.
+    provider shared across an executor's queries attributes each query
+    only its own time.
     """
 
     #: Seconds spent gathering sample blocks and histogramming them.
@@ -449,7 +449,8 @@ class _LoopContext:
         from. Cancellation is an explicit caller request and takes
         precedence over budget limits. The cell budget is measured
         against this query's own reads (``cells_at_start`` delta), so a
-        session-shared sampler is budgeted per query, not cumulatively.
+        sampler shared across queries is budgeted per query, not
+        cumulatively.
         Delegates to :func:`repro.core.budget.check_interruption`, the
         checkpoint shared with the exact-stopping baselines.
         """

@@ -26,7 +26,10 @@ pass. This module is that batch-serving layer:
   fire; per-query failure budgets stay per-query, so every result keeps
   its own paper guarantee. Budgets and cancellation apply plan-wide,
   degrading per-query with an honest
-  :class:`~repro.core.results.GuaranteeStatus`.
+  :class:`~repro.core.results.GuaranteeStatus`. A single query is a
+  one-spec run (:meth:`PlanExecutor.execute_one`, or one of the four
+  query methods); the :mod:`repro.core.swope` functions are exactly
+  that on a fresh executor, so there is one query path.
 
 Scheduling note (why "interleaved" is a ratchet, not strict lock-step):
 the executor starts each query's schedule at
@@ -35,10 +38,9 @@ any earlier query of the batch reached. Later queries therefore join
 the scan at the frontier the batch has already paid for — their early,
 cheap iterations collapse into counter reuse — while each query's
 per-round failure budget is computed from its own (shorter) actual
-schedule, exactly as in :class:`~repro.core.session.QuerySession`.
-This keeps every single-spec plan bit-identical to its legacy
+schedule. This keeps every single-spec plan bit-identical to its
 ``swope_*`` call and a mixed plan bit-identical to the same queries run
-sequentially in a fresh session at the same seed (the regression suite
+one by one on a fresh executor at the same seed (the regression suite
 in ``tests/test_plan.py`` pins both).
 
 Statistical note: each query's guarantee is individually valid, but the
@@ -55,7 +57,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Union
+from typing import TYPE_CHECKING, Any, Iterator, Union, cast
 
 import numpy as np
 
@@ -123,7 +125,6 @@ __all__ = [
     "QuerySpec",
     "load_plan",
     "plan_queries",
-    "run_query_spec",
 ]
 
 #: The two stopping rules (Definitions 5 and 6 of the paper).
@@ -133,8 +134,8 @@ QUERY_KINDS = ("top_k", "filter")
 QUERY_SCORES = ("entropy", "mutual_information")
 
 #: The paper's evaluation-default ``ε`` per query shape (Section 6.1);
-#: used when a spec leaves ``epsilon`` unset, matching the defaults of
-#: the four ``swope_*`` entry points.
+#: the only source of the default when a spec (or a ``swope_*`` call)
+#: leaves ``epsilon`` unset.
 PAPER_EPSILON = {
     ("top_k", "entropy"): 0.1,
     ("filter", "entropy"): 0.05,
@@ -691,223 +692,6 @@ class _RecordingProvider:
         return out
 
 
-def _cache_partition(
-    cache: "PlanCache | CachePartition | None",
-    store: ColumnSource,
-    sampler: PrefixSampler,
-) -> "tuple[CachePartition | None, PlanCache | None]":
-    """Resolve a cache argument to the partition matching this run.
-
-    Returns ``(partition, owned_cache)`` — ``owned_cache`` is the
-    :class:`~repro.cache.PlanCache` to flush after the run when the
-    caller handed us the whole cache (façade path); ``None`` when the
-    caller passed a pre-bound partition (executor path, which flushes
-    itself) or no cache at all.
-    """
-    if cache is None:
-        return None, None
-    from repro.cache import CachePartition, PlanCache  # local: layering
-
-    if isinstance(cache, CachePartition):
-        return cache, None
-    if isinstance(cache, PlanCache):
-        from repro.durability.checkpoint import store_fingerprint
-
-        partition = cache.partition(
-            fingerprint=store_fingerprint(store),
-            shuffle=sampler.shuffle_fingerprint(),
-        )
-        return partition, cache
-    raise ParameterError(
-        "cache= must be a PlanCache, a CachePartition, or None;"
-        f" got {type(cache).__name__}"
-    )
-
-
-def run_query_spec(
-    store: ColumnSource,
-    spec: QuerySpec,
-    *,
-    failure_probability: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    schedule: SampleSchedule | None = None,
-    sampler: PrefixSampler | None = None,
-    backend: str | CountingBackend | None = None,
-    trace: TraceSink | None = None,
-    budget: QueryBudget | None = None,
-    cancellation: CancellationToken | None = None,
-    strict: bool = False,
-    metrics: MetricsRegistry | None = None,
-    checkpoint: CheckpointHook | None = None,
-    resume_state: LoopCheckpoint | None = None,
-    cache: "PlanCache | CachePartition | None" = None,
-) -> QueryResult:
-    """Run one spec through the adaptive engine.
-
-    This is the single dispatch point between the declarative layer and
-    :func:`~repro.core.engine.adaptive_top_k` /
-    :func:`~repro.core.engine.adaptive_filter` — the four ``swope_*``
-    entry points are single-spec wrappers over it, and analysis rule
-    SWP011 keeps any other caller from reaching around it. Validation
-    order, defaults, and error messages are exactly the legacy entry
-    points' (the bit-identity suite in ``tests/test_plan.py`` pins
-    this). ``checkpoint``/``resume_state`` pass straight through to the
-    adaptive loops (see :class:`~repro.core.engine.LoopCheckpoint`).
-
-    ``cache`` attaches a :mod:`repro.cache` plan cache (or a pre-bound
-    partition): retired answers are consulted before the engine runs —
-    exact shape matches and semantic dominance serves (η′ ≥ η, k′ ≤ k)
-    — counters warm-start from cached prefixes, and a converged run's
-    answer and counters are written back. Answer reuse is only
-    consulted for unbudgeted, uncancelled, non-resumed runs, so a
-    budgeted run's degradation behaviour is bit-identical with or
-    without a cache.
-    """
-    names = _resolved_candidates(store, spec)
-    if failure_probability is None:
-        failure_probability = default_failure_probability(store.num_rows)
-    if sampler is None:
-        sampler = PrefixSampler(store, seed=seed, backend=backend)
-    elif backend is not None:
-        raise ParameterError(
-            "pass either sampler= or backend=; a pre-built sampler already"
-            " owns its counting backend"
-        )
-    partition, owned_cache = _cache_partition(cache, store, sampler)
-    if partition is not None:
-        sampler.attach_counter_cache(partition)
-    target = spec.target
-    mutual = spec.score == "mutual_information"
-    if schedule is None:
-        schedule_names = [target, *names] if mutual and target is not None else names
-        schedule = SampleSchedule.for_query(
-            store.num_rows,
-            len(names) + 1 if mutual else len(names),
-            failure_probability,
-            max(store.support_size(a) for a in schedule_names),
-        )
-    epsilon = (
-        spec.epsilon
-        if spec.epsilon is not None
-        else PAPER_EPSILON[(spec.kind, spec.score)]
-    )
-    param = (
-        float(spec.threshold or 0.0)
-        if spec.kind == "filter"
-        else float(spec.k or 0)
-    )
-    name = spec.name if spec.name is not None else spec.describe()
-    if (
-        partition is not None
-        and budget is None
-        and cancellation is None
-        and resume_state is None
-    ):
-        served = partition.lookup_answer(
-            kind=spec.kind,
-            score=spec.score,
-            epsilon=epsilon,
-            failure_probability=failure_probability,
-            schedule_start=schedule.sizes[0],
-            candidates=tuple(names),
-            target=target,
-            prune=spec.prune,
-            param=param,
-            population_size=store.num_rows,
-        )
-        if served is not None:
-            result: QueryResult = served.result
-            _emit(
-                trace,
-                CacheHitEvent(
-                    name=name,
-                    kind=spec.kind,
-                    score=spec.score,
-                    mode=served.mode,
-                    source_param=served.source_param,
-                    requested_param=param,
-                ),
-            )
-            _emit(
-                trace,
-                AnswerReusedEvent(
-                    name=name,
-                    mode=served.mode,
-                    iterations=result.stats.iterations,
-                    final_sample_size=result.stats.final_sample_size,
-                    cells_saved=result.stats.cells_saved,
-                    answer=tuple(result.attributes),
-                ),
-            )
-            if metrics is not None:
-                record_cache(metrics, hit=True, mode=served.mode)
-                assert result.guarantee is not None  # put_answer refuses others
-                record_query(
-                    metrics,
-                    kind=spec.kind,
-                    score=spec.score,
-                    stats=result.stats,
-                    guarantee=result.guarantee,
-                )
-            if owned_cache is not None:
-                owned_cache.flush()
-            return result
-        _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
-        if metrics is not None:
-            record_cache(metrics, hit=False)
-    provider: ScoreProvider
-    if mutual:
-        if target is None:  # pragma: no cover - QuerySpec.__post_init__ guards
-            raise PlanError("a mutual_information spec needs a target attribute")
-        per_bound = schedule.per_round_failure(
-            failure_probability, len(names), bounds_per_attribute=3
-        )
-        provider = MutualInformationScoreProvider(sampler, target, per_bound)
-    else:
-        per_bound = schedule.per_round_failure(failure_probability, len(names))
-        provider = EntropyScoreProvider(sampler, per_bound)
-    recorder: _RecordingProvider | None = None
-    if partition is not None and resume_state is None:
-        recorder = _RecordingProvider(provider)
-        provider = recorder
-    if spec.kind == "top_k":
-        if spec.k is None:  # pragma: no cover - QuerySpec.__post_init__ guards
-            raise PlanError("a top_k spec needs k")
-        result = adaptive_top_k(
-            provider, sampler, names, spec.k, epsilon, schedule,
-            prune=spec.prune, target=target, trace=trace,
-            budget=budget, cancellation=cancellation, strict=strict,
-            metrics=metrics, checkpoint=checkpoint, resume_state=resume_state,
-        )
-    else:
-        if spec.threshold is None:  # pragma: no cover - __post_init__ guards
-            raise PlanError("a filter spec needs a threshold")
-        result = adaptive_filter(
-            provider, sampler, names, spec.threshold, epsilon, schedule,
-            target=target, trace=trace,
-            budget=budget, cancellation=cancellation, strict=strict,
-            metrics=metrics, checkpoint=checkpoint, resume_state=resume_state,
-        )
-    if partition is not None and recorder is not None:
-        partition.put_answer(
-            kind=spec.kind,
-            score=spec.score,
-            epsilon=epsilon,
-            failure_probability=failure_probability,
-            schedule_start=schedule.sizes[0],
-            candidates=tuple(names),
-            target=target,
-            prune=spec.prune,
-            param=param,
-            history=recorder.history,
-            result=result,
-        )
-    if owned_cache is not None and partition is not None:
-        partition.absorb_sampler_state(sampler.state_snapshot())
-        owned_cache.flush()
-    return result
-
-
 @dataclass
 class PlanStats:
     """Accounting for one executed plan.
@@ -1016,9 +800,22 @@ class PlanExecutor:
     grows stays alive, so each count a plan needs is fetched from the
     store exactly once — later queries of the batch (and later plans on
     the same executor) reuse it for free. The starting sample size
-    ratchets to the largest ``M`` any query has reached, exactly as in
-    :class:`~repro.core.session.QuerySession` (which is now a façade
-    over this class).
+    ratchets to the largest ``M`` any query has reached (prefix counters
+    can only grow); starting at a larger-than-``M0`` sample is
+    statistically harmless, because the Lemma 3 interval at a larger
+    ``M`` is simply tighter and the per-round failure budget is computed
+    from the (shorter) actual schedule. Queries run as whole plans
+    (:meth:`execute`) or one at a time:
+
+    >>> executor = PlanExecutor(store, seed=0)      # doctest: +SKIP
+    >>> executor.top_k_entropy(5)                   # pays for its sample
+    >>> executor.filter_entropy(2.0)                # reuses those counts
+    >>> executor.marginal_cells()                   # incremental cost ~ 0
+
+    Every query keeps its own Definition 5/6 guarantee, but queries on
+    one executor share one shuffle, so their failure events are
+    dependent; give each query its own seeded executor when they must
+    be independent.
 
     Parameters
     ----------
@@ -1205,9 +1002,8 @@ class PlanExecutor:
         self._cache.flush()
 
     # ------------------------------------------------------------------
-    def _schedule_for(self, spec: QuerySpec) -> SampleSchedule:
+    def _schedule_for(self, spec: QuerySpec, names: list[str]) -> SampleSchedule:
         """A paper schedule whose start is ratcheted to the shared floor."""
-        names = _resolved_candidates(self._store, spec)
         if spec.score == "mutual_information" and spec.target is not None:
             all_names = [spec.target, *names]
             num_attributes = len(names) + 1
@@ -1227,6 +1023,63 @@ class PlanExecutor:
             initial_size=start,
         )
 
+    def _serve_from_cache(
+        self,
+        partition: "CachePartition",
+        spec: QuerySpec,
+        name: str,
+        answer_key: dict[str, Any],
+        trace: TraceSink | None,
+        metrics: MetricsRegistry | None,
+    ) -> QueryResult | None:
+        """A retired answer from the cache partition, or ``None`` on a miss.
+
+        Emits ``cache_hit``/``answer_reused`` or ``cache_miss`` and feeds
+        the cache (and, on a hit, the per-query) metrics.
+        """
+        served = partition.lookup_answer(
+            **answer_key, population_size=self._store.num_rows
+        )
+        if served is None:
+            _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
+            if metrics is not None:
+                record_cache(metrics, hit=False)
+            return None
+        result: QueryResult = served.result
+        _emit(
+            trace,
+            CacheHitEvent(
+                name=name,
+                kind=spec.kind,
+                score=spec.score,
+                mode=served.mode,
+                source_param=served.source_param,
+                requested_param=answer_key["param"],
+            ),
+        )
+        _emit(
+            trace,
+            AnswerReusedEvent(
+                name=name,
+                mode=served.mode,
+                iterations=result.stats.iterations,
+                final_sample_size=result.stats.final_sample_size,
+                cells_saved=result.stats.cells_saved,
+                answer=tuple(result.attributes),
+            ),
+        )
+        if metrics is not None:
+            record_cache(metrics, hit=True, mode=served.mode)
+            assert result.guarantee is not None  # put_answer refuses others
+            record_query(
+                metrics,
+                kind=spec.kind,
+                score=spec.score,
+                stats=result.stats,
+                guarantee=result.guarantee,
+            )
+        return result
+
     def execute_one(
         self,
         spec: QuerySpec,
@@ -1237,70 +1090,262 @@ class PlanExecutor:
         strict: bool = False,
         trace: TraceSink | None = _UNSET,
         metrics: MetricsRegistry | None = _UNSET,
-        backend: str | CountingBackend | None = None,
         checkpoint: CheckpointHook | None = None,
         resume_state: LoopCheckpoint | None = None,
         cells_before: int | None = None,
     ) -> QueryResult:
         """Run one spec over the shared sampler, ratcheting the floor.
 
+        This is the single dispatch point between the declarative layer
+        and :func:`~repro.core.engine.adaptive_top_k` /
+        :func:`~repro.core.engine.adaptive_filter`: :meth:`execute`, the
+        four query methods, and the four :mod:`repro.core.swope`
+        functions all come through here, and analysis rule SWP011 keeps
+        any other caller from reaching around it. Candidate resolution
+        raises the typed errors of :func:`plan_queries`; ``ε`` defaults
+        to :data:`PAPER_EPSILON`; ``schedule`` defaults to the paper
+        schedule started at the ratchet floor.
+
         ``budget``/``trace``/``metrics`` default to the executor-wide
         settings; pass ``None`` explicitly to lift/silence them for one
-        query. A ``backend=`` here is always an error — the shared
-        sampler already owns its backend. ``checkpoint``/
-        ``resume_state``/``cells_before`` are the durability hooks used
-        by :meth:`execute` and :meth:`resume`; ``cells_before`` replays
-        the query's original scan-start meter so the per-query cell
-        accounting of a resumed run matches the uninterrupted one.
+        query. ``checkpoint``/``resume_state``/``cells_before`` are the
+        durability hooks used by :meth:`execute` and :meth:`resume`;
+        ``cells_before`` replays the query's original scan-start meter so
+        the per-query cell accounting of a resumed run matches the
+        uninterrupted one.
+
+        With a cache attached, retired answers are consulted before the
+        engine runs — exact shape matches and semantic dominance serves
+        (η′ ≥ η, k′ ≤ k) — and a converged run's answer and counters are
+        written back. Answer reuse is only consulted for unbudgeted,
+        uncancelled, non-resumed runs, so a budgeted run's degradation
+        behaviour is bit-identical with or without a cache.
         """
-        if backend is not None:
-            raise ParameterError(
-                "pass either sampler= or backend=; a pre-built sampler already"
-                " owns its counting backend"
-            )
         if budget is _UNSET:
             budget = self._budget
         if trace is _UNSET:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
+        names = _resolved_candidates(self._store, spec)
         if schedule is None:
-            schedule = self._schedule_for(spec)
+            schedule = self._schedule_for(spec, names)
+        epsilon = (
+            spec.epsilon
+            if spec.epsilon is not None
+            else PAPER_EPSILON[(spec.kind, spec.score)]
+        )
+        target = spec.target
+        answer_key: dict[str, Any] = {
+            "kind": spec.kind,
+            "score": spec.score,
+            "epsilon": epsilon,
+            "failure_probability": self._failure,
+            "schedule_start": schedule.sizes[0],
+            "candidates": tuple(names),
+            "target": target,
+            "prune": spec.prune,
+            "param": (
+                float(spec.threshold or 0.0)
+                if spec.kind == "filter"
+                else float(spec.k or 0)
+            ),
+        }
         before = (
             self._sampler.cells_scanned if cells_before is None else cells_before
         )
-        try:
-            result = run_query_spec(
-                self._store,
-                spec,
-                failure_probability=self._failure,
-                sampler=self._sampler,
-                schedule=schedule,
-                trace=trace,
-                budget=budget,
-                cancellation=cancellation,
-                strict=strict,
-                metrics=metrics,
-                checkpoint=checkpoint,
-                resume_state=resume_state,
-                cache=self._partition,
+        served: QueryResult | None = None
+        if (
+            self._partition is not None
+            and budget is None
+            and cancellation is None
+            and resume_state is None
+        ):
+            name = spec.name if spec.name is not None else spec.describe()
+            served = self._serve_from_cache(
+                self._partition, spec, name, answer_key, trace, metrics
             )
-        except QueryInterruptedError as exc:
-            # Strict-mode truncation: the shared prefix counters have
-            # already grown, so the floor must ratchet to the partial
-            # result's sample size or a later query would ask the
-            # sampler to shrink a prefix.
-            partial = exc.partial
-            if isinstance(partial, (TopKResult, FilterResult)):
-                self._floor = max(self._floor, partial.stats.final_sample_size)
-            self._last_cells = self._sampler.cells_scanned - before
-            self._flush_cache()  # keep the counters the partial run paid for
-            raise
+        result: QueryResult
+        if served is not None:
+            result = served
+        else:
+            provider: ScoreProvider
+            if spec.score == "mutual_information":
+                if target is None:  # pragma: no cover - QuerySpec guards
+                    raise PlanError(
+                        "a mutual_information spec needs a target attribute"
+                    )
+                per_bound = schedule.per_round_failure(
+                    self._failure, len(names), bounds_per_attribute=3
+                )
+                provider = MutualInformationScoreProvider(
+                    self._sampler, target, per_bound
+                )
+            else:
+                per_bound = schedule.per_round_failure(self._failure, len(names))
+                provider = EntropyScoreProvider(self._sampler, per_bound)
+            recorder: _RecordingProvider | None = None
+            if self._partition is not None and resume_state is None:
+                recorder = _RecordingProvider(provider)
+                provider = recorder
+            try:
+                if spec.kind == "top_k":
+                    if spec.k is None:  # pragma: no cover - QuerySpec guards
+                        raise PlanError("a top_k spec needs k")
+                    result = adaptive_top_k(
+                        provider, self._sampler, names, spec.k, epsilon,
+                        schedule, prune=spec.prune, target=target, trace=trace,
+                        budget=budget, cancellation=cancellation, strict=strict,
+                        metrics=metrics, checkpoint=checkpoint,
+                        resume_state=resume_state,
+                    )
+                else:
+                    if spec.threshold is None:  # pragma: no cover - QuerySpec guards
+                        raise PlanError("a filter spec needs a threshold")
+                    result = adaptive_filter(
+                        provider, self._sampler, names, spec.threshold, epsilon,
+                        schedule, target=target, trace=trace,
+                        budget=budget, cancellation=cancellation, strict=strict,
+                        metrics=metrics, checkpoint=checkpoint,
+                        resume_state=resume_state,
+                    )
+            except QueryInterruptedError as exc:
+                # Strict-mode truncation: the shared prefix counters have
+                # already grown, so the floor must ratchet to the partial
+                # result's sample size or a later query would ask the
+                # sampler to shrink a prefix.
+                partial = exc.partial
+                if isinstance(partial, (TopKResult, FilterResult)):
+                    self._floor = max(
+                        self._floor, partial.stats.final_sample_size
+                    )
+                self._last_cells = self._sampler.cells_scanned - before
+                self._flush_cache()  # keep the counters the partial run paid for
+                raise
+            if self._partition is not None and recorder is not None:
+                self._partition.put_answer(
+                    **answer_key, history=recorder.history, result=result
+                )
         self._queries_run += 1
         self._last_cells = self._sampler.cells_scanned - before
         self._floor = max(self._floor, result.stats.final_sample_size)
         self._flush_cache()
         return result
+
+    # ------------------------------------------------------------------
+    # The four SWOPE queries (Algorithms 1-4) as one-spec runs.
+    # ------------------------------------------------------------------
+    def top_k_entropy(
+        self,
+        k: int,
+        *,
+        epsilon: float | None = None,
+        attributes: Sequence[str] | None = None,
+        prune: bool = False,
+        schedule: SampleSchedule | None = None,
+        budget: QueryBudget | None = _UNSET,
+        cancellation: CancellationToken | None = None,
+        strict: bool = False,
+        trace: TraceSink | None = _UNSET,
+        metrics: MetricsRegistry | None = _UNSET,
+    ) -> TopKResult:
+        """Algorithm 1 over the shared sampler.
+
+        ``attributes=None`` means every attribute of the store; an empty
+        list raises :class:`~repro.exceptions.PlanError`. Pruning is off
+        by default so later queries find every counter at the frontier
+        (see :func:`repro.core.swope.swope_top_k_entropy` for the rest).
+        """
+        spec = QuerySpec(
+            kind="top_k", score="entropy", k=k, epsilon=epsilon,
+            attributes=None if attributes is None else tuple(attributes),
+            prune=prune,
+        )
+        return cast(TopKResult, self.execute_one(
+            spec, schedule=schedule, budget=budget, cancellation=cancellation,
+            strict=strict, trace=trace, metrics=metrics,
+        ))
+
+    def filter_entropy(
+        self,
+        threshold: float,
+        *,
+        epsilon: float | None = None,
+        attributes: Sequence[str] | None = None,
+        schedule: SampleSchedule | None = None,
+        budget: QueryBudget | None = _UNSET,
+        cancellation: CancellationToken | None = None,
+        strict: bool = False,
+        trace: TraceSink | None = _UNSET,
+        metrics: MetricsRegistry | None = _UNSET,
+    ) -> FilterResult:
+        """Algorithm 2 over the shared sampler (keywords as in
+        :meth:`top_k_entropy`)."""
+        spec = QuerySpec(
+            kind="filter", score="entropy", threshold=threshold,
+            epsilon=epsilon,
+            attributes=None if attributes is None else tuple(attributes),
+        )
+        return cast(FilterResult, self.execute_one(
+            spec, schedule=schedule, budget=budget, cancellation=cancellation,
+            strict=strict, trace=trace, metrics=metrics,
+        ))
+
+    def top_k_mutual_information(
+        self,
+        target: str,
+        k: int,
+        *,
+        epsilon: float | None = None,
+        candidates: Sequence[str] | None = None,
+        prune: bool = False,
+        schedule: SampleSchedule | None = None,
+        budget: QueryBudget | None = _UNSET,
+        cancellation: CancellationToken | None = None,
+        strict: bool = False,
+        trace: TraceSink | None = _UNSET,
+        metrics: MetricsRegistry | None = _UNSET,
+    ) -> TopKResult:
+        """Algorithm 3 over the shared sampler (pruning off by default).
+
+        ``candidates=None`` means every attribute except ``target``.
+        """
+        spec = QuerySpec(
+            kind="top_k", score="mutual_information", k=k, epsilon=epsilon,
+            target=target,
+            attributes=None if candidates is None else tuple(candidates),
+            prune=prune,
+        )
+        return cast(TopKResult, self.execute_one(
+            spec, schedule=schedule, budget=budget, cancellation=cancellation,
+            strict=strict, trace=trace, metrics=metrics,
+        ))
+
+    def filter_mutual_information(
+        self,
+        target: str,
+        threshold: float,
+        *,
+        epsilon: float | None = None,
+        candidates: Sequence[str] | None = None,
+        schedule: SampleSchedule | None = None,
+        budget: QueryBudget | None = _UNSET,
+        cancellation: CancellationToken | None = None,
+        strict: bool = False,
+        trace: TraceSink | None = _UNSET,
+        metrics: MetricsRegistry | None = _UNSET,
+    ) -> FilterResult:
+        """Algorithm 4 over the shared sampler (keywords as in
+        :meth:`top_k_mutual_information`)."""
+        spec = QuerySpec(
+            kind="filter", score="mutual_information", threshold=threshold,
+            epsilon=epsilon, target=target,
+            attributes=None if candidates is None else tuple(candidates),
+        )
+        return cast(FilterResult, self.execute_one(
+            spec, schedule=schedule, budget=budget, cancellation=cancellation,
+            strict=strict, trace=trace, metrics=metrics,
+        ))
 
     def execute(
         self,

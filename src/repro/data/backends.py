@@ -31,7 +31,7 @@ guarantee identical query results under any :data:`BACKEND_NAMES` choice.
 :func:`resolve_backend` maps the user-facing spelling (a name, an
 instance, or ``None`` meaning "honour the ``REPRO_BACKEND`` environment
 variable") onto a backend instance via the :data:`BACKEND_REGISTRY`; the
-four ``swope_*`` entry points, :class:`~repro.core.session.QuerySession`,
+four ``swope_*`` entry points, :class:`~repro.core.plan.PlanExecutor`,
 and the CLI all accept the same spelling, and the CLI derives its
 ``--backend`` choices from :func:`backend_names` so registered backends
 (and the ``REPRO_BACKEND`` validation error) stay in sync automatically.

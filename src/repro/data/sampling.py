@@ -90,7 +90,7 @@ class PrefixSampler:
     retain:
         When true, :meth:`release` becomes a no-op, so counters survive
         the releasing that query loops do when they retire attributes —
-        the mode :class:`repro.core.session.QuerySession` uses to let
+        the mode :class:`repro.core.plan.PlanExecutor` uses to let
         later queries reuse earlier queries' samples.
     backend:
         Counting strategy: a :data:`~repro.data.backends.BACKEND_NAMES`

@@ -26,11 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
-from repro.core.filtering import swope_filter_entropy
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
 from repro.core.results import FilterResult, TopKResult
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 from repro.data.column_store import ColumnStore
 from repro.data.csv_io import load_csv
 from repro.data.encoding import CategoricalEncoder
@@ -151,7 +153,7 @@ class Dataset:
     # ------------------------------------------------------------------
     def top_k_entropy(self, k: int, **kwargs) -> TopKResult:
         """Approximate entropy top-k (Algorithm 1). Keywords forward to
-        :func:`repro.core.topk.swope_top_k_entropy`."""
+        :func:`repro.core.swope.swope_top_k_entropy`."""
         return swope_top_k_entropy(self._store, k, **kwargs)
 
     def filter_entropy(self, threshold: float, **kwargs) -> FilterResult:

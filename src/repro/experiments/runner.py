@@ -50,14 +50,16 @@ ALGORITHMS = ("swope", "entropy_rank", "exact")
 def _make_sampler(
     store: ColumnStore, seed: int | None, sequential: bool
 ) -> PrefixSampler:
-    """Build the sampler an experiment run uses.
+    """Build the sampler an exact-stopping baseline run uses.
 
-    The experiment harness defaults to ``sequential=True``, mirroring the
-    paper's setup ("SWOPE stores data by columnar layout and do sequential
-    sampling", Section 6.1): the synthetic datasets emit i.i.d. rows, so a
-    physical prefix is statistically equivalent to a shuffled prefix and
-    avoids the gather cost of permuted reads. Pass ``sequential=False`` to
-    exercise the shuffled path (the statistical tests do).
+    SWOPE runs pass the same ``seed``/``sequential`` to the query
+    function. The experiment harness defaults to ``sequential=True``,
+    mirroring the paper's setup ("SWOPE stores data by columnar layout
+    and do sequential sampling", Section 6.1): the synthetic datasets
+    emit i.i.d. rows, so a physical prefix is statistically equivalent to
+    a shuffled prefix and avoids the gather cost of permuted reads. Pass
+    ``sequential=False`` to exercise the shuffled path (the statistical
+    tests do).
     """
     return PrefixSampler(store, seed=seed, sequential=sequential)
 
@@ -129,8 +131,7 @@ def run_entropy_top_k(
     truth = truth or GroundTruthCache()
     if algorithm == "swope":
         result = swope_top_k_entropy(
-            store, k, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            store, k, epsilon=epsilon, seed=seed, sequential=sequential
         )
     elif algorithm == "entropy_rank":
         result = entropy_rank_top_k(
@@ -167,8 +168,7 @@ def run_entropy_filter(
     truth = truth or GroundTruthCache()
     if algorithm == "swope":
         result = swope_filter_entropy(
-            store, threshold, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            store, threshold, epsilon=epsilon, seed=seed, sequential=sequential
         )
     elif algorithm == "entropy_rank":
         result = entropy_filter(
@@ -207,8 +207,7 @@ def run_mi_top_k(
     truth = truth or GroundTruthCache()
     if algorithm == "swope":
         result = swope_top_k_mutual_information(
-            store, target, k, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            store, target, k, epsilon=epsilon, seed=seed, sequential=sequential
         )
     elif algorithm == "entropy_rank":
         result = entropy_rank_top_k_mutual_information(
@@ -248,7 +247,7 @@ def run_mi_filter(
     if algorithm == "swope":
         result = swope_filter_mutual_information(
             store, target, threshold, epsilon=epsilon,
-            sampler=_make_sampler(store, seed, sequential),
+            seed=seed, sequential=sequential,
         )
     elif algorithm == "entropy_rank":
         result = entropy_filter_mutual_information(

@@ -10,7 +10,7 @@ instruments, renders them as Prometheus text exposition
 
 The engine feeds the standard instruments through
 :func:`record_query`; pass ``metrics=`` to any SWOPE query (or a
-:class:`~repro.core.session.QuerySession`) to populate:
+:class:`~repro.core.plan.PlanExecutor`) to populate:
 
 * ``queries_total`` / ``queries_degraded_total`` — counters;
 * ``iterations_total``, ``cells_scanned_total``,

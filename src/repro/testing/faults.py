@@ -240,7 +240,7 @@ class FlakyStore:
     delay per read. Everything else delegates to the wrapped store, so a
     ``FlakyStore`` can stand in anywhere a
     :class:`~repro.data.column_store.ColumnStore` is accepted —
-    samplers, queries, sessions.
+    samplers, queries, executors.
 
     Wrap individual reads with :func:`retry_with_backoff` to build
     retrying access, or run a deadline-budgeted query over a

@@ -414,8 +414,8 @@ class TestSWP011:
 
     def test_unrelated_call_names_are_clean(self):
         text = (
-            "from repro.core.plan import run_query_spec\n\n"
-            "def f(store, spec):\n    return run_query_spec(store, spec)\n"
+            "from repro.core.plan import PlanExecutor\n\n"
+            "def f(store, spec):\n    return PlanExecutor(store).execute_one(spec)\n"
         )
         assert codes(check(CORE, text)) == []
 

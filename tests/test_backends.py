@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    QuerySession,
+    PlanExecutor,
     swope_filter_entropy,
     swope_filter_mutual_information,
     swope_top_k_entropy,
@@ -479,19 +479,13 @@ class TestBackendEquivalence:
             for left, right in pairs:
                 assert left == right
 
-    def test_sampler_and_backend_are_mutually_exclusive(self):
-        store = random_store(1)
-        sampler = PrefixSampler(store, seed=1)
-        with pytest.raises(ParameterError, match="either sampler= or backend="):
-            swope_top_k_entropy(store, 2, sampler=sampler, backend="process")
-
     def test_session_process_backend_matches_numpy(self):
         # 500 rows stay under min_parallel_cells: the serial fallback runs.
         store = random_store(2, num_rows=500)
         answers = []
         for backend in BACKENDS:
-            session = QuerySession(store, seed=2, backend=backend)
-            result = session.top_k_entropy(3)
+            executor = PlanExecutor(store, seed=2, backend=backend)
+            result = executor.top_k_entropy(3)
             answers.append((result.attributes, result.stats.cells_scanned))
         assert answers[0] == answers[1]
 

@@ -89,6 +89,17 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind", ["topk-entropy", "filter-entropy", "topk-mi", "filter-mi"]
+    )
+    def test_zero_epsilon_is_rejected_not_defaulted(self, kind, capsys):
+        code = main(
+            ["query", kind, "--dataset", "cdc", "--scale", "0.01",
+             "--epsilon", "0"]
+        )
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
 
 class TestQueryBatch:
     def _plan_file(self, tmp_path):

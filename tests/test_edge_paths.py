@@ -127,6 +127,26 @@ def _run_plan_entry(store, entry):
             ),
             PlanError,
         ),
+        (
+            lambda s: PlanExecutor(s, seed=0).top_k_entropy(1, attributes=[]),
+            PlanError,
+        ),
+        (
+            lambda s: PlanExecutor(s, seed=0).filter_entropy(1.0, attributes=[]),
+            PlanError,
+        ),
+        (
+            lambda s: PlanExecutor(s, seed=0).top_k_mutual_information(
+                "wide", 1, candidates=[]
+            ),
+            PlanError,
+        ),
+        (
+            lambda s: PlanExecutor(s, seed=0).filter_mutual_information(
+                "wide", 0.5, candidates=[]
+            ),
+            PlanError,
+        ),
     ],
     ids=[
         "swope_top_k_entropy",
@@ -138,6 +158,10 @@ def _run_plan_entry(store, entry):
         "entropy_rank_top_k_mutual_information",
         "entropy_filter_mutual_information",
         "plan_file_entry",
+        "executor_top_k_entropy",
+        "executor_filter_entropy",
+        "executor_top_k_mutual_information",
+        "executor_filter_mutual_information",
     ],
 )
 def test_empty_candidate_list_raises_typed_error(small_store, call, error):
@@ -149,7 +173,7 @@ def test_empty_candidate_list_raises_typed_error(small_store, call, error):
 
 class TestGeneratorSeeds:
     def test_generator_flows_through_query(self, small_store):
-        from repro.core.topk import swope_top_k_entropy
+        from repro.core.swope import swope_top_k_entropy
 
         gen = np.random.default_rng(5)
         result = swope_top_k_entropy(small_store, 1, seed=gen)
@@ -160,7 +184,7 @@ class TestGeneratorSeeds:
 
 class TestHeadStoreInteraction:
     def test_query_over_head_slice(self, small_store):
-        from repro.core.topk import swope_top_k_entropy
+        from repro.core.swope import swope_top_k_entropy
 
         head = small_store.head(1000)
         result = swope_top_k_entropy(head, 1, seed=0)

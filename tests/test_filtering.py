@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_entropies
-from repro.core.filtering import swope_filter_entropy
 from repro.core.schedule import SampleSchedule
+from repro.core.swope import swope_filter_entropy
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, SchemaError
 from repro.experiments.accuracy import check_filter_guarantee

@@ -27,12 +27,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.filtering import swope_filter_entropy
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.schedule import SampleSchedule
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 from repro.data.backends import CountingBackend, ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.obs import TRACE_SCHEMA_VERSION, JsonlSink

@@ -21,10 +21,12 @@ from repro.baselines.entropy_filter import entropy_filter
 from repro.baselines.entropy_rank import entropy_rank_top_k
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
 from repro.core.bounds import sample_size_for_width
-from repro.core.filtering import swope_filter_entropy
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 from repro.experiments.accuracy import (
     check_filter_guarantee,
     check_top_k_guarantee,

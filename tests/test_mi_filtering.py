@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_mutual_informations
-from repro.core.mi_filtering import swope_filter_mutual_information
+from repro.core.swope import swope_filter_mutual_information
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, SchemaError
 from repro.experiments.accuracy import check_filter_guarantee

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_mutual_informations
-from repro.core.mi_topk import swope_top_k_mutual_information
+from repro.core.swope import swope_top_k_mutual_information
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, SchemaError
 from repro.experiments.accuracy import check_top_k_guarantee

@@ -10,10 +10,12 @@ import pytest
 
 from repro.cli import main
 from repro.core.budget import QueryBudget
-from repro.core.filtering import swope_filter_entropy
+from repro.core.plan import PlanExecutor
 from repro.core.schedule import SampleSchedule
-from repro.core.session import QuerySession
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_top_k_entropy,
+)
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     ParameterError,
@@ -311,21 +313,21 @@ class TestSessionWiring:
     def test_session_default_sink_and_registry(self, store):
         sink = InMemorySink()
         registry = MetricsRegistry()
-        session = QuerySession(store, seed=5, trace=sink, metrics=registry)
-        assert session.default_trace is sink
-        assert session.default_metrics is registry
-        session.top_k_entropy(1)
-        session.filter_entropy(2.5)
+        executor = PlanExecutor(store, seed=5, trace=sink, metrics=registry)
+        assert executor.default_trace is sink
+        assert executor.default_metrics is registry
+        executor.top_k_entropy(1)
+        executor.filter_entropy(2.5)
         assert registry.counter("queries_total").value == 2.0
         assert sink.kinds().count("query_start") == 2
         assert sink.kinds().count("query_end") == 2
 
     def test_per_query_override_silences_one_query(self, store):
         sink = InMemorySink()
-        session = QuerySession(store, seed=5, trace=sink)
-        session.top_k_entropy(1, trace=None)
+        executor = PlanExecutor(store, seed=5, trace=sink)
+        executor.top_k_entropy(1, trace=None)
         assert len(sink) == 0
-        session.top_k_entropy(1)
+        executor.top_k_entropy(1)
         assert sink.kinds().count("query_start") == 1
 
 

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.filtering import swope_filter_entropy
 from repro.core.schedule import SampleSchedule
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_top_k_entropy,
+)
 from repro.data.column_store import ColumnStore
 from repro.obs import InMemorySink, MetricsRegistry
 

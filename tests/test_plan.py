@@ -7,10 +7,11 @@ Four layers:
   among its own candidates), while store-resolution errors keep the
   legacy ``SchemaError``/``ParameterError`` types and messages;
 * bit-identity — every single-query plan through
-  :class:`~repro.core.plan.PlanExecutor` must reproduce the legacy
-  ``swope_*`` entry point exactly (same seed, both backends), and a
-  mixed four-query plan must reproduce the same four queries run
-  sequentially in a fresh :class:`~repro.core.session.QuerySession`;
+  :meth:`~repro.core.plan.PlanExecutor.execute` must reproduce the
+  matching ``swope_*`` call exactly (same seed, both backends; pruned,
+  sequential, and cold/warm cached runs too), and a mixed four-query
+  plan must reproduce the same four queries run one by one through a
+  fresh executor's query methods;
 * resilience — plan-wide budgets hand each query the residual, every
   query still answers (with its own guarantee status), and strict mode
   raises on the first truncation while still ratcheting the floor;
@@ -21,14 +22,13 @@ Four layers:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from repro.cache import PlanCache
 from repro.core.budget import CancellationToken, QueryBudget
-from repro.core.filtering import swope_filter_entropy
-from repro.core.mi_filtering import swope_filter_mutual_information
-from repro.core.mi_topk import swope_top_k_mutual_information
 from repro.core.plan import (
     PAPER_EPSILON,
     PlanExecutor,
@@ -36,13 +36,16 @@ from repro.core.plan import (
     load_plan,
     plan_queries,
 )
-from repro.core.session import QuerySession
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
 from repro.data.backends import ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     DataFormatError,
-    ParameterError,
     PlanError,
     QueryInterruptedError,
     SchemaError,
@@ -300,38 +303,76 @@ class TestPlanQueries:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity against the legacy entry points
+# Bit-identity: a swope_* call is a one-spec plan
 # ----------------------------------------------------------------------
-LEGACY = {
-    "tk_h": lambda store, backend: swope_top_k_entropy(
-        store, 2, seed=SEED, backend=backend, prune=False
+FACADES = {
+    "tk_h": lambda store, spec, **kw: swope_top_k_entropy(
+        store, spec.k, prune=spec.prune, **kw
     ),
-    "f_h": lambda store, backend: swope_filter_entropy(
-        store, 2.0, seed=SEED, backend=backend
+    "f_h": lambda store, spec, **kw: swope_filter_entropy(
+        store, spec.threshold, **kw
     ),
-    "tk_mi": lambda store, backend: swope_top_k_mutual_information(
-        store, "target", 2, seed=SEED, backend=backend, prune=False
+    "tk_mi": lambda store, spec, **kw: swope_top_k_mutual_information(
+        store, spec.target, spec.k, prune=spec.prune, **kw
     ),
-    "f_mi": lambda store, backend: swope_filter_mutual_information(
-        store, "target", 0.5, seed=SEED, backend=backend
+    "f_mi": lambda store, spec, **kw: swope_filter_mutual_information(
+        store, spec.target, spec.threshold, **kw
     ),
 }
 
+#: Plan-level events a swope_* call does not emit.
+PLAN_EVENTS = {"plan_start", "schedule_chosen", "query_retired", "plan_end"}
+
+
+def _spec(name: str) -> QuerySpec:
+    return next(s for s in _mixed_specs() if s.name == name)
+
+
+def _query_events(sink: InMemorySink) -> list[tuple[str, dict]]:
+    """Per-query events, minus the query label (plans name their specs)."""
+    return [
+        (type(event).event, {k: v for k, v in asdict(event).items() if k != "name"})
+        for event in sink
+        if type(event).event not in PLAN_EVENTS
+    ]
+
+
+def _assert_facade_matches_plan(store, spec, *, cached=False, **executor_kwargs):
+    """Run ``spec`` as a swope_* call and as a one-spec plan (cold, then warm)."""
+    facade_cache, plan_cache = (PlanCache(), PlanCache()) if cached else (None, None)
+    for _ in range(2 if cached else 1):
+        facade_sink, plan_sink = InMemorySink(), InMemorySink()
+        facade = FACADES[spec.name](
+            store, spec, seed=SEED, trace=facade_sink, cache=facade_cache,
+            **executor_kwargs,
+        )
+        outcome = PlanExecutor(
+            store, seed=SEED, cache=plan_cache, **executor_kwargs
+        ).execute(plan_queries(store, [spec]), trace=plan_sink)
+        planned = outcome[spec.name]
+        _assert_results_equal(planned, facade)
+        assert planned.stats.cells_scanned == facade.stats.cells_scanned
+        assert planned.stats.cells_saved == facade.stats.cells_saved
+        assert _query_events(plan_sink) == _query_events(facade_sink)
+
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("name", sorted(LEGACY))
+    @pytest.mark.parametrize("name", sorted(FACADES))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_query_plan_matches_legacy(
         self, store, name, backend, pooled_process
     ):
         backend = _backend(backend, pooled_process)
-        spec = next(s for s in _mixed_specs() if s.name == name)
-        executor = PlanExecutor(store, seed=SEED, backend=backend)
-        plan = plan_queries(store, [spec])
-        outcome = executor.execute(plan)
-        legacy = LEGACY[name](store, backend)
-        _assert_results_equal(outcome[name], legacy)
-        assert outcome[name].stats.cells_scanned == legacy.stats.cells_scanned
+        spec = _spec(name)
+        _assert_facade_matches_plan(store, spec, backend=backend)
+        _assert_facade_matches_plan(store, spec, backend=backend, cached=True)
+        _assert_facade_matches_plan(
+            store, spec, backend=backend, sequential=True
+        )
+        if spec.kind == "top_k":
+            _assert_facade_matches_plan(
+                store, replace(spec, prune=True), backend=backend
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_plan_matches_sequential_session(
@@ -342,25 +383,25 @@ class TestBitIdentity:
         plan = plan_queries(store, _mixed_specs())
         outcome = executor.execute(plan)
 
-        # Issue the session queries in the plan's *scheduled* order — the
+        # Run the single queries in the plan's *scheduled* order — the
         # ratchet floor each query starts from depends on who ran before.
-        session = QuerySession(store, seed=SEED, backend=backend)
+        single = PlanExecutor(store, seed=SEED, backend=backend)
         runners = {
-            "tk_h": lambda: session.top_k_entropy(2),
-            "f_h": lambda: session.filter_entropy(2.0),
-            "tk_mi": lambda: session.top_k_mutual_information("target", 2),
-            "f_mi": lambda: session.filter_mutual_information("target", 0.5),
+            "tk_h": lambda: single.top_k_entropy(2),
+            "f_h": lambda: single.filter_entropy(2.0),
+            "tk_mi": lambda: single.top_k_mutual_information("target", 2),
+            "f_mi": lambda: single.filter_mutual_information("target", 0.5),
         }
         for spec in plan.specs:
             expected = runners[spec.name]()
             _assert_results_equal(outcome[spec.name], expected)
-        assert executor.cells_scanned == session.cells_scanned
+        assert executor.cells_scanned == single.cells_scanned
 
     def test_session_run_plan_facade(self, store):
-        session = QuerySession(store, seed=SEED)
-        outcome = session.run_plan(_mixed_specs())
+        executor = PlanExecutor(store, seed=SEED)
+        outcome = executor.execute(plan_queries(store, _mixed_specs()))
         assert len(outcome) == 4
-        assert session.queries_run == 4
+        assert executor.queries_run == 4
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +412,8 @@ class TestSharedCost:
         executor = PlanExecutor(store, seed=SEED)
         outcome = executor.execute(plan_queries(store, _mixed_specs()))
         standalone = sum(
-            LEGACY[name](store, None).stats.cells_scanned for name in LEGACY
+            FACADES[spec.name](store, spec, seed=SEED).stats.cells_scanned
+            for spec in _mixed_specs()
         )
         assert outcome.stats.cells_scanned < standalone
         assert outcome.stats.cells_scanned == sum(
@@ -436,12 +478,6 @@ class TestPlanResilience:
         assert kinds.count("query_retired") == 1  # the truncated query
         (end,) = sink.of_kind("plan_end")
         assert end.queries_completed == 0
-
-    def test_executor_rejects_backend_override(self, store):
-        executor = PlanExecutor(store, seed=SEED)
-        spec = QuerySpec(kind="top_k", score="entropy", k=1)
-        with pytest.raises(ParameterError):
-            executor.execute_one(spec, backend="process")
 
 
 # ----------------------------------------------------------------------

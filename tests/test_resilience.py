@@ -2,7 +2,7 @@
 
 The resilience contract: a truncated run still returns intervals that are
 valid Lemma 3 bounds (they contain the exact scores), labels itself
-honestly through :class:`GuaranteeStatus`, and — in sessions — leaves the
+honestly through :class:`GuaranteeStatus`, and — on a shared executor — leaves the
 shared sampler in a state later queries can build on.
 """
 
@@ -20,8 +20,8 @@ from repro.core.engine import (
     validate_threshold,
 )
 from repro.core.results import GuaranteeStatus
-from repro.core.session import QuerySession
 from repro.core import (
+    PlanExecutor,
     swope_filter_entropy,
     swope_filter_mutual_information,
     swope_top_k_entropy,
@@ -282,47 +282,47 @@ class TestDegradedFilter:
 
 class TestSessionResilience:
     def test_session_default_budget_applies(self, hard_store):
-        session = QuerySession(hard_store, seed=0, budget=TINY_CELLS)
-        assert session.default_budget is TINY_CELLS
-        result = session.top_k_entropy(2, epsilon=0.01)
+        executor = PlanExecutor(hard_store, seed=0, budget=TINY_CELLS)
+        assert executor.default_budget is TINY_CELLS
+        result = executor.top_k_entropy(2, epsilon=0.01)
         assert result.guarantee.stopping_reason == "cell_budget"
 
     def test_per_query_override_lifts_budget(self, hard_store):
-        session = QuerySession(hard_store, seed=0, budget=TINY_CELLS)
-        result = session.top_k_entropy(2, epsilon=0.1, budget=None)
+        executor = PlanExecutor(hard_store, seed=0, budget=TINY_CELLS)
+        result = executor.top_k_entropy(2, epsilon=0.1, budget=None)
         assert result.guarantee.stopping_reason == "converged"
 
     def test_ratchet_monotone_after_truncation(self, hard_store):
-        session = QuerySession(hard_store, seed=0)
-        floors = [session.sample_floor]
-        truncated = session.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS)
-        floors.append(session.sample_floor)
+        executor = PlanExecutor(hard_store, seed=0)
+        floors = [executor.sample_floor]
+        truncated = executor.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS)
+        floors.append(executor.sample_floor)
         assert floors[-1] == truncated.stats.final_sample_size
-        session.filter_entropy(5.0, epsilon=0.1)
-        floors.append(session.sample_floor)
-        session.top_k_entropy(1, epsilon=0.5)
-        floors.append(session.sample_floor)
+        executor.filter_entropy(5.0, epsilon=0.1)
+        floors.append(executor.sample_floor)
+        executor.top_k_entropy(1, epsilon=0.5)
+        floors.append(executor.sample_floor)
         assert floors == sorted(floors)
 
     def test_queries_work_after_truncated_query(self, hard_store):
         # The truncated query grew shared prefix counters; later queries
         # must start at or above that prefix, not try to shrink it.
-        session = QuerySession(hard_store, seed=0)
-        session.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS)
-        result = session.top_k_entropy(2, epsilon=0.3)
+        executor = PlanExecutor(hard_store, seed=0)
+        executor.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS)
+        result = executor.top_k_entropy(2, epsilon=0.3)
         assert result.guarantee.stopping_reason == "converged"
         exact = exact_entropies(hard_store)
         for est in result.estimates:
             assert est.lower <= exact[est.attribute] <= est.upper
 
     def test_strict_failure_still_ratchets_floor(self, hard_store):
-        session = QuerySession(hard_store, seed=0)
+        executor = PlanExecutor(hard_store, seed=0)
         with pytest.raises(BudgetExceededError):
-            session.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS, strict=True)
-        assert session.sample_floor > 0
-        assert session.marginal_cells() > 0
+            executor.top_k_entropy(2, epsilon=0.01, budget=TINY_CELLS, strict=True)
+        assert executor.sample_floor > 0
+        assert executor.marginal_cells() > 0
         # And the session is still usable.
-        result = session.top_k_entropy(2, epsilon=0.3)
+        result = executor.top_k_entropy(2, epsilon=0.3)
         assert result.guarantee.guarantee_met
 
 

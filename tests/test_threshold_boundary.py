@@ -22,16 +22,18 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines import exact_entropies
 from repro.core.bounds import bias_bound
-from repro.core.filtering import swope_filter_entropy
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_top_k_entropy,
+)
 from repro.data.column_store import ColumnStore
 from repro.data.filters import PAPER_MAX_SUPPORT, partition_by_support
 from repro.experiments.accuracy import (
     check_filter_guarantee,
     check_top_k_guarantee,
 )
-from repro.baselines import exact_entropies
 from repro.synth.census import generate_census
 
 SUPPORT_GRID = (998, 1000, 1001, 5000)

@@ -7,9 +7,8 @@ import pytest
 
 from repro.baselines.exact import exact_entropies
 from repro.core.schedule import SampleSchedule
-from repro.core.topk import swope_top_k_entropy
+from repro.core.swope import swope_top_k_entropy
 from repro.data.column_store import ColumnStore
-from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, SchemaError
 from repro.experiments.accuracy import check_top_k_guarantee
 
@@ -151,6 +150,5 @@ class TestCustomScheduleAndSampler:
         assert result.stats.final_sample_size == small_store.num_rows
 
     def test_sequential_sampler(self, small_store):
-        sampler = PrefixSampler(small_store, sequential=True)
-        result = swope_top_k_entropy(small_store, k=2, sampler=sampler)
+        result = swope_top_k_entropy(small_store, k=2, sequential=True)
         assert result.attributes == ["wide", "medium"]
