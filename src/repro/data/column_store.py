@@ -191,6 +191,7 @@ class ColumnStore:
             self._support[name] = u
         assert num_rows is not None
         self._num_rows = num_rows
+        self._fingerprint: str | None = None
 
     @classmethod
     def _from_trusted_parts(
@@ -211,6 +212,7 @@ class ColumnStore:
         store._columns = columns
         store._support = support_sizes
         store._num_rows = num_rows
+        store._fingerprint = None
         return store
 
     # ------------------------------------------------------------------
@@ -383,8 +385,14 @@ class ColumnStore:
         ``col:{name}:{support}:{dtype.str}\\n`` followed by the raw
         little-endian column bytes. :class:`~repro.data.mmap_store.MmapStore`
         computes the identical value over its on-disk columns, so the
-        two engines interoperate under one fingerprint.
+        two engines interoperate under one fingerprint. The store and its
+        columns are immutable, so the hash is computed once per store.
         """
+        if self._fingerprint is None:
+            self._fingerprint = self._hash_columns()
+        return self._fingerprint
+
+    def _hash_columns(self) -> str:
         digest = hashlib.sha256()
         digest.update(f"rows:{self._num_rows}\n".encode("utf-8"))
         for name in self.attributes:

@@ -9,7 +9,10 @@ iteration, and the martingale argument of Section 3.1 applies.
 
 :class:`PrefixSampler` implements this substrate:
 
-* one random permutation of ``[0, N)`` drawn up front (the shuffle);
+* one random permutation of ``[0, N)`` drawn up front (the shuffle),
+  together with its *recipe* — the bit generator's class and state just
+  before the draw — so a snapshot can name the shuffle in a few hundred
+  bytes and a restore can redraw it instead of storing ``N`` indices;
 * per-attribute occurrence counters ``m_i`` maintained *incrementally*
   (extending the prefix from ``M`` to ``M'`` touches only the ``M' - M``
   new records of each requested attribute — the columnar "sequential
@@ -29,7 +32,7 @@ generators, which emit i.i.d. rows).
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import Protocol
 
 import numpy as np
@@ -37,7 +40,7 @@ import numpy as np
 from repro.data.backends import CountingBackend, resolve_backend
 from repro.data.column_store import ColumnSource
 from repro.data.joint import JointCounter
-from repro.exceptions import ParameterError, SchemaError
+from repro.exceptions import CheckpointMismatchError, ParameterError, SchemaError
 
 __all__ = ["CounterCache", "PrefixSampler"]
 
@@ -70,6 +73,39 @@ def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _permutation_sha256(perm: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(perm).tobytes()).hexdigest()
+
+
+def _recipe_generator(shuffle: Mapping[str, object]) -> np.random.Generator:
+    """A generator in the state a snapshot's shuffle was drawn from.
+
+    The recipe is the bit generator's class name and its state just
+    before :meth:`numpy.random.Generator.permutation` ran. A numpy that
+    lacks the class or rejects the state cannot redraw the shuffle, so
+    both raise :class:`~repro.exceptions.CheckpointMismatchError`.
+    """
+    name = str(shuffle["bit_generator"])
+    bit_generator_cls = getattr(np.random, name, None)
+    if not (
+        isinstance(bit_generator_cls, type)
+        and issubclass(bit_generator_cls, np.random.BitGenerator)
+    ):
+        raise CheckpointMismatchError(
+            f"snapshot shuffle uses bit generator {name!r}, which this numpy"
+            " does not provide; refusing to resume"
+        )
+    bit_generator = bit_generator_cls(0)
+    try:
+        bit_generator.state = shuffle["state"]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CheckpointMismatchError(
+            f"snapshot {name} state is not accepted by this numpy ({exc});"
+            " refusing to resume"
+        ) from exc
+    return np.random.Generator(bit_generator)
 
 
 class PrefixSampler:
@@ -119,11 +155,25 @@ class PrefixSampler:
         self._n = store.num_rows
         self._counter_cache = counter_cache
         self._cells_saved = 0
+        # The shuffle's recipe and its memoised sha256; both ``None`` for
+        # sequential samplers (see state_snapshot / shuffle_fingerprint).
+        self._shuffle_recipe: dict[str, object] | None = None
+        self._shuffle_sha256: str | None = None
         if sequential:
             self._perm: np.ndarray | None = None
         else:
             rng = _as_generator(seed)
+            bit_generator = rng.bit_generator
+            # The state getter builds a fresh dict (and fresh arrays), so
+            # the draw below cannot alias it; a bit generator whose getter
+            # did alias would fail the sha256 check on resume, not resume
+            # wrong counts.
+            self._shuffle_recipe = {
+                "bit_generator": type(bit_generator).__name__,
+                "state": bit_generator.state,
+            }
             self._perm = rng.permutation(self._n)
+            self._perm.setflags(write=False)
         # attribute -> (rows_counted, counts[u_alpha])
         self._marginals: dict[str, tuple[int, np.ndarray]] = {}
         # (attr_a, attr_b) -> (rows_counted, JointCounter)
@@ -186,12 +236,15 @@ class PrefixSampler:
         Counters are a pure function of (dataset, row order, prefix
         length), so cache partitions key on this next to the dataset
         fingerprint. Sequential samplers all share the physical order
-        and return the literal marker ``"sequential"``.
+        and return the literal marker ``"sequential"``. The shuffle is
+        fixed (and read-only) for the sampler's life, so the hash is
+        computed once.
         """
         if self._perm is None:
             return "sequential"
-        digest = hashlib.sha256(np.ascontiguousarray(self._perm).tobytes())
-        return digest.hexdigest()
+        if self._shuffle_sha256 is None:
+            self._shuffle_sha256 = _permutation_sha256(self._perm)
+        return self._shuffle_sha256
 
     @property
     def counted_attributes(self) -> tuple[str, ...]:
@@ -215,8 +268,11 @@ class PrefixSampler:
         """In-memory snapshot of the sampler's resumable state.
 
         Captures everything a resumed process needs to continue the scan
-        bit-identically: the shuffle itself (``None`` in sequential
-        mode), every marginal counter with its counted prefix, every
+        bit-identically: the shuffle's recipe (``None`` in sequential
+        mode; otherwise ``{"bit_generator", "state", "sha256"}`` — the
+        generator class and state the permutation was drawn from, and
+        :meth:`shuffle_fingerprint` to verify the redraw), every
+        marginal counter with its counted prefix, every
         joint counter (via :meth:`~repro.data.joint.JointCounter.snapshot`),
         and the cumulative ``cells_scanned`` meter, which downstream
         stats and trace events are derived from. Arrays are returned
@@ -224,10 +280,12 @@ class PrefixSampler:
         :mod:`repro.durability.checkpoint`. The returned structures must
         not be mutated.
         """
+        shuffle = None
+        if self._shuffle_recipe is not None:
+            shuffle = {**self._shuffle_recipe, "sha256": self.shuffle_fingerprint()}
         return {
             "num_rows": self._n,
-            "sequential": self._perm is None,
-            "permutation": self._perm,
+            "shuffle": shuffle,
             "cells_scanned": self._cells_scanned,
             "cells_saved": self._cells_saved,
             "marginals": {
@@ -258,11 +316,15 @@ class PrefixSampler:
 
         The restored sampler continues the scan exactly where the
         snapshot left it: same shuffle, same counted prefixes, same
-        ``cells_scanned`` meter. Structural mismatches against ``store``
-        (row count, counter lengths vs. support sizes, out-of-range
-        prefixes) raise :class:`~repro.exceptions.ParameterError` — the
-        checkpoint layer's dataset fingerprint should make these
-        unreachable, so they guard against hand-edited state only.
+        ``cells_scanned`` meter. The shuffle is redrawn from its recipe
+        and checked against the recorded sha256; a redraw that differs
+        (another numpy, an edited generator state) raises
+        :class:`~repro.exceptions.CheckpointMismatchError`. Structural
+        mismatches against ``store`` (row count, counter lengths vs.
+        support sizes, out-of-range prefixes) raise
+        :class:`~repro.exceptions.ParameterError` — the checkpoint
+        layer's dataset fingerprint should make these unreachable, so
+        they guard against hand-edited state only.
         """
         num_rows = int(state["num_rows"])  # type: ignore[arg-type]
         if num_rows != store.num_rows:
@@ -270,16 +332,24 @@ class PrefixSampler:
                 f"sampler snapshot covers {num_rows} rows but the store has"
                 f" {store.num_rows}"
             )
-        sequential = bool(state["sequential"])
-        sampler = cls(store, sequential=True, retain=retain, backend=backend)
-        if not sequential:
-            perm = np.asarray(state["permutation"], dtype=np.int64)
-            if perm.shape != (num_rows,):
-                raise ParameterError(
-                    f"snapshot permutation has shape {perm.shape}, expected"
-                    f" ({num_rows},)"
+        shuffle = state["shuffle"]
+        if shuffle is None:
+            sampler = cls(store, sequential=True, retain=retain, backend=backend)
+        else:
+            assert isinstance(shuffle, Mapping)
+            sampler = cls(
+                store,
+                seed=_recipe_generator(shuffle),
+                retain=retain,
+                backend=backend,
+            )
+            if sampler.shuffle_fingerprint() != shuffle["sha256"]:
+                raise CheckpointMismatchError(
+                    "the shuffle redrawn from the snapshot's generator state"
+                    " does not match its recorded sha256 (a numpy upgrade may"
+                    " have changed permutation()); refusing to resume against"
+                    " a different row order"
                 )
-            sampler._perm = perm
         marginals = state["marginals"]
         assert isinstance(marginals, dict)
         for name, entry in marginals.items():

@@ -4,15 +4,21 @@ A :class:`~repro.core.plan.PlanExecutor` run is deterministic at a fixed
 seed: the sample is a prefix of one shuffle, counters only grow, and
 every trace event is derived from counter state — so a snapshot of
 (shuffle, counters, retired answers, loop position) is enough to restart
-a killed plan and produce *bit-identical* final answers. This module
-owns that snapshot's on-disk form:
+a killed plan and produce *bit-identical* final answers. The shuffle is
+recorded by its recipe, not its ``N`` indices: the bit generator's class
+and state just before the draw, plus the permutation's sha256, so the
+restore redraws it and proves the redraw identical (a numpy that draws
+differently is refused). This module owns that snapshot's on-disk form:
 
 * a single JSON document (``{"format", "schema_version", "sha256",
   "payload"}``) written through
   :func:`repro.durability.atomic.atomic_write_text`, so a crash during a
   save leaves the previous checkpoint intact;
-* arrays encoded as base64(zlib(raw bytes)) with dtype and shape, so the
-  restored counters are byte-for-byte the saved ones;
+* arrays — the counters, and the few ndarray leaves of a generator
+  state (MT19937 ``key``, Philox ``counter``/``key``, SFC64 ``state``) —
+  encoded as base64(zlib(raw bytes)) with dtype and shape, so the
+  restored values are byte-for-byte the saved ones; a checkpoint's size
+  therefore tracks the counters, never the row count;
 * a sha256 over the canonical payload serialization, verified on load —
   a truncated or hand-edited file raises
   :class:`~repro.exceptions.CheckpointError` instead of resuming from
@@ -83,7 +89,10 @@ CHECKPOINT_FORMAT = "repro-plan-checkpoint"
 #: v2: planner-v2 fields — sampler state and run stats carry
 #: ``cells_saved`` (plan-cache accounting) and plan progress carries the
 #: scheduled plan's metadata (count groups, order, cost estimates).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the sampler records its shuffle as ``shuffle`` (bit generator,
+#: generator state, permutation sha256) instead of the ``permutation``
+#: array, and drops the redundant ``sequential`` flag.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _PAYLOAD_KEYS = ("dataset", "executor", "sampler", "specs", "progress")
 
@@ -168,15 +177,35 @@ encode_joint_snapshot = _encode_joint
 decode_joint_snapshot = _decode_joint
 
 
+def _encode_generator_state(value: Any) -> Any:
+    """JSON-ready generator state: ndarray leaves become tagged arrays."""
+    if isinstance(value, np.ndarray):
+        return {"ndarray": _encode_array(value)}
+    if isinstance(value, dict):
+        return {str(key): _encode_generator_state(item) for key, item in value.items()}
+    return value
+
+
+def _decode_generator_state(value: Any) -> Any:
+    if isinstance(value, dict):
+        if set(value) == {"ndarray"}:
+            return _decode_array(value["ndarray"])
+        return {key: _decode_generator_state(item) for key, item in value.items()}
+    return value
+
+
 def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
     """JSON-ready form of :meth:`~repro.data.sampling.PrefixSampler.state_snapshot`."""
-    permutation = state["permutation"]
+    shuffle = state["shuffle"]
     marginals = state["marginals"]
     assert isinstance(marginals, dict)
     return {
         "num_rows": int(state["num_rows"]),
-        "sequential": bool(state["sequential"]),
-        "permutation": None if permutation is None else _encode_array(permutation),
+        "shuffle": None if shuffle is None else {
+            "bit_generator": str(shuffle["bit_generator"]),
+            "state": _encode_generator_state(shuffle["state"]),
+            "sha256": str(shuffle["sha256"]),
+        },
         "cells_scanned": int(state["cells_scanned"]),
         "cells_saved": int(state.get("cells_saved", 0)),
         "marginals": {
@@ -201,13 +230,14 @@ def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
 def decode_sampler_state(payload: dict[str, Any]) -> dict[str, Any]:
     """Live-array form :meth:`~repro.data.sampling.PrefixSampler.from_state` takes."""
     try:
-        permutation = payload["permutation"]
+        shuffle = payload["shuffle"]
         return {
             "num_rows": int(payload["num_rows"]),
-            "sequential": bool(payload["sequential"]),
-            "permutation": (
-                None if permutation is None else _decode_array(permutation)
-            ),
+            "shuffle": None if shuffle is None else {
+                "bit_generator": str(shuffle["bit_generator"]),
+                "state": _decode_generator_state(shuffle["state"]),
+                "sha256": str(shuffle["sha256"]),
+            },
             "cells_scanned": int(payload["cells_scanned"]),
             "cells_saved": int(payload.get("cells_saved", 0)),
             "marginals": {
@@ -424,7 +454,7 @@ class PlanCheckpoint:
       store the counters describe;
     * ``executor`` — failure probability, ratcheted sample floor,
       queries run, iteration boundaries seen, checkpoint cadence;
-    * ``sampler`` — the encoded shuffle and every counter
+    * ``sampler`` — the shuffle's recipe and every counter
       (:func:`encode_sampler_state`);
     * ``specs`` — the normalized plan specs, so resuming against a
       different plan is refused;

@@ -200,3 +200,24 @@ class TestTrustedFastPath:
         taken = tiny_store.take(mask)
         assert taken.num_rows == 2
         assert len(taken) == 2
+
+
+class TestFingerprintMemo:
+    def test_second_call_does_not_reread_columns(self, tiny_store, monkeypatch):
+        first = tiny_store.fingerprint()
+
+        def no_reads(name):
+            raise AssertionError(f"fingerprint re-read column {name!r}")
+
+        monkeypatch.setattr(tiny_store, "column", no_reads)
+        assert tiny_store.fingerprint() == first
+
+    def test_derived_stores_hash_their_own_columns(self, tiny_store):
+        parent = tiny_store.fingerprint()
+        derived = tiny_store.head(4)
+        assert derived.fingerprint() != parent
+        rebuilt = ColumnStore(
+            {n: tiny_store.column(n)[:4] for n in tiny_store.attributes},
+            support_sizes=tiny_store.support_sizes(),
+        )
+        assert derived.fingerprint() == rebuilt.fingerprint()

@@ -13,6 +13,11 @@ Four layers:
 * sampler state — ``PrefixSampler.state_snapshot``/``from_state``
   reproduce the permutation, the prefix position, and every marginal
   and joint counter exactly, for both counting backends;
+* the shuffle recipe — checkpoints name the shuffle by its bit
+  generator and state, so resume is bit-identical for every seed form
+  and bit generator, a recipe that redraws a different permutation is
+  refused (and recovery restarts fresh), and the shuffle's payload does
+  not grow with the row count;
 * the resume property — snapshot → restore → continue equals the
   uninterrupted run bit-for-bit (hypothesis sweeps store shapes and
   snapshot points on both backends).
@@ -28,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
+from repro.durability import execute_plan_with_recovery
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
 from repro.durability.atomic import (
@@ -49,7 +55,13 @@ from repro.exceptions import (
     CheckpointMismatchError,
     ParameterError,
 )
-from repro.testing.chaos import plan_fingerprint, truncate_file
+from repro.testing.chaos import (
+    BoundaryFaultToken,
+    ChaosPlan,
+    SimulatedKillError,
+    plan_fingerprint,
+    truncate_file,
+)
 
 # By name, "process" stays under its min_parallel_cells threshold at these
 # store sizes and runs the serial fallback.
@@ -272,6 +284,131 @@ class TestSamplerState:
                 reference.marginal_counts(name, 900),
             )
         assert restored.cells_scanned == reference.cells_scanned
+
+
+# ----------------------------------------------------------------------
+# The shuffle recipe
+# ----------------------------------------------------------------------
+# Seed forms a sampler accepts, as factories (a Generator is consumed by
+# the shuffle, so every run needs a fresh one). The last four bit
+# generators keep ndarrays in their state.
+SEED_FACTORIES = {
+    "int": lambda: 5,
+    "none": lambda: None,
+    "default_rng": lambda: np.random.default_rng(9),
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(3)),
+    "philox": lambda: np.random.Generator(np.random.Philox(2)),
+    "sfc64": lambda: np.random.Generator(np.random.SFC64(1)),
+    "pcg64dxsm": lambda: np.random.Generator(np.random.PCG64DXSM(4)),
+}
+
+
+def _kill_and_checkpoint(store, path, seed, kill_at=3):
+    """Run the two-query plan until a simulated kill; return its sampler."""
+    executor = PlanExecutor(store, seed=seed, checkpoint_path=path)
+    with pytest.raises(SimulatedKillError):
+        executor.execute(
+            plan_queries(store, _specs()),
+            cancellation=BoundaryFaultToken(ChaosPlan.kill_at(kill_at)),
+        )
+    return executor._sampler
+
+
+def _rewrite_sampler(path, edit) -> None:
+    """Apply ``edit`` to the saved sampler section and re-seal the envelope.
+
+    ``save_checkpoint`` recomputes the envelope sha256, so the edit passes
+    the integrity check and only the shuffle verification can catch it.
+    """
+    snapshot = load_checkpoint(path)
+    edit(snapshot.sampler)
+    save_checkpoint(snapshot, path)
+
+
+class TestShuffleRecipe:
+    @pytest.mark.parametrize("seed_form", sorted(SEED_FACTORIES))
+    def test_resume_is_bit_identical_for_every_seed_form(
+        self, store, tmp_path, seed_form
+    ):
+        make_seed = SEED_FACTORIES[seed_form]
+        path = tmp_path / "plan.ckpt"
+        killed = _kill_and_checkpoint(store, path, make_seed())
+        original = killed.shuffled_prefix(store.num_rows).copy()
+        if seed_form == "none":
+            # An OS-entropy shuffle has no independent replay: rebuild
+            # the uninterrupted run's generator from the recorded recipe.
+            recipe = killed.state_snapshot()["shuffle"]
+            bit_generator = getattr(np.random, recipe["bit_generator"])()
+            bit_generator.state = recipe["state"]
+            reference_seed = np.random.Generator(bit_generator)
+        else:
+            reference_seed = make_seed()
+        reference = plan_fingerprint(
+            PlanExecutor(store, seed=reference_seed).execute(
+                plan_queries(store, _specs())
+            )
+        )
+        resumed = PlanExecutor.resume(path, store)
+        np.testing.assert_array_equal(
+            resumed._sampler.shuffled_prefix(store.num_rows), original
+        )
+        outcome = resumed.execute(resumed.resumed_plan())
+        assert plan_fingerprint(outcome) == reference
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sampler: sampler["shuffle"].update(sha256="0" * 64),
+            lambda sampler: sampler["shuffle"]["state"]["state"].update(
+                state=sampler["shuffle"]["state"]["state"]["state"] + 1
+            ),
+            lambda sampler: sampler["shuffle"].update(bit_generator="NoSuchBitGen"),
+        ],
+        ids=["sha256", "generator_state", "bit_generator"],
+    )
+    def test_redraw_mismatch_is_refused_and_recovery_restarts(
+        self, store, tmp_path, edit
+    ):
+        path = tmp_path / "plan.ckpt"
+        _kill_and_checkpoint(store, path, SEED)
+        _rewrite_sampler(path, edit)
+        load_checkpoint(path, store=store)  # the envelope itself verifies
+        with pytest.raises(CheckpointMismatchError, match="resume"):
+            PlanExecutor.resume(path, store)
+        reference = plan_fingerprint(
+            PlanExecutor(store, seed=SEED).execute(plan_queries(store, _specs()))
+        )
+        outcome = execute_plan_with_recovery(
+            store, _specs(), checkpoint_path=path, seed=SEED
+        )
+        assert plan_fingerprint(outcome) == reference
+        # the fresh run's snapshots replaced the refused checkpoint
+        PlanExecutor.resume(path, store)
+
+    def test_checkpoint_size_does_not_grow_with_rows(self, tmp_path):
+        def store_of(n: int) -> ColumnStore:
+            data_rng = np.random.default_rng(0)
+            return ColumnStore(
+                {
+                    "a": data_rng.integers(0, 8, n),
+                    "b": data_rng.integers(0, 3, n),
+                    "c": data_rng.integers(0, 5, n),
+                }
+            )
+
+        def shuffle_bytes(store: ColumnStore) -> int:
+            encoded = encode_sampler_state(
+                PrefixSampler(store, seed=5).state_snapshot()
+            )
+            return len(json.dumps(encoded["shuffle"]))
+
+        large = store_of(200_000)
+        assert shuffle_bytes(store_of(20_000)) == shuffle_bytes(large)
+        path = tmp_path / "large.ckpt"
+        PlanExecutor(large, seed=5, checkpoint_path=path).execute(
+            plan_queries(large, [QuerySpec(kind="top_k", score="entropy", k=1)])
+        )
+        assert path.stat().st_size < 64 * 1024
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,25 @@ class TestShuffle:
         b = PrefixSampler(store, seed=7).shuffled_prefix(100)
         assert np.array_equal(a, b)
 
+    def test_shuffle_is_read_only_and_hashed_once(self, store, monkeypatch):
+        from repro.data import sampling
+
+        calls: list[int] = []
+        real = sampling._permutation_sha256
+
+        def counting(perm):
+            calls.append(len(perm))
+            return real(perm)
+
+        monkeypatch.setattr(sampling, "_permutation_sha256", counting)
+        sampler = PrefixSampler(store, seed=3)
+        first = sampler.shuffle_fingerprint()
+        sampler.state_snapshot()
+        assert sampler.shuffle_fingerprint() == first
+        assert calls == [store.num_rows]
+        with pytest.raises(ValueError):
+            sampler.shuffled_prefix(10)[0] = 0
+
     def test_different_seeds_differ(self, store):
         a = PrefixSampler(store, seed=1).shuffled_prefix(100)
         b = PrefixSampler(store, seed=2).shuffled_prefix(100)
