@@ -1,4 +1,4 @@
-"""Analytic (and optionally trace-calibrated) per-query cost estimates.
+"""Analytic per-query cost estimates.
 
 The planner's scheduling decision — which query of a batch to run first —
 needs a *deterministic* prediction of each query's cost, because a
@@ -17,13 +17,6 @@ prediction without looking at the data:
   and charges the per-row cell cost of the query shape (1 cell/row for
   an entropy candidate, 3 for an MI candidate: one marginal plus a
   two-cell joint).
-* :meth:`CostModel.fit_from_trace` optionally calibrates the analytic
-  prediction against the retirement sizes a previous run's trace
-  recorded (``query_start``/``query_end`` event pairs, the JSONL shape
-  :mod:`repro.obs` writes). Calibration is *opt-in* precisely because a
-  fitted model depends on history — two sessions with different
-  histories would schedule differently, which the default analytic
-  model never does.
 
 The predictions are heuristics, not guarantees: the true retirement
 size depends on the data (an attribute near a filter threshold retires
@@ -36,8 +29,8 @@ shared scan at a frontier the cheap ones already paid for.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.core.bounds import entropy_interval
 from repro.core.engine import (
@@ -78,21 +71,14 @@ def _interval_parts(
 class CostModel:
     """Deterministic per-query cost predictor for the planner.
 
-    The default instance is purely analytic. ``calibration`` maps a
-    ``(kind, score)`` query shape to a multiplicative correction on the
-    predicted retirement sample size; :meth:`fit_from_trace` builds one
-    from recorded trace events. A calibrated model is still
-    deterministic *given its calibration*, but two differently calibrated
-    models may order a plan differently — pass the same model to both
-    runs (or none) when bit-identical scheduling matters.
+    Purely analytic: a function of the store schema and the query shape
+    only, so every session orders a plan the same way.
     """
-
-    calibration: Mapping[tuple[str, str], float] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
-        """``"analytic"`` or ``"fitted"`` — recorded in the plan trace."""
-        return "fitted" if self.calibration else "analytic"
+        """``"analytic"`` — the predictor's name, recorded in the plan trace."""
+        return "analytic"
 
     # ------------------------------------------------------------------
     def estimate(
@@ -139,7 +125,6 @@ class CostModel:
             len(names),
             bounds_per_attribute=3 if mutual else 1,
         )
-        scale = self.calibration.get((kind, score), 1.0)
         target_support = supports.get(target or "", 2)
         predicted_m = 0
         cells = 0
@@ -155,7 +140,6 @@ class CostModel:
                 epsilon=epsilon,
                 threshold=threshold,
             )
-            retire = self._calibrated(retire, scale, schedule, population)
             predicted_m = max(predicted_m, retire)
             cells += (3 if mutual else 1) * retire
         if mutual:
@@ -204,85 +188,3 @@ class CostModel:
             if width < goal:
                 return size
         return population
-
-    @staticmethod
-    def _calibrated(
-        retire: int, scale: float, schedule: SampleSchedule, population: int
-    ) -> int:
-        if scale == 1.0:
-            return retire
-        corrected = retire * scale
-        # Snap to the schedule so calibrated predictions stay comparable
-        # to the sizes the run can actually stop at.
-        for size in schedule.sizes:
-            if size >= corrected:
-                return size
-        return population
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fit_from_trace(
-        cls,
-        store: ColumnSource,
-        events: Iterable[Mapping[str, object]],
-        *,
-        failure_probability: float | None = None,
-    ) -> "CostModel":
-        """Calibrate against the retirement sizes a trace recorded.
-
-        ``events`` is the parsed JSONL stream :mod:`repro.obs` writes
-        (dicts with an ``"event"`` key). Each ``query_start`` is paired
-        with the next ``query_end``; the calibration factor for a
-        ``(kind, score)`` shape is the median ratio of the observed
-        final sample size to this model's analytic prediction for the
-        same query. Events from other stores produce garbage factors —
-        calibrate only with traces of the same dataset.
-        """
-        base = cls()
-        ratios: dict[tuple[str, str], list[float]] = {}
-        pending: Mapping[str, object] | None = None
-        for record in events:
-            event = record.get("event")
-            if event == "query_start":
-                pending = record
-            elif event == "query_end" and pending is not None:
-                start, pending = pending, None
-                kind = str(start.get("kind"))
-                score = str(start.get("score"))
-                candidates = [str(a) for a in start.get("candidates", ())]
-                if not candidates or not all(a in store for a in candidates):
-                    continue
-                target = start.get("target")
-                epsilon = float(start.get("epsilon", 0.0))
-                if not 0.0 < epsilon < 1.0:
-                    continue
-                threshold = start.get("threshold")
-                schedule = start.get("schedule")
-                initial = None
-                if isinstance(schedule, Sequence) and schedule:
-                    initial = int(schedule[0])
-                predicted = base.estimate(
-                    store,
-                    kind=kind,
-                    score=score,
-                    epsilon=epsilon,
-                    candidates=candidates,
-                    target=None if target is None else str(target),
-                    threshold=None if threshold is None else float(threshold),
-                    failure_probability=failure_probability,
-                    initial_size=initial,
-                ).predicted_sample_size
-                observed = int(record.get("final_sample_size", 0))  # type: ignore[call-overload]
-                if predicted > 0 and observed > 0:
-                    ratios.setdefault((kind, score), []).append(
-                        observed / predicted
-                    )
-        calibration: dict[tuple[str, str], float] = {}
-        for shape, values in ratios.items():
-            ordered = sorted(values)
-            mid = len(ordered) // 2
-            if len(ordered) % 2:
-                calibration[shape] = ordered[mid]
-            else:
-                calibration[shape] = (ordered[mid - 1] + ordered[mid]) / 2.0
-        return cls(calibration=calibration)

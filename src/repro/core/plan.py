@@ -431,7 +431,7 @@ class QueryPlan:
     #: submission order).
     estimated_cells: tuple[int, ...] = ()
     #: Label of the predictor that ordered the plan (``"analytic"`` /
-    #: ``"fitted"`` / ``"none"``).
+    #: ``"none"``).
     cost_model: str = "none"
 
     @property
@@ -517,9 +517,9 @@ def plan_queries(
     schema and query shapes — deterministic across sessions, which the
     cache's bit-identity gate relies on). Cheap queries then pay the
     early prefix sizes and expensive queries join the scan at the
-    ratcheted frontier, maximising counter reuse. Ties (and the fitted
-    model's equal predictions) break by submission index, so the
-    schedule is deterministic for a fixed plan + model.
+    ratcheted frontier, maximising counter reuse. Ties break by
+    submission index, so the schedule is deterministic for a fixed
+    plan + model.
     ``order="submission"`` keeps the caller's order.
     ``failure_probability`` only feeds the cost predictions; pass the
     executor's value when it differs from the paper default ``1/N``.

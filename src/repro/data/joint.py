@@ -85,22 +85,33 @@ class JointCounter:
         return self._dense is not None
 
     # ------------------------------------------------------------------
-    def update(self, first: np.ndarray, second: np.ndarray) -> None:
-        """Add one batch of records' pair observations to the counter."""
+    def update(self, first: np.ndarray, second: np.ndarray) -> np.ndarray | None:
+        """Add one batch of records' pair observations to the counter.
+
+        Returns the dense counter's delta for this batch — the flat
+        ``bincount`` of its pair codes, of length ``u1 * u2`` — so a
+        caller can read both marginals of the batch off it (row and
+        column sums of its ``(u1, u2)`` reshape) without reading either
+        column again. Returns ``None`` for a sparse counter or an empty
+        batch. The delta is the caller's to keep; the counter holds no
+        reference to it.
+        """
         if first.shape != second.shape:
             raise ParameterError(
                 f"mismatched batch shapes {first.shape} vs {second.shape}"
             )
         if first.size == 0:
-            return
+            return None
         # asarray, not astype: already-int64 blocks (the batch layer
         # pre-casts the shared first-column block once) pass through
         # without a copy.
         codes = np.asarray(first, dtype=np.int64) * self._u2 + np.asarray(
             second, dtype=np.int64
         )
+        delta: np.ndarray | None = None
         if self._dense is not None:
-            self._dense += np.bincount(codes, minlength=self._dense.shape[0])
+            delta = np.bincount(codes, minlength=self._dense.shape[0])
+            self._dense += delta
         else:
             assert self._sparse is not None
             unique, counts = np.unique(codes, return_counts=True)
@@ -108,6 +119,7 @@ class JointCounter:
             for code, count in zip(unique.tolist(), counts.tolist()):
                 sparse[code] = sparse.get(code, 0) + count
         self._total += first.size
+        return delta
 
     def nonzero_counts(self) -> np.ndarray:
         """Return the nonzero joint counts ``n_{i,j}`` as a flat int64 array.

@@ -186,6 +186,10 @@ class PrefixSampler:
         # and joint pair extending over the same block.
         self._block_range: tuple[int, int] | None = None
         self._block_rows: np.ndarray | None = None
+        # Marginal deltas read off dense joint updates of the current
+        # block: (name, start, stop) -> counts of name's values over
+        # prefix positions [start, stop). Cleared with the block cache.
+        self._derived: dict[tuple[str, int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -409,17 +413,18 @@ class PrefixSampler:
         Within one adaptive iteration every live column (and joint pair)
         extends its counts over the same ``[start, stop)`` block of the
         shuffle, so the permutation slice is materialized once and shared
-        until a different block is requested. Sequential samplers return
-        a plain slice (the physical order needs no gather).
+        until a different block is requested, which also drops the
+        marginal deltas derived from the previous block's joints.
+        Sequential samplers return a plain slice (the physical order
+        needs no gather).
         """
-        if self._perm is None:
-            return slice(start, stop)
         if self._block_range != (start, stop):
             self._block_range = (start, stop)
-            self._block_rows = self._perm[start:stop]
-        rows = self._block_rows
-        assert rows is not None
-        return rows
+            self._block_rows = None if self._perm is None else self._perm[start:stop]
+            self._derived.clear()
+        if self._block_rows is None:
+            return slice(start, stop)
+        return self._block_rows
 
     def _column_block(self, name: str, start: int, stop: int) -> np.ndarray:
         """Return the encoded values of rows ``start:stop`` of the prefix."""
@@ -451,10 +456,13 @@ class PrefixSampler:
 
         The batched form of :meth:`marginal_counts` (which delegates
         here): one backend pass counts every requested column, with the
-        permutation block materialized once and shared. Counts, cost
-        accounting, and error behaviour are identical to issuing the
-        equivalent scalar calls — attributes whose counters are at
-        different prefixes each extend only their own missing block.
+        permutation block materialized once and shared. A column whose
+        missing block a dense joint update just counted (see
+        :meth:`joint_counts_batch`) takes its delta from that joint
+        instead and skips the backend. Counts, cost accounting, and
+        error behaviour are identical to issuing the equivalent scalar
+        calls — attributes whose counters are at different prefixes
+        each extend only their own missing block.
 
         Returns the live counter arrays keyed by name (callers must not
         mutate them); duplicate names collapse to one entry.
@@ -498,8 +506,16 @@ class PrefixSampler:
         # prefixes need different blocks) so each block is gathered once.
         by_start: dict[int, list[str]] = {}
         for name in ordered:
-            if starts[name] < num_rows:
-                by_start.setdefault(starts[name], []).append(name)
+            start = starts[name]
+            if start == num_rows:
+                continue
+            derived = self._derived.pop((name, start, num_rows), None)
+            if derived is None:
+                by_start.setdefault(start, []).append(name)
+                continue
+            counters[name] += derived
+            self._cells_scanned += num_rows - start
+            self._marginals[name] = (num_rows, counters[name])
         for start, group in by_start.items():
             rows = self._prefix_rows(start, num_rows)
             fresh = self._backend.count_columns(
@@ -535,6 +551,12 @@ class PrefixSampler:
         gathered once and shared by every pair extending over it, as is
         the permutation block itself. Counts, cost accounting, and error
         behaviour are identical to the equivalent scalar calls.
+
+        Each dense update also leaves the marginal deltas of both
+        attributes over its block on the sampler (row and column sums of
+        the joint delta), so a following :meth:`marginal_counts_batch`
+        over the same ``[start, stop)`` reads them instead of gathering
+        and counting those columns again. Sparse joints leave none.
 
         Returns the live counters keyed by the second attribute's name;
         duplicate names collapse to one entry.
@@ -588,13 +610,32 @@ class PrefixSampler:
                     self._prefix_rows(counted, num_rows)
                 ]
                 if key[0] == first:
-                    counter.update(block_first, block_second)
+                    delta = counter.update(block_first, block_second)
                 else:
-                    counter.update(block_second, block_first)
+                    delta = counter.update(block_second, block_first)
+                if delta is not None:
+                    self._derive_marginals(key, counted, num_rows, delta)
                 self._cells_scanned += 2 * (num_rows - counted)
                 self._joints[key] = (num_rows, counter)
             out[second] = counter
         return out
+
+    def _derive_marginals(
+        self, key: tuple[str, str], start: int, stop: int, delta: np.ndarray
+    ) -> None:
+        """Keep both marginal deltas of one dense joint update.
+
+        ``delta`` is the flat ``(u_first, u_second)`` joint count of
+        prefix positions ``[start, stop)`` for the pair ``key``; its row
+        sums count ``key[0]``'s values over that block and its column
+        sums ``key[1]``'s. An attribute paired with several others (the
+        MI target) is summed once per block.
+        """
+        table = delta.reshape(self._store.support_size(key[0]), -1)
+        for axis, name in ((1, key[0]), (0, key[1])):
+            slot = (name, start, stop)
+            if slot not in self._derived:
+                self._derived[slot] = table.sum(axis=axis)
 
     # ------------------------------------------------------------------
     # Cache hygiene

@@ -300,8 +300,8 @@ class ScheduleChosenEvent(TraceEvent):
     ``submission`` the same names in submission order, and
     ``estimated_cells`` the cost model's per-query predictions aligned
     with ``queries``. ``cost_model`` labels the predictor
-    (``"analytic"`` or ``"fitted"``). Deterministic: the analytic model
-    reads only the store schema and the query shapes.
+    (``"analytic"``). Deterministic: the analytic model reads only the
+    store schema and the query shapes.
     """
 
     event: ClassVar[str] = "schedule_chosen"

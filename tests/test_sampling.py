@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.backends import NumpyBackend
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, SchemaError
@@ -175,3 +176,212 @@ class TestRelease:
 
     def test_release_unknown_is_noop(self, store):
         PrefixSampler(store, seed=3).release("never_counted")
+
+
+# ----------------------------------------------------------------------
+# Marginals read off dense joint updates
+# ----------------------------------------------------------------------
+class SpyBackend:
+    """Numpy counting that records which columns reached the backend."""
+
+    name = "spy"
+
+    def __init__(self, store: ColumnStore) -> None:
+        self._names = {id(store.column(a)): a for a in store.attributes}
+        self.counted: list[str] = []
+
+    def count_columns(self, columns, support_sizes, rows):
+        self.counted.extend(self._names[id(column)] for column in columns)
+        return NumpyBackend().count_columns(columns, support_sizes, rows)
+
+
+class MarginalOnlyCache:
+    """Counter cache serving marginals counted to ``prefix``, never joints."""
+
+    def __init__(self, store, seed, names, prefix):
+        reference = PrefixSampler(store, seed=seed)
+        self._marginals = {
+            name: reference.marginal_counts(name, prefix).copy() for name in names
+        }
+        self._prefix = prefix
+
+    def best_marginal(self, name, counted, num_rows):
+        if name in self._marginals and counted < self._prefix <= num_rows:
+            return self._prefix, self._marginals[name].copy()
+        return None
+
+    def best_joint(self, first, second, counted, num_rows):
+        return None
+
+
+def mi_step(sampler, target, candidates, num_rows, *, joints_first):
+    """One MI iteration's counting, in the engine's order or the old one."""
+    if joints_first:
+        sampler.joint_counts_batch(target, candidates, num_rows)
+        sampler.marginal_counts_batch(candidates, num_rows)
+        sampler.marginal_counts(target, num_rows)
+    else:
+        sampler.marginal_counts(target, num_rows)
+        sampler.marginal_counts_batch(candidates, num_rows)
+        sampler.joint_counts_batch(target, candidates, num_rows)
+
+
+def assert_same_counts(sampler, reference):
+    """Counters, ``cells_scanned`` and ``cells_saved`` all agree."""
+    ours, theirs = sampler.state_snapshot(), reference.state_snapshot()
+    assert ours["cells_scanned"] == theirs["cells_scanned"]
+    assert ours["cells_saved"] == theirs["cells_saved"]
+    assert ours["marginals"].keys() == theirs["marginals"].keys()
+    for name, entry in ours["marginals"].items():
+        assert entry["counted"] == theirs["marginals"][name]["counted"]
+        assert np.array_equal(entry["counts"], theirs["marginals"][name]["counts"])
+    assert joint_tables(ours) == joint_tables(theirs)
+
+
+def joint_tables(snapshot):
+    """``{pair: (counted, {pair code: count})}``, dense or sparse alike."""
+    tables = {}
+    for entry in snapshot["joints"]:
+        state = entry["counter"]
+        if "dense" in state:
+            codes = np.flatnonzero(state["dense"])
+            counts = state["dense"][codes]
+        else:
+            codes, counts = state["sparse_codes"], state["sparse_counts"]
+        tables[(entry["first"], entry["second"])] = (
+            entry["counted"],
+            dict(zip(codes.tolist(), counts.tolist())),
+        )
+    return tables
+
+
+def assert_exact_prefix_counts(sampler, store):
+    """Every live marginal equals a direct count over its prefix."""
+    for name, entry in sampler.state_snapshot()["marginals"].items():
+        rows = sampler.shuffled_prefix(entry["counted"])
+        direct = np.bincount(
+            store.column(name)[rows], minlength=store.support_size(name)
+        )
+        assert np.array_equal(entry["counts"], direct)
+
+
+SIZES = (250, 500, 1000, 2000)
+
+
+class TestDerivedMarginals:
+    @pytest.mark.parametrize("target", ["a", "y", "zz"])
+    def test_joints_first_matches_marginals_first(self, store, target):
+        # "a" sorts before every candidate, "zz" after, "y" between: the
+        # target sits on both sides of the joint reshape.
+        data = {name: store.column(name) for name in store.attributes}
+        data[target] = (data["x"] + data["z"]) % 4
+        with_target = ColumnStore(data)
+        candidates = [name for name in ("x", "y", "z") if name != target]
+        sampler = PrefixSampler(with_target, seed=4)
+        reference = PrefixSampler(with_target, seed=4)
+        for size in SIZES:
+            mi_step(sampler, target, candidates, size, joints_first=True)
+            mi_step(reference, target, candidates, size, joints_first=False)
+            assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, with_target)
+
+    def test_aligned_candidates_never_reach_the_backend(self, store):
+        spy = SpyBackend(store)
+        sampler = PrefixSampler(store, seed=4, backend=spy)
+        for size in SIZES:
+            mi_step(sampler, "y", ["x", "z"], size, joints_first=True)
+        assert spy.counted == []
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_mi_query_gathers_no_column_for_its_marginals(self, store):
+        from repro import swope_top_k_mutual_information
+
+        spy = SpyBackend(store)
+        result = swope_top_k_mutual_information(
+            store, "y", 1, seed=4, backend=spy, prune=False
+        )
+        reference = swope_top_k_mutual_information(
+            store, "y", 1, seed=4, backend="numpy", prune=False
+        )
+        assert spy.counted == []
+        assert result.stats.cells_scanned == reference.stats.cells_scanned
+        assert [e.attribute for e in result.estimates] == [
+            e.attribute for e in reference.estimates
+        ]
+
+    def test_sparse_joint_falls_back_to_the_backend(self, rng):
+        n = 2000
+        sparse_store = ColumnStore(
+            {
+                "wide": rng.permutation(np.arange(n) % 1200),
+                "wider": rng.permutation(np.arange(n) % 1000),
+                "y": rng.integers(0, 5, n),
+            }
+        )
+        spy = SpyBackend(sparse_store)
+        sampler = PrefixSampler(sparse_store, seed=4, backend=spy)
+        reference = PrefixSampler(sparse_store, seed=4)
+        for size in SIZES:
+            mi_step(sampler, "wider", ["wide", "y"], size, joints_first=True)
+            mi_step(reference, "wider", ["wide", "y"], size, joints_first=False)
+            assert_same_counts(sampler, reference)
+        joint = sampler.joint_counts("wide", "wider", SIZES[-1])
+        assert not joint.is_dense
+        # only the sparse pair's candidate is gathered; "y" and the
+        # target come off the dense ("wider", "y") joint
+        assert set(spy.counted) == {"wide"}
+        assert_exact_prefix_counts(sampler, sparse_store)
+
+    def test_warm_start_misaligning_prefixes_falls_back(self, store):
+        names = ["x", "y", "z"]
+        spy = SpyBackend(store)
+        sampler = PrefixSampler(
+            store,
+            seed=4,
+            backend=spy,
+            counter_cache=MarginalOnlyCache(store, 4, names, 700),
+        )
+        reference = PrefixSampler(
+            store,
+            seed=4,
+            counter_cache=MarginalOnlyCache(store, 4, names, 700),
+        )
+        for size in SIZES:
+            mi_step(sampler, "y", ["x", "z"], size, joints_first=True)
+            mi_step(reference, "y", ["x", "z"], size, joints_first=False)
+            assert_same_counts(sampler, reference)
+        # at 1000 the marginals jump from 500 to the cached 700 while the
+        # joints extend from 500: the [700, 1000) block is gathered, the
+        # aligned blocks are not
+        assert sampler.cells_saved == 3 * (700 - 500)
+        assert sorted(spy.counted) == ["x", "y", "z"]
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_release_between_joint_and_marginal(self, store, monkeypatch):
+        sampler = PrefixSampler(store, seed=4)
+        # Same calls in the same order, every marginal gathered.
+        reference = PrefixSampler(store, seed=4)
+        monkeypatch.setattr(reference, "_derive_marginals", lambda *args: None)
+        for both in (sampler, reference):
+            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
+            both.joint_counts_batch("y", ["x", "z"], 1000)
+            both.release("x")
+            both.marginal_counts_batch(["x", "z"], 1000)
+            both.marginal_counts("y", 1000)
+            mi_step(both, "y", ["x", "z"], 2000, joints_first=True)
+        assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_marginal_ahead_of_its_joint(self, store):
+        sampler = PrefixSampler(store, seed=4)
+        reference = PrefixSampler(store, seed=4)
+        for both in (sampler, reference):
+            # an entropy query pushes "x" past the MI scan's frontier
+            both.marginal_counts_batch(["x"], 1000)
+        for size in (1000, 2000):
+            mi_step(sampler, "y", ["x", "z"], size, joints_first=True)
+            mi_step(reference, "y", ["x", "z"], size, joints_first=False)
+            assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, store)
+        # the unused [0, 1000) delta of "x" went with its block
+        assert ("x", 0, 1000) not in sampler._derived
