@@ -97,8 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         # The agreement gate: the scored run must be exact-equivalent
         # with zero guarantee violations before timings mean anything.
         outcome = run_scenario(
-            SCENARIO, seed=SEED, scale=SCALE, backend=backend,
-            truth=truth, dataset=dataset,
+            SCENARIO, seed=SEED, scale=SCALE, truth=truth, dataset=dataset,
         )
         for query in outcome.queries:
             assert query.accuracy == 1.0, (

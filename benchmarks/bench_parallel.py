@@ -1,28 +1,18 @@
-"""Process-parallel counting and out-of-core storage benchmark.
+"""Out-of-core storage benchmark.
 
-Two measurements, both recorded to ``BENCH_parallel.json`` (a
-pytest-benchmark-shaped dump that ``scripts/bench_report.py`` accepts):
+Builds a multi-GB on-disk :class:`~repro.data.mmap_store.MmapStore` chunk
+by chunk (default 10^8 rows x 16 int16 columns ~ 3.2 GB), then runs the
+mixed example plan (``examples/plan_mixed.json``) against it in a *fresh
+child process* and reports the child's peak RSS. The acceptance gate is
+peak RSS < 25% of the dataset's on-disk bytes — the plan must stream,
+not materialise. Agreement is separately pinned at a small N where an
+in-memory run is cheap: the mmap-backed plan's answers must be
+bit-identical to the in-memory plan's.
 
-* ``entropy_sweep`` — the per-iteration scoring sweep (counts, entropies,
-  confidence intervals for every attribute) on the issue's h=64/N=1e6
-  workload, at *large* sample prefixes where counting dominates, under
-  the ``numpy`` backend vs :class:`~repro.data.backends.ProcessBackend`
-  at 4 workers. The two interval sets are asserted exactly equal before
-  any time is reported; the >= 2.5x speedup acceptance gate is asserted
-  only on boxes with >= 4 CPU cores (a single-core box cannot express a
-  parallel speedup — the honest number and the core count are recorded
-  either way).
-* ``out_of_core`` — builds a multi-GB on-disk
-  :class:`~repro.data.mmap_store.MmapStore` chunk by chunk (default
-  10^8 rows x 16 int16 columns ~ 3.2 GB), then runs the mixed example
-  plan (``examples/plan_mixed.json``) against it in a *fresh child
-  process* and reports the child's peak RSS. The acceptance gate is
-  peak RSS < 25% of the dataset's on-disk bytes — the plan must stream,
-  not materialise. Agreement is separately pinned at a small N where an
-  in-memory run is cheap: the mmap-backed plan's answers must be
-  bit-identical to the in-memory plan's.
+The result is recorded to ``BENCH_parallel.json`` (a
+pytest-benchmark-shaped dump that ``scripts/bench_report.py`` accepts).
 
-Run (the out-of-core phase needs ~2x the dataset bytes free on disk):
+Run (needs ~2x the dataset bytes free on disk):
 
     python benchmarks/bench_parallel.py
     python benchmarks/bench_parallel.py --ooc-rows 1000000   # quick pass
@@ -43,31 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine import EntropyScoreProvider
 from repro.core.plan import PlanExecutor, load_plan, plan_queries
-from repro.data.backends import NumpyBackend, ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.data.mmap_store import MmapStore, MmapStoreWriter
-from repro.data.sampling import PrefixSampler
 from repro.durability.atomic import atomic_write_text
 from repro.testing.chaos import plan_fingerprint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The issue's acceptance workload: h >= 64 attributes, N >= 10^6 rows.
-NUM_ATTRIBUTES = 64
-NUM_ROWS = 1_000_000
-SUPPORT_SIZE = 32
 SEED = 11
-SAMPLER_SEED = 7
-FAILURE_PROBABILITY = 0.01
-#: Large prefixes — the regime the process backend exists for. The tiny
-#: early-iteration prefixes of the adaptive schedule are covered by the
-#: serial fallback (see ProcessBackend.min_parallel_cells).
-SWEEP_SCHEDULE = [1 << 17, 1 << 18, 1 << 19, NUM_ROWS]
-SWEEP_REPS = 5
-PROCESS_WORKERS = 4
-SPEEDUP_FLOOR = 2.5
 
 #: Out-of-core workload: 16 int16 columns -> 32 bytes/row; 10^8 rows is
 #: ~3.2 GB on disk, far past any sensible in-memory materialisation.
@@ -99,44 +73,8 @@ AGREEMENT_ROWS = 200_000
 
 
 # ----------------------------------------------------------------------
-# Part A — process-parallel entropy sweep
+# Out-of-core mixed plan, peak RSS in a fresh child process
 # ----------------------------------------------------------------------
-def build_sweep_store() -> tuple[ColumnStore, list[str]]:
-    rng = np.random.default_rng(SEED)
-    columns = {
-        f"a{i}": rng.integers(0, SUPPORT_SIZE, size=NUM_ROWS)
-        for i in range(NUM_ATTRIBUTES)
-    }
-    return ColumnStore(columns), [f"a{i}" for i in range(NUM_ATTRIBUTES)]
-
-
-def entropy_sweep(store, names, backend):
-    """One full scoring sweep over the large-prefix schedule."""
-    sampler = PrefixSampler(store, seed=SAMPLER_SEED, backend=backend)
-    provider = EntropyScoreProvider(
-        sampler, FAILURE_PROBABILITY / (2 * NUM_ATTRIBUTES)
-    )
-
-    def sweep():
-        out = {}
-        for m in SWEEP_SCHEDULE:
-            out = provider.intervals(names, m)
-        return dict(out)
-
-    return sweep
-
-
-def measure(make_sweep, reps: int) -> tuple[dict, list[float]]:
-    times = []
-    result: dict = {}
-    for _ in range(reps):
-        sweep = make_sweep()
-        start = time.perf_counter()
-        result = sweep()
-        times.append(time.perf_counter() - start)
-    return result, times
-
-
 def stats_block(times: list[float]) -> dict:
     return {
         "mean": float(np.mean(times)),
@@ -147,76 +85,6 @@ def stats_block(times: list[float]) -> dict:
     }
 
 
-def run_sweep_family(benchmarks: list[dict]) -> None:
-    store, names = build_sweep_store()
-    cores = os.cpu_count() or 1
-    workload = {
-        "num_attributes": NUM_ATTRIBUTES,
-        "num_rows": NUM_ROWS,
-        "support_size": SUPPORT_SIZE,
-        "schedule": ",".join(str(m) for m in SWEEP_SCHEDULE),
-        "cpu_count": cores,
-        "process_workers": PROCESS_WORKERS,
-    }
-    print(
-        f"entropy sweep: h={NUM_ATTRIBUTES} N={NUM_ROWS} u={SUPPORT_SIZE}"
-        f" schedule={SWEEP_SCHEDULE} (cpu_count={cores})"
-    )
-    numpy_result, numpy_times = measure(
-        lambda: entropy_sweep(store, names, NumpyBackend()), SWEEP_REPS
-    )
-    benchmarks.append(
-        {
-            "name": "test_parallel_entropy_sweep[numpy]",
-            "stats": stats_block(numpy_times),
-            "extra_info": {**workload, "speedup_vs_numpy": 1.0},
-        }
-    )
-    print(f"  numpy:       mean {np.mean(numpy_times) * 1000:.1f}ms")
-
-    process = ProcessBackend(max_workers=PROCESS_WORKERS, min_parallel_cells=0)
-    try:
-        process_result, process_times = measure(
-            lambda: entropy_sweep(store, names, process), SWEEP_REPS
-        )
-    finally:
-        process.close()
-    # Bit-identity first, speed second: a fast wrong answer is worthless.
-    assert process_result == numpy_result, (
-        "process backend diverged from numpy on the entropy sweep"
-    )
-    speedup = float(np.mean(numpy_times) / np.mean(process_times))
-    benchmarks.append(
-        {
-            "name": f"test_parallel_entropy_sweep[process-{PROCESS_WORKERS}]",
-            "stats": stats_block(process_times),
-            "extra_info": {
-                **workload,
-                "speedup_vs_numpy": round(speedup, 3),
-                "agreement": "bit-identical intervals vs numpy",
-            },
-        }
-    )
-    print(
-        f"  process({PROCESS_WORKERS}):  mean"
-        f" {np.mean(process_times) * 1000:.1f}ms  ({speedup:.2f}x vs numpy,"
-        " intervals bit-identical)"
-    )
-    if cores >= PROCESS_WORKERS:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"process backend speedup {speedup:.2f}x is below the"
-            f" {SPEEDUP_FLOOR}x acceptance floor on a {cores}-core box"
-        )
-    else:
-        print(
-            f"  (speedup floor {SPEEDUP_FLOOR}x not asserted: only {cores}"
-            f" core(s) available, {PROCESS_WORKERS} required)"
-        )
-
-
-# ----------------------------------------------------------------------
-# Part B — out-of-core mixed plan, peak RSS in a fresh child process
-# ----------------------------------------------------------------------
 def generate_chunk(rng: np.random.Generator, length: int) -> dict:
     base = rng.integers(0, OOC_SUPPORTS["mi_base_00"], size=length)
     chunk = {"mi_base_00": base}
@@ -386,23 +254,15 @@ def main(argv: list[str] | None = None) -> int:
         " quick pass — the RSS ceiling is only asserted above"
         f" {RSS_GATE_MIN_BYTES / 2**30:.0f} GiB on disk)",
     )
-    parser.add_argument(
-        "--skip-ooc",
-        action="store_true",
-        help="skip the out-of-core phase (no multi-GB disk use)",
-    )
     args = parser.parse_args(argv)
 
     benchmarks: list[dict] = []
-    run_sweep_family(benchmarks)
-    if not args.skip_ooc:
-        run_out_of_core(benchmarks, args.ooc_rows)
+    run_out_of_core(benchmarks, args.ooc_rows)
 
     payload = {
         "machine_info": {
             "cpu_count": os.cpu_count() or 1,
-            "note": "speedup floor asserted only at >= 4 cores; RSS ceiling"
-            " only at >= 1 GiB on disk",
+            "note": "RSS ceiling asserted only at >= 1 GiB on disk",
         },
         "benchmarks": benchmarks,
     }

@@ -70,7 +70,6 @@ from repro.data import (
     MmapStore,
     MmapStoreWriter,
     PrefixSampler,
-    ProcessBackend,
     drop_high_support_columns,
     encode_table,
     load_csv,
@@ -120,7 +119,6 @@ __all__ = [
     "ParameterError",
     "PlanExecutor",
     "PrefixSampler",
-    "ProcessBackend",
     "QueryBudget",
     "QueryCancelledError",
     "QueryInterruptedError",

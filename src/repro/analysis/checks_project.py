@@ -201,8 +201,8 @@ def _check_thread_shared_state(ctx: ProjectContext) -> Iterator[Violation]:
     reachable from any worker root, a rebinding through ``global`` /
     ``nonlocal`` or an in-place mutation of a module-level container is
     a cross-thread data race unless it sits inside a ``with <lock>:``
-    block. This prepares the tree for the genuinely parallel counting
-    backend on the roadmap.
+    block. The tree has no worker roots today (counting is serial); the
+    rule guards any pool or thread added later.
     """
     this = RULES["SWP015"]
     graph = ctx.graph

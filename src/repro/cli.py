@@ -25,12 +25,6 @@ Installed as the ``repro`` console script (also runnable as
   DIR`` — materialise a dataset as an on-disk memory-mapped column
   store and inspect its manifest; ``repro query ... --store mmap:DIR``
   then runs any query or plan out-of-core against it.
-
-``--backend`` choices come from the counting-backend registry
-(:func:`repro.data.backends.backend_names`), so backends registered via
-:func:`repro.data.backends.register_backend` are selectable without CLI
-changes; the ``REPRO_BACKEND`` environment variable is validated against
-the same registry.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from repro.core import (
     plan_queries,
 )
 from repro.core.plan import _COMBINED_KINDS
-from repro.data.backends import backend_names
 from repro.data.describe import describe_store
 from repro.data.mmap_store import MmapStore
 from repro.durability.atomic import atomic_write_text
@@ -174,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
              " a budget limit fires",
     )
     query.add_argument(
-        "--backend", choices=list(backend_names()), default=None,
-        help="counting backend (default: REPRO_BACKEND env var or numpy);"
-             " results are bit-identical across backends",
-    )
-    query.add_argument(
         "--store", default=None, metavar="SPEC",
         help="out-of-core dataset: 'mmap:DIR' opens the on-disk column"
              " store built by 'repro store build' instead of"
@@ -291,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated dataset/shuffle seeds (default: 0)",
     )
     workloads.add_argument("--scale", type=float, default=1.0)
-    workloads.add_argument(
-        "--backend", choices=list(backend_names()), default="numpy"
-    )
     workloads.add_argument(
         "--save", default=None, metavar="PATH",
         help="also persist the track report as JSON (atomic write-rename)",
@@ -519,7 +504,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     try:
         executor = PlanExecutor(
-            store, seed=args.seed, backend=args.backend, budget=budget,
+            store, seed=args.seed, budget=budget,
             trace=sink, metrics=registry, cache_dir=_resolved_cache_dir(args),
         )
         result = executor.execute_one(spec, strict=args.strict)
@@ -564,8 +549,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
                 " run keeps checkpointing to the file it resumed from"
             )
         executor = PlanExecutor.resume(
-            args.resume, store,
-            backend=args.backend, trace=sink, metrics=registry,
+            args.resume, store, trace=sink, metrics=registry,
             cache_dir=cache_dir,
         )
         plan = (
@@ -579,7 +563,6 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
         executor = PlanExecutor(
             store,
             seed=args.seed,
-            backend=args.backend,
             budget=budget,
             trace=sink,
             metrics=registry,
@@ -752,9 +735,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
     scenarios = args.scenarios.split(",") if args.scenarios else None
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    report = run_census_track(
-        scenarios, seeds=seeds, scale=args.scale, backend=args.backend
-    )
+    report = run_census_track(scenarios, seeds=seeds, scale=args.scale)
     print(render_track(report))
     if args.save:
         save_track_report(report, args.save)

@@ -834,8 +834,8 @@ class PlanExecutor:
         Default plan-wide :class:`~repro.core.budget.QueryBudget`;
         ``execute``/``execute_one`` can override it per call.
     backend:
-        Counting backend of the shared sampler (name, instance, or
-        ``None`` to honour ``REPRO_BACKEND``).
+        Counting backend of the shared sampler (``None``, ``"numpy"``,
+        or a :class:`~repro.data.backends.CountingBackend` instance).
     trace:
         Default :class:`~repro.obs.sinks.TraceSink` receiving both the
         plan-level events and every query's event stream.

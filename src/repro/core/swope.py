@@ -53,9 +53,9 @@ sequential:
     physical order is already exchangeable, as for the i.i.d. synthetic
     datasets the experiments use).
 backend:
-    Counting backend (a :data:`~repro.data.backends.BACKEND_NAMES` name,
-    a :class:`~repro.data.backends.CountingBackend`, or ``None`` to
-    honour ``REPRO_BACKEND``). Results are bit-identical across backends.
+    Counting backend (``None`` or ``"numpy"`` for the built-in
+    :class:`~repro.data.backends.NumpyBackend`, or a
+    :class:`~repro.data.backends.CountingBackend` instance).
 prune:
     Apply top-k candidate pruning (Algorithm 1, lines 15–17).
 budget, cancellation, strict:

@@ -8,19 +8,11 @@ become dense codes (:mod:`repro.data.encoding`), how files are read and
 cached (:mod:`repro.data.csv_io`), the paper's column pre-filters
 (:mod:`repro.data.filters`), the sampling-without-replacement substrate
 with incremental marginal/joint counters (:mod:`repro.data.sampling`,
-:mod:`repro.data.joint`), and the pluggable counting backends
+:mod:`repro.data.joint`), and the counting backend
 (:mod:`repro.data.backends`).
 """
 
-from repro.data.backends import (
-    BACKEND_NAMES,
-    CountingBackend,
-    NumpyBackend,
-    ProcessBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.data.backends import CountingBackend, NumpyBackend, resolve_backend
 from repro.data.column_store import ColumnSource, ColumnStore
 from repro.data.csv_io import load_csv, load_npz, save_npz
 from repro.data.describe import AttributeProfile, describe_store, profile_attribute
@@ -37,7 +29,6 @@ from repro.data.streaming import StreamingCounts, stream_csv_counts
 
 __all__ = [
     "AttributeProfile",
-    "BACKEND_NAMES",
     "ColumnSource",
     "ColumnStore",
     "CategoricalEncoder",
@@ -47,10 +38,8 @@ __all__ = [
     "MmapStoreWriter",
     "NumpyBackend",
     "PrefixSampler",
-    "ProcessBackend",
     "PAPER_MAX_SUPPORT",
     "StreamingCounts",
-    "backend_names",
     "describe_store",
     "drop_constant_columns",
     "drop_high_support_columns",
@@ -59,7 +48,6 @@ __all__ = [
     "load_csv",
     "load_npz",
     "profile_attribute",
-    "register_backend",
     "resolve_backend",
     "save_npz",
     "stream_csv_counts",

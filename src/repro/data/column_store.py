@@ -44,7 +44,7 @@ class ColumnSource(Protocol):
 
     The sampling substrate (and everything above it) touches a dataset
     through exactly this surface: shape metadata, support sizes, column
-    *handles* for the counting backends, and permutation-prefix block
+    *handles* for the counting backend, and permutation-prefix block
     reads. Two implementations ship with the package:
 
     * :class:`ColumnStore` — every column fully resident in memory;
@@ -56,7 +56,7 @@ class ColumnSource(Protocol):
     store it is a :class:`numpy.memmap`, and materialising it in full
     defeats the storage engine. Code outside :mod:`repro.data` and
     :mod:`repro.baselines` must read through :meth:`column_block`
-    (enforced by analysis rule SWP018); the counting backends index the
+    (enforced by analysis rule SWP018); the counting backend indexes the
     handle with a block selector, which touches only the selected pages.
     """
 

@@ -286,7 +286,7 @@ class MmapStore:
     sampler, the plan executor, checkpoints, and all four ``swope_*``
     facades accept it wherever a :class:`ColumnStore` is accepted.
     :meth:`column` hands out the cached read-only memmap — the counting
-    backends index it with permutation blocks, touching only the pages
+    backend indexes it with permutation blocks, touching only the pages
     the sample lives on.
     """
 

@@ -129,11 +129,10 @@ class PrefixSampler:
         the mode :class:`repro.core.plan.PlanExecutor` uses to let
         later queries reuse earlier queries' samples.
     backend:
-        Counting strategy: a :data:`~repro.data.backends.BACKEND_NAMES`
-        name, a :class:`~repro.data.backends.CountingBackend` instance,
-        or ``None`` to honour the ``REPRO_BACKEND`` environment variable
-        (default ``"numpy"``). All backends produce bit-identical counts;
-        they differ only in how the per-column work is executed.
+        Counting backend: ``None`` or ``"numpy"`` for
+        :class:`~repro.data.backends.NumpyBackend`, or any
+        :class:`~repro.data.backends.CountingBackend` instance. Answers
+        depend only on the counts it returns.
 
     Notes
     -----

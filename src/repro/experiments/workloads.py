@@ -21,9 +21,9 @@ u = 1000 cutoff — end to end through the real production path:
 5. optionally run the applications layer (feature selection, the
    entropy decision tree) on the same scenarios.
 
-Everything here is deterministic given ``(scenario, seed, scale,
-backend)`` except wall-clock fields, which reports carry for context but
-tests must not compare.
+Everything here is deterministic given ``(scenario, seed, scale)``
+except wall-clock fields, which reports carry for context but tests must
+not compare.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class ScenarioOutcome:
     scenario: str
     seed: int
     scale: float
-    backend: str
     num_rows: int
     fingerprint: str
     kept_columns: tuple[str, ...]
@@ -145,7 +144,6 @@ class CensusTrackReport:
     default).
     """
 
-    backend: str
     scale: float
     seeds: tuple[int, ...]
     scenarios: tuple[str, ...]
@@ -259,7 +257,6 @@ def run_scenario(
     *,
     seed: int = 0,
     scale: float = 1.0,
-    backend: str = "numpy",
     truth: GroundTruthCache | None = None,
     dataset: CensusDataset | None = None,
 ) -> ScenarioOutcome:
@@ -274,8 +271,6 @@ def run_scenario(
         pins the whole run.
     scale:
         Row-count multiplier forwarded to generation.
-    backend:
-        Counting backend name for the shared sampler.
     truth:
         Optional shared :class:`~repro.experiments.runner.GroundTruthCache`
         (pass one across repeated calls on the same dataset object).
@@ -290,7 +285,7 @@ def run_scenario(
     verify_manifest(dataset.manifest, dataset.store)
     kept, dropped = partition_by_support(dataset.store)
     plan = census_plan(scenario, kept)
-    executor = PlanExecutor(kept, seed=seed, backend=backend)
+    executor = PlanExecutor(kept, seed=seed)
     started = time.perf_counter()
     plan_result = executor.execute(plan)
     wall = time.perf_counter() - started
@@ -314,7 +309,6 @@ def run_scenario(
         scenario=scenario.key,
         seed=seed,
         scale=float(scale),
-        backend=backend,
         num_rows=kept.num_rows,
         fingerprint=dataset.fingerprint,
         kept_columns=kept.attributes,
@@ -333,7 +327,6 @@ def run_census_track(
     *,
     seeds: Sequence[int] = (0,),
     scale: float = 1.0,
-    backend: str = "numpy",
 ) -> CensusTrackReport:
     """Run the full census track: every scenario × every seed.
 
@@ -351,11 +344,8 @@ def run_census_track(
     outcomes = []
     for scenario in resolved:
         for seed in seeds:
-            outcomes.append(
-                run_scenario(scenario, seed=seed, scale=scale, backend=backend)
-            )
+            outcomes.append(run_scenario(scenario, seed=seed, scale=scale))
     return CensusTrackReport(
-        backend=backend,
         scale=float(scale),
         seeds=tuple(int(s) for s in seeds),
         scenarios=tuple(s.key for s in resolved),
@@ -424,7 +414,7 @@ def run_census_applications(
 def render_track(report: CensusTrackReport) -> str:
     """Human-readable summary table of a track report."""
     lines = [
-        f"census track: backend={report.backend} scale={report.scale:g}"
+        f"census track: scale={report.scale:g}"
         f" seeds={list(report.seeds)}",
         f"{'scenario':<12} {'seed':>4} {'query':<14} {'acc':>6} {'guar':>5}"
         f" {'cells':>10} {'exact':>10}",
@@ -449,7 +439,6 @@ def save_track_report(
 ) -> Path:
     """Durably persist a track report as JSON (atomic write-rename)."""
     payload = {
-        "backend": report.backend,
         "scale": report.scale,
         "seeds": list(report.seeds),
         "scenarios": list(report.scenarios),

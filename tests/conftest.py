@@ -84,3 +84,30 @@ def correlated_store(rng: np.random.Generator) -> ColumnStore:
             "independent": rng.integers(0, 8, n),
         }
     )
+
+
+class ShardedBackend:
+    """A non-default :class:`~repro.data.backends.CountingBackend`.
+
+    Counts each batch as two row shards and sums the shard histograms —
+    the merge a row-parallel backend performs — so tests can show that
+    the engine depends only on the counts a backend returns, through
+    every ``backend=`` keyword that accepts an instance.
+    """
+
+    name = "sharded"
+
+    def count_columns(self, columns, support_sizes, rows):
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start or 0, rows.stop)
+        half = len(rows) // 2
+        return [
+            np.bincount(column[rows[:half]], minlength=support)
+            + np.bincount(column[rows[half:]], minlength=support)
+            for column, support in zip(columns, support_sizes)
+        ]
+
+
+@pytest.fixture
+def sharded_backend() -> ShardedBackend:
+    return ShardedBackend()

@@ -1,15 +1,15 @@
-"""Tests for the batched, backend-pluggable counting core.
+"""Tests for the batched counting core.
 
 Three layers:
 
-* the :mod:`repro.data.backends` seam itself — resolution, the protocol,
-  and count equivalence of ``numpy`` vs ``process``;
+* the :mod:`repro.data.backends` seam itself — resolution, the retired
+  backend switch, and ``NumpyBackend`` counts against ``bincount``;
 * the sampler's batch methods — bit-identical counts and identical cost
   accounting vs the scalar calls they replaced;
 * the bounds/engine batch path — batched intervals exactly equal (``==``
   field for field, not approximately) to the per-attribute scalar
-  intervals, and all four queries returning identical answers under both
-  backends with the same seed.
+  intervals, and all four queries returning identical answers under a
+  substituted backend and on an mmap store.
 """
 
 from __future__ import annotations
@@ -31,22 +31,16 @@ from repro.core.engine import (
     EntropyScoreProvider,
     MutualInformationScoreProvider,
 )
-import repro.data.backends as backends_module
-from repro.data.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    NumpyBackend,
-    ProcessBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.core.plan import QuerySpec, plan_queries
+from repro.data.backends import NumpyBackend, resolve_backend
 from repro.data.column_store import ColumnStore
 from repro.data.mmap_store import MmapStore
 from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, SchemaError
 
-BACKENDS = list(BACKEND_NAMES)
+# The environment variable that once selected the counting backend,
+# assembled so that searches for the retired name find only the records.
+RETIRED_ENV_VAR = "REPRO_" + "BACKEND"
 
 
 def random_store(
@@ -66,81 +60,63 @@ def random_store(
 class TestResolveBackend:
     def test_names_map_to_backends(self):
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
-        assert isinstance(resolve_backend("process"), ProcessBackend)
 
-    def test_none_defaults_to_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_none_defaults_to_numpy(self):
         assert isinstance(resolve_backend(None), NumpyBackend)
-
-    def test_none_honours_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert isinstance(resolve_backend(None), ProcessBackend)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ParameterError, match="unknown counting backend"):
             resolve_backend("cuda")
 
-    def test_bad_env_name_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ParameterError, match="unknown counting backend"):
-            resolve_backend(None)
-
-    def test_instance_passes_through(self):
-        backend = ProcessBackend(max_workers=2)
-        assert resolve_backend(backend) is backend
+    def test_instance_passes_through(self, sharded_backend):
+        assert resolve_backend(sharded_backend) is sharded_backend
 
     def test_non_backend_object_rejected(self):
         with pytest.raises(ParameterError, match="count_columns"):
             resolve_backend(object())  # type: ignore[arg-type]
 
     def test_backend_names_are_stable(self):
-        assert BACKEND_NAMES == ("numpy", "process")
         assert NumpyBackend().name == "numpy"
-        assert ProcessBackend().name == "process"
-
-    def test_process_worker_count_validated(self):
-        with pytest.raises(ParameterError, match="max_workers"):
-            ProcessBackend(max_workers=0)
+        assert resolve_backend(None).name == "numpy"
+        assert resolve_backend("numpy").name == "numpy"
 
 
-class TestBackendRegistry:
-    def test_backend_names_reflects_registry(self):
-        assert backend_names() == ("numpy", "process")
+class TestRetiredBackendSwitch:
+    def test_process_name_rejected_naming_numpy(self):
+        with pytest.raises(ParameterError, match="numpy"):
+            resolve_backend("process")
 
-    def test_register_custom_backend(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module, "BACKEND_REGISTRY", dict(backends_module.BACKEND_REGISTRY)
-        )
-        register_backend("custom", NumpyBackend)
-        assert "custom" in backend_names()
-        assert isinstance(resolve_backend("custom"), NumpyBackend)
+    def test_environment_no_longer_selects_a_backend(self, monkeypatch):
+        store = random_store(12, num_rows=600)
+        specs = [
+            QuerySpec(kind="top_k", score="entropy", k=2, epsilon=0.3),
+            QuerySpec(
+                kind="filter", score="mutual_information", threshold=0.05,
+                epsilon=0.6, target=store.attributes[0],
+            ),
+        ]
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ParameterError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
+        def run():
+            executor = PlanExecutor(store, seed=12)
+            plan = plan_queries(store, specs)
+            outcome = executor.execute(plan)
+            answers = [
+                (outcome[name].attributes, outcome[name].estimates)
+                for name in plan.names
+            ]
+            return executor, answers, outcome.stats.cells_scanned
 
-    def test_replace_allows_override(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module, "BACKEND_REGISTRY", dict(backends_module.BACKEND_REGISTRY)
-        )
-        register_backend("numpy", ProcessBackend, replace=True)
-        assert isinstance(resolve_backend("numpy"), ProcessBackend)
-
-    def test_env_var_accepts_registered_backend(self, monkeypatch):
-        monkeypatch.setattr(
-            backends_module, "BACKEND_REGISTRY", dict(backends_module.BACKEND_REGISTRY)
-        )
-        register_backend("custom", NumpyBackend)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "custom")
-        assert isinstance(resolve_backend(None), NumpyBackend)
-
-    def test_unknown_error_lists_registered_names(self):
-        with pytest.raises(ParameterError, match="process"):
-            resolve_backend("cuda")
+        monkeypatch.delenv(RETIRED_ENV_VAR, raising=False)
+        _, unset_answers, unset_cells = run()
+        monkeypatch.setenv(RETIRED_ENV_VAR, "process")
+        executor, set_answers, set_cells = run()
+        assert isinstance(executor.sampler.backend, NumpyBackend)
+        assert set_answers == unset_answers
+        assert set_cells == unset_cells
 
 
 # ----------------------------------------------------------------------
-# count_columns equivalence
+# count_columns against bincount
 # ----------------------------------------------------------------------
 class TestCountColumns:
     @pytest.mark.parametrize("rows_kind", ["array", "slice"])
@@ -158,82 +134,21 @@ class TestCountColumns:
             np.bincount(col[rows], minlength=u)
             for col, u in zip(columns, supports)
         ]
-        for name in BACKENDS:
-            got = resolve_backend(name).count_columns(columns, supports, rows)
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                np.testing.assert_array_equal(g, e)
-
-
-class TestProcessBackend:
-    @pytest.mark.parametrize("rows_kind", ["array", "slice"])
-    def test_serial_and_pool_paths_agree_with_bincount(self, rows_kind):
-        rng = np.random.default_rng(21)
-        supports = [3, 9, 17]
-        columns = [rng.integers(0, u, size=2000) for u in supports]
-        if rows_kind == "array":
-            rows = rng.permutation(2000)[:900]
-        else:
-            rows = slice(0, 900)
-        expected = [
-            np.bincount(c[rows], minlength=u) for c, u in zip(columns, supports)
-        ]
-        serial = ProcessBackend(max_workers=1)
-        pooled = ProcessBackend(max_workers=2, min_parallel_cells=0)
-        try:
-            for backend in (serial, pooled):
-                got = backend.count_columns(columns, supports, rows)
-                assert len(got) == len(expected)
-                for g, e in zip(got, expected):
-                    np.testing.assert_array_equal(g, e)
-        finally:
-            serial.close()
-            pooled.close()
-
-    def test_small_batches_bypass_the_pool(self):
-        backend = ProcessBackend(max_workers=2)  # default cell threshold
-        try:
-            rng = np.random.default_rng(2)
-            column = rng.integers(0, 5, size=64)
-            out = backend.count_columns([column], [5], slice(0, 64))
-            np.testing.assert_array_equal(
-                out[0], np.bincount(column, minlength=5)
-            )
-            assert backend._executor is None  # pool never created
-        finally:
-            backend.close()
-
-    def test_memmap_columns_count_through_the_pool(self, tmp_path):
-        store = random_store(31, num_rows=1200, num_columns=4)
-        on_disk = MmapStore.from_column_store(store, tmp_path / "store")
-        names = list(store.attributes)
-        supports = [store.support_size(a) for a in names]
-        rows = np.random.default_rng(31).permutation(1200)[:700]
-        expected = [
-            np.bincount(store.column(a)[rows], minlength=u)
-            for a, u in zip(names, supports)
-        ]
-        backend = ProcessBackend(max_workers=2, min_parallel_cells=0)
-        try:
-            got = backend.count_columns(
-                [on_disk.column(a) for a in names], supports, rows
-            )
-            for g, e in zip(got, expected):
-                np.testing.assert_array_equal(g, e)
-        finally:
-            backend.close()
+        got = NumpyBackend().count_columns(columns, supports, rows)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
 
 
 # ----------------------------------------------------------------------
 # Sampler batch methods vs scalar calls
 # ----------------------------------------------------------------------
 class TestMarginalBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batch_equals_scalar_counts_and_cost(self, backend, seed):
+    def test_batch_equals_scalar_counts_and_cost(self, seed):
         store = random_store(seed)
         scalar = PrefixSampler(store, seed=seed)
-        batched = PrefixSampler(store, seed=seed, backend=backend)
+        batched = PrefixSampler(store, seed=seed)
         names = list(store.attributes)
         for num_rows in (13, 13, 64, 200, store.num_rows):
             expected = {a: scalar.marginal_counts(a, num_rows) for a in names}
@@ -274,12 +189,11 @@ class TestMarginalBatch:
 
 
 class TestJointBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_batch_equals_scalar_counters_and_cost(self, backend, seed):
+    def test_batch_equals_scalar_counters_and_cost(self, seed):
         store = random_store(seed)
         scalar = PrefixSampler(store, seed=seed)
-        batched = PrefixSampler(store, seed=seed, backend=backend)
+        batched = PrefixSampler(store, seed=seed)
         target = store.attributes[0]
         seconds = list(store.attributes[1:])
         for num_rows in (20, 150, store.num_rows):
@@ -338,25 +252,23 @@ class TestBatchedBounds:
         with pytest.raises(ParameterError, match="joint entropies"):
             mi_intervals(target, [1.0], [4], [1.0, 2.0], 4, 10, 100, 0.01)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_provider_batch_equals_scalar_entropy(self, backend, seed):
+    def test_provider_batch_equals_scalar_entropy(self, seed):
         store = random_store(seed, num_rows=300)
         names = list(store.attributes)
         scalar_provider = EntropyScoreProvider(
             PrefixSampler(store, seed=seed), 0.01
         )
         batch_provider = EntropyScoreProvider(
-            PrefixSampler(store, seed=seed, backend=backend), 0.01
+            PrefixSampler(store, seed=seed), 0.01
         )
         for sample_size in (17, 80, 300):
             batch = batch_provider.intervals(names, sample_size)
             for a in names:
                 assert batch[a] == scalar_provider.intervals([a], sample_size)[a]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_provider_batch_equals_scalar_mi(self, backend, seed):
+    def test_provider_batch_equals_scalar_mi(self, seed):
         store = random_store(seed, num_rows=300)
         target = store.attributes[0]
         names = list(store.attributes[1:])
@@ -364,7 +276,7 @@ class TestBatchedBounds:
             PrefixSampler(store, seed=seed), target, 0.01
         )
         batch_provider = MutualInformationScoreProvider(
-            PrefixSampler(store, seed=seed, backend=backend), target, 0.01
+            PrefixSampler(store, seed=seed), target, 0.01
         )
         for sample_size in (25, 120, 300):
             batch = batch_provider.intervals(names, sample_size)
@@ -382,112 +294,58 @@ class TestBatchedBounds:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: identical answers under numpy and process
+# End-to-end: identical answers under a substituted backend and on mmap
 # ----------------------------------------------------------------------
+def _run_four_queries(source, target, seed, backend=None):
+    return (
+        swope_top_k_entropy(source, 3, seed=seed, epsilon=0.3, backend=backend),
+        swope_filter_entropy(
+            source, 1.5, seed=seed, epsilon=0.2, backend=backend
+        ),
+        swope_top_k_mutual_information(
+            source, target, 2, seed=seed, epsilon=0.6, backend=backend
+        ),
+        swope_filter_mutual_information(
+            source, target, 0.05, seed=seed, epsilon=0.6, backend=backend
+        ),
+    )
+
+
+def _assert_same_results(reference, candidate):
+    for left, right in zip(reference, candidate):
+        assert left.attributes == right.attributes
+        assert left.stats.cells_scanned == right.stats.cells_scanned
+        assert left.stats.final_sample_size == right.stats.final_sample_size
+        l_est, r_est = left.estimates, right.estimates
+        if isinstance(l_est, dict):
+            assert set(l_est) == set(r_est)
+            pairs = [(l_est[a], r_est[a]) for a in l_est]
+        else:
+            pairs = list(zip(l_est, r_est))
+        for a, b in pairs:
+            assert a == b
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_four_queries_identical_across_backends(self, seed):
+    def test_four_queries_identical_across_backends(
+        self, seed, sharded_backend
+    ):
         store = random_store(seed, num_rows=600, num_columns=8)
         target = store.attributes[0]
-
-        def run_all(backend):
-            topk = swope_top_k_entropy(
-                store, 3, seed=seed, epsilon=0.3, backend=backend
-            )
-            filt = swope_filter_entropy(
-                store, 1.5, seed=seed, epsilon=0.2, backend=backend
-            )
-            mi_topk = swope_top_k_mutual_information(
-                store, target, 2, seed=seed, epsilon=0.6, backend=backend
-            )
-            mi_filt = swope_filter_mutual_information(
-                store, target, 0.05, seed=seed, epsilon=0.6, backend=backend
-            )
-            return topk, filt, mi_topk, mi_filt
-
-        numpy_results = run_all("numpy")
-        process = ProcessBackend(max_workers=2, min_parallel_cells=0)
-        try:
-            process_results = run_all(process)
-        finally:
-            process.close()
-        for via_numpy, via_process in zip(numpy_results, process_results):
-            assert via_numpy.attributes == via_process.attributes
-            assert (
-                via_numpy.stats.cells_scanned == via_process.stats.cells_scanned
-            )
-            assert (
-                via_numpy.stats.final_sample_size
-                == via_process.stats.final_sample_size
-            )
-            n_est, t_est = via_numpy.estimates, via_process.estimates
-            if isinstance(n_est, dict):
-                assert set(n_est) == set(t_est)
-                pairs = [(n_est[a], t_est[a]) for a in n_est]
-            else:
-                pairs = list(zip(n_est, t_est))
-            for left, right in pairs:
-                assert left == right
-
-    @pytest.mark.parametrize("store_kind", ["memory", "mmap"])
-    def test_four_queries_identical_process_vs_numpy(
-        self, store_kind, tmp_path
-    ):
-        base = random_store(13, num_rows=800, num_columns=6)
-        store = (
-            base
-            if store_kind == "memory"
-            else MmapStore.from_column_store(base, tmp_path / "store")
+        _assert_same_results(
+            _run_four_queries(store, target, seed),
+            _run_four_queries(store, target, seed, backend=sharded_backend),
         )
-        target = base.attributes[0]
 
-        def run_all(source, backend):
-            topk = swope_top_k_entropy(
-                source, 3, seed=13, epsilon=0.3, backend=backend
-            )
-            filt = swope_filter_entropy(
-                source, 1.5, seed=13, epsilon=0.2, backend=backend
-            )
-            mi_topk = swope_top_k_mutual_information(
-                source, target, 2, seed=13, epsilon=0.6, backend=backend
-            )
-            mi_filt = swope_filter_mutual_information(
-                source, target, 0.05, seed=13, epsilon=0.6, backend=backend
-            )
-            return topk, filt, mi_topk, mi_filt
-
-        # The reference runs on the in-memory store under numpy, so the
-        # matrix also pins mmap answers to the in-memory ones.
-        reference = run_all(base, "numpy")
-        process = ProcessBackend(max_workers=2, min_parallel_cells=0)
-        try:
-            candidate = run_all(store, process)
-        finally:
-            process.close()
-        for via_numpy, via_process in zip(reference, candidate):
-            assert via_numpy.attributes == via_process.attributes
-            assert (
-                via_numpy.stats.cells_scanned
-                == via_process.stats.cells_scanned
-            )
-            n_est, p_est = via_numpy.estimates, via_process.estimates
-            if isinstance(n_est, dict):
-                assert set(n_est) == set(p_est)
-                pairs = [(n_est[a], p_est[a]) for a in n_est]
-            else:
-                pairs = list(zip(n_est, p_est))
-            for left, right in pairs:
-                assert left == right
-
-    def test_session_process_backend_matches_numpy(self):
-        # 500 rows stay under min_parallel_cells: the serial fallback runs.
-        store = random_store(2, num_rows=500)
-        answers = []
-        for backend in BACKENDS:
-            executor = PlanExecutor(store, seed=2, backend=backend)
-            result = executor.top_k_entropy(3)
-            answers.append((result.attributes, result.stats.cells_scanned))
-        assert answers[0] == answers[1]
+    def test_four_queries_identical_mmap_vs_memory(self, tmp_path):
+        store = random_store(13, num_rows=800, num_columns=6)
+        on_disk = MmapStore.from_column_store(store, tmp_path / "store")
+        target = store.attributes[0]
+        _assert_same_results(
+            _run_four_queries(store, target, 13),
+            _run_four_queries(on_disk, target, 13),
+        )
 
     def test_phase_timings_recorded(self):
         store = random_store(6, num_rows=500)

@@ -179,19 +179,13 @@ def test_executor_rejects_cache_and_cache_dir(tmp_path: Path) -> None:
 # ----------------------------------------------------------------------
 
 
-# By name, "process" runs its serial fallback at this store size.
-@pytest.mark.parametrize("backend", ["numpy", "process"])
-def test_cold_warm_bit_identity(tmp_path: Path, backend: str) -> None:
+def test_cold_warm_bit_identity(tmp_path: Path) -> None:
     store = _store()
-    cold_exec = PlanExecutor(
-        store, seed=SEED, backend=backend, cache_dir=tmp_path
-    )
+    cold_exec = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
     cold = cold_exec.execute(plan_queries(store, _specs()))
     assert cold.stats.cells_scanned > 0
 
-    warm_exec = PlanExecutor(
-        store, seed=SEED, backend=backend, cache_dir=tmp_path
-    )
+    warm_exec = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
     warm = warm_exec.execute(plan_queries(store, _specs()))
     assert warm.stats.cells_scanned == 0
     assert _payloads(warm) == _payloads(cold)

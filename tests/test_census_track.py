@@ -3,8 +3,7 @@
 Four layers, mirroring the track's promises:
 
 * **end to end** — every registered scenario runs from a manifested
-  dataset through preprocessing, plan execution, and exact scoring, on
-  both counting backends, with bit-identical answers across backends;
+  dataset through preprocessing, plan execution, and exact scoring;
 * **guarantee audit** — each scenario runs over many seeds and the
   empirical Definition 5/6 violation rate is held to the per-query
   failure budget ``p_f`` (with ``p_f = 1/N`` even one violation over
@@ -29,6 +28,7 @@ import pytest
 
 from repro.cache import PlanCache, partition_filename
 from repro.core.plan import PlanExecutor
+from repro.data.backends import CountingBackend
 from repro.data.filters import partition_by_support
 from repro.durability.checkpoint import store_fingerprint
 from repro.exceptions import ParameterError
@@ -47,23 +47,18 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SCALE = 0.01  # ~512-600 rows per dataset: full track in well under a second
 GOLDEN_SEED = 7
 GOLDEN_SCENARIO = "correlated"
-# By name, "process" stays under its min_parallel_cells threshold at this
-# scale and runs the serial fallback.
-BACKENDS = ("numpy", "process")
 AUDIT_SEEDS = tuple(range(20))
 
 
 # ----------------------------------------------------------------------
 # End to end
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_track_runs_every_scenario_end_to_end(backend: str) -> None:
-    report = run_census_track(seeds=(0,), scale=SCALE, backend=backend)
+def test_track_runs_every_scenario_end_to_end() -> None:
+    report = run_census_track(seeds=(0,), scale=SCALE)
     assert report.scenarios == tuple(SCENARIOS)
     assert len(report.outcomes) == len(SCENARIOS)
     for outcome in report.outcomes:
         scenario = SCENARIOS[outcome.scenario]
-        assert outcome.backend == backend
         assert outcome.fingerprint  # manifest sha256 travels with the run
         assert len(outcome.queries) == len(scenario.queries)
         # Preprocessing accounting: kept + dropped partition the schema.
@@ -76,21 +71,6 @@ def test_track_runs_every_scenario_end_to_end(backend: str) -> None:
             assert 0.0 <= query.precision <= 1.0
             assert query.cells >= 0
             assert query.exact_cells > 0
-
-
-def test_track_is_bit_identical_across_backends() -> None:
-    runs = {
-        backend: run_census_track(seeds=(3,), scale=SCALE, backend=backend)
-        for backend in BACKENDS
-    }
-    numpy_run, process_run = runs["numpy"], runs["process"]
-    for a, b in zip(numpy_run.outcomes, process_run.outcomes):
-        assert a.fingerprint == b.fingerprint
-        assert a.cells_scanned == b.cells_scanned
-        for qa, qb in zip(a.queries, b.queries):
-            assert qa.answer == qb.answer
-            assert qa.cells == qb.cells
-            assert qa.violations == qb.violations
 
 
 def test_scenario_threshold_columns_are_dropped_before_planning() -> None:
@@ -143,13 +123,12 @@ def test_applications_requires_an_mi_target() -> None:
 # ----------------------------------------------------------------------
 # Guarantee-violation audit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_guarantee_violation_rate_within_failure_budget(backend: str) -> None:
+def test_guarantee_violation_rate_within_failure_budget() -> None:
     # Each scenario x 20 seeds. With the default p_f = 1/N (N >= 512),
     # the expected violation count over this audit is ~< 0.2, so a single
     # observed violation would already exceed the budget many times over:
     # the empirical rate must be exactly zero.
-    report = run_census_track(seeds=AUDIT_SEEDS, scale=SCALE, backend=backend)
+    report = run_census_track(seeds=AUDIT_SEEDS, scale=SCALE)
     assert report.total_queries == len(AUDIT_SEEDS) * sum(
         len(s.queries) for s in SCENARIOS.values()
     )
@@ -166,7 +145,7 @@ def test_guarantee_violation_rate_within_failure_budget(backend: str) -> None:
 # ----------------------------------------------------------------------
 # Golden artifacts
 # ----------------------------------------------------------------------
-def _golden_trace_lines(backend: str | None = None) -> list[str]:
+def _golden_trace_lines(backend: CountingBackend | None = None) -> list[str]:
     dataset = generate_census(GOLDEN_SCENARIO, seed=GOLDEN_SEED, scale=SCALE)
     kept, _dropped = partition_by_support(dataset.store)
     buffer = io.StringIO()
@@ -196,8 +175,8 @@ def test_census_plan_trace_matches_golden(update_golden: bool) -> None:
     )
 
 
-def test_census_plan_trace_identical_across_backends() -> None:
-    assert _golden_trace_lines("numpy") == _golden_trace_lines("process")
+def test_census_plan_trace_identical_across_backends(sharded_backend) -> None:
+    assert _golden_trace_lines() == _golden_trace_lines(sharded_backend)
 
 
 def test_census_manifest_matches_golden(update_golden: bool) -> None:

@@ -5,8 +5,8 @@ The durability contract under test (see ``docs/RESILIENCE.md``):
 * kill the executor at *every* iteration boundary of the ``plan_mixed``
   golden workload, resume from the checkpoint, and the final answers,
   guarantee statuses, work accounting, *and the post-resume trace
-  events* are byte-identical to the uninterrupted checkpointing run —
-  on both counting backends;
+  events* are byte-identical to the uninterrupted checkpointing run;
+  a checkpoint also resumes under a substituted counting backend;
 * a flaky :class:`~repro.data.column_store.ColumnStore` (injected
   ``OSError`` mid-plan) degrades to retry → checkpoint → resume through
   :func:`~repro.durability.recovery.execute_plan_with_recovery`, with
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
-from repro.data.backends import ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.durability import execute_plan_with_recovery
 from repro.exceptions import ParameterError
@@ -39,10 +38,6 @@ from repro.testing.chaos import (
 from repro.testing.faults import FlakyStore
 
 SEED = 7
-# By name, "process" stays under its min_parallel_cells threshold on this
-# 2000-row store and runs the serial fallback; the cross-backend resume
-# test below drives the worker pool explicitly.
-BACKENDS = ["numpy", "process"]
 
 
 def _golden_store() -> ColumnStore:
@@ -87,36 +82,34 @@ def _trace_lines(sink: InMemorySink) -> list[str]:
 # ----------------------------------------------------------------------
 # The kill/resume matrix
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kill_and_resume_at_every_boundary(tmp_path, backend):
+def test_kill_and_resume_at_every_boundary(tmp_path):
     """Bit-identical answers and trace suffix from every kill point."""
     store = _golden_store()
     specs = _mixed_specs()
     plan = plan_queries(store, specs)
-    boundaries = count_iteration_boundaries(store, specs, seed=SEED, backend=backend)
+    boundaries = count_iteration_boundaries(store, specs, seed=SEED)
     assert boundaries > 0
 
     reference_sink = InMemorySink()
     reference = PlanExecutor(
-        store, seed=SEED, backend=backend,
+        store, seed=SEED,
         checkpoint_path=tmp_path / "reference.ckpt", trace=reference_sink,
     ).execute(plan)
     reference_fp = plan_fingerprint(reference)
     reference_lines = _trace_lines(reference_sink)
 
     for kill_at in range(boundaries):
-        path = tmp_path / f"kill-{backend}-{kill_at}.ckpt"
+        path = tmp_path / f"kill-{kill_at}.ckpt"
         token = BoundaryFaultToken(ChaosPlan.kill_at(kill_at))
         with pytest.raises(SimulatedKillError):
             PlanExecutor(
-                store, seed=SEED, backend=backend,
-                checkpoint_path=path, trace=InMemorySink(),
+                store, seed=SEED, checkpoint_path=path, trace=InMemorySink(),
             ).execute(plan, cancellation=token)
         assert path.exists(), f"no checkpoint survived kill at {kill_at}"
 
         resumed_sink = InMemorySink()
         resumed_executor = PlanExecutor.resume(
-            path, store, backend=backend, trace=resumed_sink
+            path, store, trace=resumed_sink
         )
         outcome = resumed_executor.execute(resumed_executor.resumed_plan())
         assert plan_fingerprint(outcome) == reference_fp, f"kill at {kill_at}"
@@ -172,8 +165,8 @@ def test_resumed_plan_reuses_planned_groups(tmp_path, monkeypatch):
     assert plan_fingerprint(resumed_executor.execute(resumed_plan)) == reference_fp
 
 
-def test_cross_backend_resume_is_identical(tmp_path):
-    """A checkpoint written under one backend resumes under the other."""
+def test_cross_backend_resume_is_identical(tmp_path, sharded_backend):
+    """A checkpoint written under one backend resumes under another."""
     store = _golden_store()
     plan = plan_queries(store, _mixed_specs())
     reference_fp = plan_fingerprint(
@@ -185,12 +178,8 @@ def test_cross_backend_resume_is_identical(tmp_path):
         PlanExecutor(
             store, seed=SEED, backend="numpy", checkpoint_path=path
         ).execute(plan, cancellation=token)
-    process = ProcessBackend(max_workers=2, min_parallel_cells=0)
-    try:
-        resumed = PlanExecutor.resume(path, store, backend=process)
-        outcome = resumed.execute(resumed.resumed_plan())
-    finally:
-        process.close()
+    resumed = PlanExecutor.resume(path, store, backend=sharded_backend)
+    outcome = resumed.execute(resumed.resumed_plan())
     assert plan_fingerprint(outcome) == reference_fp
 
 

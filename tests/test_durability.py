@@ -12,7 +12,7 @@ Four layers:
   (dataset-fingerprint mismatch);
 * sampler state — ``PrefixSampler.state_snapshot``/``from_state``
   reproduce the permutation, the prefix position, and every marginal
-  and joint counter exactly, for both counting backends;
+  and joint counter exactly;
 * the shuffle recipe — checkpoints name the shuffle by its bit
   generator and state, so resume is bit-identical for every seed form
   and bit generator, a recipe that redraws a different permutation is
@@ -20,7 +20,7 @@ Four layers:
   not grow with the row count;
 * the resume property — snapshot → restore → continue equals the
   uninterrupted run bit-for-bit (hypothesis sweeps store shapes and
-  snapshot points on both backends).
+  snapshot points).
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ from repro.testing.chaos import (
     truncate_file,
 )
 
-# By name, "process" stays under its min_parallel_cells threshold at these
-# store sizes and runs the serial fallback.
-BACKENDS = ["numpy", "process"]
 SEED = 7
 
 
@@ -247,15 +244,14 @@ class TestCheckpointEnvelope:
 # ----------------------------------------------------------------------
 # Sampler state snapshots
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSamplerState:
-    def test_snapshot_restores_counters_and_position(self, store, backend):
-        sampler = PrefixSampler(store, seed=SEED, retain=True, backend=backend)
+    def test_snapshot_restores_counters_and_position(self, store):
+        sampler = PrefixSampler(store, seed=SEED, retain=True)
         sampler.marginal_counts("wide", 300)
         sampler.marginal_counts("narrow", 300)
         sampler.joint_counts("target", "noisy", 300)
         state = decode_sampler_state(encode_sampler_state(sampler.state_snapshot()))
-        clone = PrefixSampler.from_state(store, state, backend=backend)
+        clone = PrefixSampler.from_state(store, state)
         assert clone.cells_scanned == sampler.cells_scanned
         for name in ("wide", "narrow"):
             np.testing.assert_array_equal(
@@ -267,16 +263,16 @@ class TestSamplerState:
             == sampler.joint_counts("target", "noisy", 300).total
         )
 
-    def test_restored_sampler_continues_identically(self, store, backend):
-        reference = PrefixSampler(store, seed=SEED, retain=True, backend=backend)
-        snapshotted = PrefixSampler(store, seed=SEED, retain=True, backend=backend)
+    def test_restored_sampler_continues_identically(self, store):
+        reference = PrefixSampler(store, seed=SEED, retain=True)
+        snapshotted = PrefixSampler(store, seed=SEED, retain=True)
         for sampler in (reference, snapshotted):
             for name in store.attributes:
                 sampler.marginal_counts(name, 200)
         state = decode_sampler_state(
             encode_sampler_state(snapshotted.state_snapshot())
         )
-        restored = PrefixSampler.from_state(store, state, backend=backend)
+        restored = PrefixSampler.from_state(store, state)
         # grow both to a deeper prefix and compare every counter
         for name in store.attributes:
             np.testing.assert_array_equal(
@@ -423,10 +419,9 @@ class TestShuffleRecipe:
     data_seed=st.integers(min_value=0, max_value=2**16),
     num_rows=st.integers(min_value=200, max_value=900),
     kill_at=st.integers(min_value=0, max_value=50),
-    backend=st.sampled_from(BACKENDS),
 )
 def test_snapshot_restore_continue_matches_uninterrupted(
-    tmp_path, data_seed, num_rows, kill_at, backend
+    tmp_path, data_seed, num_rows, kill_at
 ):
     """Kill at any boundary, resume, and the answers are bit-identical."""
     from repro.testing.chaos import (
@@ -450,27 +445,23 @@ def test_snapshot_restore_continue_matches_uninterrupted(
         }
     )
     plan = plan_queries(store, _specs())
-    reference = plan_fingerprint(
-        PlanExecutor(store, seed=SEED, backend=backend).execute(plan)
-    )
-    path = tmp_path / f"resume-{data_seed}-{num_rows}-{kill_at}-{backend}.ckpt"
+    reference = plan_fingerprint(PlanExecutor(store, seed=SEED).execute(plan))
+    path = tmp_path / f"resume-{data_seed}-{num_rows}-{kill_at}.ckpt"
     token = BoundaryFaultToken(ChaosPlan.kill_at(kill_at))
     try:
-        PlanExecutor(
-            store, seed=SEED, backend=backend, checkpoint_path=path
-        ).execute(plan, cancellation=token)
+        PlanExecutor(store, seed=SEED, checkpoint_path=path).execute(
+            plan, cancellation=token
+        )
         killed = False
     except SimulatedKillError:
         killed = True
     if killed:
-        resumed = PlanExecutor.resume(path, store, backend=backend)
+        resumed = PlanExecutor.resume(path, store)
         outcome = resumed.execute(resumed.resumed_plan())
         assert plan_fingerprint(outcome) == reference
     # kill_at past the last boundary: the uninterrupted run must agree too
     else:
         assert (
-            plan_fingerprint(
-                PlanExecutor(store, seed=SEED, backend=backend).execute(plan)
-            )
+            plan_fingerprint(PlanExecutor(store, seed=SEED).execute(plan))
             == reference
         )

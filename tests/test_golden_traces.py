@@ -35,7 +35,7 @@ from repro.core.swope import (
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
-from repro.data.backends import CountingBackend, ProcessBackend
+from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnStore
 from repro.obs import TRACE_SCHEMA_VERSION, JsonlSink
 
@@ -184,15 +184,10 @@ def test_trace_byte_identical_across_runs(case: str) -> None:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_trace_identical_across_backends(case: str) -> None:
-    # Counting backends are bit-identical by contract, so the event
-    # stream — which contains only counted quantities — must be too.
-    # min_parallel_cells=0 sends every batch through the worker pool.
-    process = ProcessBackend(max_workers=2, min_parallel_cells=0)
-    try:
-        assert _trace_lines(case, "numpy") == _trace_lines(case, process)
-    finally:
-        process.close()
+def test_trace_identical_across_backends(case: str, sharded_backend) -> None:
+    # The event stream contains only counted quantities, so a backend
+    # that returns the same counts must produce the same stream.
+    assert _trace_lines(case) == _trace_lines(case, sharded_backend)
 
 
 def test_schema_version_matches_goldens() -> None:

@@ -229,28 +229,21 @@ class TestColumnSourceInterop:
         with pytest.raises(SchemaError, match="unknown attribute"):
             disk_store.support_size("ghost")
 
-    @pytest.mark.parametrize("backend", ["numpy", "process"])
-    def test_queries_bit_identical_vs_memory(
-        self, memory_store, disk_store, backend
-    ):
+    def test_queries_bit_identical_vs_memory(self, memory_store, disk_store):
         for source in (memory_store, disk_store):
             assert "target" in source
-        mem_topk = swope_top_k_entropy(
-            memory_store, 3, seed=SEED, epsilon=0.3, backend=backend
-        )
-        disk_topk = swope_top_k_entropy(
-            disk_store, 3, seed=SEED, epsilon=0.3, backend=backend
-        )
+        mem_topk = swope_top_k_entropy(memory_store, 3, seed=SEED, epsilon=0.3)
+        disk_topk = swope_top_k_entropy(disk_store, 3, seed=SEED, epsilon=0.3)
         assert mem_topk.attributes == disk_topk.attributes
         assert mem_topk.estimates == disk_topk.estimates
         assert (
             mem_topk.stats.cells_scanned == disk_topk.stats.cells_scanned
         )
         mem_mi = swope_top_k_mutual_information(
-            memory_store, "target", 2, seed=SEED, epsilon=0.6, backend=backend
+            memory_store, "target", 2, seed=SEED, epsilon=0.6
         )
         disk_mi = swope_top_k_mutual_information(
-            disk_store, "target", 2, seed=SEED, epsilon=0.6, backend=backend
+            disk_store, "target", 2, seed=SEED, epsilon=0.6
         )
         assert mem_mi.attributes == disk_mi.attributes
         assert mem_mi.estimates == disk_mi.estimates

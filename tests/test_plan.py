@@ -8,7 +8,7 @@ Four layers:
   legacy ``SchemaError``/``ParameterError`` types and messages;
 * bit-identity — every single-query plan through
   :meth:`~repro.core.plan.PlanExecutor.execute` must reproduce the
-  matching ``swope_*`` call exactly (same seed, both backends; pruned,
+  matching ``swope_*`` call exactly (same seed; pruned,
   sequential, and cold/warm cached runs too), and a mixed four-query
   plan must reproduce the same four queries run one by one through a
   fresh executor's query methods;
@@ -42,7 +42,6 @@ from repro.core.swope import (
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
-from repro.data.backends import ProcessBackend
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     DataFormatError,
@@ -53,19 +52,6 @@ from repro.exceptions import (
 from repro.obs import InMemorySink, MetricsRegistry
 
 SEED = 7
-BACKENDS = ["numpy", "process"]
-
-
-@pytest.fixture(scope="module")
-def pooled_process():
-    """A process backend that sends every batch through its worker pool."""
-    backend = ProcessBackend(max_workers=2, min_parallel_cells=0)
-    yield backend
-    backend.close()
-
-
-def _backend(name: str, pooled: ProcessBackend) -> str | ProcessBackend:
-    return pooled if name == "process" else name
 
 
 @pytest.fixture()
@@ -358,34 +344,22 @@ def _assert_facade_matches_plan(store, spec, *, cached=False, **executor_kwargs)
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(FACADES))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_query_plan_matches_legacy(
-        self, store, name, backend, pooled_process
-    ):
-        backend = _backend(backend, pooled_process)
+    def test_single_query_plan_matches_legacy(self, store, name):
         spec = _spec(name)
-        _assert_facade_matches_plan(store, spec, backend=backend)
-        _assert_facade_matches_plan(store, spec, backend=backend, cached=True)
-        _assert_facade_matches_plan(
-            store, spec, backend=backend, sequential=True
-        )
+        _assert_facade_matches_plan(store, spec)
+        _assert_facade_matches_plan(store, spec, cached=True)
+        _assert_facade_matches_plan(store, spec, sequential=True)
         if spec.kind == "top_k":
-            _assert_facade_matches_plan(
-                store, replace(spec, prune=True), backend=backend
-            )
+            _assert_facade_matches_plan(store, replace(spec, prune=True))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_plan_matches_sequential_session(
-        self, store, backend, pooled_process
-    ):
-        backend = _backend(backend, pooled_process)
-        executor = PlanExecutor(store, seed=SEED, backend=backend)
+    def test_mixed_plan_matches_sequential_session(self, store):
+        executor = PlanExecutor(store, seed=SEED)
         plan = plan_queries(store, _mixed_specs())
         outcome = executor.execute(plan)
 
         # Run the single queries in the plan's *scheduled* order — the
         # ratchet floor each query starts from depends on who ran before.
-        single = PlanExecutor(store, seed=SEED, backend=backend)
+        single = PlanExecutor(store, seed=SEED)
         runners = {
             "tk_h": lambda: single.top_k_entropy(2),
             "f_h": lambda: single.filter_entropy(2.0),
