@@ -493,7 +493,6 @@ def plan_queries(
     specs: Sequence[QuerySpec],
     *,
     order: str = "cost",
-    cost_model: CostModel | None = None,
     failure_probability: float | None = None,
 ) -> QueryPlan:
     """Validate, normalise, dedup, and *schedule* ``specs`` into a plan.
@@ -512,14 +511,14 @@ def plan_queries(
     candidates.
 
     Scheduling: with ``order="cost"`` (the default) the batch runs
-    cheapest-predicted-first under ``cost_model`` (default: the analytic
+    cheapest-predicted-first under the analytic
     :class:`~repro.core.cost.CostModel`, a pure function of the store
     schema and query shapes — deterministic across sessions, which the
-    cache's bit-identity gate relies on). Cheap queries then pay the
+    cache's bit-identity gate relies on. Cheap queries then pay the
     early prefix sizes and expensive queries join the scan at the
     ratcheted frontier, maximising counter reuse. Ties break by
     submission index, so the schedule is deterministic for a fixed
-    plan + model.
+    plan.
     ``order="submission"`` keeps the caller's order.
     ``failure_probability`` only feeds the cost predictions; pass the
     executor's value when it differs from the paper default ``1/N``.
@@ -592,29 +591,13 @@ def plan_queries(
     model_label = "none"
     scheduled = normalized
     if order == "cost":
-        model = cost_model if cost_model is not None else CostModel()
-        predictions: list[int] = []
-        for resolved in normalized:
-            candidates = resolved.attributes or ()
-            if candidates:
-                predictions.append(
-                    model.estimate(
-                        store,
-                        kind=resolved.kind,
-                        score=resolved.score,
-                        epsilon=(
-                            resolved.epsilon
-                            if resolved.epsilon is not None
-                            else PAPER_EPSILON[(resolved.kind, resolved.score)]
-                        ),
-                        candidates=candidates,
-                        target=resolved.target,
-                        threshold=resolved.threshold,
-                        failure_probability=failure_probability,
-                    ).predicted_cells
-                )
-            else:  # pragma: no cover - empty stores cannot build specs
-                predictions.append(0)
+        model = CostModel()
+        predictions = [
+            estimate.predicted_cells
+            for estimate in model.estimate_batch(
+                store, normalized, failure_probability=failure_probability
+            )
+        ]
         ranked = sorted(
             range(len(normalized)), key=lambda i: (predictions[i], i)
         )
