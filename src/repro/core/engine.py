@@ -282,9 +282,9 @@ class MutualInformationScoreProvider:
                 )
         store = self._sampler.store
         counting_start = time.perf_counter()
-        # Joints first: each dense joint update leaves the marginal deltas
-        # of its block on the sampler, so the candidates' marginals and
-        # then the target's are read off them instead of gathered again.
+        # Joints first: once a dense joint sits at sample_size, the
+        # candidates' marginals and then the target's are read off its
+        # running total instead of gathered again.
         joints = self._sampler.joint_counts_batch(
             self._target, attributes, sample_size
         )

@@ -1359,6 +1359,13 @@ class PlanExecutor:
         completed queries are restored without re-running, the in-flight
         query restarts at its last checkpointed boundary, and the final
         answers are bit-identical to an uninterrupted run.
+
+        Before each query the sampler is told which joints the plan's
+        later MI queries will count
+        (:meth:`~repro.data.sampling.PrefixSampler.expect_joints`), so
+        an entropy query that reads a candidate's block those joints
+        still lack counts the joint delta from it and holds it for the
+        MI query; nothing held outlives the plan.
         """
         if budget is _UNSET:
             budget = self._budget
@@ -1482,6 +1489,12 @@ class PlanExecutor:
                 sub_budget = _remaining_budget(
                     budget, started, cells_at_start, self._sampler
                 )
+                self._sampler.expect_joints(
+                    (later.target, candidate)
+                    for later in plan.specs[index + 1 :]
+                    if later.target is not None
+                    for candidate in later.attributes or ()
+                )
                 hook: CheckpointHook | None = None
                 if self._checkpoint_path is not None:
                     hook = self._boundary_hook(
@@ -1549,6 +1562,7 @@ class PlanExecutor:
                         metrics=metrics,
                     )
         finally:
+            self._sampler.discard_held_joints()
             # As above: the event reads the deterministic local, not the
             # wall-clock-tainted stats object (SWP013).
             cells_scanned = self._sampler.cells_scanned - cells_at_start

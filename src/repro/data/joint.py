@@ -85,41 +85,67 @@ class JointCounter:
         return self._dense is not None
 
     # ------------------------------------------------------------------
-    def update(self, first: np.ndarray, second: np.ndarray) -> np.ndarray | None:
+    def update(self, first: np.ndarray, second: np.ndarray) -> None:
         """Add one batch of records' pair observations to the counter.
 
-        Returns the dense counter's delta for this batch — the flat
-        ``bincount`` of its pair codes, of length ``u1 * u2`` — so a
-        caller can read both marginals of the batch off it (row and
-        column sums of its ``(u1, u2)`` reshape) without reading either
-        column again. Returns ``None`` for a sparse counter or an empty
-        batch. The delta is the caller's to keep; the counter holds no
-        reference to it.
+        For a dense counter this is :meth:`count` followed by
+        :meth:`add`; a sparse counter merges the batch's unique codes
+        into its map.
         """
+        if self._dense is not None:
+            self.add(self.count(first, second), first.size)
+            return
+        assert self._sparse is not None
+        unique, counts = np.unique(self._codes(first, second), return_counts=True)
+        sparse = self._sparse
+        for code, count in zip(unique.tolist(), counts.tolist()):
+            sparse[code] = sparse.get(code, 0) + count
+        self._total += first.size
+
+    def count(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Dense joint counts of one batch, *not* added to the counter.
+
+        Returns the flat ``bincount`` of the batch's pair codes, of
+        length ``u1 * u2``: a delta that :meth:`add` can fold in later,
+        or whose row and column sums count each attribute's values over
+        the batch. Dense counters only.
+        """
+        if self._dense is None:
+            raise ParameterError("count() needs a dense joint counter")
+        return np.bincount(
+            self._codes(first, second), minlength=self._dense.shape[0]
+        )
+
+    def add(self, delta: np.ndarray, records: int) -> None:
+        """Fold in a :meth:`count` delta that covers ``records`` records."""
+        if self._dense is None:
+            raise ParameterError("add() needs a dense joint counter")
+        self._dense += delta
+        self._total += records
+
+    def marginal(self, axis: int) -> np.ndarray:
+        """Counts of one attribute's values over every record counted.
+
+        ``axis=0`` gives the first attribute's counts (the row sums of
+        the ``(u1, u2)`` table), ``axis=1`` the second's. Dense counters
+        only: a marginal read this way is exact at :attr:`total` records
+        whatever prefix the attribute's own counter sits at.
+        """
+        if self._dense is None:
+            raise ParameterError("marginal() needs a dense joint counter")
+        return self._dense.reshape(self._u1, self._u2).sum(axis=1 - axis)
+
+    def _codes(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         if first.shape != second.shape:
             raise ParameterError(
                 f"mismatched batch shapes {first.shape} vs {second.shape}"
             )
-        if first.size == 0:
-            return None
         # asarray, not astype: already-int64 blocks (the batch layer
         # pre-casts the shared first-column block once) pass through
         # without a copy.
-        codes = np.asarray(first, dtype=np.int64) * self._u2 + np.asarray(
+        return np.asarray(first, dtype=np.int64) * self._u2 + np.asarray(
             second, dtype=np.int64
         )
-        delta: np.ndarray | None = None
-        if self._dense is not None:
-            delta = np.bincount(codes, minlength=self._dense.shape[0])
-            self._dense += delta
-        else:
-            assert self._sparse is not None
-            unique, counts = np.unique(codes, return_counts=True)
-            sparse = self._sparse
-            for code, count in zip(unique.tolist(), counts.tolist()):
-                sparse[code] = sparse.get(code, 0) + count
-        self._total += first.size
-        return delta
 
     def nonzero_counts(self) -> np.ndarray:
         """Return the nonzero joint counts ``n_{i,j}`` as a flat int64 array.

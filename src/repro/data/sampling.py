@@ -18,7 +18,11 @@ iteration, and the martingale argument of Section 3.1 applies.
   new records of each requested attribute — the columnar "sequential
   sampling" the paper describes);
 * pairwise joint counters (for empirical mutual information) maintained the
-  same way through :class:`repro.data.joint.JointCounter`;
+  same way through :class:`repro.data.joint.JointCounter`; a marginal at
+  a dense joint's prefix is read off that joint's running total instead
+  of being gathered, and within a plan a marginal extension counts the
+  joint deltas a later MI query will need from the block it reads
+  anyway (:meth:`PrefixSampler.expect_joints`);
 * an exact account of work done (``cells_scanned``) so experiments can
   report a machine-independent cost next to wall-clock time.
 
@@ -32,7 +36,7 @@ generators, which emit i.i.d. rows).
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Protocol
 
 import numpy as np
@@ -185,10 +189,15 @@ class PrefixSampler:
         # and joint pair extending over the same block.
         self._block_range: tuple[int, int] | None = None
         self._block_rows: np.ndarray | None = None
-        # Marginal deltas read off dense joint updates of the current
-        # block: (name, start, stop) -> counts of name's values over
-        # prefix positions [start, stop). Cleared with the block cache.
-        self._derived: dict[tuple[str, int, int], np.ndarray] = {}
+        # name -> the dense joint most recently counted with name. At
+        # that joint's stop, name's marginal is read off its running
+        # total (see _derived_marginal).
+        self._derived: dict[str, tuple[str, str]] = {}
+        # Joints a running plan's later queries will count, as
+        # candidate -> targets (see expect_joints), and the joint deltas
+        # counted ahead for them: pair -> (start, stop, delta).
+        self._expected: dict[str, dict[str, None]] = {}
+        self._held: dict[tuple[str, str], tuple[int, int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -412,15 +421,12 @@ class PrefixSampler:
         Within one adaptive iteration every live column (and joint pair)
         extends its counts over the same ``[start, stop)`` block of the
         shuffle, so the permutation slice is materialized once and shared
-        until a different block is requested, which also drops the
-        marginal deltas derived from the previous block's joints.
-        Sequential samplers return a plain slice (the physical order
-        needs no gather).
+        until a different block is requested. Sequential samplers return
+        a plain slice (the physical order needs no gather).
         """
         if self._block_range != (start, stop):
             self._block_range = (start, stop)
             self._block_rows = None if self._perm is None else self._perm[start:stop]
-            self._derived.clear()
         if self._block_rows is None:
             return slice(start, stop)
         return self._block_rows
@@ -455,11 +461,22 @@ class PrefixSampler:
 
         The batched form of :meth:`marginal_counts` (which delegates
         here): one backend pass counts every requested column, with the
-        permutation block materialized once and shared. A column whose
-        missing block a dense joint update just counted (see
-        :meth:`joint_counts_batch`) takes its delta from that joint
-        instead and skips the backend. Counts, cost accounting, and
-        error behaviour are identical to issuing the equivalent scalar
+        permutation block materialized once and shared. Two kinds of
+        column skip the backend:
+
+        * a column whose most recent dense joint (see
+          :meth:`joint_counts_batch`) sits at ``num_rows`` is read off
+          that joint's running total, whatever its own prefix;
+        * a column one of whose :meth:`expect_joints` pairs has an
+          existing dense joint at exactly the column's prefix is read
+          off that pair's joint delta over the same block, counted here
+          from the column's block and the target's (gathered once per
+          target and block), and the delta is held for the later query
+          that counts the joint (:meth:`joint_counts_batch` adds it).
+
+        Counts, cost accounting (``num_rows - start`` cells per column;
+        a held delta bills nothing until its joint takes it), and error
+        behaviour are identical to issuing the equivalent scalar
         calls — attributes whose counters are at different prefixes
         each extend only their own missing block.
 
@@ -508,25 +525,86 @@ class PrefixSampler:
             start = starts[name]
             if start == num_rows:
                 continue
-            derived = self._derived.pop((name, start, num_rows), None)
-            if derived is None:
+            total = self._derived_marginal(name, num_rows)
+            if total is None:
                 by_start.setdefault(start, []).append(name)
                 continue
-            counters[name] += derived
+            counters[name][...] = total
             self._cells_scanned += num_rows - start
             self._marginals[name] = (num_rows, counters[name])
         for start, group in by_start.items():
             rows = self._prefix_rows(start, num_rows)
-            fresh = self._backend.count_columns(
-                [self._store.column(name) for name in group],
-                [counters[name].shape[0] for name in group],
-                rows,
+            deltas = (
+                self._count_expected_joints(group, start, num_rows)
+                if self._expected and self._joints
+                else {}
             )
-            for name, delta in zip(group, fresh):
-                counters[name] += delta
+            rest = [name for name in group if name not in deltas]
+            if rest:
+                fresh = self._backend.count_columns(
+                    [self._store.column(name) for name in rest],
+                    [counters[name].shape[0] for name in rest],
+                    rows,
+                )
+                deltas.update(zip(rest, fresh))
+            for name in group:
+                counters[name] += deltas[name]
                 self._cells_scanned += num_rows - start
                 self._marginals[name] = (num_rows, counters[name])
         return counters
+
+    def _derived_marginal(self, name: str, num_rows: int) -> np.ndarray | None:
+        """``name``'s counts over the first ``num_rows`` rows off a dense
+        joint's running total, or ``None`` when no dense joint with
+        ``name`` sits at ``num_rows``."""
+        key = self._derived.get(name)
+        if key is None:
+            return None
+        state = self._joints.get(key)
+        if state is None or state[0] != num_rows or not state[1].is_dense:
+            return None
+        return state[1].marginal(0 if key[0] == name else 1)
+
+    def _count_expected_joints(
+        self, group: Sequence[str], start: int, stop: int
+    ) -> dict[str, np.ndarray]:
+        """Count expected joints over a block ``group`` is extending over.
+
+        For each column of ``group`` with an expected pair whose dense
+        joint sits at exactly ``start``, count the pair's joint delta
+        over ``[start, stop)`` from the column's block and the target's
+        (cast once per target), hold it for the later query, and return
+        the marginal deltas of both attributes read off it (first pair
+        wins). Joints that do not exist yet are never started here.
+        """
+        rows = self._prefix_rows(start, stop)
+        target_blocks: dict[str, np.ndarray] = {}
+        deltas: dict[str, np.ndarray] = {}
+        for name in group:
+            block: np.ndarray | None = None
+            for target in self._expected.get(name, {}):
+                key = (target, name) if target <= name else (name, target)
+                state = self._joints.get(key)
+                if state is None or state[0] != start or not state[1].is_dense:
+                    continue
+                counter = state[1]
+                block_target = target_blocks.get(target)
+                if block_target is None:
+                    block_target = self._store.column(target)[rows].astype(np.int64)
+                    target_blocks[target] = block_target
+                if block is None:
+                    block = self._store.column(name)[rows]
+                if key[0] == target:
+                    delta = counter.count(block_target, block)
+                else:
+                    delta = counter.count(block, block_target)
+                self._held[key] = (start, stop, delta)
+                table = delta.reshape(self._store.support_size(key[0]), -1)
+                for axis, side in ((1, key[0]), (0, key[1])):
+                    if side not in deltas:
+                        deltas[side] = table.sum(axis=axis)
+        # only columns of this group extend over [start, stop)
+        return {name: deltas[name] for name in group if name in deltas}
 
     # ------------------------------------------------------------------
     # Joint counts
@@ -551,11 +629,16 @@ class PrefixSampler:
         the permutation block itself. Counts, cost accounting, and error
         behaviour are identical to the equivalent scalar calls.
 
-        Each dense update also leaves the marginal deltas of both
-        attributes over its block on the sampler (row and column sums of
-        the joint delta), so a following :meth:`marginal_counts_batch`
-        over the same ``[start, stop)`` reads them instead of gathering
-        and counting those columns again. Sparse joints leave none.
+        A pair at the start of a delta that
+        :meth:`marginal_counts_batch` held for it takes that delta
+        (billed ``2 (stop - start)`` cells, as a gather would be) and
+        gathers only what lies beyond its stop; a held delta that no
+        longer starts at the pair's prefix (a counter cache moved it) is
+        dropped. Each dense pair also becomes the marginal source of both
+        its attributes at its new prefix, so a following
+        :meth:`marginal_counts_batch` reads their counts off the joint's
+        running total instead of gathering those columns again. Sparse
+        joints serve no marginals.
 
         Returns the live counters keyed by the second attribute's name;
         duplicate names collapse to one entry.
@@ -596,6 +679,12 @@ class PrefixSampler:
                     counted, counter = served_joint
                     self._cells_saved += 2 * (counted - previous)
                     self._joints[key] = (counted, counter)
+            held = self._held.pop(key, None)
+            if held is not None and held[0] == counted and held[1] <= num_rows:
+                counter.add(held[2], held[1] - counted)
+                self._cells_scanned += 2 * (held[1] - counted)
+                counted = held[1]
+                self._joints[key] = (counted, counter)
             if num_rows > counted:
                 block_first = first_blocks.get(counted)
                 if block_first is None:
@@ -609,32 +698,44 @@ class PrefixSampler:
                     self._prefix_rows(counted, num_rows)
                 ]
                 if key[0] == first:
-                    delta = counter.update(block_first, block_second)
+                    counter.update(block_first, block_second)
                 else:
-                    delta = counter.update(block_second, block_first)
-                if delta is not None:
-                    self._derive_marginals(key, counted, num_rows, delta)
+                    counter.update(block_second, block_first)
                 self._cells_scanned += 2 * (num_rows - counted)
                 self._joints[key] = (num_rows, counter)
+            if counter.is_dense:
+                self._derived[first] = self._derived[second] = key
             out[second] = counter
         return out
 
-    def _derive_marginals(
-        self, key: tuple[str, str], start: int, stop: int, delta: np.ndarray
-    ) -> None:
-        """Keep both marginal deltas of one dense joint update.
+    # ------------------------------------------------------------------
+    # Joints counted ahead for a plan's later queries
+    # ------------------------------------------------------------------
+    def expect_joints(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Name the ``(target, candidate)`` joints later queries will count.
 
-        ``delta`` is the flat ``(u_first, u_second)`` joint count of
-        prefix positions ``[start, stop)`` for the pair ``key``; its row
-        sums count ``key[0]``'s values over that block and its column
-        sums ``key[1]``'s. An attribute paired with several others (the
-        MI target) is summed once per block.
+        :class:`repro.core.plan.PlanExecutor` calls this before each
+        query of a plan with the pairs of the plan's later MI queries.
+        While a pair is expected, a :meth:`marginal_counts_batch` that
+        extends the candidate from exactly the prefix the pair's dense
+        joint sits at counts the joint's delta over that block from the
+        candidate's block it reads anyway, and holds it for the later
+        query. Replaces the previous expectation; deltas already held
+        stay until :meth:`discard_held_joints`.
         """
-        table = delta.reshape(self._store.support_size(key[0]), -1)
-        for axis, name in ((1, key[0]), (0, key[1])):
-            slot = (name, start, stop)
-            if slot not in self._derived:
-                self._derived[slot] = table.sum(axis=axis)
+        self._expected = {}
+        for target, candidate in pairs:
+            self._expected.setdefault(candidate, {})[target] = None
+
+    def discard_held_joints(self) -> None:
+        """Forget the expected joints and every delta held for them.
+
+        Held deltas live only inside one plan: they never reach
+        :meth:`state_snapshot`, checkpoints or a counter cache, so a
+        resumed or cache-warmed run simply counts those blocks again.
+        """
+        self._expected = {}
+        self._held.clear()
 
     # ------------------------------------------------------------------
     # Cache hygiene
@@ -651,3 +752,4 @@ class PrefixSampler:
         self._marginals.pop(name, None)
         for key in [k for k in self._joints if name in k]:
             self._joints.pop(key)
+            self._held.pop(key, None)

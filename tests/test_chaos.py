@@ -3,7 +3,8 @@
 The durability contract under test (see ``docs/RESILIENCE.md``):
 
 * kill the executor at *every* iteration boundary of the ``plan_mixed``
-  golden workload, resume from the checkpoint, and the final answers,
+  golden workload (and of a plan whose entropy filter carries joint
+  deltas to a later MI filter), resume from the checkpoint, and the final answers,
   guarantee statuses, work accounting, *and the post-resume trace
   events* are byte-identical to the uninterrupted checkpointing run;
   a checkpoint also resumes under a substituted counting backend;
@@ -36,6 +37,7 @@ from repro.testing.chaos import (
     truncate_file,
 )
 from repro.testing.faults import FlakyStore
+from tests.test_plan import _interleaved_specs, _interleaved_store
 
 SEED = 7
 
@@ -84,8 +86,22 @@ def _trace_lines(sink: InMemorySink) -> list[str]:
 # ----------------------------------------------------------------------
 def test_kill_and_resume_at_every_boundary(tmp_path):
     """Bit-identical answers and trace suffix from every kill point."""
-    store = _golden_store()
-    specs = _mixed_specs()
+    _assert_resumes_identically(tmp_path, _golden_store(), _mixed_specs())
+
+
+def test_kill_and_resume_across_a_carried_joint(tmp_path):
+    """The same from every boundary of a plan whose entropy filter holds
+    joint deltas for a later MI filter: a resumed run has no held delta
+    and gathers those blocks instead."""
+    store = _interleaved_store()
+    specs = _interleaved_specs()
+    assert [s.score for s in plan_queries(store, specs).specs] == [
+        "entropy", "mutual_information", "entropy", "mutual_information",
+    ]
+    _assert_resumes_identically(tmp_path, store, specs)
+
+
+def _assert_resumes_identically(tmp_path, store, specs) -> None:
     plan = plan_queries(store, specs)
     boundaries = count_iteration_boundaries(store, specs, seed=SEED)
     assert boundaries > 0

@@ -84,6 +84,38 @@ class TestSparseDenseEquivalence:
         )
 
 
+class TestCountThenAdd:
+    def test_update_is_count_then_add(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 4, 300), rng.integers(0, 5, 300)
+        updated = JointCounter(4, 5)
+        updated.update(a, b)
+        split = JointCounter(4, 5)
+        delta = split.count(a, b)
+        assert split.total == 0 and split.nonzero_counts().size == 0
+        split.add(delta, a.size)
+        assert split.total == updated.total
+        assert np.array_equal(split.snapshot()["dense"], updated.snapshot()["dense"])
+
+    def test_marginals_are_row_and_column_sums(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(0, 4, 300), rng.integers(0, 5, 300)
+        counter = JointCounter(4, 5)
+        counter.update(a, b)
+        assert np.array_equal(counter.marginal(0), np.bincount(a, minlength=4))
+        assert np.array_equal(counter.marginal(1), np.bincount(b, minlength=5))
+
+    def test_sparse_counter_has_no_split(self):
+        counter = JointCounter(4, 5, dense_limit=1)
+        a = np.array([0, 1])
+        with pytest.raises(ParameterError, match="dense"):
+            counter.count(a, a)
+        with pytest.raises(ParameterError, match="dense"):
+            counter.add(np.zeros(20, dtype=np.int64), 0)
+        with pytest.raises(ParameterError, match="dense"):
+            counter.marginal(0)
+
+
 class TestErrors:
     def test_mismatched_batch_shapes(self):
         counter = JointCounter(2, 2)

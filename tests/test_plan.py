@@ -14,7 +14,9 @@ Five layers:
   matching ``swope_*`` call exactly (same seed; pruned,
   sequential, and cold/warm cached runs too), and a mixed four-query
   plan must reproduce the same four queries run one by one through a
-  fresh executor's query methods;
+  fresh executor's query methods; a plan whose entropy filter carries
+  joint deltas to a later MI query matches the same plan run without
+  the carry, answers, cells and trace bytes alike;
 * resilience — plan-wide budgets hand each query the residual, every
   query still answers (with its own guarantee status), and strict mode
   raises on the first truncation while still ratcheting the floor;
@@ -53,6 +55,7 @@ from repro.core.swope import (
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
+from repro.data.backends import NumpyBackend
 from repro.data.column_store import ColumnStore
 from repro.exceptions import (
     DataFormatError,
@@ -62,6 +65,8 @@ from repro.exceptions import (
     SchemaError,
 )
 from repro.obs import InMemorySink, MetricsRegistry
+from repro.obs.sinks import serialize_event
+from repro.testing.chaos import plan_fingerprint
 from tests.test_golden_traces import _golden_store
 from tests.test_golden_traces import _mixed_specs as _golden_mixed_specs
 
@@ -96,6 +101,43 @@ def _mixed_specs() -> list[QuerySpec]:
         QuerySpec(
             kind="filter", score="mutual_information", threshold=0.5,
             target="target", name="f_mi",
+        ),
+    ]
+
+
+def _interleaved_store() -> ColumnStore:
+    """``plan_mixed``'s out-of-core data shape at N = 200k.
+
+    A base column, three noisy copies of it and twelve independent
+    columns of varied support. At this N the cost order of
+    :func:`_interleaved_specs` runs an entropy filter between the two MI
+    queries on ``base``, which extends twelve candidates past their
+    joints' frontier.
+    """
+    rng = np.random.default_rng(2021)
+    n = 200_000
+    base = rng.integers(0, 8, n)
+    data = {"base": base}
+    for i, keep in enumerate((0.85, 0.6, 0.4)):
+        data[f"noisy{i}"] = np.where(
+            rng.random(n) < keep, base, rng.integers(0, 8, n)
+        )
+    for i, support in enumerate((3, 6, 12, 16, 24, 32, 48, 64, 9, 14, 20, 28)):
+        data[f"col{i:02d}"] = rng.integers(0, support, n)
+    return ColumnStore(data)
+
+
+def _interleaved_specs() -> list[QuerySpec]:
+    return [
+        QuerySpec(kind="top_k", score="entropy", k=3, name="top_entropy"),
+        QuerySpec(kind="filter", score="entropy", threshold=2.0, name="high_entropy"),
+        QuerySpec(
+            kind="top_k", score="mutual_information", k=3, target="base",
+            name="top_mi",
+        ),
+        QuerySpec(
+            kind="filter", score="mutual_information", threshold=0.2,
+            target="base", name="relevant_mi",
         ),
     ]
 
@@ -582,6 +624,73 @@ class TestBitIdentity:
         outcome = executor.execute(plan_queries(store, _mixed_specs()))
         assert len(outcome) == 4
         assert executor.queries_run == 4
+
+
+class _CellMeter:
+    """Numpy counting that tallies the cells sent to the backend."""
+
+    name = "meter"
+
+    def __init__(self) -> None:
+        self.cells = 0
+
+    def count_columns(self, columns, support_sizes, rows):
+        self.cells += len(columns) * len(rows)
+        return NumpyBackend().count_columns(columns, support_sizes, rows)
+
+
+class TestJointCarry:
+    def test_carry_is_invisible_in_answers_cells_and_trace(self, monkeypatch):
+        store = _interleaved_store()
+        plan = plan_queries(store, _interleaved_specs())
+        assert plan.names == (
+            "top_entropy", "top_mi", "high_entropy", "relevant_mi"
+        )
+
+        def run(carry: bool):
+            sink = InMemorySink()
+            meter = _CellMeter()
+            executor = PlanExecutor(store, seed=SEED, trace=sink, backend=meter)
+            if not carry:
+                monkeypatch.setattr(
+                    executor.sampler, "expect_joints", lambda pairs: None
+                )
+            outcome = executor.execute(plan)
+            assert executor.sampler._held == {}
+            return outcome, [serialize_event(e) for e in sink.events], meter
+
+        carried, carried_trace, carried_meter = run(carry=True)
+        gathered, gathered_trace, gathered_meter = run(carry=False)
+        for name in plan.names:
+            _assert_results_equal(carried[name], gathered[name])
+        assert carried.stats.per_query_cells == gathered.stats.per_query_cells
+        assert plan_fingerprint(carried) == plan_fingerprint(gathered)
+        assert carried_trace == gathered_trace
+        # high_entropy read its twelve candidates off joint deltas it
+        # held for relevant_mi instead of sending them to the backend
+        assert carried_meter.cells < gathered_meter.cells
+
+    def test_each_query_expects_the_later_mi_joints(self, store, monkeypatch):
+        executor = PlanExecutor(store, seed=SEED)
+        calls: list[list[tuple[str, str]]] = []
+        monkeypatch.setattr(
+            executor.sampler, "expect_joints",
+            lambda pairs: calls.append(list(pairs)),
+        )
+        plan = plan_queries(store, _mixed_specs())
+        executor.execute(plan)
+        assert plan.names == ("f_h", "tk_h", "tk_mi", "f_mi")
+        pairs = {
+            ("target", name)
+            for name in ("wide", "medium", "narrow", "noisy", "independent")
+        }
+        # both MI queries follow f_h and tk_h; only f_mi follows tk_mi
+        assert [set(call) for call in calls] == [pairs, pairs, pairs, set()]
+        assert executor.sampler._held == {}
+        # a query outside a plan sets no expectation
+        calls.clear()
+        executor.execute_one(_mixed_specs()[0])
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

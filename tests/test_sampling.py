@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.backends import NumpyBackend
 from repro.data.column_store import ColumnStore
+from repro.data.joint import JointCounter
 from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, SchemaError
 
@@ -214,6 +215,29 @@ class MarginalOnlyCache:
         return None
 
 
+class JointOnlyCache:
+    """Counter cache serving ``target``'s joints counted to ``prefix``."""
+
+    def __init__(self, store, seed, target, names, prefix):
+        reference = PrefixSampler(store, seed=seed)
+        self._joints = {
+            tuple(sorted((target, name))): reference.joint_counts(
+                target, name, prefix
+            ).snapshot()
+            for name in names
+        }
+        self._prefix = prefix
+
+    def best_marginal(self, name, counted, num_rows):
+        return None
+
+    def best_joint(self, first, second, counted, num_rows):
+        state = self._joints.get((first, second))
+        if state is not None and counted < self._prefix <= num_rows:
+            return self._prefix, JointCounter.from_snapshot(state)
+        return None
+
+
 def mi_step(sampler, target, candidates, num_rows, *, joints_first):
     """One MI iteration's counting, in the engine's order or the old one."""
     if joints_first:
@@ -332,7 +356,7 @@ class TestDerivedMarginals:
         assert set(spy.counted) == {"wide"}
         assert_exact_prefix_counts(sampler, sparse_store)
 
-    def test_warm_start_misaligning_prefixes_falls_back(self, store):
+    def test_warm_start_misaligning_prefixes_reads_joint_totals(self, store):
         names = ["x", "y", "z"]
         spy = SpyBackend(store)
         sampler = PrefixSampler(
@@ -351,17 +375,17 @@ class TestDerivedMarginals:
             mi_step(reference, "y", ["x", "z"], size, joints_first=False)
             assert_same_counts(sampler, reference)
         # at 1000 the marginals jump from 500 to the cached 700 while the
-        # joints extend from 500: the [700, 1000) block is gathered, the
-        # aligned blocks are not
+        # joints extend from 500: the marginals are read off the joints'
+        # totals at 1000, so no block is gathered for them
         assert sampler.cells_saved == 3 * (700 - 500)
-        assert sorted(spy.counted) == ["x", "y", "z"]
+        assert spy.counted == []
         assert_exact_prefix_counts(sampler, store)
 
     def test_release_between_joint_and_marginal(self, store, monkeypatch):
         sampler = PrefixSampler(store, seed=4)
         # Same calls in the same order, every marginal gathered.
         reference = PrefixSampler(store, seed=4)
-        monkeypatch.setattr(reference, "_derive_marginals", lambda *args: None)
+        monkeypatch.setattr(reference, "_derived_marginal", lambda *args: None)
         for both in (sampler, reference):
             mi_step(both, "y", ["x", "z"], 500, joints_first=True)
             both.joint_counts_batch("y", ["x", "z"], 1000)
@@ -373,15 +397,152 @@ class TestDerivedMarginals:
         assert_exact_prefix_counts(sampler, store)
 
     def test_marginal_ahead_of_its_joint(self, store):
-        sampler = PrefixSampler(store, seed=4)
+        spy = SpyBackend(store)
+        sampler = PrefixSampler(store, seed=4, backend=spy)
         reference = PrefixSampler(store, seed=4)
         for both in (sampler, reference):
             # an entropy query pushes "x" past the MI scan's frontier
             both.marginal_counts_batch(["x"], 1000)
+        assert spy.counted == ["x"]
         for size in (1000, 2000):
             mi_step(sampler, "y", ["x", "z"], size, joints_first=True)
             mi_step(reference, "y", ["x", "z"], size, joints_first=False)
             assert_same_counts(sampler, reference)
+        # "x" from 1000 and "y", "z" from 0 are all read off the joints'
+        # totals: nothing is gathered after the entropy step
+        assert spy.counted == ["x"]
         assert_exact_prefix_counts(sampler, store)
-        # the unused [0, 1000) delta of "x" went with its block
-        assert ("x", 0, 1000) not in sampler._derived
+
+    @pytest.mark.parametrize("mi_size", [1000, 2000])
+    def test_entropy_step_carries_joints_to_a_later_mi_step(
+        self, store, mi_size, monkeypatch
+    ):
+        spy = SpyBackend(store)
+        sampler = PrefixSampler(store, seed=4, backend=spy)
+        reference = PrefixSampler(store, seed=4)
+        monkeypatch.setattr(reference, "expect_joints", lambda pairs: None)
+        for both in (sampler, reference):
+            both.expect_joints([("y", "x"), ("y", "z")])
+            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
+        assert_same_counts(sampler, reference)
+        for both in (sampler, reference):
+            # an entropy step past the joints' frontier at 500
+            both.marginal_counts_batch(["x", "y", "z"], 1000)
+        # held deltas are invisible: joints still at 500, same meter
+        assert_same_counts(sampler, reference)
+        assert set(sampler._held) == {("x", "y"), ("y", "z")}
+        # x and z came off their joint deltas, the target y off a row sum
+        assert spy.counted == []
+        updates: list[int] = []
+        real_update = JointCounter.update
+
+        def recording_update(counter, first, second):
+            updates.append(first.size)
+            real_update(counter, first, second)
+
+        monkeypatch.setattr(JointCounter, "update", recording_update)
+        mi_step(sampler, "y", ["x", "z"], mi_size, joints_first=True)
+        # only rows beyond the held [500, 1000) block are gathered
+        assert updates == ([mi_size - 1000] * 2 if mi_size > 1000 else [])
+        mi_step(reference, "y", ["x", "z"], mi_size, joints_first=True)
+        assert_same_counts(sampler, reference)
+        assert sampler._held == {}
+        assert spy.counted == []
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_cache_serving_the_joint_further_drops_the_held_delta(self, store):
+        def cache():
+            return JointOnlyCache(store, 4, "y", ["x", "z"], 1500)
+
+        sampler = PrefixSampler(store, seed=4, counter_cache=cache())
+        reference = PrefixSampler(store, seed=4, counter_cache=cache())
+        sampler.expect_joints([("y", "x"), ("y", "z")])
+        for both in (sampler, reference):
+            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
+            both.marginal_counts_batch(["x", "y", "z"], 1000)
+        assert set(sampler._held) == {("x", "y"), ("y", "z")}
+        for both in (sampler, reference):
+            mi_step(both, "y", ["x", "z"], 2000, joints_first=True)
+        # the cache moved both joints from 500 to 1500, past the held
+        # deltas' start, so they were dropped and [1500, 2000) gathered
+        assert sampler._held == {}
+        assert sampler.cells_saved == 2 * 2 * (1500 - 500)
+        assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_release_drops_the_held_delta(self, store):
+        sampler = PrefixSampler(store, seed=4)
+        reference = PrefixSampler(store, seed=4)
+        sampler.expect_joints([("y", "x"), ("y", "z")])
+        for both in (sampler, reference):
+            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
+            both.marginal_counts_batch(["x", "y", "z"], 1000)
+            both.release("x")
+        assert set(sampler._held) == {("y", "z")}
+        for both in (sampler, reference):
+            mi_step(both, "y", ["x", "z"], 2000, joints_first=True)
+        assert sampler._held == {}
+        assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, store)
+
+    def test_sparse_joint_is_never_carried(self, rng):
+        n = 2000
+        sparse_store = ColumnStore(
+            {
+                "wide": rng.permutation(np.arange(n) % 1200),
+                "wider": rng.permutation(np.arange(n) % 1000),
+                "y": rng.integers(0, 5, n),
+            }
+        )
+        spy = SpyBackend(sparse_store)
+        sampler = PrefixSampler(sparse_store, seed=4, backend=spy)
+        reference = PrefixSampler(sparse_store, seed=4)
+        sampler.expect_joints([("wider", "wide"), ("wider", "y")])
+        for both in (sampler, reference):
+            mi_step(both, "wider", ["wide", "y"], 500, joints_first=True)
+        spy.counted.clear()
+        for both in (sampler, reference):
+            both.marginal_counts_batch(["wide", "wider", "y"], 1000)
+        assert set(sampler._held) == {("wider", "y")}
+        # the sparse pair's candidate is gathered; "y" and the target
+        # come off the dense ("wider", "y") delta
+        assert spy.counted == ["wide"]
+        for both in (sampler, reference):
+            mi_step(both, "wider", ["wide", "y"], 2000, joints_first=True)
+        assert sampler._held == {}
+        assert_same_counts(sampler, reference)
+        assert_exact_prefix_counts(sampler, sparse_store)
+
+    def test_discard_held_joints_ends_the_carry(self, store):
+        sampler = PrefixSampler(store, seed=4)
+        sampler.expect_joints([("y", "x"), ("y", "z")])
+        mi_step(sampler, "y", ["x", "z"], 500, joints_first=True)
+        sampler.marginal_counts_batch(["x", "y", "z"], 1000)
+        assert sampler._held
+        sampler.discard_held_joints()
+        assert sampler._held == {}
+        # with no expectation left, the next entropy step holds nothing
+        sampler.marginal_counts_batch(["x", "y", "z"], 2000)
+        assert sampler._held == {}
+
+    def test_marginal_ahead_of_a_sparse_joint_is_gathered(self, rng):
+        n = 2000
+        sparse_store = ColumnStore(
+            {
+                "wide": rng.permutation(np.arange(n) % 1200),
+                "wider": rng.permutation(np.arange(n) % 1000),
+            }
+        )
+        spy = SpyBackend(sparse_store)
+        sampler = PrefixSampler(sparse_store, seed=4, backend=spy)
+        reference = PrefixSampler(sparse_store, seed=4)
+        for both in (sampler, reference):
+            both.marginal_counts_batch(["wide"], 1000)
+        for size in (1000, 2000):
+            mi_step(sampler, "wider", ["wide"], size, joints_first=True)
+            mi_step(reference, "wider", ["wide"], size, joints_first=False)
+            assert_same_counts(sampler, reference)
+        assert not sampler.joint_counts("wide", "wider", 2000).is_dense
+        # a sparse joint serves no marginal: both columns are gathered
+        assert spy.counted == ["wide", "wider", "wide", "wider"]
+        assert_exact_prefix_counts(sampler, sparse_store)
