@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import exact_filter_entropy, exact_top_k_entropy
 from repro.cache import PlanCache, partition_filename
 from repro.core.plan import PlanExecutor
 from repro.data.backends import CountingBackend
@@ -71,6 +72,31 @@ def test_track_runs_every_scenario_end_to_end() -> None:
             assert 0.0 <= query.precision <= 1.0
             assert query.cells >= 0
             assert query.exact_cells > 0
+    # The exact baseline's cost, recomputed straight from the exact
+    # entropy scans over the compiled plan, matches what the track
+    # reports for the entropy-only scenarios.
+    entropy_only = [
+        o for o in report.outcomes
+        if all(q.score == "entropy" for q in o.queries)
+    ]
+    assert [o.scenario for o in entropy_only] == ["skewed", "threshold"]
+    for outcome in entropy_only:
+        dataset = generate_census(outcome.scenario, seed=0, scale=SCALE)
+        kept, _dropped = partition_by_support(dataset.store)
+        exact_cells = 0
+        for spec in census_plan(dataset.scenario, kept).specs:
+            assert spec.attributes is not None
+            candidates = list(spec.attributes)
+            if spec.kind == "top_k":
+                assert spec.k is not None
+                exact = exact_top_k_entropy(kept, spec.k, attributes=candidates)
+            else:
+                assert spec.threshold is not None
+                exact = exact_filter_entropy(
+                    kept, spec.threshold, attributes=candidates
+                )
+            exact_cells += exact.stats.cells_scanned
+        assert exact_cells == outcome.exact_cells
 
 
 def test_scenario_threshold_columns_are_dropped_before_planning() -> None:
