@@ -7,8 +7,9 @@ can only spot-check — every entropy expression must be base-2 (Lemmas
 ``QueryBudget``/``CancellationToken`` contract, and every intentional
 error must derive from the :mod:`repro.exceptions` hierarchy. This
 package encodes those invariants as per-module AST lint rules
-(``SWP001``–``SWP012``) plus whole-program analyses over the project
-call graph (``SWP013``–``SWP016``) and runs them over the tree:
+(``SWP001``–``SWP012``, ``SWP017``, ``SWP018``) plus whole-program
+analyses over the project call graph (``SWP013``, ``SWP014``,
+``SWP016``) and runs them over the tree:
 
     python -m repro.analysis src/ tests/
     python -m repro.analysis --project src/ tests/
@@ -18,19 +19,17 @@ Structure
 * :mod:`repro.analysis.rules` — the rule framework: :class:`Violation`,
   :class:`Rule`, the ``SWP###`` registry, and severities.
 * :mod:`repro.analysis.checks` — the concrete per-module SWOPE rules.
-* :mod:`repro.analysis.graph` — project-wide import/call graph with
-  sha256-cached per-module summaries.
+* :mod:`repro.analysis.graph` — project-wide import/call graph built
+  from per-module summaries.
 * :mod:`repro.analysis.flow` — intra-procedural determinism-taint
   analysis feeding the graph summaries.
 * :mod:`repro.analysis.project` — the :class:`ProjectContext` handed to
   whole-program rules, including the entry-point contract.
 * :mod:`repro.analysis.checks_project` — the whole-program rules
-  (determinism taint, budget reachability, thread-shared-state,
-  exception contract).
+  (determinism taint, budget reachability, exception contract).
 * :mod:`repro.analysis.checker` — parses files, applies rules, and
   resolves ``# noqa: SWP###`` suppressions (including unused- and
   unknown-suppression detection, reported as ``SWP000``).
-* :mod:`repro.analysis.baseline` — the ``--baseline`` ratchet file.
 * :mod:`repro.analysis.reporting` — text, JSON, and SARIF reporters.
 * :mod:`repro.analysis.cli` — the ``python -m repro.analysis`` entry
   point.
@@ -41,7 +40,6 @@ invariant matters.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checker import (
     AnalysisReport,
     ModuleContext,
@@ -59,7 +57,6 @@ from repro.analysis.project import ProjectContext
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "ModuleContext",
     "ModuleSummary",
     "ProjectContext",

@@ -19,7 +19,6 @@ regressions and must be deleted.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -415,28 +414,21 @@ def analyze_project(
     ignore: Iterable[str] | None = None,
     report_unused: bool = True,
     display_root: Path | None = None,
-    cache_path: Path | None = None,
-    module_files: Iterable[str] | None = None,
 ) -> AnalysisReport:
     """Whole-program analysis: per-module rules + graph-based rules.
 
     Parses every ``.py`` file under ``paths`` once, runs the per-module
     rules on each, links every parsed module inside the ``repro``
-    package into a :class:`~repro.analysis.graph.ProjectGraph` (with an
-    optional sha256-keyed summary cache at ``cache_path``), and runs the
-    registered ``@project_rule`` checks over the resulting
+    package into a :class:`~repro.analysis.graph.ProjectGraph`, and runs
+    the registered ``@project_rule`` checks over the resulting
     :class:`~repro.analysis.project.ProjectContext`.
 
-    ``module_files`` (display-relative path strings) narrows which files
-    the *per-module* rules run on — the ``--changed-only`` fast path.
-    The graph and the project rules always see the full tree: a change
-    in one module can create a cross-module violation positioned in
-    another, so partial graphs would under-report. Suppression
-    staleness is judged per file against the codes that actually ran
-    there; unknown-rule suppressions are judged everywhere.
+    Suppression staleness is judged per file against the codes that
+    actually ran there (project codes only inside the ``repro``
+    package); unknown-rule suppressions are judged everywhere.
     """
     # Imported lazily: graph.py needs checks.py which needs this module.
-    from repro.analysis.graph import ProjectGraph, extract_module, load_cache, save_cache
+    from repro.analysis.graph import ProjectGraph, extract_module
     from repro.analysis.project import ProjectContext
 
     if not RULES:  # pragma: no cover - guarded by package __init__ imports
@@ -463,30 +455,14 @@ def analyze_project(
             )
             continue
 
-    narrowed = set(module_files) if module_files is not None else None
     raw_by_path: dict[str, list[Violation]] = {}
-    module_analyzed: set[str] = set()
     for context in contexts:
-        if narrowed is not None and context.path not in narrowed:
-            continue
-        module_analyzed.add(context.path)
         raw = raw_by_path.setdefault(context.path, [])
         for active_rule in module_rules:
             raw.extend(active_rule.run(context))
 
     graph_contexts = [c for c in contexts if c.in_package("repro")]
-    cached = load_cache(cache_path) if cache_path is not None else {}
-    summaries = []
-    for context in graph_contexts:
-        sha = hashlib.sha256(context.text.encode("utf-8")).hexdigest()
-        hit = cached.get(sha)
-        if hit is not None and hit.module == context.module:
-            summaries.append(hit)
-        else:
-            summaries.append(extract_module(context))
-    if cache_path is not None:
-        save_cache(cache_path, summaries)
-    graph = ProjectGraph(summaries)
+    graph = ProjectGraph(extract_module(c) for c in graph_contexts)
     project_context = ProjectContext(
         graph=graph, contexts={c.module: c for c in graph_contexts}
     )
@@ -498,9 +474,7 @@ def analyze_project(
     module_codes = {r.code for r in module_rules}
     project_codes = {r.code for r in project_rules}
     for context in contexts:
-        ran: set[str] = set()
-        if context.path in module_analyzed:
-            ran |= module_codes
+        ran = set(module_codes)
         if context.path in graph_paths:
             ran |= project_codes
         _resolve_suppressions(

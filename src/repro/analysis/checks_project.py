@@ -1,4 +1,4 @@
-"""Whole-program rules SWP013–SWP016 (require ``--project``).
+"""Whole-program rules SWP013, SWP014 and SWP016 (require ``--project``).
 
 These checks consume the linked :class:`~repro.analysis.graph.ProjectGraph`
 via a :class:`~repro.analysis.project.ProjectContext` and enforce the
@@ -9,8 +9,6 @@ cross-module invariants the per-module rules cannot see:
   or result fingerprints (the substrate of golden-trace bit-identity).
 * **SWP014** — budget reachability: every adaptive loop reachable from
   a public entry point must observe its budget (cross-module SWP003).
-* **SWP015** — thread-shared-state: no unlocked writes to shared
-  mutable state in code reachable from threaded worker functions.
 * **SWP016** — exception contract: the transitive raise-set of every
   public entry point stays inside the ``repro.exceptions`` taxonomy.
 """
@@ -182,52 +180,6 @@ def _check_budget_reachability(ctx: ProjectContext) -> Iterator[Violation]:
                     f" reachable from entry point {root.qualname} but never"
                     " checks its QueryBudget/CancellationToken",
                 )
-
-
-# ----------------------------------------------------------------------
-# SWP015 — no unlocked shared-state writes under threaded workers
-# ----------------------------------------------------------------------
-@project_rule(
-    "SWP015",
-    "thread-shared-state",
-    summary="code reachable from threaded workers must not write shared"
-    " mutable state without a lock",
-)
-def _check_thread_shared_state(ctx: ProjectContext) -> Iterator[Violation]:
-    """Writes to shared state in worker-reachable code need a lock.
-
-    Worker roots are the callables handed to ``pool.submit(fn, ...)``,
-    ``pool.map(fn, ...)``, or ``Thread(target=fn)``. Within the code
-    reachable from any worker root, a rebinding through ``global`` /
-    ``nonlocal`` or an in-place mutation of a module-level container is
-    a cross-thread data race unless it sits inside a ``with <lock>:``
-    block. The tree has no worker roots today (counting is serial); the
-    rule guards any pool or thread added later.
-    """
-    this = RULES["SWP015"]
-    graph = ctx.graph
-    workers: list[str] = []
-    for info in ctx.iter_functions():
-        for site in info.dispatches:
-            resolved = graph.resolve_callable(site.chain, info)
-            if resolved is not None and resolved.kind == "function":
-                if resolved.key not in workers:
-                    workers.append(resolved.key)
-    origin = graph.reachable(workers)
-    for key in sorted(origin):
-        info = graph.functions[key]
-        root = graph.functions[origin[key]]
-        for write in info.shared_writes:
-            if write.locked:
-                continue
-            yield ctx.violation(
-                this,
-                info,
-                write.lineno,
-                f"{write.kind} write to shared state {write.name!r} in"
-                f" {info.qualname}, reachable from threaded worker"
-                f" {root.qualname}, is not under a lock",
-            )
 
 
 # ----------------------------------------------------------------------

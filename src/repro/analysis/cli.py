@@ -4,35 +4,30 @@ Exit status contract (what CI gates on):
 
 * ``0`` — no unsuppressed error-severity violations (warnings allowed
   unless ``--fail-on-warning``);
-* ``1`` — at least one new error-severity violation, a parse failure,
-  or (with ``--fail-on-warning``) any warning;
-* ``2`` — usage error (unknown rule code, unreadable baseline, …).
+* ``1`` — at least one unsuppressed error-severity violation, a parse
+  failure, or (with ``--fail-on-warning``) any warning;
+* ``2`` — usage error (unknown flag or rule code, missing path).
 
 Typical invocations::
 
     python -m repro.analysis src/ tests/
     python -m repro.analysis src/ --select SWP002,SWP008 --format json
-    python -m repro.analysis src/ --baseline analysis-baseline.json
-    python -m repro.analysis src/ --baseline debt.json --update-baseline
     python -m repro.analysis --project src/ scripts/
     python -m repro.analysis --project --format sarif src/
-    python -m repro.analysis --changed-only src/ tests/
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import checks as _checks  # noqa: F401 - registers rules
 from repro.analysis import checks_project as _checks_project  # noqa: F401
-from repro.analysis.baseline import Baseline
 from repro.analysis.checker import AnalysisReport, analyze_paths, analyze_project
 from repro.analysis.reporting import render_json, render_sarif, render_text
-from repro.analysis.rules import RULES, Violation
+from repro.analysis.rules import RULES
 from repro.exceptions import AnalysisError
 
 __all__ = ["build_parser", "main"]
@@ -45,7 +40,7 @@ def _parse_codes(raw: str) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="SWOPE-aware static analysis (rules SWP001-SWP016).",
+        description="SWOPE-aware static analysis (rules SWP001-SWP018).",
     )
     parser.add_argument(
         "paths",
@@ -63,20 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--project",
         action="store_true",
         help="whole-program mode: build the cross-module call graph and run"
-        " the project rules (SWP013-SWP016) as well",
-    )
-    parser.add_argument(
-        "--graph-cache",
-        metavar="FILE",
-        help="with --project: cache per-module graph summaries (sha256-keyed"
-        " JSON) so repeat runs only re-extract changed files",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="narrow per-module rules to files changed vs git HEAD"
-        " (+ untracked); whole-program rules still see the full tree;"
-        " falls back to a full run outside a git checkout",
+        " the project rules (SWP013, SWP014, SWP016) as well",
     )
     parser.add_argument(
         "--select",
@@ -87,17 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore",
         metavar="CODES",
         help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="ratchet file: violations recorded there are tolerated",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current violations and exit 0"
-        " (refuses to grow an existing baseline)",
     )
     parser.add_argument(
         "--fail-on-warning",
@@ -122,51 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _narrow_to_changed(
-    paths: list[Path], changed: list[str]
-) -> list[Path]:
-    """Changed files that sit under one of the requested paths."""
-    roots = [p.resolve() for p in paths]
-    out: list[Path] = []
-    for name in changed:
-        candidate = Path(name)
-        if not candidate.exists():
-            continue  # deleted in the working tree
-        resolved = candidate.resolve()
-        if any(root == resolved or root in resolved.parents for root in roots):
-            out.append(candidate)
-    return out
-
-
-def _changed_python_files() -> list[str] | None:
-    """Repo-relative ``.py`` paths changed vs HEAD, plus untracked ones.
-
-    Returns ``None`` when git is unavailable or the working directory is
-    not a checkout — callers fall back to a full run, because silently
-    analysing nothing would let regressions through pre-commit.
-    """
-    outputs: list[str] = []
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        outputs.append(proc.stdout)
-    return sorted(
-        {
-            line.strip()
-            for output in outputs
-            for line in output.splitlines()
-            if line.strip().endswith(".py")
-        }
-    )
-
-
 def _list_rules() -> str:
     lines = []
     for code, registered in sorted(RULES.items()):
@@ -183,24 +109,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
-    if args.graph_cache and not args.project:
-        print("error: --graph-cache requires --project", file=sys.stderr)
-        return 2
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
-    changed: list[str] | None = None
-    if args.changed_only:
-        changed = _changed_python_files()
-        if changed is None:
-            print(
-                "warning: --changed-only needs git; analysing the full tree",
-                file=sys.stderr,
-            )
     try:
         select = _parse_codes(args.select) if args.select else None
         ignore = _parse_codes(args.ignore) if args.ignore else None
@@ -212,18 +124,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ignore=ignore,
                 report_unused=report_unused,
                 display_root=Path.cwd(),
-                cache_path=Path(args.graph_cache) if args.graph_cache else None,
-                module_files=changed,
             )
         else:
-            target_paths = [Path(p) for p in args.paths]
-            if changed is not None:
-                target_paths = _narrow_to_changed(target_paths, changed)
-                if not target_paths:
-                    print("no changed Python files under the given paths")
-                    return 0
             report = analyze_paths(
-                target_paths,
+                [Path(p) for p in args.paths],
                 select=select,
                 ignore=ignore,
                 report_unused=report_unused,
@@ -233,51 +137,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baselined: list[Violation] = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if args.update_baseline:
-            new_baseline = Baseline.from_violations(report.violations)
-            if baseline_path.exists():
-                try:
-                    previous = Baseline.load(baseline_path)
-                except AnalysisError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                if len(new_baseline) > len(previous):
-                    print(
-                        "error: refusing to grow the baseline"
-                        f" ({len(previous)} -> {len(new_baseline)} violations);"
-                        " fix the new findings instead",
-                        file=sys.stderr,
-                    )
-                    return 2
-            new_baseline.save(baseline_path)
-            print(
-                f"baseline {baseline_path} updated:"
-                f" {len(new_baseline)} tolerated violations"
-            )
-            return 0
-        if baseline_path.exists():
-            try:
-                tolerated = Baseline.load(baseline_path)
-            except AnalysisError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            report.violations, baselined = tolerated.filter(report.violations)
-
     if args.format == "sarif":
         print(render_sarif(report))
     elif args.format == "json":
-        print(render_json(report, baselined=baselined))
+        print(render_json(report))
     else:
-        print(
-            render_text(
-                report,
-                baselined=baselined,
-                verbose_suppressed=args.show_suppressed,
-            )
-        )
+        print(render_text(report, verbose_suppressed=args.show_suppressed))
     if report.has_errors():
         return 1
     if args.fail_on_warning and report.has_warnings():

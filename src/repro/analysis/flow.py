@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 __all__ = [
     "FunctionFlow",
@@ -128,25 +128,6 @@ class TaintedCall:
     labels: tuple[TaintLabel, ...]
     via: tuple[tuple[str, ...], ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "chain": list(self.chain),
-            "lineno": self.lineno,
-            "col": self.col,
-            "labels": [[label.kind, label.source] for label in self.labels],
-            "via": [list(chain) for chain in self.via],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "TaintedCall":
-        return cls(
-            chain=tuple(payload["chain"]),
-            lineno=int(payload["lineno"]),
-            col=int(payload["col"]),
-            labels=tuple(TaintLabel(k, s) for k, s in payload["labels"]),
-            via=tuple(tuple(chain) for chain in payload["via"]),
-        )
-
 
 @dataclass
 class FunctionFlow:
@@ -158,25 +139,6 @@ class FunctionFlow:
     return_via: tuple[tuple[str, ...], ...] = ()
     #: Every call observed with tainted arguments.
     tainted_calls: tuple[TaintedCall, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "return_labels": [[l.kind, l.source] for l in self.return_labels],
-            "return_via": [list(chain) for chain in self.return_via],
-            "tainted_calls": [call.to_dict() for call in self.tainted_calls],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FunctionFlow":
-        return cls(
-            return_labels=tuple(
-                TaintLabel(k, s) for k, s in payload["return_labels"]
-            ),
-            return_via=tuple(tuple(c) for c in payload["return_via"]),
-            tainted_calls=tuple(
-                TaintedCall.from_dict(c) for c in payload["tainted_calls"]
-            ),
-        )
 
 
 @dataclass

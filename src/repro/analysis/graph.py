@@ -1,19 +1,17 @@
 """Project-wide import graph + call graph for whole-program rules.
 
 Per-module rules see one AST at a time; the cross-module invariants
-(SWP013–SWP016) need to know *who calls whom* across ``src/repro``.
-This module extracts a compact, JSON-serialisable summary of every
-module — name bindings, classes, and per-function facts (calls, loops,
-raises, shared-state writes, taint flow) — and links the summaries into
-a :class:`ProjectGraph` with name resolution and reachability queries.
+(SWP013, SWP014, SWP016) need to know *who calls whom* across
+``src/repro``. This module extracts a compact summary of every module —
+name bindings, classes, and per-function facts (calls, loops, raises,
+taint flow) — and links the summaries into a :class:`ProjectGraph` with
+name resolution and reachability queries.
 
 Design constraints:
 
-* **Stdlib only** (``ast`` + ``hashlib`` + ``json``), like the rest of
-  the analysis package.
-* **Incremental**: summaries are keyed by the file's sha256 and cached
-  as JSON (``--graph-cache``), so repeat runs re-extract only changed
-  files. Linking (cheap) is redone from summaries every run.
+* **Stdlib only** (``ast``), like the rest of the analysis package.
+  Every run extracts every summary afresh; a full ``--project`` run over
+  ``src/`` and ``scripts/`` takes a few seconds.
 * **Honest approximations**: resolution follows import aliases,
   ``self``-method calls (with base-class chasing), module-local names,
   and ``__init__`` re-export chains; calls through arbitrary local
@@ -24,11 +22,9 @@ Design constraints:
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.checks import _BUDGET_CHECK_CALLS, _is_adaptive_loop
 from repro.analysis.flow import FunctionFlow, analyze_function
@@ -40,51 +36,13 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "GRAPH_CACHE_VERSION",
     "LoopInfo",
     "ModuleSummary",
     "ProjectGraph",
     "RaiseSite",
     "Resolved",
-    "SharedWrite",
     "extract_module",
-    "load_cache",
-    "save_cache",
 ]
-
-#: Bump when the summary shape changes; stale caches are discarded whole.
-GRAPH_CACHE_VERSION = 1
-
-#: Worker-dispatch method names: ``pool.submit(fn, ...)``, ``pool.map(fn, ...)``.
-_DISPATCH_METHODS = {"submit", "map"}
-
-#: Receiver methods that mutate shared containers in place.
-_SHARED_MUTATORS = {
-    "append",
-    "add",
-    "extend",
-    "insert",
-    "update",
-    "setdefault",
-    "pop",
-    "popitem",
-    "remove",
-    "discard",
-    "clear",
-    "appendleft",
-}
-
-#: Module-level constructors that produce mutable containers.
-_MUTABLE_CONSTRUCTORS = {
-    "list",
-    "dict",
-    "set",
-    "defaultdict",
-    "OrderedDict",
-    "Counter",
-    "deque",
-    "bytearray",
-}
 
 
 def _chain(node: ast.expr) -> tuple[str, ...] | None:
@@ -107,13 +65,6 @@ class CallSite:
     chain: tuple[str, ...]
     lineno: int
 
-    def to_dict(self) -> list[Any]:
-        return [list(self.chain), self.lineno]
-
-    @classmethod
-    def from_dict(cls, payload: list[Any]) -> "CallSite":
-        return cls(chain=tuple(payload[0]), lineno=int(payload[1]))
-
 
 @dataclass(frozen=True)
 class LoopInfo:
@@ -124,13 +75,6 @@ class LoopInfo:
     adaptive: bool
     checked: bool
 
-    def to_dict(self) -> list[Any]:
-        return [self.lineno, self.kind, self.adaptive, self.checked]
-
-    @classmethod
-    def from_dict(cls, payload: list[Any]) -> "LoopInfo":
-        return cls(int(payload[0]), payload[1], bool(payload[2]), bool(payload[3]))
-
 
 @dataclass(frozen=True)
 class RaiseSite:
@@ -138,36 +82,6 @@ class RaiseSite:
 
     chain: tuple[str, ...]
     lineno: int
-
-    def to_dict(self) -> list[Any]:
-        return [list(self.chain), self.lineno]
-
-    @classmethod
-    def from_dict(cls, payload: list[Any]) -> "RaiseSite":
-        return cls(chain=tuple(payload[0]), lineno=int(payload[1]))
-
-
-@dataclass(frozen=True)
-class SharedWrite:
-    """A write to state that outlives the function's own frame.
-
-    ``kind`` is ``"global"`` (rebinding via ``global``), ``"nonlocal"``
-    (rebinding a closure cell), or ``"mutation"`` (in-place mutation of
-    a module-level mutable container). ``locked`` records whether the
-    write sits lexically inside a ``with <...lock...>:`` block.
-    """
-
-    name: str
-    lineno: int
-    kind: str
-    locked: bool
-
-    def to_dict(self) -> list[Any]:
-        return [self.name, self.lineno, self.kind, self.locked]
-
-    @classmethod
-    def from_dict(cls, payload: list[Any]) -> "SharedWrite":
-        return cls(payload[0], int(payload[1]), payload[2], bool(payload[3]))
 
 
 @dataclass
@@ -182,10 +96,6 @@ class FunctionInfo:
     calls: list[CallSite] = field(default_factory=list)
     loops: list[LoopInfo] = field(default_factory=list)
     raises: list[RaiseSite] = field(default_factory=list)
-    shared_writes: list[SharedWrite] = field(default_factory=list)
-    #: Names this function dispatches to workers (``pool.submit(fn)``,
-    #: ``Thread(target=fn)``) — call edges *and* worker-root markers.
-    dispatches: list[CallSite] = field(default_factory=list)
     #: Function-level import bindings overlaying the module's.
     bindings: dict[str, str] = field(default_factory=dict)
     #: Names of functions defined directly inside this one.
@@ -197,67 +107,14 @@ class FunctionInfo:
         """Graph-wide identity: ``module:qualname``."""
         return f"{self.module}:{self.qualname}"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "name": self.name,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "calls": [c.to_dict() for c in self.calls],
-            "loops": [l.to_dict() for l in self.loops],
-            "raises": [r.to_dict() for r in self.raises],
-            "shared_writes": [w.to_dict() for w in self.shared_writes],
-            "dispatches": [d.to_dict() for d in self.dispatches],
-            "bindings": dict(self.bindings),
-            "local_defs": dict(self.local_defs),
-            "flow": self.flow.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=payload["qualname"],
-            module=payload["module"],
-            name=payload["name"],
-            cls=payload["cls"],
-            lineno=int(payload["lineno"]),
-            calls=[CallSite.from_dict(c) for c in payload["calls"]],
-            loops=[LoopInfo.from_dict(l) for l in payload["loops"]],
-            raises=[RaiseSite.from_dict(r) for r in payload["raises"]],
-            shared_writes=[SharedWrite.from_dict(w) for w in payload["shared_writes"]],
-            dispatches=[CallSite.from_dict(d) for d in payload["dispatches"]],
-            bindings=dict(payload["bindings"]),
-            local_defs=dict(payload["local_defs"]),
-            flow=FunctionFlow.from_dict(payload["flow"]),
-        )
-
 
 @dataclass
 class ClassInfo:
-    """One class: bases (as dotted strings) and method names."""
+    """One class and its bases (as dotted strings)."""
 
     name: str
     lineno: int
     bases: list[str] = field(default_factory=list)
-    methods: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=payload["name"],
-            lineno=int(payload["lineno"]),
-            bases=list(payload["bases"]),
-            methods=list(payload["methods"]),
-        )
 
 
 @dataclass
@@ -265,45 +122,10 @@ class ModuleSummary:
     """Everything the linker needs to know about one module."""
 
     module: str
-    path: str
-    sha256: str
-    is_package: bool
     #: Module-level name bindings: local name → dotted target.
     bindings: dict[str, str] = field(default_factory=dict)
-    #: Module-level names bound to mutable containers.
-    mutable_globals: list[str] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "sha256": self.sha256,
-            "is_package": self.is_package,
-            "bindings": dict(self.bindings),
-            "mutable_globals": list(self.mutable_globals),
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            sha256=payload["sha256"],
-            is_package=bool(payload["is_package"]),
-            bindings=dict(payload["bindings"]),
-            mutable_globals=list(payload["mutable_globals"]),
-            classes={
-                k: ClassInfo.from_dict(v) for k, v in payload["classes"].items()
-            },
-            functions={
-                k: FunctionInfo.from_dict(v)
-                for k, v in payload["functions"].items()
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -335,15 +157,6 @@ def _import_bindings(
     return out
 
 
-def _is_mutable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        chain = _chain(node.func)
-        return chain is not None and chain[-1] in _MUTABLE_CONSTRUCTORS
-    return False
-
-
 def _loop_is_checked(loop: ast.For | ast.While) -> bool:
     for stmt in [*loop.body, *loop.orelse]:
         for node in ast.walk(stmt):
@@ -354,23 +167,11 @@ def _loop_is_checked(loop: ast.For | ast.While) -> bool:
     return False
 
 
-def _looks_like_lock(node: ast.expr) -> bool:
-    """Heuristic: a ``with`` context manager that is a lock/mutex."""
-    chain = _chain(node.func if isinstance(node, ast.Call) else node)
-    if chain is None:
-        return False
-    return any("lock" in part.lower() or "mutex" in part.lower() for part in chain)
-
-
 class _FunctionExtractor(ast.NodeVisitor):
     """Collects one function's facts, stopping at nested defs."""
 
-    def __init__(self, info: FunctionInfo, mutable_globals: set[str]) -> None:
+    def __init__(self, info: FunctionInfo) -> None:
         self.info = info
-        self.mutable_globals = mutable_globals
-        self.global_names: set[str] = set()
-        self.nonlocal_names: set[str] = set()
-        self.lock_depth = 0
 
     # -- nested scopes: record, don't descend --------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -396,65 +197,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.info.bindings.update(
             _import_bindings(node, self.info.module, False)
         )
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.global_names.update(node.names)
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.nonlocal_names.update(node.names)
-
-    def visit_With(self, node: ast.With) -> None:
-        locked = any(_looks_like_lock(item.context_expr) for item in node.items)
-        for item in node.items:
-            self.visit(item.context_expr)
-        if locked:
-            self.lock_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if locked:
-            self.lock_depth -= 1
-
-    visit_AsyncWith = visit_With  # type: ignore[assignment]
-
-    def _record_write(self, name: str, lineno: int, kind: str) -> None:
-        self.info.shared_writes.append(
-            SharedWrite(
-                name=name, lineno=lineno, kind=kind, locked=self.lock_depth > 0
-            )
-        )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_store(target, node.lineno)
-        self.visit(node.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store(node.target, node.lineno)
-        self.visit(node.value)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_store(node.target, node.lineno)
-        if node.value is not None:
-            self.visit(node.value)
-
-    def _check_store(self, target: ast.expr, lineno: int) -> None:
-        if isinstance(target, ast.Name):
-            if target.id in self.global_names:
-                self._record_write(target.id, lineno, "global")
-            elif target.id in self.nonlocal_names:
-                self._record_write(target.id, lineno, "nonlocal")
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            base: ast.expr = target
-            while isinstance(base, ast.Subscript):
-                base = base.value
-            chain = _chain(base)
-            if chain is not None and chain[0] in (
-                self.mutable_globals | self.global_names
-            ):
-                self._record_write(chain[0], lineno, "mutation")
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_store(elt, lineno)
 
     def visit_For(self, node: ast.For) -> None:
         self._record_loop(node, "for")
@@ -489,29 +231,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         chain = _chain(node.func)
         if chain is not None:
             self.info.calls.append(CallSite(chain=chain, lineno=node.lineno))
-            # Mutation of a module-level container counts as a write.
-            if (
-                len(chain) >= 2
-                and chain[-1] in _SHARED_MUTATORS
-                and chain[0] in (self.mutable_globals | self.global_names)
-            ):
-                self._record_write(chain[0], node.lineno, "mutation")
-            # Worker dispatch: pool.submit(fn, ...), pool.map(fn, ...),
-            # Thread(target=fn).
-            if chain[-1] in _DISPATCH_METHODS and node.args:
-                worker = _chain(node.args[0])
-                if worker is not None:
-                    site = CallSite(chain=worker, lineno=node.lineno)
-                    self.info.dispatches.append(site)
-                    self.info.calls.append(site)
-            if chain[-1] == "Thread":
-                for keyword in node.keywords:
-                    if keyword.arg == "target":
-                        worker = _chain(keyword.value)
-                        if worker is not None:
-                            site = CallSite(chain=worker, lineno=node.lineno)
-                            self.info.dispatches.append(site)
-                            self.info.calls.append(site)
         self.generic_visit(node)
 
 
@@ -521,7 +240,6 @@ def _extract_function(
     module: str,
     qualname: str,
     cls: str | None,
-    mutable_globals: set[str],
     context: "ModuleContext",
 ) -> FunctionInfo:
     info = FunctionInfo(
@@ -531,7 +249,7 @@ def _extract_function(
         cls=cls,
         lineno=node.lineno,
     )
-    extractor = _FunctionExtractor(info, mutable_globals)
+    extractor = _FunctionExtractor(info)
     for stmt in node.body:
         extractor.visit(stmt)
     info.flow = analyze_function(
@@ -572,29 +290,12 @@ def _iter_defs(
 def extract_module(context: "ModuleContext") -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed module."""
     is_package = Path(context.path).name == "__init__.py"
-    sha = hashlib.sha256(context.text.encode("utf-8")).hexdigest()
-    summary = ModuleSummary(
-        module=context.module,
-        path=context.path,
-        sha256=sha,
-        is_package=is_package,
-    )
+    summary = ModuleSummary(module=context.module)
     for stmt in context.tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             summary.bindings.update(
                 _import_bindings(stmt, context.module, is_package)
             )
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and _is_mutable_value(stmt.value):
-                    summary.mutable_globals.append(target.id)
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.value is not None
-                and _is_mutable_value(stmt.value)
-            ):
-                summary.mutable_globals.append(stmt.target.id)
         elif isinstance(stmt, ast.ClassDef):
             bases = []
             for base in stmt.bases:
@@ -605,11 +306,6 @@ def extract_module(context: "ModuleContext") -> ModuleSummary:
                 name=stmt.name,
                 lineno=stmt.lineno,
                 bases=bases,
-                methods=[
-                    s.name
-                    for s in stmt.body
-                    if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ],
             )
         elif isinstance(stmt, ast.If):
             # TYPE_CHECKING guards at module level may hide imports.
@@ -618,50 +314,16 @@ def extract_module(context: "ModuleContext") -> ModuleSummary:
                     summary.bindings.update(
                         _import_bindings(nested, context.module, is_package)
                     )
-    mutable = set(summary.mutable_globals)
     for node, qualname, cls in _iter_defs(context.tree.body, "", None):
         info = _extract_function(
             node,
             module=context.module,
             qualname=qualname,
             cls=cls,
-            mutable_globals=mutable,
             context=context,
         )
         summary.functions[qualname] = info
     return summary
-
-
-# ----------------------------------------------------------------------
-# Cache
-# ----------------------------------------------------------------------
-def load_cache(path: Path) -> dict[str, ModuleSummary]:
-    """``{sha256: ModuleSummary}`` from a cache file; ``{}`` if unusable."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("version") != GRAPH_CACHE_VERSION:
-        return {}
-    out: dict[str, ModuleSummary] = {}
-    try:
-        for sha, entry in payload.get("modules", {}).items():
-            out[sha] = ModuleSummary.from_dict(entry)
-    except (KeyError, TypeError, ValueError):
-        return {}  # shape drift: rebuild everything
-    return out
-
-
-def save_cache(path: Path, summaries: Iterable[ModuleSummary]) -> None:
-    """Persist summaries keyed by content sha (atomic, SWP012-compliant)."""
-    from repro.durability.atomic import atomic_write_text
-
-    payload = {
-        "version": GRAPH_CACHE_VERSION,
-        "modules": {s.sha256: s.to_dict() for s in summaries},
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 # ----------------------------------------------------------------------

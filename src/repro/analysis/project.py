@@ -72,33 +72,16 @@ class ProjectContext:
         *,
         column: int = 0,
     ) -> Violation:
-        """Build a violation positioned inside ``info``'s module.
-
-        Falls back to the graph summary's recorded path when the module
-        context is unavailable (cached summary for an unparsed file —
-        possible under ``--changed-only``-style partial parses).
-        """
-        context = self.contexts.get(info.module)
-        if context is not None:
-            return Violation(
-                rule=rule.code,
-                path=context.path,
-                line=lineno,
-                column=column,
-                message=message,
-                severity=rule.severity,
-                snippet=context.source_line(lineno),
-            )
-        summary = self.graph.modules.get(info.module)
-        path = summary.path if summary is not None else f"<{info.module}>"
+        """Build a violation positioned inside ``info``'s module."""
+        context = self.contexts[info.module]
         return Violation(
             rule=rule.code,
-            path=path,
+            path=context.path,
             line=lineno,
             column=column,
             message=message,
             severity=rule.severity,
-            snippet="",
+            snippet=context.source_line(lineno),
         )
 
     def iter_functions(self) -> Iterator[FunctionInfo]:

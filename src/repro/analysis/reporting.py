@@ -16,12 +16,7 @@ from repro.analysis.rules import RULES, Severity, Violation
 __all__ = ["render_json", "render_sarif", "render_text"]
 
 
-def render_text(
-    report: AnalysisReport,
-    *,
-    baselined: list[Violation] | None = None,
-    verbose_suppressed: bool = False,
-) -> str:
+def render_text(report: AnalysisReport, *, verbose_suppressed: bool = False) -> str:
     """Human-readable rendering: one line per finding plus a summary."""
     lines: list[str] = []
     for path, message in report.parse_errors:
@@ -42,25 +37,18 @@ def render_text(
         summary.append("no violations")
     if report.suppressed:
         summary.append(f"{len(report.suppressed)} suppressed")
-    if baselined:
-        summary.append(f"{len(baselined)} baselined")
     if report.parse_errors:
         summary.append(f"{len(report.parse_errors)} parse errors")
     lines.append(" — ".join(summary))
     return "\n".join(lines)
 
 
-def render_json(
-    report: AnalysisReport,
-    *,
-    baselined: list[Violation] | None = None,
-) -> str:
+def render_json(report: AnalysisReport) -> str:
     """Machine-readable rendering of the full run outcome."""
     payload = {
         "checked_files": report.checked_files,
         "violations": [v.as_dict() for v in report.violations],
         "suppressed": [v.as_dict() for v in report.suppressed],
-        "baselined": [v.as_dict() for v in (baselined or [])],
         "parse_errors": [
             {"path": path, "message": message}
             for path, message in report.parse_errors
@@ -137,8 +125,8 @@ def _sarif_result(violation: Violation) -> dict[str, object]:
                 }
             }
         ],
-        # The baseline fingerprint doubles as the stable result identity
-        # GitHub uses to track alerts across pushes.
+        # The violation fingerprint is the stable result identity GitHub
+        # uses to track alerts across pushes.
         "partialFingerprints": {"swopeFingerprint/v1": violation.fingerprint},
     }
 
@@ -146,8 +134,8 @@ def _sarif_result(violation: Violation) -> dict[str, object]:
 def render_sarif(report: AnalysisReport) -> str:
     """SARIF 2.1.0 rendering for GitHub code-scanning upload.
 
-    Suppressed and baselined findings are deliberately omitted — an
-    alert that a human already justified must not reopen on every push.
+    Suppressed findings are deliberately omitted — an alert that a
+    human already justified must not reopen on every push.
     Parse errors become ``PARSE``-rule results so a broken file is
     visible in the same place as the findings it hides.
     """

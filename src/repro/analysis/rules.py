@@ -61,8 +61,7 @@ class Violation:
     """One finding: a rule fired at a position in a file.
 
     ``snippet`` holds the stripped source line, which doubles as the
-    position-drift-tolerant component of the baseline fingerprint (see
-    :mod:`repro.analysis.baseline`).
+    position-drift-tolerant component of :attr:`fingerprint`.
     """
 
     rule: str
@@ -75,11 +74,11 @@ class Violation:
 
     @property
     def fingerprint(self) -> str:
-        """Identity used by the ``--baseline`` ratchet.
+        """Stable identity of a finding (SARIF ``partialFingerprints``).
 
         Deliberately excludes the line *number* so that unrelated edits
-        above a baselined violation do not resurface it; includes the
-        stripped line *text* so that the violation's own statement
+        above a finding do not make it a new alert; includes the
+        stripped line *text* so that the finding's own statement
         changing does.
         """
         return f"{self.path}::{self.rule}::{self.snippet}"
@@ -201,7 +200,7 @@ def project_rule(
     :class:`Violation` objects anywhere in the project. Project rules
     run only under ``--project`` (per-module runs cannot build the call
     graph they need) and share the registry, ``--select``/``--ignore``,
-    ``# noqa`` and baseline machinery with per-module rules.
+    and ``# noqa`` machinery with per-module rules.
     """
     if not (code.startswith("SWP") and code[3:].isdigit() and len(code) == 6):
         raise ParameterError(f"rule codes look like SWP###, got {code!r}")

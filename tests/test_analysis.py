@@ -5,10 +5,11 @@ Three layers:
 * per-rule fixtures: each rule fires on a minimal known-bad module and
   stays silent on the matching known-good one;
 * framework behaviour: ``# noqa`` suppression, unused-suppression
-  reporting (SWP000), ``--select`` interplay, baseline ratcheting,
-  reporter output, CLI exit codes;
-* the live tree: the repository's own ``src/``, ``tests/`` and
-  ``scripts/`` must be violation-free (the CI gate, asserted in-process).
+  reporting (SWP000), ``--select`` interplay, reporter output, CLI exit
+  codes;
+* the live tree: the repository's own ``src/``, ``tests/``,
+  ``scripts/``, ``benchmarks/``, ``examples/`` and ``perfbench/`` must
+  be violation-free (the CI gate, asserted in-process).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths, analyze_source
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULES, UNUSED_SUPPRESSION, Severity, all_codes
@@ -46,12 +46,12 @@ def check(path: str, text: str, **kwargs):
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_eighteen_rules_registered(self):
-        assert all_codes() == [f"SWP{i:03d}" for i in range(1, 19)]
+    def test_all_seventeen_rules_registered(self):
+        assert all_codes() == [f"SWP{i:03d}" for i in range(1, 19) if i != 15]
 
     def test_project_rules_are_marked(self):
         project_codes = {c for c, r in RULES.items() if r.project}
-        assert project_codes == {"SWP013", "SWP014", "SWP015", "SWP016"}
+        assert project_codes == {"SWP013", "SWP014", "SWP016"}
 
     def test_unused_suppression_code_reserved(self):
         assert UNUSED_SUPPRESSION == "SWP000"
@@ -697,13 +697,13 @@ class TestSelection:
 class TestReporters:
     def test_text_reporter_lines(self):
         report = check(CORE, "import time\nstart = time.time()\n")
-        text = render_text(report, baselined=[])
+        text = render_text(report)
         assert "SWP008" in text
         assert f"{CORE}:2:" in text
 
     def test_json_reporter_shape(self):
         report = check(CORE, "import time\nstart = time.time()\n")
-        payload = json.loads(render_json(report, baselined=[]))
+        payload = json.loads(render_json(report))
         assert payload["checked_files"] == 1
         assert payload["counts"] == {"SWP008": 1}
         (violation,) = payload["violations"]
@@ -714,50 +714,7 @@ class TestReporters:
 
     def test_clean_report_text(self):
         report = check(CORE, "x = 1\n")
-        assert "no violations" in render_text(report, baselined=[])
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        report = check(CORE, "import time\nstart = time.time()\n")
-        baseline = Baseline.from_violations(report.violations)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == len(baseline) == 1
-        new, baselined = loaded.filter(report.violations)
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        report = check(CORE, "import time\nstart = time.time()\n")
-        path = tmp_path / "baseline.json"
-        Baseline.from_violations(report.violations).save(path)
-        # Same offending source line, shifted two lines down.
-        drifted = check(CORE, "import time\n\n\nstart = time.time()\n")
-        new, baselined = Baseline.load(path).filter(drifted.violations)
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_count_semantics(self):
-        two = check(CORE, "import time\na = time.time()\nb = time.time()\n")
-        one = Baseline.from_violations(two.violations[:1])
-        # Identical lines share a fingerprint; the baseline absorbs as
-        # many occurrences as it recorded, no more.
-        new, baselined = one.filter(two.violations)
-        assert len(baselined) == 1 or len(new) == 1
-        assert len(new) + len(baselined) == 2
-
-    def test_malformed_baseline_is_an_error(self, tmp_path):
-        from repro.exceptions import AnalysisError
-
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json")
-        with pytest.raises(AnalysisError):
-            Baseline.load(path)
+        assert "no violations" in render_text(report)
 
 
 # ----------------------------------------------------------------------
@@ -810,27 +767,6 @@ class TestCLI:
         assert main(["code", "--no-unused-suppressions"]) == 0
         capsys.readouterr()
 
-    def test_baseline_ratchet_round_trip(self, lint_tree, capsys):
-        baseline = "baseline.json"
-        # Record the current debt, then the same tree passes.
-        assert main(["code", "--baseline", baseline, "--update-baseline"]) == 0
-        assert main(["code", "--baseline", baseline]) == 0
-        # A new violation is NOT absorbed by the baseline...
-        (lint_tree / "worse.py").write_text("import time\nt0 = time.time()\n")
-        assert main(["code", "--baseline", baseline]) == 1
-        # ...and the ratchet refuses to swallow it.
-        assert main(["code", "--baseline", baseline, "--update-baseline"]) == 2
-        assert "refusing to grow" in capsys.readouterr().err
-        # Fixing everything lets the baseline shrink to empty.
-        (lint_tree / "worse.py").unlink()
-        (lint_tree / "dirty.py").write_text("import time\nt0 = time.perf_counter()\n")
-        assert main(["code", "--baseline", baseline, "--update-baseline"]) == 0
-        assert json.loads(Path(baseline).read_text())["fingerprints"] == {}
-
-    def test_update_baseline_requires_baseline(self, lint_tree, capsys):
-        assert main(["code", "--update-baseline"]) == 2
-        capsys.readouterr()
-
 
 # ----------------------------------------------------------------------
 # The live tree (the CI gate, in-process)
@@ -838,7 +774,17 @@ class TestCLI:
 class TestLiveTree:
     def test_repository_is_violation_free(self):
         report = analyze_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "scripts"],
+            [
+                REPO_ROOT / name
+                for name in (
+                    "src",
+                    "tests",
+                    "scripts",
+                    "benchmarks",
+                    "examples",
+                    "perfbench",
+                )
+            ],
             display_root=REPO_ROOT,
         )
         findings = "\n".join(v.format_text() for v in report.violations)

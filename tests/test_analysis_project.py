@@ -1,12 +1,11 @@
 """Tests for the whole-program analysis engine.
 
 Covers the graph layer (name resolution across aliased imports,
-``self``-method calls, ``__init__`` re-exports; sha256 cache
-invalidation), the four project rules SWP013–SWP016 with positive and
-negative fixtures (matching the per-module fixture pattern in
-``tests/test_analysis.py``), the SARIF reporter, the ``--changed-only``
-narrowing semantics, and the live tree staying clean in ``--project``
-mode.
+``self``-method calls, ``__init__`` re-exports), the project rules
+SWP013, SWP014 and SWP016 with positive and negative fixtures (matching
+the per-module fixture pattern in ``tests/test_analysis.py``), project
+mode running the per-module rules too, the SARIF reporter, and the live
+tree staying clean in ``--project`` mode.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from pathlib import Path
 
 from repro.analysis import analyze_project, analyze_source
 from repro.analysis.checker import build_context
-from repro.analysis.graph import (
-    ProjectGraph,
-    extract_module,
-    load_cache,
-    save_cache,
-)
+from repro.analysis.graph import ProjectGraph, extract_module
 from repro.analysis.reporting import render_sarif
 from repro.analysis.rules import Severity
 
@@ -189,64 +183,6 @@ class TestResolution:
         )
         origin = graph.reachable(["repro.f:swope_entry"])
         assert origin["repro.f:leaf"] == "repro.f:swope_entry"
-
-
-# ----------------------------------------------------------------------
-# Graph layer: summary cache
-# ----------------------------------------------------------------------
-class TestGraphCache:
-    FILES = {
-        "src/repro/mod.py": (
-            "def swope_q(schedule):\n"
-            "    for n in schedule.sizes:\n"
-            "        check_interruption(n)\n"
-            "def check_interruption(n):\n"
-            "    return n\n"
-        ),
-    }
-
-    def test_cache_roundtrip(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        report = run_project(tmp_path, self.FILES, cache_path=cache)
-        assert codes(report) == []
-        assert cache.exists()
-        cached = load_cache(cache)
-        assert len(cached) == 1
-
-    def test_cache_invalidates_on_file_change(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        report = run_project(tmp_path, self.FILES, cache_path=cache)
-        assert codes(report) == []
-        # Remove the budget check: the summary must be re-extracted, not
-        # served from the (now content-mismatched) cache.
-        changed = {
-            "src/repro/mod.py": (
-                "def swope_q(schedule):\n"
-                "    for n in schedule.sizes:\n"
-                "        consume(n)\n"
-                "def consume(n):\n"
-                "    return n\n"
-            ),
-        }
-        report = run_project(tmp_path, changed, cache_path=cache)
-        assert "SWP014" in codes(report)
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        report = run_project(tmp_path, self.FILES, cache_path=cache)
-        assert codes(report) == []
-        assert load_cache(cache)  # rewritten with valid content
-
-    def test_save_and_load_preserve_summaries(self, tmp_path):
-        context = build_context(
-            "src/repro/x.py", "def f():\n    return g()\ndef g():\n    return 1\n"
-        )
-        summary = extract_module(context)
-        cache = tmp_path / "c.json"
-        save_cache(cache, [summary])
-        restored = load_cache(cache)[summary.sha256]
-        assert restored.to_dict() == summary.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -481,82 +417,6 @@ class TestSWP014:
 
 
 # ----------------------------------------------------------------------
-# SWP015 — thread shared state
-# ----------------------------------------------------------------------
-class TestSWP015:
-    def test_unlocked_global_mutation_in_worker_fires(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/data/backends.py": (
-                    "_CACHE = {}\n"
-                    "def _count_one(column):\n"
-                    "    _CACHE[column] = column\n"
-                    "    return column\n"
-                    "class ThreadedBackend:\n"
-                    "    def counts(self, pool, columns):\n"
-                    "        return [pool.submit(_count_one, c) for c in columns]\n"
-                ),
-            },
-        )
-        assert "SWP015" in codes(report)
-
-    def test_locked_mutation_is_clean(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/data/backends.py": (
-                    "import threading\n"
-                    "_CACHE = {}\n"
-                    "_LOCK = threading.Lock()\n"
-                    "def _count_one(column):\n"
-                    "    with _LOCK:\n"
-                    "        _CACHE[column] = column\n"
-                    "    return column\n"
-                    "class ThreadedBackend:\n"
-                    "    def counts(self, pool, columns):\n"
-                    "        return [pool.submit(_count_one, c) for c in columns]\n"
-                ),
-            },
-        )
-        assert "SWP015" not in codes(report)
-
-    def test_mutation_outside_worker_path_is_clean(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/data/backends.py": (
-                    "_CACHE = {}\n"
-                    "def warm(column):\n"
-                    "    _CACHE[column] = column\n"
-                    "def _count_one(column):\n"
-                    "    return column\n"
-                    "class ThreadedBackend:\n"
-                    "    def counts(self, pool, columns):\n"
-                    "        return [pool.submit(_count_one, c) for c in columns]\n"
-                ),
-            },
-        )
-        assert "SWP015" not in codes(report)
-
-    def test_thread_target_keyword_is_a_worker_root(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/data/backends.py": (
-                    "import threading\n"
-                    "_SEEN = []\n"
-                    "def _drain():\n"
-                    "    _SEEN.append(1)\n"
-                    "def start():\n"
-                    "    return threading.Thread(target=_drain)\n"
-                ),
-            },
-        )
-        assert "SWP015" in codes(report)
-
-
-# ----------------------------------------------------------------------
 # SWP016 — exception contract
 # ----------------------------------------------------------------------
 _EXC = (
@@ -656,46 +516,20 @@ class TestSWP016:
 
 
 # ----------------------------------------------------------------------
-# --changed-only narrowing semantics
+# Project mode runs the per-module rules too
 # ----------------------------------------------------------------------
-class TestChangedOnly:
-    FILES = {
-        # A module-rule violation (SWP008 wall clock) in a file that is
-        # NOT in the changed set...
-        "src/repro/core/old.py": (
-            "import time\n"
-            "def stamp():\n"
-            "    return time.time()\n"
-        ),
-        # ...and a cross-module SWP014 violation whose loop lives in the
-        # unchanged file but is created by the changed entry point.
-        "src/repro/api.py": (
-            "from repro.core.old import drive\n"
-            "def swope_entropy(schedule):\n"
-            "    return drive(schedule)\n"
-        ),
-    }
-
-    def test_project_rules_see_the_full_tree(self, tmp_path):
-        files = dict(self.FILES)
-        files["src/repro/core/old.py"] += (
-            "def drive(schedule):\n"
-            "    total = 0\n"
-            "    for n in schedule.sizes:\n"
-            "        total += n\n"
-            "    return total\n"
-        )
+class TestProjectMode:
+    def test_project_run_reports_module_violations(self, tmp_path):
         report = run_project(
-            tmp_path, files, module_files=["src/repro/api.py"]
+            tmp_path,
+            {
+                "src/repro/core/old.py": (
+                    "import time\n"
+                    "def stamp():\n"
+                    "    return time.time()\n"
+                ),
+            },
         )
-        found = codes(report)
-        # Module rules skipped the unchanged file (no SWP008), but the
-        # whole-program pass still positioned a finding inside it.
-        assert "SWP008" not in found
-        assert "SWP014" in found
-
-    def test_full_run_reports_module_violations(self, tmp_path):
-        report = run_project(tmp_path, dict(self.FILES))
         assert "SWP008" in codes(report)
 
 
@@ -745,27 +579,6 @@ class TestLiveTreeProject:
         assert not report.violations, f"project-analysis violations:\n{findings}"
         assert not report.parse_errors
 
-    def test_cli_project_mode_with_cache(self, tmp_path):
-        cache = tmp_path / "graph.json"
-        for _ in range(2):  # second run exercises the warm cache
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.analysis",
-                    "--project",
-                    "--graph-cache",
-                    str(cache),
-                    "src",
-                ],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert cache.exists()
-
     def test_cli_sarif_output_parses(self):
         proc = subprocess.run(
             [
@@ -786,25 +599,8 @@ class TestLiveTreeProject:
         payload = json.loads(proc.stdout)
         assert payload["runs"][0]["results"] == []
 
-    def test_graph_cache_without_project_is_usage_error(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.analysis",
-                "--graph-cache",
-                "x.json",
-                "src",
-            ],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 2
-
     def test_every_error_severity_project_rule(self):
         from repro.analysis.rules import RULES
 
-        for code in ("SWP013", "SWP014", "SWP015", "SWP016"):
+        for code in ("SWP013", "SWP014", "SWP016"):
             assert RULES[code].severity is Severity.ERROR
