@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import GroundTruthCache
 from repro.synth.datasets import SyntheticDataset, load_dataset
 
@@ -33,12 +34,12 @@ DATASET_KEYS = [
 ]
 NUM_TARGETS = int(os.environ.get("REPRO_BENCH_TARGETS", "1"))
 
-#: Paper parameter grids (Section 6.1).
-TOPK_GRID = (1, 2, 4, 8, 10)
-ENTROPY_ETA_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-MI_ETA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
-EPSILON_GRID = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5)
-ALGORITHMS = ("swope", "entropy_rank", "exact")
+#: Paper parameter grids (Section 6.1), as the figure registry sweeps them.
+TOPK_GRID = FIGURES["fig1"].x_values
+ENTROPY_ETA_GRID = FIGURES["fig3"].x_values
+MI_ETA_GRID = FIGURES["fig7"].x_values
+EPSILON_GRID = FIGURES["fig9"].x_values
+ALGORITHMS = FIGURES["fig1"].algorithms
 
 _truth = GroundTruthCache()
 

@@ -23,18 +23,19 @@ different dataset *or* a different row order are garbage for this one.
 There is deliberately no way to read or write cache state without
 naming the fingerprint (enforced tree-wide by analysis rule SWP017).
 
-On disk each partition is one JSON file using the checkpoint envelope
-discipline (format marker, schema version, payload sha256, atomic
-replace via :mod:`repro.durability.atomic`). Unlike checkpoints,
-though, a bad cache file is *not* an error: a cache miss is always
-safe, so corruption, version skew, or checksum mismatch silently
-degrade to an empty partition and the run proceeds cold.
+On disk each partition is one JSON file in the checkpoint envelope
+(format marker, schema version, payload sha256, atomic replace; see
+:func:`repro.durability.checkpoint.write_envelope`), its counters in
+the checkpoint's counter codec. Unlike checkpoints, though, a bad
+cache file is *not* an error: a cache miss is always safe, so
+corruption, version skew, or checksum mismatch silently degrade to an
+empty partition and the run proceeds cold.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -44,14 +45,13 @@ import numpy as np
 from repro.cache.semantic import Bounds, History, replay_filter, replay_top_k
 from repro.core.results import FilterResult, TopKResult
 from repro.data.joint import JointCounter
-from repro.durability.atomic import atomic_write_text
 from repro.durability.checkpoint import (
-    decode_array,
-    decode_joint_snapshot,
-    encode_array,
-    encode_joint_snapshot,
+    decode_counters,
+    encode_counters,
+    read_envelope,
     result_from_payload,
     result_to_payload,
+    write_envelope,
 )
 from repro.exceptions import CheckpointError
 
@@ -76,12 +76,11 @@ QueryResult = Union[TopKResult, FilterResult]
 
 #: Exceptions that turn a cache-file read into an empty partition.
 _LOAD_ERRORS = (
-    OSError,
-    ValueError,  # includes json.JSONDecodeError
+    ValueError,
     KeyError,
     TypeError,
     AttributeError,
-    CheckpointError,  # corrupt array payloads from the shared codecs
+    CheckpointError,  # a missing or defective file, or a corrupt array
 )
 
 
@@ -89,25 +88,6 @@ def partition_filename(fingerprint: str, shuffle: str) -> str:
     """File name of one ``(dataset fingerprint, shuffle)`` partition."""
     digest = hashlib.sha256(f"{fingerprint}\n{shuffle}".encode("utf-8"))
     return f"part-{digest.hexdigest()[:32]}.json"
-
-
-def _canonical(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _copy_joint_snapshot(snapshot: dict[str, Any]) -> dict[str, Any]:
-    """Own a sampler's live joint snapshot (its arrays must not be kept)."""
-    out: dict[str, Any] = {
-        "support_first": int(snapshot["support_first"]),
-        "support_second": int(snapshot["support_second"]),
-        "total": int(snapshot["total"]),
-    }
-    if "dense" in snapshot:
-        out["dense"] = np.asarray(snapshot["dense"]).copy()
-    else:
-        out["sparse_codes"] = np.asarray(snapshot["sparse_codes"]).copy()
-        out["sparse_counts"] = np.asarray(snapshot["sparse_counts"]).copy()
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,10 +155,12 @@ class CachePartition:
     def __init__(self, *, fingerprint: str, shuffle: str) -> None:
         self.fingerprint = fingerprint
         self.shuffle = shuffle
-        # attribute -> (prefix, counts); only the largest prefix is kept.
-        self._marginals: dict[str, tuple[int, np.ndarray]] = {}
-        # (first, second) [key order] -> (prefix, owned joint snapshot).
-        self._joints: dict[tuple[str, str], tuple[int, dict[str, Any]]] = {}
+        # Owned counters in the sampler's state-snapshot entry form
+        # ({"counted", "counts"} per attribute; {"first", "second",
+        # "counted", "counter"} per joint pair in key order); only the
+        # largest prefix is kept.
+        self._marginals: dict[str, dict[str, Any]] = {}
+        self._joints: dict[tuple[str, str], dict[str, Any]] = {}
         self._answers: list[CachedAnswer] = []
         self._dirty = False
 
@@ -196,11 +178,8 @@ class CachePartition:
         copy* — the sampler will keep extending it in place.
         """
         entry = self._marginals.get(name)
-        if entry is None:
-            return None
-        prefix, counts = entry
-        if counted < prefix <= num_rows:
-            return prefix, counts.copy()
+        if entry is not None and counted < entry["counted"] <= num_rows:
+            return entry["counted"], entry["counts"].copy()
         return None
 
     def best_joint(
@@ -213,11 +192,8 @@ class CachePartition:
         """
         key = (first, second) if first <= second else (second, first)
         entry = self._joints.get(key)
-        if entry is None:
-            return None
-        prefix, snapshot = entry
-        if counted < prefix <= num_rows:
-            return prefix, JointCounter.from_snapshot(snapshot)
+        if entry is not None and counted < entry["counted"] <= num_rows:
+            return entry["counted"], JointCounter.from_snapshot(entry["counter"])
         return None
 
     def absorb_sampler_state(self, state: dict[str, Any]) -> None:
@@ -226,29 +202,16 @@ class CachePartition:
         ``state`` is :meth:`~repro.data.sampling.PrefixSampler.state_snapshot`
         output with live arrays; everything kept is copied.
         """
-        marginals = state["marginals"]
-        for name, entry in marginals.items():
-            counted = int(entry["counted"])
-            if counted <= 0:
-                continue
+        for name, entry in state["marginals"].items():
             current = self._marginals.get(name)
-            if current is None or current[0] < counted:
-                self._marginals[str(name)] = (
-                    counted,
-                    np.asarray(entry["counts"]).copy(),
-                )
+            if entry["counted"] > (0 if current is None else current["counted"]):
+                self._marginals[str(name)] = copy.deepcopy(entry)
                 self._dirty = True
         for joint in state["joints"]:
-            counted = int(joint["counted"])
-            if counted <= 0:
-                continue
             key = (str(joint["first"]), str(joint["second"]))
             current = self._joints.get(key)
-            if current is None or current[0] < counted:
-                self._joints[key] = (
-                    counted,
-                    _copy_joint_snapshot(joint["counter"]),
-                )
+            if joint["counted"] > (0 if current is None else current["counted"]):
+                self._joints[key] = copy.deepcopy(joint)
                 self._dirty = True
 
     # ------------------------------------------------------------------
@@ -411,22 +374,14 @@ class CachePartition:
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-ready partition payload (arrays via the checkpoint codecs)."""
+        counters = {
+            "marginals": self._marginals,
+            "joints": [self._joints[key] for key in sorted(self._joints)],
+        }
         return {
             "fingerprint": self.fingerprint,
             "shuffle": self.shuffle,
-            "marginals": {
-                name: {"counted": counted, "counts": encode_array(counts)}
-                for name, (counted, counts) in sorted(self._marginals.items())
-            },
-            "joints": [
-                {
-                    "first": key[0],
-                    "second": key[1],
-                    "counted": counted,
-                    "counter": encode_joint_snapshot(snapshot),
-                }
-                for key, (counted, snapshot) in sorted(self._joints.items())
-            ],
+            **encode_counters(counters),
             "answers": [
                 {
                     "kind": e.kind,
@@ -450,19 +405,7 @@ class CachePartition:
 
     def load_payload(self, payload: dict[str, Any]) -> None:
         """Populate from a decoded payload (raises on malformed input)."""
-        marginals: dict[str, tuple[int, np.ndarray]] = {}
-        for name, entry in payload["marginals"].items():
-            marginals[str(name)] = (
-                int(entry["counted"]),
-                np.asarray(decode_array(entry["counts"]), dtype=np.int64),
-            )
-        joints: dict[tuple[str, str], tuple[int, dict[str, Any]]] = {}
-        for joint in payload["joints"]:
-            key = (str(joint["first"]), str(joint["second"]))
-            joints[key] = (
-                int(joint["counted"]),
-                decode_joint_snapshot(joint["counter"]),
-            )
+        counters = decode_counters(payload)
         answers: list[CachedAnswer] = []
         for raw in payload["answers"]:
             target = raw["target"]
@@ -497,8 +440,11 @@ class CachePartition:
                 )
             )
         # All-or-nothing: only replace state once the whole payload parsed.
-        self._marginals = marginals
-        self._joints = joints
+        self._marginals = counters["marginals"]
+        self._joints = {
+            (joint["first"], joint["second"]): joint
+            for joint in counters["joints"]
+        }
         self._answers = answers
 
 
@@ -543,17 +489,9 @@ class PlanCache:
             part.fingerprint, part.shuffle
         )
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            if document.get("format") != CACHE_FORMAT:
-                return
-            if document.get("schema_version") != CACHE_SCHEMA_VERSION:
-                return  # stale schema: start cold, never migrate
-            payload = document["payload"]
-            digest = hashlib.sha256(
-                _canonical(payload).encode("utf-8")
-            ).hexdigest()
-            if document.get("sha256") != digest:
-                return  # corrupt: start cold
+            payload = read_envelope(
+                path, marker=CACHE_FORMAT, schema_version=CACHE_SCHEMA_VERSION
+            )
             if (
                 payload.get("fingerprint") != part.fingerprint
                 or payload.get("shuffle") != part.shuffle
@@ -561,7 +499,7 @@ class PlanCache:
                 return  # foreign partition under our name: start cold
             part.load_payload(payload)
         except _LOAD_ERRORS:
-            return
+            return  # missing, corrupt or stale (never migrated): start cold
 
     def flush(self) -> None:
         """Atomically write every dirty partition (no-op when in-memory)."""
@@ -572,18 +510,11 @@ class PlanCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         for part in dirty:
-            payload = part.to_payload()
-            envelope = {
-                "format": CACHE_FORMAT,
-                "schema_version": CACHE_SCHEMA_VERSION,
-                "sha256": hashlib.sha256(
-                    _canonical(payload).encode("utf-8")
-                ).hexdigest(),
-                "payload": payload,
-            }
-            atomic_write_text(
+            write_envelope(
                 self.directory
                 / partition_filename(part.fingerprint, part.shuffle),
-                json.dumps(envelope, sort_keys=True, separators=(",", ":")),
+                part.to_payload(),
+                marker=CACHE_FORMAT,
+                schema_version=CACHE_SCHEMA_VERSION,
             )
             part.mark_clean()

@@ -695,9 +695,7 @@ def adaptive_top_k(
             lower_k = _kth_largest([intervals[a].lower for a in live], k_effective)
             survivors = [a for a in live if intervals[a].upper >= lower_k]
             gone = [a for a in live if intervals[a].upper < lower_k]
-            for attribute in gone:
-                ctx.stats.candidates_pruned += 1
-                sampler.release(attribute)
+            ctx.stats.candidates_pruned += len(gone)
             if gone and tracer.active:
                 tracer.emit(
                     PruneEvent(
@@ -870,7 +868,6 @@ def adaptive_filter(
                 included.append(attribute)
             decided_now.append(attribute)
             estimates[attribute] = _estimate_from_interval(attribute, iv, sample_size)
-            sampler.release(attribute)
         undecided = still
         if tracer.active:
             tracer.emit(

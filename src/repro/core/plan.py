@@ -745,13 +745,56 @@ def _retired_event(
     )
 
 
+def _query_name(spec: QuerySpec, index: int) -> str:
+    return spec.name if spec.name is not None else f"q{index}"
+
+
+@dataclass
+class _PlanProgress:
+    """Everything a plan run saves to be resumed, besides the sampler.
+
+    :meth:`PlanExecutor.execute` updates it as boundaries pass and
+    queries retire, :mod:`repro.durability.checkpoint` encodes and
+    decodes it, and :meth:`PlanExecutor.resume` hands the decoded record
+    back to ``execute``.
+
+    Two meters are kept apart. ``cells_at_start`` is where the plan's
+    cell accounting (:attr:`PlanStats.cells_scanned`) starts;
+    ``budget_meter`` is where the plan budget's cell allowance is
+    measured from. They agree on a fresh run. A resumed run keeps the
+    first, but its budget is the checkpoint's residual, so the
+    allowance is measured from the checkpoint's meter: cells spent
+    before the checkpoint are charged once.
+    """
+
+    plan: QueryPlan
+    cells_at_start: int
+    budget_meter: int
+    #: Retired results and their incremental cells, in retirement order.
+    results: dict[str, QueryResult] = field(default_factory=dict)
+    per_query_cells: dict[str, int] = field(default_factory=dict)
+    #: The query running or next to run (``len(plan.specs)`` when done).
+    index: int = 0
+    #: The sampler meter when that query started.
+    cells_before: int = 0
+    #: That query's last saved iteration boundary (``None``: none yet).
+    loop: LoopCheckpoint | None = None
+
+    @property
+    def running(self) -> str | None:
+        """Name of the query at ``index``; ``None`` once all retired."""
+        if self.index >= len(self.plan.specs):
+            return None
+        return _query_name(self.plan.specs[self.index], self.index)
+
+
 def _remaining_budget(
     budget: QueryBudget | None,
     started: float,
-    cells_at_start: int,
+    budget_meter: int,
     sampler: PrefixSampler,
 ) -> QueryBudget | None:
-    """The plan-wide budget minus what earlier queries already consumed.
+    """The plan-wide budget minus what the plan already consumed.
 
     The residual deadline and cell allowance are clamped to tiny positive
     values rather than zero: a query handed an exhausted budget still
@@ -767,7 +810,7 @@ def _remaining_budget(
         deadline_ms = max(deadline_ms - elapsed_ms, 1e-6)
     max_cells = budget.max_cells
     if max_cells is not None:
-        max_cells = max(max_cells - (sampler.cells_scanned - cells_at_start), 1)
+        max_cells = max(max_cells - (sampler.cells_scanned - budget_meter), 1)
     return QueryBudget(
         deadline_ms=deadline_ms,
         max_cells=max_cells,
@@ -778,11 +821,11 @@ def _remaining_budget(
 class PlanExecutor:
     """Execute query plans over one shared, counter-retaining sampler.
 
-    The executor owns a :class:`~repro.data.sampling.PrefixSampler` in
-    ``retain=True`` mode: every marginal and joint counter any query
-    grows stays alive, so each count a plan needs is fetched from the
-    store exactly once — later queries of the batch (and later plans on
-    the same executor) reuse it for free. The starting sample size
+    The executor owns a :class:`~repro.data.sampling.PrefixSampler`,
+    which keeps every marginal and joint counter any query grows, so
+    each count a plan needs is fetched from the store exactly once —
+    later queries of the batch (and later plans on the same executor)
+    reuse it for free. The starting sample size
     ratchets to the largest ``M`` any query has reached (prefix counters
     can only grow); starting at a larger-than-``M0`` sample is
     statistically harmless, because the Lemma 3 interval at a larger
@@ -870,14 +913,35 @@ class PlanExecutor:
             raise ParameterError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
             )
-        self._store = store
-        self._sampler = PrefixSampler(
-            store, seed=seed, sequential=sequential, retain=True, backend=backend
+        self._setup(
+            PrefixSampler(store, seed=seed, sequential=sequential, backend=backend),
+            failure_probability=failure_probability,
+            budget=budget,
+            trace=trace,
+            metrics=metrics,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
         )
+        self._bind_cache(cache, cache_dir)
+
+    def _setup(
+        self,
+        sampler: PrefixSampler,
+        *,
+        failure_probability: float | None,
+        budget: QueryBudget | None,
+        trace: TraceSink | None,
+        metrics: MetricsRegistry | None,
+        checkpoint_path: str | Path | None,
+        checkpoint_every: int,
+    ) -> None:
+        """Initialise a fresh (or, via :meth:`resume`, restored) executor."""
+        self._store = sampler.store
+        self._sampler = sampler
         self._failure = (
             failure_probability
             if failure_probability is not None
-            else default_failure_probability(store.num_rows)
+            else default_failure_probability(sampler.num_rows)
         )
         self._budget = budget
         self._trace = trace
@@ -891,10 +955,9 @@ class PlanExecutor:
         self._checkpoint_every = checkpoint_every
         self._boundaries = 0  # iteration boundaries seen across all plans
         self._fingerprint: str | None = None
-        self._restored: dict[str, Any] | None = None
+        self._resumed: _PlanProgress | None = None
         self._cache: "PlanCache | None" = None
         self._partition: "CachePartition | None" = None
-        self._bind_cache(cache, cache_dir)
 
     # ------------------------------------------------------------------
     @property
@@ -1374,67 +1437,36 @@ class PlanExecutor:
         if metrics is _UNSET:
             metrics = self._metrics
         started = time.perf_counter()
-        cells_at_start = self._sampler.cells_scanned
-        results: dict[str, QueryResult] = {}
-        per_query_cells: dict[str, int] = {}
-        completed = 0
-        start_index = 0
-        resume_loop: LoopCheckpoint | None = None
-        resume_cells: int | None = None
-        restored = self._restored
-        self._restored = None
-        if restored is not None:
-            self._check_resumed_plan(plan, restored["specs"])
-            cells_at_start = restored["plan_cells_at_start"]
-            per_query_cells = dict(restored["per_query_cells"])
-            for entry_name, entry_result in restored["results"]:
-                results[entry_name] = entry_result
-            completed = len(results)
-            in_flight = restored["in_flight"]
+        progress = self._resumed
+        self._resumed = None
+        if progress is not None:
+            if tuple(plan.specs) != progress.plan.specs:
+                raise CheckpointMismatchError(
+                    "checkpoint was written for a different plan; resume must"
+                    " re-execute the same specs (use resumed_plan() to recover"
+                    " them from the checkpoint)"
+                )
             if metrics is not None:
-                record_resume(metrics, queries_completed=completed)
+                record_resume(metrics, queries_completed=len(progress.results))
             _emit(
                 trace,
                 PlanResumedEvent(
-                    queries_completed=completed,
+                    queries_completed=len(progress.results),
                     total_queries=len(plan.specs),
                     boundary=self._boundaries,
                     sample_floor=self._floor,
                     population_size=plan.population_size,
-                    query=None if in_flight is None else in_flight["name"],
+                    query=progress.running,
                 ),
             )
-            if in_flight is None:
-                # The checkpoint captured an already-finished plan.
-                # cells_scanned stays a plain local so the (deterministic)
-                # event payload never reads through the wall-clock-tainted
-                # stats object (SWP013).
-                cells_scanned = self._sampler.cells_scanned - cells_at_start
-                stats = PlanStats(
-                    queries=len(plan.specs),
-                    queries_completed=completed,
-                    cells_scanned=cells_scanned,
-                    per_query_cells=per_query_cells,
-                    wall_seconds=time.perf_counter() - started,
-                    sample_floor=self._floor,
-                    population_size=plan.population_size,
-                )
-                _emit(
-                    trace,
-                    PlanEndEvent(
-                        queries_completed=completed,
-                        total_queries=len(plan.specs),
-                        cells_scanned=cells_scanned,
-                        sample_floor=self._floor,
-                    ),
-                )
-                if metrics is not None:
-                    record_plan(metrics, stats=stats)
-                return PlanResult(results=results, stats=stats)
-            start_index = in_flight["index"]
-            resume_loop = in_flight["loop"]
-            resume_cells = in_flight["cells_before"]
         else:
+            meter = self._sampler.cells_scanned
+            progress = _PlanProgress(
+                plan=plan,
+                cells_at_start=meter,
+                budget_meter=meter,
+                cells_before=meter,
+            )
             _emit(
                 trace,
                 PlanStartEvent(
@@ -1459,118 +1491,65 @@ class PlanExecutor:
             if self._checkpoint_path is not None:
                 # Plan-start snapshot: even a crash inside the very first
                 # iteration leaves a resumable checkpoint behind.
-                first = plan.specs[0]
-                self._write_checkpoint(
-                    plan=plan,
-                    results=results,
-                    per_query_cells=per_query_cells,
-                    cells_at_start=cells_at_start,
-                    in_flight={
-                        "name": first.name if first.name is not None else "q0",
-                        "index": 0,
-                        "cells_before": self._sampler.cells_scanned,
-                        "loop": None,
-                    },
-                    budget=budget,
-                    started=started,
-                    sink=trace,
-                    metrics=metrics,
-                )
+                self._write_checkpoint(progress, budget, started, trace, metrics)
+        hook = (
+            None
+            if self._checkpoint_path is None
+            else self._boundary_hook(progress, budget, started, trace, metrics)
+        )
         try:
-            for index in range(start_index, len(plan.specs)):
+            while progress.index < len(plan.specs):
+                index = progress.index
                 spec = plan.specs[index]
-                name = spec.name if spec.name is not None else f"q{index}"
-                resuming = restored is not None and index == start_index
-                cells_before = (
-                    resume_cells
-                    if resuming and resume_cells is not None
-                    else self._sampler.cells_scanned
-                )
-                sub_budget = _remaining_budget(
-                    budget, started, cells_at_start, self._sampler
-                )
+                name = _query_name(spec, index)
                 self._sampler.expect_joints(
                     (later.target, candidate)
                     for later in plan.specs[index + 1 :]
                     if later.target is not None
                     for candidate in later.attributes or ()
                 )
-                hook: CheckpointHook | None = None
-                if self._checkpoint_path is not None:
-                    hook = self._boundary_hook(
-                        plan=plan,
-                        results=results,
-                        per_query_cells=per_query_cells,
-                        cells_at_start=cells_at_start,
-                        budget=budget,
-                        started=started,
-                        sink=trace,
-                        metrics=metrics,
-                        name=name,
-                        index=index,
-                        cells_before=cells_before,
-                    )
                 try:
                     result = self.execute_one(
                         spec,
-                        budget=sub_budget,
+                        budget=_remaining_budget(
+                            budget, started, progress.budget_meter, self._sampler
+                        ),
                         cancellation=cancellation,
                         strict=strict,
                         trace=trace,
                         metrics=metrics,
                         checkpoint=hook,
-                        resume_state=resume_loop if resuming else None,
-                        cells_before=cells_before if resuming else None,
+                        resume_state=progress.loop,
+                        cells_before=progress.cells_before,
                     )
                 except QueryInterruptedError as exc:
                     partial = exc.partial
                     if isinstance(partial, (TopKResult, FilterResult)):
-                        per_query_cells[name] = self._last_cells
+                        progress.per_query_cells[name] = self._last_cells
                         _emit(
                             trace,
                             _retired_event(name, index, partial, self._last_cells),
                         )
                     raise
-                results[name] = result
-                per_query_cells[name] = self._last_cells
-                completed += 1
+                progress.results[name] = result
+                progress.per_query_cells[name] = self._last_cells
+                progress.index += 1
+                progress.cells_before = self._sampler.cells_scanned
+                progress.loop = None
                 _emit(trace, _retired_event(name, index, result, self._last_cells))
                 if self._checkpoint_path is not None:
-                    if index + 1 < len(plan.specs):
-                        nxt = plan.specs[index + 1]
-                        next_in_flight: dict[str, Any] | None = {
-                            "name": (
-                                nxt.name
-                                if nxt.name is not None
-                                else f"q{index + 1}"
-                            ),
-                            "index": index + 1,
-                            "cells_before": self._sampler.cells_scanned,
-                            "loop": None,
-                        }
-                    else:
-                        next_in_flight = None
-                    self._write_checkpoint(
-                        plan=plan,
-                        results=results,
-                        per_query_cells=per_query_cells,
-                        cells_at_start=cells_at_start,
-                        in_flight=next_in_flight,
-                        budget=budget,
-                        started=started,
-                        sink=trace,
-                        metrics=metrics,
-                    )
+                    self._write_checkpoint(progress, budget, started, trace, metrics)
         finally:
             self._sampler.discard_held_joints()
-            # As above: the event reads the deterministic local, not the
+            # The event reads the deterministic local, not the
             # wall-clock-tainted stats object (SWP013).
-            cells_scanned = self._sampler.cells_scanned - cells_at_start
+            cells_scanned = self._sampler.cells_scanned - progress.cells_at_start
+            completed = len(progress.results)
             stats = PlanStats(
                 queries=len(plan.specs),
                 queries_completed=completed,
                 cells_scanned=cells_scanned,
-                per_query_cells=per_query_cells,
+                per_query_cells=progress.per_query_cells,
                 wall_seconds=time.perf_counter() - started,
                 sample_floor=self._floor,
                 population_size=plan.population_size,
@@ -1586,7 +1565,7 @@ class PlanExecutor:
             )
             if metrics is not None:
                 record_plan(metrics, stats=stats)
-        return PlanResult(results=results, stats=stats)
+        return PlanResult(results=progress.results, stats=stats)
 
     # ------------------------------------------------------------------
     # Durability: checkpointing and resume (repro.durability.checkpoint
@@ -1611,52 +1590,26 @@ class PlanExecutor:
 
     def _boundary_hook(
         self,
-        *,
-        plan: QueryPlan,
-        results: dict[str, QueryResult],
-        per_query_cells: dict[str, int],
-        cells_at_start: int,
+        progress: _PlanProgress,
         budget: QueryBudget | None,
         started: float,
         sink: TraceSink | None,
         metrics: MetricsRegistry | None,
-        name: str,
-        index: int,
-        cells_before: int,
     ) -> CheckpointHook:
-        """A per-query hook snapshotting every ``checkpoint_every``-th boundary."""
+        """A hook snapshotting every ``checkpoint_every``-th boundary."""
 
         def hook(state: LoopCheckpoint) -> None:
             self._boundaries += 1
             if self._boundaries % self._checkpoint_every != 0:
                 return
-            self._write_checkpoint(
-                plan=plan,
-                results=results,
-                per_query_cells=per_query_cells,
-                cells_at_start=cells_at_start,
-                in_flight={
-                    "name": name,
-                    "index": index,
-                    "cells_before": cells_before,
-                    "loop": state,
-                },
-                budget=budget,
-                started=started,
-                sink=sink,
-                metrics=metrics,
-            )
+            progress.loop = state
+            self._write_checkpoint(progress, budget, started, sink, metrics)
 
         return hook
 
     def _write_checkpoint(
         self,
-        *,
-        plan: QueryPlan,
-        results: dict[str, QueryResult],
-        per_query_cells: dict[str, int],
-        cells_at_start: int,
-        in_flight: dict[str, Any] | None,
+        progress: _PlanProgress,
         budget: QueryBudget | None,
         started: float,
         sink: TraceSink | None,
@@ -1668,61 +1621,14 @@ class PlanExecutor:
         if path is None:  # pragma: no cover - callers gate on checkpoint_path
             return
         save_started = time.perf_counter()
-        residual = _remaining_budget(budget, started, cells_at_start, self._sampler)
-        residual_payload = None
-        if residual is not None:
-            residual_payload = {
-                "deadline_ms": residual.deadline_ms,
-                "max_cells": residual.max_cells,
-                "max_sample_size": residual.max_sample_size,
-            }
-        completed = len(results)
-        progress: dict[str, Any] = {
-            "results": [
-                {"name": entry_name, "result": ckpt.result_to_payload(entry)}
-                for entry_name, entry in results.items()
-            ],
-            "per_query_cells": dict(per_query_cells),
-            "plan_cells_at_start": cells_at_start,
-            "in_flight": (
-                None
-                if in_flight is None
-                else {
-                    "name": in_flight["name"],
-                    "index": in_flight["index"],
-                    "cells_before": in_flight["cells_before"],
-                    "loop": (
-                        None
-                        if in_flight["loop"] is None
-                        else ckpt.loop_state_to_payload(in_flight["loop"])
-                    ),
-                }
-            ),
-            "residual_budget": residual_payload,
-            # Planner metadata: lets resumed_plan() rebuild the *scheduled*
-            # QueryPlan (count groups included) without re-running
-            # plan_queries — the checkpointed specs are already in
-            # execution order, and re-planning them would re-extract the
-            # count groups from scratch (and could re-order under a
-            # different cost model).
-            "plan": {
-                "marginal_attributes": list(plan.marginal_attributes),
-                "joint_targets": [
-                    [target, list(names)]
-                    for target, names in plan.joint_targets
-                ],
-                "population_size": plan.population_size,
-                "order": plan.order,
-                "submission_names": list(plan.submission_names),
-                "estimated_cells": list(plan.estimated_cells),
-                "cost_model": plan.cost_model,
-            },
-        }
+        residual = _remaining_budget(
+            budget, started, progress.budget_meter, self._sampler
+        )
         # The residual deadline is wall-clock *by contract*: a resumed run
         # gets the real time remaining, not a replayed duration (see
         # docs/RESILIENCE.md). The envelope's determinism-critical fields
         # (sampler state, results, specs) are unaffected.
-        snapshot = ckpt.PlanCheckpoint(  # noqa: SWP013
+        snapshot = ckpt.PlanCheckpoint(
             dataset={
                 "fingerprint": self._store_fingerprint(),
                 "num_rows": self._store.num_rows,
@@ -1735,8 +1641,8 @@ class PlanExecutor:
                 "checkpoint_every": self._checkpoint_every,
             },
             sampler=ckpt.encode_sampler_state(self._sampler.state_snapshot()),
-            specs=[asdict(spec) for spec in plan.specs],
-            progress=progress,
+            specs=[asdict(spec) for spec in progress.plan.specs],
+            progress=ckpt.progress_to_payload(progress, residual),
         )
         payload_bytes = ckpt.save_checkpoint(snapshot, path)
         if metrics is not None:
@@ -1749,20 +1655,10 @@ class PlanExecutor:
             sink,
             CheckpointSavedEvent(
                 boundary=self._boundaries,
-                queries_completed=completed,
-                query=None if in_flight is None else in_flight["name"],
+                queries_completed=len(progress.results),
+                query=progress.running,
             ),
         )
-
-    def _check_resumed_plan(
-        self, plan: QueryPlan, specs: tuple[QuerySpec, ...]
-    ) -> None:
-        if tuple(plan.specs) != tuple(specs):
-            raise CheckpointMismatchError(
-                "checkpoint was written for a different plan; resume must"
-                " re-execute the same specs (use resumed_plan() to recover"
-                " them from the checkpoint)"
-            )
 
     def resumed_plan(self) -> QueryPlan:
         """The plan the loaded checkpoint belongs to (resume-built only).
@@ -1776,38 +1672,14 @@ class PlanExecutor:
         count groups), not by re-running :func:`plan_queries` — so the
         resumed plan's count-group extraction and schedule are exactly
         the interrupted run's, even if the default cost model changes
-        between versions. Checkpoints written before the metadata
-        existed fall back to re-planning in submission order.
+        between versions.
         """
-        if self._restored is None:
+        if self._resumed is None:
             raise ParameterError(
                 "resumed_plan() needs an executor built by"
                 " PlanExecutor.resume() whose execute() has not run yet"
             )
-        meta = self._restored.get("plan")
-        if meta is None:
-            return plan_queries(
-                self._store,
-                list(self._restored["specs"]),
-                order="submission",
-            )
-        return QueryPlan(
-            specs=tuple(self._restored["specs"]),
-            marginal_attributes=tuple(
-                str(a) for a in meta["marginal_attributes"]
-            ),
-            joint_targets=tuple(
-                (str(target), tuple(str(n) for n in names))
-                for target, names in meta["joint_targets"]
-            ),
-            population_size=int(meta["population_size"]),
-            order=str(meta["order"]),
-            submission_names=tuple(
-                str(n) for n in meta["submission_names"]
-            ),
-            estimated_cells=tuple(int(c) for c in meta["estimated_cells"]),
-            cost_model=str(meta["cost_model"]),
-        )
+        return self._resumed.plan
 
     @classmethod
     def resume(
@@ -1843,49 +1715,15 @@ class PlanExecutor:
             queries_run = int(executor_state["queries_run"])
             boundaries = int(executor_state["boundaries_seen"])
             every = int(executor_state["checkpoint_every"])
-            specs = tuple(
-                QuerySpec(**payload) for payload in snapshot.specs
-            )
-            progress = snapshot.progress
-            restored_results = [
-                (str(entry["name"]), ckpt.result_from_payload(entry["result"]))
-                for entry in progress["results"]
-            ]
-            per_query_cells = {
-                str(key): int(value)
-                for key, value in progress["per_query_cells"].items()
-            }
-            plan_cells_at_start = int(progress["plan_cells_at_start"])
-            raw_in_flight = progress["in_flight"]
-            in_flight: dict[str, Any] | None = None
-            if raw_in_flight is not None:
-                raw_loop = raw_in_flight["loop"]
-                in_flight = {
-                    "name": str(raw_in_flight["name"]),
-                    "index": int(raw_in_flight["index"]),
-                    "cells_before": int(raw_in_flight["cells_before"]),
-                    "loop": (
-                        None
-                        if raw_loop is None
-                        else ckpt.loop_state_from_payload(raw_loop)
-                    ),
-                }
-            residual_payload = progress["residual_budget"]
-            budget = None
-            if residual_payload is not None:
-                budget = QueryBudget(
-                    deadline_ms=residual_payload["deadline_ms"],
-                    max_cells=residual_payload["max_cells"],
-                    max_sample_size=residual_payload["max_sample_size"],
-                )
+            progress, budget = ckpt.progress_from_payload(snapshot)
             sampler_state = ckpt.decode_sampler_state(snapshot.sampler)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {path} has a malformed payload: {exc}"
             ) from exc
-        executor = cls(
-            store,
-            sequential=True,  # placeholder sampler; replaced from state below
+        executor = cls.__new__(cls)
+        executor._setup(
+            PrefixSampler.from_state(store, sampler_state, backend=backend),
             failure_probability=failure,
             budget=budget,
             trace=trace,
@@ -1893,22 +1731,12 @@ class PlanExecutor:
             checkpoint_path=path,
             checkpoint_every=every,
         )
-        executor._sampler = PrefixSampler.from_state(
-            store, sampler_state, retain=True, backend=backend
-        )
         executor._floor = floor
         executor._queries_run = queries_run
         executor._boundaries = boundaries
         executor._fingerprint = snapshot.dataset.get("fingerprint")
-        # Bind the cache only now: the partition key includes the shuffle
-        # fingerprint, which must come from the *restored* permutation.
+        executor._resumed = progress
+        # The partition key includes the shuffle fingerprint, which comes
+        # from the restored permutation.
         executor._bind_cache(cache, cache_dir)
-        executor._restored = {
-            "specs": specs,
-            "results": restored_results,
-            "per_query_cells": per_query_cells,
-            "plan_cells_at_start": plan_cells_at_start,
-            "in_flight": in_flight,
-            "plan": progress.get("plan"),
-        }
         return executor

@@ -127,11 +127,6 @@ class PrefixSampler:
         When true, no shuffle is performed and "sampling M records" means
         reading the first M *physical* rows. Only valid when the physical
         row order is already random/exchangeable.
-    retain:
-        When true, :meth:`release` becomes a no-op, so counters survive
-        the releasing that query loops do when they retire attributes —
-        the mode :class:`repro.core.plan.PlanExecutor` uses to let
-        later queries reuse earlier queries' samples.
     backend:
         Counting backend: ``None`` or ``"numpy"`` for
         :class:`~repro.data.backends.NumpyBackend`, or any
@@ -150,7 +145,6 @@ class PrefixSampler:
         seed: int | np.random.Generator | None = None,
         *,
         sequential: bool = False,
-        retain: bool = False,
         backend: str | CountingBackend | None = None,
         counter_cache: CounterCache | None = None,
     ) -> None:
@@ -182,7 +176,6 @@ class PrefixSampler:
         # (attr_a, attr_b) -> (rows_counted, JointCounter)
         self._joints: dict[tuple[str, str], tuple[int, JointCounter]] = {}
         self._cells_scanned = 0
-        self._retain = retain
         self._backend = resolve_backend(backend)
         # Per-iteration permutation-block cache: the [start, stop) slice
         # of the shuffle, materialized once and shared by every column
@@ -321,7 +314,6 @@ class PrefixSampler:
         store: ColumnSource,
         state: dict[str, object],
         *,
-        retain: bool = True,
         backend: str | CountingBackend | None = None,
     ) -> "PrefixSampler":
         """Rebuild a sampler over ``store`` from a :meth:`state_snapshot`.
@@ -346,13 +338,12 @@ class PrefixSampler:
             )
         shuffle = state["shuffle"]
         if shuffle is None:
-            sampler = cls(store, sequential=True, retain=retain, backend=backend)
+            sampler = cls(store, sequential=True, backend=backend)
         else:
             assert isinstance(shuffle, Mapping)
             sampler = cls(
                 store,
                 seed=_recipe_generator(shuffle),
-                retain=retain,
                 backend=backend,
             )
             if sampler.shuffle_fingerprint() != shuffle["sha256"]:
@@ -736,20 +727,3 @@ class PrefixSampler:
         """
         self._expected = {}
         self._held.clear()
-
-    # ------------------------------------------------------------------
-    # Cache hygiene
-    # ------------------------------------------------------------------
-    def release(self, name: str) -> None:
-        """Drop the marginal counter of ``name`` (e.g. after pruning).
-
-        Joint counters involving ``name`` are also dropped. Releasing an
-        attribute that was never counted is a no-op, as is any release on
-        a sampler constructed with ``retain=True``.
-        """
-        if self._retain:
-            return
-        self._marginals.pop(name, None)
-        for key in [k for k in self._joints if name in k]:
-            self._joints.pop(key)
-            self._held.pop(key, None)

@@ -13,7 +13,10 @@ differently is refused). This module owns that snapshot's on-disk form:
 * a single JSON document (``{"format", "schema_version", "sha256",
   "payload"}``) written through
   :func:`repro.durability.atomic.atomic_write_text`, so a crash during a
-  save leaves the previous checkpoint intact;
+  save leaves the previous checkpoint intact — the same envelope
+  (:func:`write_envelope`/:func:`read_envelope`) and counter codec
+  (:func:`encode_counters`/:func:`decode_counters`) seal the plan
+  cache's partition files (:mod:`repro.cache.store`);
 * arrays — the counters, and the few ndarray leaves of a generator
   state (MT19937 ``key``, Philox ``counter``/``key``, SFC64 ``state``) —
   encoded as base64(zlib(raw bytes)) with dtype and shape, so the
@@ -44,13 +47,16 @@ import base64
 import hashlib
 import json
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
 
+from repro.core.budget import QueryBudget
 from repro.core.engine import LoopCheckpoint
+from repro.core.plan import QueryPlan, QuerySpec, _PlanProgress
 from repro.core.results import (
     AttributeEstimate,
     FilterResult,
@@ -66,19 +72,21 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_SCHEMA_VERSION",
     "PlanCheckpoint",
-    "decode_array",
-    "decode_joint_snapshot",
+    "decode_counters",
     "decode_sampler_state",
-    "encode_array",
-    "encode_joint_snapshot",
+    "encode_counters",
     "encode_sampler_state",
     "load_checkpoint",
     "loop_state_from_payload",
     "loop_state_to_payload",
+    "progress_from_payload",
+    "progress_to_payload",
+    "read_envelope",
     "result_from_payload",
     "result_to_payload",
     "save_checkpoint",
     "store_fingerprint",
+    "write_envelope",
 ]
 
 #: Discriminator in the envelope; a file without it is not a checkpoint.
@@ -169,14 +177,6 @@ def _decode_joint(payload: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-# Public aliases: the same array/joint codecs back the plan cache's
-# partition files (repro.cache), which share this envelope discipline.
-encode_array = _encode_array
-decode_array = _decode_array
-encode_joint_snapshot = _encode_joint
-decode_joint_snapshot = _decode_joint
-
-
 def _encode_generator_state(value: Any) -> Any:
     """JSON-ready generator state: ndarray leaves become tagged arrays."""
     if isinstance(value, np.ndarray):
@@ -194,26 +194,20 @@ def _decode_generator_state(value: Any) -> Any:
     return value
 
 
-def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
-    """JSON-ready form of :meth:`~repro.data.sampling.PrefixSampler.state_snapshot`."""
-    shuffle = state["shuffle"]
-    marginals = state["marginals"]
-    assert isinstance(marginals, dict)
+def encode_counters(state: Mapping[str, Any]) -> dict[str, Any]:
+    """JSON-ready ``marginals`` and ``joints`` of a sampler state snapshot.
+
+    ``state`` holds live arrays in the shape
+    :meth:`~repro.data.sampling.PrefixSampler.state_snapshot` returns;
+    checkpoints and plan-cache partitions both store counters this way.
+    """
     return {
-        "num_rows": int(state["num_rows"]),
-        "shuffle": None if shuffle is None else {
-            "bit_generator": str(shuffle["bit_generator"]),
-            "state": _encode_generator_state(shuffle["state"]),
-            "sha256": str(shuffle["sha256"]),
-        },
-        "cells_scanned": int(state["cells_scanned"]),
-        "cells_saved": int(state.get("cells_saved", 0)),
         "marginals": {
             name: {
                 "counted": int(entry["counted"]),
                 "counts": _encode_array(entry["counts"]),
             }
-            for name, entry in marginals.items()
+            for name, entry in state["marginals"].items()
         },
         "joints": [
             {
@@ -224,6 +218,44 @@ def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
             }
             for entry in state["joints"]
         ],
+    }
+
+
+def decode_counters(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Live-array ``marginals`` and ``joints`` from :func:`encode_counters`."""
+    return {
+        "marginals": {
+            str(name): {
+                "counted": int(entry["counted"]),
+                "counts": _decode_array(entry["counts"]),
+            }
+            for name, entry in payload["marginals"].items()
+        },
+        "joints": [
+            {
+                "first": str(entry["first"]),
+                "second": str(entry["second"]),
+                "counted": int(entry["counted"]),
+                "counter": _decode_joint(entry["counter"]),
+            }
+            for entry in payload["joints"]
+        ],
+    }
+
+
+def encode_sampler_state(state: dict[str, Any]) -> dict[str, Any]:
+    """JSON-ready form of :meth:`~repro.data.sampling.PrefixSampler.state_snapshot`."""
+    shuffle = state["shuffle"]
+    return {
+        "num_rows": int(state["num_rows"]),
+        "shuffle": None if shuffle is None else {
+            "bit_generator": str(shuffle["bit_generator"]),
+            "state": _encode_generator_state(shuffle["state"]),
+            "sha256": str(shuffle["sha256"]),
+        },
+        "cells_scanned": int(state["cells_scanned"]),
+        "cells_saved": int(state.get("cells_saved", 0)),
+        **encode_counters(state),
     }
 
 
@@ -240,22 +272,7 @@ def decode_sampler_state(payload: dict[str, Any]) -> dict[str, Any]:
             },
             "cells_scanned": int(payload["cells_scanned"]),
             "cells_saved": int(payload.get("cells_saved", 0)),
-            "marginals": {
-                name: {
-                    "counted": int(entry["counted"]),
-                    "counts": _decode_array(entry["counts"]),
-                }
-                for name, entry in payload["marginals"].items()
-            },
-            "joints": [
-                {
-                    "first": str(entry["first"]),
-                    "second": str(entry["second"]),
-                    "counted": int(entry["counted"]),
-                    "counter": _decode_joint(entry["counter"]),
-                }
-                for entry in payload["joints"]
-            ],
+            **decode_counters(payload),
         }
     except (KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(
@@ -441,6 +458,116 @@ def loop_state_from_payload(payload: dict[str, Any]) -> LoopCheckpoint:
 
 
 # ----------------------------------------------------------------------
+# Plan progress
+# ----------------------------------------------------------------------
+def progress_to_payload(
+    progress: _PlanProgress, residual: QueryBudget | None
+) -> dict[str, Any]:
+    """The ``progress`` section for a plan's progress record.
+
+    ``residual`` is what the plan budget has left; it becomes the
+    resumed executor's default budget. The plan's own specs go in the
+    ``specs`` section; ``plan`` here carries the planner metadata, so a
+    resumed plan keeps the interrupted run's count groups and schedule.
+    """
+    plan = progress.plan
+    running = progress.running
+    return {
+        "results": [
+            {"name": name, "result": result_to_payload(result)}
+            for name, result in progress.results.items()
+        ],
+        "per_query_cells": dict(progress.per_query_cells),
+        "plan_cells_at_start": progress.cells_at_start,
+        "in_flight": None if running is None else {
+            "name": running,
+            "index": progress.index,
+            "cells_before": progress.cells_before,
+            "loop": (
+                None
+                if progress.loop is None
+                else loop_state_to_payload(progress.loop)
+            ),
+        },
+        "residual_budget": None if residual is None else {
+            "deadline_ms": residual.deadline_ms,
+            "max_cells": residual.max_cells,
+            "max_sample_size": residual.max_sample_size,
+        },
+        "plan": {
+            "marginal_attributes": list(plan.marginal_attributes),
+            "joint_targets": [
+                [target, list(names)] for target, names in plan.joint_targets
+            ],
+            "population_size": plan.population_size,
+            "order": plan.order,
+            "submission_names": list(plan.submission_names),
+            "estimated_cells": list(plan.estimated_cells),
+            "cost_model": plan.cost_model,
+        },
+    }
+
+
+def progress_from_payload(
+    checkpoint: PlanCheckpoint,
+) -> tuple[_PlanProgress, QueryBudget | None]:
+    """The progress record and residual budget a checkpoint saved.
+
+    The record's residual cell allowance is measured from the sampler
+    meter the checkpoint saved: the residual already excludes what was
+    spent before it. Malformed sections raise ``AttributeError``,
+    ``KeyError``, ``TypeError`` or ``ValueError`` for the caller to
+    report.
+    """
+    progress = checkpoint.progress
+    meta = progress["plan"]
+    plan = QueryPlan(
+        specs=tuple(QuerySpec(**payload) for payload in checkpoint.specs),
+        marginal_attributes=tuple(str(a) for a in meta["marginal_attributes"]),
+        joint_targets=tuple(
+            (str(target), tuple(str(n) for n in names))
+            for target, names in meta["joint_targets"]
+        ),
+        population_size=int(meta["population_size"]),
+        order=str(meta["order"]),
+        submission_names=tuple(str(n) for n in meta["submission_names"]),
+        estimated_cells=tuple(int(c) for c in meta["estimated_cells"]),
+        cost_model=str(meta["cost_model"]),
+    )
+    meter = int(checkpoint.sampler["cells_scanned"])
+    in_flight = progress["in_flight"]
+    record = _PlanProgress(
+        plan=plan,
+        cells_at_start=int(progress["plan_cells_at_start"]),
+        budget_meter=meter,
+        results={
+            str(entry["name"]): result_from_payload(entry["result"])
+            for entry in progress["results"]
+        },
+        per_query_cells={
+            str(key): int(value)
+            for key, value in progress["per_query_cells"].items()
+        },
+        index=len(plan.specs) if in_flight is None else int(in_flight["index"]),
+        cells_before=(
+            meter if in_flight is None else int(in_flight["cells_before"])
+        ),
+        loop=(
+            None
+            if in_flight is None or in_flight["loop"] is None
+            else loop_state_from_payload(in_flight["loop"])
+        ),
+    )
+    residual = progress["residual_budget"]
+    budget = None if residual is None else QueryBudget(
+        deadline_ms=residual["deadline_ms"],
+        max_cells=residual["max_cells"],
+        max_sample_size=residual["max_sample_size"],
+    )
+    return record, budget
+
+
+# ----------------------------------------------------------------------
 # Envelope
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -508,33 +635,88 @@ def _canonical(payload: dict[str, Any]) -> str:
     )
 
 
-def save_checkpoint(checkpoint: PlanCheckpoint, path: Union[str, Path]) -> int:
-    """Atomically write ``checkpoint`` to ``path``; return bytes written.
+def write_envelope(
+    path: Union[str, Path],
+    payload: dict[str, Any],
+    *,
+    marker: str,
+    schema_version: int,
+) -> int:
+    """Atomically write ``payload`` sealed in the envelope; return bytes written.
 
-    The destination only ever holds a complete, verified-on-load
-    document: the write goes through
-    :func:`repro.durability.atomic.atomic_write_text`, and the sha256 in
-    the envelope covers the canonical payload serialization.
+    The envelope is ``{"format": marker, "schema_version", "sha256",
+    "payload"}`` with the sha256 over the payload's canonical
+    serialization. The write goes through
+    :func:`repro.durability.atomic.atomic_write_text`, so ``path`` only
+    ever holds a complete document.
     """
-    payload = {
-        "dataset": checkpoint.dataset,
-        "executor": checkpoint.executor,
-        "sampler": checkpoint.sampler,
-        "specs": checkpoint.specs,
-        "progress": checkpoint.progress,
-    }
-    canonical = _canonical(payload)
-    envelope = {
-        "format": CHECKPOINT_FORMAT,
-        "schema_version": checkpoint.schema_version,
-        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "payload": payload,
-    }
-    text = json.dumps(
-        envelope, sort_keys=True, separators=(",", ":"), default=_json_default
+    text = _canonical(
+        {
+            "format": marker,
+            "schema_version": schema_version,
+            "sha256": hashlib.sha256(
+                _canonical(payload).encode("utf-8")
+            ).hexdigest(),
+            "payload": payload,
+        }
     )
     atomic_write_text(path, text)
     return len(text.encode("utf-8"))
+
+
+def read_envelope(
+    path: Union[str, Path], *, marker: str, schema_version: int
+) -> dict[str, Any]:
+    """The verified payload of a file written by :func:`write_envelope`.
+
+    Verification order: readability and JSON shape, format marker
+    (:class:`~repro.exceptions.CheckpointError`), schema version
+    (:class:`~repro.exceptions.CheckpointMismatchError` — old files are
+    refused, never migrated), then the sha256 over the canonical payload
+    (:class:`~repro.exceptions.CheckpointError`, e.g. a file truncated
+    by a crash that bypassed the atomic writer).
+    """
+    target = Path(path)
+    try:
+        text = target.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {target}: {exc}") from exc
+    try:
+        envelope = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(
+            f"{target} is not valid JSON ({exc}); the file is corrupt or"
+            " was written without the atomic writer"
+        ) from exc
+    if not isinstance(envelope, dict) or envelope.get("format") != marker:
+        raise CheckpointError(f"{target} is not a {marker!r} file")
+    version = envelope.get("schema_version")
+    if version != schema_version:
+        raise CheckpointMismatchError(
+            f"{target} has schema version {version!r}; this build reads"
+            f" only version {schema_version} and never migrates old files"
+        )
+    payload = envelope.get("payload")
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{target} has no payload object")
+    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    if digest != envelope.get("sha256"):
+        raise CheckpointError(
+            f"{target} failed its sha256 integrity check; refusing to read"
+            " a corrupt file"
+        )
+    return payload
+
+
+def save_checkpoint(checkpoint: PlanCheckpoint, path: Union[str, Path]) -> int:
+    """Atomically write ``checkpoint`` to ``path``; return bytes written."""
+    payload = {key: getattr(checkpoint, key) for key in _PAYLOAD_KEYS}
+    return write_envelope(
+        path,
+        payload,
+        marker=CHECKPOINT_FORMAT,
+        schema_version=checkpoint.schema_version,
+    )
 
 
 def load_checkpoint(
@@ -542,61 +724,21 @@ def load_checkpoint(
 ) -> PlanCheckpoint:
     """Load and verify a checkpoint written by :func:`save_checkpoint`.
 
-    Verification order: file readability and JSON shape, format marker,
-    schema version (:class:`~repro.exceptions.CheckpointMismatchError`),
-    sha256 integrity over the canonical payload
-    (:class:`~repro.exceptions.CheckpointError` — e.g. a file truncated
-    by a crash that bypassed the atomic writer), payload structure, and
-    finally — when ``store`` is given — the dataset fingerprint
-    (:class:`~repro.exceptions.CheckpointMismatchError`).
+    After the envelope checks of :func:`read_envelope`, the payload must
+    hold every section, and — when ``store`` is given — the dataset
+    fingerprint must match (:class:`~repro.exceptions.CheckpointMismatchError`).
     """
-    target = Path(path)
-    try:
-        text = target.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {target}: {exc}") from exc
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {target} is not valid JSON ({exc}); the file is"
-            " corrupt or was written without the atomic writer"
-        ) from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{target} is not a {CHECKPOINT_FORMAT!r} file"
-        )
-    version = envelope.get("schema_version")
-    if version != CHECKPOINT_SCHEMA_VERSION:
-        raise CheckpointMismatchError(
-            f"checkpoint {target} has schema version {version!r}; this build"
-            f" reads only version {CHECKPOINT_SCHEMA_VERSION} and never"
-            " migrates old checkpoints — rerun the plan from the start"
-        )
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"checkpoint {target} has no payload object")
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    if digest != envelope.get("sha256"):
-        raise CheckpointError(
-            f"checkpoint {target} failed its sha256 integrity check;"
-            " refusing to resume from a corrupt snapshot"
-        )
+    payload = read_envelope(
+        path, marker=CHECKPOINT_FORMAT, schema_version=CHECKPOINT_SCHEMA_VERSION
+    )
     missing = [key for key in _PAYLOAD_KEYS if key not in payload]
     if missing:
         raise CheckpointError(
-            f"checkpoint {target} payload is missing sections: {missing}"
+            f"checkpoint {path} payload is missing sections: {missing}"
         )
     if not isinstance(payload["specs"], list):
-        raise CheckpointError(f"checkpoint {target} has a malformed spec list")
-    checkpoint = PlanCheckpoint(
-        dataset=payload["dataset"],
-        executor=payload["executor"],
-        sampler=payload["sampler"],
-        specs=payload["specs"],
-        progress=payload["progress"],
-        schema_version=int(version),
-    )
+        raise CheckpointError(f"checkpoint {path} has a malformed spec list")
+    checkpoint = PlanCheckpoint(**{key: payload[key] for key in _PAYLOAD_KEYS})
     if store is not None:
         checkpoint.verify_store(store)
     return checkpoint

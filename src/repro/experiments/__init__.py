@@ -23,7 +23,6 @@ from repro.experiments.figures import (
     run_table2,
 )
 from repro.experiments.latex import figure_latex, table2_latex
-from repro.experiments.markdown import figure_markdown, table2_markdown
 from repro.experiments.persistence import load_figure_run, save_figure_run
 from repro.experiments.plotting import figure_svg, save_figure_svg
 from repro.experiments.regression import PointDelta, RunComparison, compare_runs
@@ -70,7 +69,6 @@ __all__ = [
     "check_top_k_guarantee",
     "compare_runs",
     "figure_latex",
-    "figure_markdown",
     "figure_svg",
     "filter_precision_recall",
     "format_table",
@@ -93,6 +91,5 @@ __all__ = [
     "run_table2",
     "summarize_run",
     "table2_latex",
-    "table2_markdown",
     "top_k_accuracy",
 ]

@@ -7,7 +7,8 @@ The durability contract under test (see ``docs/RESILIENCE.md``):
   deltas to a later MI filter), resume from the checkpoint, and the final answers,
   guarantee statuses, work accounting, *and the post-resume trace
   events* are byte-identical to the uninterrupted checkpointing run;
-  a checkpoint also resumes under a substituted counting backend;
+  a checkpoint also resumes under a substituted counting backend, and
+  a cell-budgeted plan resumes to its uninterrupted budgeted answers;
 * a flaky :class:`~repro.data.column_store.ColumnStore` (injected
   ``OSError`` mid-plan) degrades to retry → checkpoint → resume through
   :func:`~repro.durability.recovery.execute_plan_with_recovery`, with
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.budget import QueryBudget
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.data.column_store import ColumnStore
 from repro.durability import execute_plan_with_recovery
@@ -137,6 +139,46 @@ def _assert_resumes_identically(tmp_path, store, specs) -> None:
         assert '"event":"plan_resumed"' in resumed_lines[0]
         rest = resumed_lines[1:]
         assert rest == reference_lines[-len(rest):], f"kill at {kill_at}"
+
+
+def test_kill_and_resume_a_cell_budgeted_plan(tmp_path):
+    """Every boundary of a ``max_cells``-budgeted plan resumes to the
+    uninterrupted budgeted answers.
+
+    The checkpoint saves the residual allowance, and the resumed run
+    measures it from the checkpoint's meter: cells spent before the
+    checkpoint are charged once, not again against the residual.
+    """
+    store = _interleaved_store()
+    plan = plan_queries(store, _interleaved_specs())
+    unbudgeted = PlanExecutor(store, seed=SEED).execute(plan)
+    budget = QueryBudget(max_cells=unbudgeted.stats.cells_scanned // 5)
+    reference = PlanExecutor(store, seed=SEED, budget=budget).execute(plan)
+    reasons = {
+        result.guarantee.stopping_reason
+        for result in reference.results.values()
+        if result.guarantee is not None
+    }
+    assert reasons == {"converged", "cell_budget"}  # the budget binds midway
+    reference_fp = plan_fingerprint(reference)
+
+    kill_at = 0
+    while True:
+        path = tmp_path / f"budgeted-{kill_at}.ckpt"
+        token = BoundaryFaultToken(ChaosPlan.kill_at(kill_at))
+        try:
+            PlanExecutor(
+                store, seed=SEED, budget=budget, checkpoint_path=path
+            ).execute(plan, cancellation=token)
+        except SimulatedKillError:
+            pass
+        else:
+            break  # the plan ends before this boundary: every one was hit
+        resumed = PlanExecutor.resume(path, store)
+        outcome = resumed.execute(resumed.resumed_plan())
+        assert plan_fingerprint(outcome) == reference_fp, f"kill at {kill_at}"
+        kill_at += 1
+    assert kill_at > 1
 
 
 def test_resumed_plan_reuses_planned_groups(tmp_path, monkeypatch):

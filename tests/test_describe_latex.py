@@ -111,38 +111,3 @@ class TestLatex:
         assert "31,290,943" in tex
         assert tex.count("\\\\") >= 5
         assert "\\bottomrule" in tex
-
-
-class TestMarkdown:
-    @pytest.fixture(scope="class")
-    def run(self):
-        return run_figure("fig1", datasets=["cdc"], scale=0.01, seed=0)
-
-    def test_figure_markdown_structure(self, run):
-        from repro.experiments.markdown import figure_markdown
-
-        md = figure_markdown(run, "cells_scanned")
-        assert md.startswith("### fig1")
-        assert "| k | swope | entropy_rank | exact |" in md
-        assert "×exact" in md  # speedup column for the cells metric
-        assert md.count("|---|") >= 1
-
-    def test_figure_markdown_seconds_has_no_speedup_column(self, run):
-        from repro.experiments.markdown import figure_markdown
-
-        md = figure_markdown(run, "seconds")
-        assert "×exact" not in md
-        assert "ms" in md or " s" in md
-
-    def test_figure_markdown_invalid_metric(self, run):
-        from repro.experiments.markdown import figure_markdown
-
-        with pytest.raises(ParameterError):
-            figure_markdown(run, "vibes")
-
-    def test_table2_markdown(self):
-        from repro.experiments.markdown import table2_markdown
-
-        md = table2_markdown(run_table2())
-        assert "| cdc |" in md
-        assert "33,714,152" in md

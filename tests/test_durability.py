@@ -216,6 +216,22 @@ class TestCheckpointEnvelope:
         with pytest.raises(CheckpointMismatchError):
             PlanExecutor.resume(path, other)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("per_query_cells", [1, 2]),  # AttributeError while decoding
+            ("plan", None),  # TypeError
+            ("plan_cells_at_start", "many"),  # ValueError
+        ],
+    )
+    def test_resume_refuses_malformed_progress(self, store, tmp_path, key, value):
+        path, _ = _write_checkpoint(store, tmp_path)
+        snapshot = load_checkpoint(path)
+        snapshot.progress[key] = value
+        save_checkpoint(snapshot, path)  # re-sealed: passes the sha256 check
+        with pytest.raises(CheckpointError, match="malformed"):
+            PlanExecutor.resume(path, store)
+
     def test_resume_requires_same_plan(self, store, tmp_path):
         path, _ = _write_checkpoint(store, tmp_path)
         executor = PlanExecutor.resume(path, store)
@@ -246,7 +262,7 @@ class TestCheckpointEnvelope:
 # ----------------------------------------------------------------------
 class TestSamplerState:
     def test_snapshot_restores_counters_and_position(self, store):
-        sampler = PrefixSampler(store, seed=SEED, retain=True)
+        sampler = PrefixSampler(store, seed=SEED)
         sampler.marginal_counts("wide", 300)
         sampler.marginal_counts("narrow", 300)
         sampler.joint_counts("target", "noisy", 300)
@@ -264,8 +280,8 @@ class TestSamplerState:
         )
 
     def test_restored_sampler_continues_identically(self, store):
-        reference = PrefixSampler(store, seed=SEED, retain=True)
-        snapshotted = PrefixSampler(store, seed=SEED, retain=True)
+        reference = PrefixSampler(store, seed=SEED)
+        snapshotted = PrefixSampler(store, seed=SEED)
         for sampler in (reference, snapshotted):
             for name in store.attributes:
                 sampler.marginal_counts(name, 200)

@@ -164,21 +164,6 @@ class TestJointCounts:
         )
 
 
-class TestRelease:
-    def test_release_drops_marginal_and_joint(self, store):
-        sampler = PrefixSampler(store, seed=3)
-        sampler.marginal_counts("x", 500)
-        sampler.joint_counts("x", "y", 500)
-        sampler.release("x")
-        cost_before = sampler.cells_scanned
-        # re-counting starts from scratch (costs again)
-        sampler.marginal_counts("x", 500)
-        assert sampler.cells_scanned == cost_before + 500
-
-    def test_release_unknown_is_noop(self, store):
-        PrefixSampler(store, seed=3).release("never_counted")
-
-
 # ----------------------------------------------------------------------
 # Marginals read off dense joint updates
 # ----------------------------------------------------------------------
@@ -381,21 +366,6 @@ class TestDerivedMarginals:
         assert spy.counted == []
         assert_exact_prefix_counts(sampler, store)
 
-    def test_release_between_joint_and_marginal(self, store, monkeypatch):
-        sampler = PrefixSampler(store, seed=4)
-        # Same calls in the same order, every marginal gathered.
-        reference = PrefixSampler(store, seed=4)
-        monkeypatch.setattr(reference, "_derived_marginal", lambda *args: None)
-        for both in (sampler, reference):
-            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
-            both.joint_counts_batch("y", ["x", "z"], 1000)
-            both.release("x")
-            both.marginal_counts_batch(["x", "z"], 1000)
-            both.marginal_counts("y", 1000)
-            mi_step(both, "y", ["x", "z"], 2000, joints_first=True)
-        assert_same_counts(sampler, reference)
-        assert_exact_prefix_counts(sampler, store)
-
     def test_marginal_ahead_of_its_joint(self, store):
         spy = SpyBackend(store)
         sampler = PrefixSampler(store, seed=4, backend=spy)
@@ -467,21 +437,6 @@ class TestDerivedMarginals:
         # deltas' start, so they were dropped and [1500, 2000) gathered
         assert sampler._held == {}
         assert sampler.cells_saved == 2 * 2 * (1500 - 500)
-        assert_same_counts(sampler, reference)
-        assert_exact_prefix_counts(sampler, store)
-
-    def test_release_drops_the_held_delta(self, store):
-        sampler = PrefixSampler(store, seed=4)
-        reference = PrefixSampler(store, seed=4)
-        sampler.expect_joints([("y", "x"), ("y", "z")])
-        for both in (sampler, reference):
-            mi_step(both, "y", ["x", "z"], 500, joints_first=True)
-            both.marginal_counts_batch(["x", "y", "z"], 1000)
-            both.release("x")
-        assert set(sampler._held) == {("y", "z")}
-        for both in (sampler, reference):
-            mi_step(both, "y", ["x", "z"], 2000, joints_first=True)
-        assert sampler._held == {}
         assert_same_counts(sampler, reference)
         assert_exact_prefix_counts(sampler, store)
 

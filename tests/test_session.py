@@ -30,16 +30,6 @@ def store(rng):
     )
 
 
-class TestRetainMode:
-    def test_release_is_noop_when_retaining(self, store):
-        sampler = PrefixSampler(store, seed=0, retain=True)
-        sampler.marginal_counts("wide", 500)
-        cost = sampler.cells_scanned
-        sampler.release("wide")
-        sampler.marginal_counts("wide", 500)
-        assert sampler.cells_scanned == cost  # counter survived
-
-
 class TestAmortisation:
     def test_repeated_query_is_free(self, store):
         executor = PlanExecutor(store, seed=0)
