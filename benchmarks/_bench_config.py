@@ -9,8 +9,6 @@ is one command away:
   Use ``1.0`` for the EXPERIMENTS.md reference numbers.
 * ``REPRO_BENCH_DATASETS`` — comma-separated registry keys
   (default ``cdc,enem``; the paper runs all four: ``cdc,hus,pus,enem``).
-* ``REPRO_BENCH_TARGETS`` — MI targets averaged per measurement
-  (default 1; the paper uses 20).
 
 Benchmarks record, via ``benchmark.extra_info``, the paper's companion
 metrics next to wall-clock: cells scanned, sample fraction, and accuracy —
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.figures import FIGURES
 from repro.experiments.runner import GroundTruthCache
 from repro.synth.datasets import SyntheticDataset, load_dataset
 
@@ -32,14 +29,6 @@ DATASET_KEYS = [
     for key in os.environ.get("REPRO_BENCH_DATASETS", "cdc,enem").split(",")
     if key
 ]
-NUM_TARGETS = int(os.environ.get("REPRO_BENCH_TARGETS", "1"))
-
-#: Paper parameter grids (Section 6.1), as the figure registry sweeps them.
-TOPK_GRID = FIGURES["fig1"].x_values
-ENTROPY_ETA_GRID = FIGURES["fig3"].x_values
-MI_ETA_GRID = FIGURES["fig7"].x_values
-EPSILON_GRID = FIGURES["fig9"].x_values
-ALGORITHMS = FIGURES["fig1"].algorithms
 
 _truth = GroundTruthCache()
 
@@ -52,11 +41,6 @@ def dataset(key: str) -> SyntheticDataset:
 def truth() -> GroundTruthCache:
     """The session-wide exact-score cache."""
     return _truth
-
-
-def targets(key: str) -> list[str]:
-    """The MI target attributes benchmarked for one dataset."""
-    return list(dataset(key).mi_targets)[: max(1, NUM_TARGETS)]
 
 
 def record(benchmark, outcome) -> None:

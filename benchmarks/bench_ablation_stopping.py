@@ -11,13 +11,11 @@ from __future__ import annotations
 import pytest
 
 import _bench_config as cfg
-from repro.baselines.entropy_filter import entropy_filter
-from repro.baselines.entropy_rank import entropy_rank_top_k
+from repro.baselines import entropy_filter, entropy_rank_top_k
 from repro.core.swope import (
     swope_filter_entropy,
     swope_top_k_entropy,
 )
-from repro.data.sampling import PrefixSampler
 
 
 @pytest.mark.parametrize("dataset_key", cfg.DATASET_KEYS)
@@ -28,9 +26,7 @@ def test_ablation_stopping_topk(benchmark, dataset_key, rule):
     def run():
         if rule == "swope-approximate":
             return swope_top_k_entropy(store, 4, epsilon=0.1, sequential=True)
-        return entropy_rank_top_k(
-            store, 4, sampler=PrefixSampler(store, sequential=True)
-        )
+        return entropy_rank_top_k(store, 4, sequential=True)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned
@@ -47,9 +43,7 @@ def test_ablation_stopping_filter(benchmark, dataset_key, rule):
             return swope_filter_entropy(
                 store, 2.0, epsilon=0.05, sequential=True
             )
-        return entropy_filter(
-            store, 2.0, sampler=PrefixSampler(store, sequential=True)
-        )
+        return entropy_filter(store, 2.0, sequential=True)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned

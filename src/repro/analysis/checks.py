@@ -708,9 +708,9 @@ def _check_direct_output(context: ModuleContext) -> Iterator[Violation]:
 _ADAPTIVE_LOOPS = {"adaptive_top_k", "adaptive_filter"}
 
 #: Modules allowed to touch the loops directly: the engine defines them,
-#: and the planner's ``PlanExecutor.execute_one`` is the single sanctioned
-#: dispatch point (plans, the executor's query methods, and the four
-#: ``swope_*`` functions all run through it).
+#: and the planner dispatches to them (``PlanExecutor.execute_one`` for
+#: plans, the executor's query methods and the four ``swope_*``
+#: functions; ``run_exact_stopping`` for the exact-stopping baselines).
 _ADAPTIVE_LOOP_MODULES = {"repro.core.engine", "repro.core.plan"}
 
 
@@ -724,16 +724,15 @@ _ADAPTIVE_LOOP_MODULES = {"repro.core.engine", "repro.core.plan"}
 def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
     """Keep the adaptive loops behind the query-planner seam.
 
-    :meth:`repro.core.plan.PlanExecutor.execute_one` is the single place
-    that builds providers, schedules, and failure budgets before entering
+    :mod:`repro.core.plan` is the single place that builds providers,
+    schedules, and failure budgets before entering
     :func:`~repro.core.engine.adaptive_top_k` /
     :func:`~repro.core.engine.adaptive_filter`; a direct call elsewhere
     in ``src/repro`` re-derives (and eventually diverges from) that
     wiring and bypasses plan-wide budgets, shared-scan accounting, and
     the plan trace events. Route new call sites through a
-    :class:`~repro.core.plan.QuerySpec` — experiment harnesses that
-    must drive a loop raw may suppress with ``# noqa: SWP011`` and a
-    justification.
+    :class:`~repro.core.plan.QuerySpec`: ``PlanExecutor.execute_one``
+    for SWOPE's stopping rule, ``run_exact_stopping`` for the exact one.
     """
     if (
         not context.in_package("repro")
@@ -756,9 +755,9 @@ def _check_planner_seam(context: ModuleContext) -> Iterator[Violation]:
                 this,
                 node,
                 f"{name}() outside repro.core.plan: build a QuerySpec and"
-                " call PlanExecutor.execute_one (or a swope_* entry point) so"
-                " budgets, shared-scan accounting, and plan events stay wired, or"
-                " '# noqa: SWP011' with a justification",
+                " call PlanExecutor.execute_one (or a swope_* entry point,"
+                " or run_exact_stopping for the exact stopping rule) so"
+                " budgets, shared-scan accounting, and plan events stay wired",
             )
 
 

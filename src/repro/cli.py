@@ -194,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
              " query retirement, so a crash can resume with --resume",
     )
     query.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="save a boundary checkpoint every N iteration boundaries"
-             " (default 1; retirement checkpoints are always written)",
-    )
-    query.add_argument(
         "--resume", default=None, metavar="PATH",
         help="resume an interrupted --queries batch from the checkpoint at"
              " PATH (verified against the dataset fingerprint); --queries"
@@ -466,9 +461,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise ParameterError(
             "pass either a query kind or a --queries/--resume batch, not both"
         )
-    if not batch and (args.checkpoint is not None or args.checkpoint_every != 1):
+    if not batch and args.checkpoint is not None:
         raise ParameterError(
-            "--checkpoint/--checkpoint-every apply to --queries batches"
+            "--checkpoint applies to --queries batches"
             " (single queries re-run cheaply; plans are what resume saves)"
         )
     if batch:
@@ -567,7 +562,6 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
             trace=sink,
             metrics=registry,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
             cache_dir=cache_dir,
         )
     try:

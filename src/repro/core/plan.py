@@ -30,6 +30,9 @@ pass. This module is that batch-serving layer:
   one-spec run (:meth:`PlanExecutor.execute_one`, or one of the four
   query methods); the :mod:`repro.core.swope` functions are exactly
   that on a fresh executor, so there is one query path.
+* :func:`run_exact_stopping` — one spec on a fresh sampler, wired like
+  :meth:`PlanExecutor.execute_one` but under the exact stopping rule of
+  the KDD'19 baselines (:mod:`repro.baselines`).
 
 Scheduling note (why "interleaved" is a ratchet, not strict lock-step):
 the executor starts each query's schedule at
@@ -125,6 +128,7 @@ __all__ = [
     "QuerySpec",
     "load_plan",
     "plan_queries",
+    "run_exact_stopping",
 ]
 
 #: The two stopping rules (Definitions 5 and 6 of the paper).
@@ -818,6 +822,129 @@ def _remaining_budget(
     )
 
 
+def _wire_query(
+    sampler: PrefixSampler,
+    spec: QuerySpec,
+    failure_probability: float,
+    schedule: SampleSchedule | None,
+    floor: int = 0,
+) -> tuple[list[str], SampleSchedule, ScoreProvider]:
+    """Turn ``spec`` into its candidates, schedule and score provider.
+
+    Candidate resolution raises the typed errors of :func:`plan_queries`.
+    ``schedule`` defaults to the paper schedule with its start ratcheted
+    to ``floor``, the largest sample any earlier query on ``sampler``
+    reached. The provider's per-bound failure budget is union-bounded
+    over that schedule: one Lemma 3 bound per candidate and round for
+    entropy, three (target, candidate, joint) for mutual information.
+    """
+    store = sampler.store
+    names = _resolved_candidates(store, spec)
+    target = spec.target
+    all_names = names if target is None else [target, *names]
+    if schedule is None:
+        max_support = max(store.support_size(a) for a in all_names)
+        m0 = initial_sample_size(
+            store.num_rows, len(all_names), failure_probability, max_support
+        )
+        schedule = SampleSchedule.for_query(
+            store.num_rows,
+            len(all_names),
+            failure_probability,
+            max_support,
+            initial_size=min(store.num_rows, max(m0, floor)),
+        )
+    provider: ScoreProvider
+    if target is None:
+        provider = EntropyScoreProvider(
+            sampler, schedule.per_round_failure(failure_probability, len(names))
+        )
+    else:
+        provider = MutualInformationScoreProvider(
+            sampler,
+            target,
+            schedule.per_round_failure(
+                failure_probability, len(names), bounds_per_attribute=3
+            ),
+        )
+    return names, schedule, provider
+
+
+def _run_loop(
+    spec: QuerySpec,
+    provider: ScoreProvider,
+    sampler: PrefixSampler,
+    names: list[str],
+    epsilon: float | None,
+    schedule: SampleSchedule,
+    *,
+    budget: QueryBudget | None = None,
+    cancellation: CancellationToken | None = None,
+    strict: bool = False,
+    trace: TraceSink | None = None,
+    metrics: MetricsRegistry | None = None,
+    checkpoint: CheckpointHook | None = None,
+    resume_state: LoopCheckpoint | None = None,
+) -> QueryResult:
+    """Enter the adaptive loop that answers ``spec``'s kind.
+
+    ``epsilon=None`` selects the exact stopping rule of the KDD'19
+    baselines; a number selects SWOPE's relative-error rule.
+    """
+    if spec.kind == "top_k":
+        if spec.k is None:  # pragma: no cover - QuerySpec guards
+            raise PlanError("a top_k spec needs k")
+        return adaptive_top_k(
+            provider, sampler, names, spec.k, epsilon, schedule,
+            prune=spec.prune, target=spec.target, trace=trace, budget=budget,
+            cancellation=cancellation, strict=strict, metrics=metrics,
+            checkpoint=checkpoint, resume_state=resume_state,
+        )
+    if spec.threshold is None:  # pragma: no cover - QuerySpec guards
+        raise PlanError("a filter spec needs a threshold")
+    return adaptive_filter(
+        provider, sampler, names, spec.threshold, epsilon, schedule,
+        target=spec.target, trace=trace, budget=budget,
+        cancellation=cancellation, strict=strict, metrics=metrics,
+        checkpoint=checkpoint, resume_state=resume_state,
+    )
+
+
+def run_exact_stopping(
+    store: ColumnSource,
+    spec: QuerySpec,
+    *,
+    seed: int | np.random.Generator | None = None,
+    sequential: bool = False,
+    failure_probability: float | None = None,
+    schedule: SampleSchedule | None = None,
+    budget: QueryBudget | None = None,
+    cancellation: CancellationToken | None = None,
+    strict: bool = False,
+) -> QueryResult:
+    """Answer ``spec`` exactly, with the stopping rule of EntropyRank/EntropyFilter.
+
+    The run takes a fresh sampler and the wiring of
+    :meth:`PlanExecutor.execute_one` (candidates, ``p_f`` default, paper
+    schedule, per-bound failure budget, provider), and differs from a
+    SWOPE run only in the stopping rule: the loop stops once the answer
+    is provably exact, so the spec's ``epsilon`` is not used. The
+    answer carries no approximation guarantee (``guarantee`` is
+    ``None``) unless a budget or cancellation truncates the run.
+    """
+    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
+    failure = (
+        failure_probability
+        if failure_probability is not None
+        else default_failure_probability(store.num_rows)
+    )
+    names, schedule, provider = _wire_query(sampler, spec, failure, schedule)
+    return _run_loop(
+        spec, provider, sampler, names, None, schedule,
+        budget=budget, cancellation=cancellation, strict=strict,
+    )
+
+
 class PlanExecutor:
     """Execute query plans over one shared, counter-retaining sampler.
 
@@ -873,15 +1000,11 @@ class PlanExecutor:
         When set, :meth:`execute` durably snapshots plan progress to
         this path (atomic write-rename, see
         :mod:`repro.durability.checkpoint`): once at plan start, at
-        every ``checkpoint_every``-th iteration boundary of the running
-        query, and after every query retirement. A crash, budget
-        exhaustion, or cancellation therefore always leaves a loadable
-        checkpoint behind; :meth:`resume` restarts from it with
-        bit-identical final answers.
-    checkpoint_every:
-        Save a boundary checkpoint every this many iteration boundaries
-        (default 1 = every boundary). Retirement and plan-start
-        checkpoints are always written.
+        every iteration boundary of the running query, and after every
+        query retirement. A crash, budget exhaustion, or cancellation
+        therefore always leaves a loadable checkpoint behind;
+        :meth:`resume` restarts from it with bit-identical final
+        answers.
     cache:
         A :class:`~repro.cache.PlanCache` shared across executors:
         retired answers are served without re-running (exact matches and
@@ -905,14 +1028,9 @@ class PlanExecutor:
         trace: TraceSink | None = None,
         metrics: MetricsRegistry | None = None,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 1,
         cache: "PlanCache | None" = None,
         cache_dir: str | Path | None = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ParameterError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
-            )
         self._setup(
             PrefixSampler(store, seed=seed, sequential=sequential, backend=backend),
             failure_probability=failure_probability,
@@ -920,7 +1038,6 @@ class PlanExecutor:
             trace=trace,
             metrics=metrics,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
         )
         self._bind_cache(cache, cache_dir)
 
@@ -933,7 +1050,6 @@ class PlanExecutor:
         trace: TraceSink | None,
         metrics: MetricsRegistry | None,
         checkpoint_path: str | Path | None,
-        checkpoint_every: int,
     ) -> None:
         """Initialise a fresh (or, via :meth:`resume`, restored) executor."""
         self._store = sampler.store
@@ -952,7 +1068,6 @@ class PlanExecutor:
         self._checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)
         )
-        self._checkpoint_every = checkpoint_every
         self._boundaries = 0  # iteration boundaries seen across all plans
         self._fingerprint: str | None = None
         self._resumed: _PlanProgress | None = None
@@ -1048,27 +1163,6 @@ class PlanExecutor:
         self._cache.flush()
 
     # ------------------------------------------------------------------
-    def _schedule_for(self, spec: QuerySpec, names: list[str]) -> SampleSchedule:
-        """A paper schedule whose start is ratcheted to the shared floor."""
-        if spec.score == "mutual_information" and spec.target is not None:
-            all_names = [spec.target, *names]
-            num_attributes = len(names) + 1
-        else:
-            all_names = names
-            num_attributes = len(names)
-        max_support = max(self._store.support_size(a) for a in all_names)
-        m0 = initial_sample_size(
-            self._store.num_rows, num_attributes, self._failure, max_support
-        )
-        start = min(self._store.num_rows, max(m0, self._floor))
-        return SampleSchedule.for_query(
-            self._store.num_rows,
-            num_attributes,
-            self._failure,
-            max_support,
-            initial_size=start,
-        )
-
     def _serve_from_cache(
         self,
         partition: "CachePartition",
@@ -1142,12 +1236,14 @@ class PlanExecutor:
     ) -> QueryResult:
         """Run one spec over the shared sampler, ratcheting the floor.
 
-        This is the single dispatch point between the declarative layer
-        and :func:`~repro.core.engine.adaptive_top_k` /
+        This is the dispatch point between the declarative layer and
+        :func:`~repro.core.engine.adaptive_top_k` /
         :func:`~repro.core.engine.adaptive_filter`: :meth:`execute`, the
         four query methods, and the four :mod:`repro.core.swope`
-        functions all come through here, and analysis rule SWP011 keeps
-        any other caller from reaching around it. Candidate resolution
+        functions all come through here. The exact-stopping baselines
+        share its wiring through :func:`run_exact_stopping`, and
+        analysis rule SWP011 keeps any other caller from reaching
+        around both. Candidate resolution
         raises the typed errors of :func:`plan_queries`; ``ε`` defaults
         to :data:`PAPER_EPSILON`; ``schedule`` defaults to the paper
         schedule started at the ratchet floor.
@@ -1173,15 +1269,14 @@ class PlanExecutor:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
-        names = _resolved_candidates(self._store, spec)
-        if schedule is None:
-            schedule = self._schedule_for(spec, names)
+        names, schedule, provider = _wire_query(
+            self._sampler, spec, self._failure, schedule, self._floor
+        )
         epsilon = (
             spec.epsilon
             if spec.epsilon is not None
             else PAPER_EPSILON[(spec.kind, spec.score)]
         )
-        target = spec.target
         answer_key: dict[str, Any] = {
             "kind": spec.kind,
             "score": spec.score,
@@ -1189,7 +1284,7 @@ class PlanExecutor:
             "failure_probability": self._failure,
             "schedule_start": schedule.sizes[0],
             "candidates": tuple(names),
-            "target": target,
+            "target": spec.target,
             "prune": spec.prune,
             "param": (
                 float(spec.threshold or 0.0)
@@ -1215,46 +1310,17 @@ class PlanExecutor:
         if served is not None:
             result = served
         else:
-            provider: ScoreProvider
-            if spec.score == "mutual_information":
-                if target is None:  # pragma: no cover - QuerySpec guards
-                    raise PlanError(
-                        "a mutual_information spec needs a target attribute"
-                    )
-                per_bound = schedule.per_round_failure(
-                    self._failure, len(names), bounds_per_attribute=3
-                )
-                provider = MutualInformationScoreProvider(
-                    self._sampler, target, per_bound
-                )
-            else:
-                per_bound = schedule.per_round_failure(self._failure, len(names))
-                provider = EntropyScoreProvider(self._sampler, per_bound)
             recorder: _RecordingProvider | None = None
             if self._partition is not None and resume_state is None:
                 recorder = _RecordingProvider(provider)
                 provider = recorder
             try:
-                if spec.kind == "top_k":
-                    if spec.k is None:  # pragma: no cover - QuerySpec guards
-                        raise PlanError("a top_k spec needs k")
-                    result = adaptive_top_k(
-                        provider, self._sampler, names, spec.k, epsilon,
-                        schedule, prune=spec.prune, target=target, trace=trace,
-                        budget=budget, cancellation=cancellation, strict=strict,
-                        metrics=metrics, checkpoint=checkpoint,
-                        resume_state=resume_state,
-                    )
-                else:
-                    if spec.threshold is None:  # pragma: no cover - QuerySpec guards
-                        raise PlanError("a filter spec needs a threshold")
-                    result = adaptive_filter(
-                        provider, self._sampler, names, spec.threshold, epsilon,
-                        schedule, target=target, trace=trace,
-                        budget=budget, cancellation=cancellation, strict=strict,
-                        metrics=metrics, checkpoint=checkpoint,
-                        resume_state=resume_state,
-                    )
+                result = _run_loop(
+                    spec, provider, self._sampler, names, epsilon, schedule,
+                    budget=budget, cancellation=cancellation, strict=strict,
+                    trace=trace, metrics=metrics, checkpoint=checkpoint,
+                    resume_state=resume_state,
+                )
             except QueryInterruptedError as exc:
                 # Strict-mode truncation: the shared prefix counters have
                 # already grown, so the floor must ratchet to the partial
@@ -1416,8 +1482,8 @@ class PlanExecutor:
         events and the plan metrics have been recorded.
 
         With ``checkpoint_path`` set, progress is durably snapshotted at
-        plan start, at iteration boundaries (per ``checkpoint_every``),
-        and after every retirement; on an executor built by
+        plan start, at every iteration boundary, and after every
+        retirement; on an executor built by
         :meth:`resume`, the first call picks the plan up mid-flight —
         completed queries are restored without re-running, the in-flight
         query restarts at its last checkpointed boundary, and the final
@@ -1596,12 +1662,10 @@ class PlanExecutor:
         sink: TraceSink | None,
         metrics: MetricsRegistry | None,
     ) -> CheckpointHook:
-        """A hook snapshotting every ``checkpoint_every``-th boundary."""
+        """A hook snapshotting every iteration boundary."""
 
         def hook(state: LoopCheckpoint) -> None:
             self._boundaries += 1
-            if self._boundaries % self._checkpoint_every != 0:
-                return
             progress.loop = state
             self._write_checkpoint(progress, budget, started, sink, metrics)
 
@@ -1638,7 +1702,8 @@ class PlanExecutor:
                 "sample_floor": self._floor,
                 "queries_run": self._queries_run,
                 "boundaries_seen": self._boundaries,
-                "checkpoint_every": self._checkpoint_every,
+                # Kept for the checkpoint format: every boundary is saved.
+                "checkpoint_every": 1,
             },
             sampler=ckpt.encode_sampler_state(self._sampler.state_snapshot()),
             specs=[asdict(spec) for spec in progress.plan.specs],
@@ -1714,7 +1779,6 @@ class PlanExecutor:
             floor = int(executor_state["sample_floor"])
             queries_run = int(executor_state["queries_run"])
             boundaries = int(executor_state["boundaries_seen"])
-            every = int(executor_state["checkpoint_every"])
             progress, budget = ckpt.progress_from_payload(snapshot)
             sampler_state = ckpt.decode_sampler_state(snapshot.sampler)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -1729,7 +1793,6 @@ class PlanExecutor:
             trace=trace,
             metrics=metrics,
             checkpoint_path=path,
-            checkpoint_every=every,
         )
         executor._floor = floor
         executor._queries_run = queries_run

@@ -52,7 +52,6 @@ def execute_plan_with_recovery(
     strict: bool = False,
     trace: "TraceSink | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    checkpoint_every: int = 1,
     max_retries: int = 3,
     base_delay_s: float = 0.05,
     max_delay_s: float = 2.0,
@@ -103,7 +102,6 @@ def execute_plan_with_recovery(
                 trace=trace,
                 metrics=metrics,
                 checkpoint_path=path,
-                checkpoint_every=checkpoint_every,
             )
         return executor.execute(
             plan, cancellation=cancellation, strict=strict

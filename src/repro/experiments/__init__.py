@@ -19,6 +19,7 @@ from repro.experiments.figures import (
     FigurePoint,
     FigureRun,
     FigureSpec,
+    figure_queries,
     run_figure,
     run_table2,
 )
@@ -32,10 +33,7 @@ from repro.experiments.runner import (
     ALGORITHMS,
     GroundTruthCache,
     QueryOutcome,
-    run_entropy_filter,
-    run_entropy_top_k,
-    run_mi_filter,
-    run_mi_top_k,
+    run_query,
 )
 from repro.experiments.workloads import (
     CensusTrackReport,
@@ -69,6 +67,7 @@ __all__ = [
     "check_top_k_guarantee",
     "compare_runs",
     "figure_latex",
+    "figure_queries",
     "figure_svg",
     "filter_precision_recall",
     "format_table",
@@ -79,15 +78,12 @@ __all__ = [
     "render_track",
     "run_census_applications",
     "run_census_track",
-    "run_entropy_filter",
     "run_scenario",
     "save_figure_run",
     "save_figure_svg",
     "save_track_report",
-    "run_entropy_top_k",
     "run_figure",
-    "run_mi_filter",
-    "run_mi_top_k",
+    "run_query",
     "run_table2",
     "summarize_run",
     "table2_latex",

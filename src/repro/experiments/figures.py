@@ -19,18 +19,13 @@ Paper parameter grids (Section 6.1):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from statistics import mean
 
+from repro.core.plan import QuerySpec
 from repro.exceptions import ParameterError
-from repro.experiments.runner import (
-    GroundTruthCache,
-    QueryOutcome,
-    run_entropy_filter,
-    run_entropy_top_k,
-    run_mi_filter,
-    run_mi_top_k,
-)
+from repro.experiments.runner import QUERY_LABELS, GroundTruthCache, run_query
 from repro.synth.datasets import DATASETS, dataset_summary, load_dataset
 
 __all__ = [
@@ -38,6 +33,7 @@ __all__ = [
     "FigurePoint",
     "FigureRun",
     "FIGURES",
+    "figure_queries",
     "run_figure",
     "run_table2",
 ]
@@ -175,6 +171,41 @@ FIGURES: dict[str, FigureSpec] = {
 }
 
 
+#: The ``(kind, score)`` query shape each figure's ``query`` label names.
+_QUERY_SHAPES = {label: shape for shape, label in QUERY_LABELS.items()}
+
+
+def figure_queries(
+    spec: FigureSpec, x: float, targets: Sequence[str]
+) -> list[QuerySpec]:
+    """The queries one point of ``spec`` runs at sweep value ``x``.
+
+    An entropy point is one query; an MI point is one query per target,
+    in ``targets`` order, and its metrics are averaged over them.
+    """
+    if spec.sweep == "epsilon":
+        epsilon = float(x)
+        k = spec.fixed_k
+        eta = spec.fixed_eta
+    else:
+        epsilon = spec.epsilon if spec.epsilon is not None else 0.1
+        k = int(x) if spec.sweep == "k" else spec.fixed_k
+        eta = float(x) if spec.sweep == "eta" else spec.fixed_eta
+    kind, score = _QUERY_SHAPES[spec.query]
+    top_k = kind == "top_k"
+    per_query: Sequence[str | None] = (
+        targets if score == "mutual_information" else (None,)
+    )
+    return [
+        QuerySpec(
+            kind, score,
+            k=k if top_k else None, threshold=None if top_k else eta,
+            epsilon=epsilon, target=target,
+        )
+        for target in per_query
+    ]
+
+
 def _run_point(
     spec: FigureSpec,
     store,
@@ -185,47 +216,10 @@ def _run_point(
     truth: GroundTruthCache,
 ) -> FigurePoint:
     """Execute one (algorithm, x) point; MI queries average over targets."""
-    if spec.sweep == "epsilon":
-        epsilon = float(x)
-        k = spec.fixed_k
-        eta = spec.fixed_eta
-    else:
-        epsilon = spec.epsilon if spec.epsilon is not None else 0.1
-        k = int(x) if spec.sweep == "k" else spec.fixed_k
-        eta = float(x) if spec.sweep == "eta" else spec.fixed_eta
-
-    outcomes: list[QueryOutcome] = []
-    if spec.query == "entropy_topk":
-        assert k is not None
-        outcomes.append(
-            run_entropy_top_k(store, algorithm, k, epsilon=epsilon, seed=seed, truth=truth)
-        )
-    elif spec.query == "entropy_filter":
-        assert eta is not None
-        outcomes.append(
-            run_entropy_filter(store, algorithm, eta, epsilon=epsilon, seed=seed, truth=truth)
-        )
-    elif spec.query == "mi_topk":
-        assert k is not None
-        for t_index, target in enumerate(targets):
-            outcomes.append(
-                run_mi_top_k(
-                    store, algorithm, target, k,
-                    epsilon=epsilon, seed=seed + t_index, truth=truth,
-                )
-            )
-    elif spec.query == "mi_filter":
-        assert eta is not None
-        for t_index, target in enumerate(targets):
-            outcomes.append(
-                run_mi_filter(
-                    store, algorithm, target, eta,
-                    epsilon=epsilon, seed=seed + t_index, truth=truth,
-                )
-            )
-    else:  # pragma: no cover - registry is closed
-        raise ParameterError(f"unknown query kind {spec.query!r}")
-
+    outcomes = [
+        run_query(store, algorithm, query, seed=seed + index, truth=truth)
+        for index, query in enumerate(figure_queries(spec, x, targets))
+    ]
     extra: dict[str, float] = {}
     for key in outcomes[0].extra:
         extra[key] = mean(o.extra.get(key, 0.0) for o in outcomes)

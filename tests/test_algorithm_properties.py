@@ -20,8 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.entropy_filter import entropy_filter
-from repro.baselines.entropy_rank import entropy_rank_top_k
+from repro.baselines import entropy_filter, entropy_rank_top_k
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
 from repro.core.swope import (
     swope_filter_entropy,

@@ -249,13 +249,6 @@ class TestCheckpointEnvelope:
         with pytest.raises(ParameterError, match="resumed_plan"):
             executor.resumed_plan()
 
-    def test_checkpoint_every_validated(self, store, tmp_path):
-        with pytest.raises(ParameterError, match="checkpoint_every"):
-            PlanExecutor(
-                store, seed=SEED,
-                checkpoint_path=tmp_path / "x", checkpoint_every=0,
-            )
-
 
 # ----------------------------------------------------------------------
 # Sampler state snapshots

@@ -23,7 +23,7 @@ from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, PlanError
-from repro.experiments.runner import run_entropy_top_k, run_mi_filter
+from repro.experiments.runner import run_query
 from repro.synth.datasets import load_dataset
 
 
@@ -33,20 +33,25 @@ class TestRunnerSequentialFlag:
         return load_dataset("cdc", scale=0.01)
 
     def test_shuffled_path(self, dataset):
-        outcome = run_entropy_top_k(
-            dataset.store, "swope", 2, seed=3, sequential=False
+        outcome = run_query(
+            dataset.store, "swope", QuerySpec("top_k", "entropy", k=2),
+            seed=3, sequential=False,
         )
         assert len(outcome.answer) == 2
 
     def test_sequential_deterministic_regardless_of_seed(self, dataset):
-        a = run_entropy_top_k(dataset.store, "swope", 2, seed=1, sequential=True)
-        b = run_entropy_top_k(dataset.store, "swope", 2, seed=2, sequential=True)
+        spec = QuerySpec("top_k", "entropy", k=2)
+        a = run_query(dataset.store, "swope", spec, seed=1, sequential=True)
+        b = run_query(dataset.store, "swope", spec, seed=2, sequential=True)
         assert a.answer == b.answer
         assert a.cells_scanned == b.cells_scanned
 
     def test_mi_filter_exact_runner(self, dataset):
         target = dataset.mi_targets[0]
-        outcome = run_mi_filter(dataset.store, "exact", target, 0.3)
+        spec = QuerySpec(
+            "filter", "mutual_information", threshold=0.3, target=target
+        )
+        outcome = run_query(dataset.store, "exact", spec)
         assert outcome.sample_fraction == 1.0
         assert outcome.accuracy == 1.0
 

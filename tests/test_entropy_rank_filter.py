@@ -5,14 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.entropy_filter import entropy_filter
-from repro.baselines.entropy_rank import entropy_rank_top_k
+from repro.baselines import (
+    entropy_filter,
+    entropy_filter_mutual_information,
+    entropy_rank_top_k,
+    entropy_rank_top_k_mutual_information,
+)
 from repro.baselines.exact import (
     exact_entropies,
     exact_mutual_informations,
 )
-from repro.baselines.mi_filter import entropy_filter_mutual_information
-from repro.baselines.mi_rank import entropy_rank_top_k_mutual_information
 from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError, SchemaError
 

@@ -4,7 +4,8 @@ EntropyRank/EntropyFilter and their MI variants run the engine's adaptive
 loops with the exact stopping rule. Every deterministic field of their
 results — answer order, ``(lower, upper, estimate)``, cells, iterations,
 final sample size, pruning count and the guarantee record — over a small
-grid of stores, seeds and budget-truncated runs is pinned in
+grid of stores, seeds, sequential and explicit-schedule runs and
+budget-truncated runs is pinned in
 ``tests/golden/baselines.json``. Floats are compared exactly: any change
 to an answer, a bound or a cell count fails here. Regenerate after an
 intentional change with::
@@ -29,6 +30,7 @@ from repro.baselines import (
 )
 from repro.core.budget import QueryBudget
 from repro.core.results import FilterResult, TopKResult
+from repro.core.schedule import SampleSchedule
 from repro.data.column_store import ColumnStore
 from repro.synth.datasets import load_dataset
 
@@ -108,6 +110,32 @@ def _cases(
                 correlated, "target", 1.0, seed=s
             )
         )
+    # The figure harness runs the baselines on the physical row order.
+    cases["cdc/rank/k3/sequential"] = lambda: entropy_rank_top_k(
+        cdc, 3, sequential=True
+    )
+    cases["cdc/filter/eta2.5/sequential"] = lambda: entropy_filter(
+        cdc, 2.5, sequential=True
+    )
+    cases["cdc/mi_rank/k3/sequential"] = (
+        lambda: entropy_rank_top_k_mutual_information(
+            cdc, cdc_target, 3, sequential=True
+        )
+    )
+    cases["cdc/mi_filter/eta0.5/sequential"] = (
+        lambda: entropy_filter_mutual_information(
+            cdc, cdc_target, 0.5, sequential=True
+        )
+    )
+    # A caller-supplied schedule replaces the paper M0 and doubling.
+    cases["small/rank/k2/schedule"] = lambda: entropy_rank_top_k(
+        small,
+        2,
+        seed=0,
+        schedule=SampleSchedule(
+            population_size=small.num_rows, initial_size=64, growth_factor=1.5
+        ),
+    )
     # One budget-truncated run per loop and score: the best-effort answer
     # and its guarantee record (requested_epsilon=0.0) are pinned too.
     cases["cdc/rank/k3/max_cells"] = lambda: entropy_rank_top_k(

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.entropy_filter import entropy_filter
-from repro.baselines.entropy_rank import entropy_rank_top_k
+from repro.baselines import entropy_filter, entropy_rank_top_k
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
 from repro.core.bounds import sample_size_for_width
 from repro.core.swope import (

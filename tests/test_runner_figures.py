@@ -6,17 +6,18 @@ also act as integration tests of the whole stack.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.baselines import exact_entropies, exact_mutual_informations
+from repro.core.plan import QuerySpec
+from repro.data.column_store import ColumnStore
 from repro.exceptions import ParameterError
 from repro.experiments.figures import FIGURES, FigureSpec, run_figure, run_table2
 from repro.experiments.runner import (
     ALGORITHMS,
     GroundTruthCache,
-    run_entropy_filter,
-    run_entropy_top_k,
-    run_mi_filter,
-    run_mi_top_k,
+    run_query,
 )
 from repro.synth.datasets import load_dataset
 
@@ -34,7 +35,9 @@ def truth():
 class TestRunner:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_entropy_topk_all_algorithms(self, dataset, truth, algorithm):
-        outcome = run_entropy_top_k(dataset.store, algorithm, 4, truth=truth)
+        spec = QuerySpec("top_k", "entropy", k=4)
+        outcome = run_query(dataset.store, algorithm, spec, truth=truth)
+        assert outcome.query == "entropy_topk"
         assert outcome.algorithm == algorithm
         assert len(outcome.answer) == 4
         assert 0.0 <= outcome.accuracy <= 1.0
@@ -43,7 +46,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_entropy_filter_all_algorithms(self, dataset, truth, algorithm):
-        outcome = run_entropy_filter(dataset.store, algorithm, 2.0, truth=truth)
+        spec = QuerySpec("filter", "entropy", threshold=2.0)
+        outcome = run_query(dataset.store, algorithm, spec, truth=truth)
         assert outcome.query == "entropy_filter"
         assert "precision" in outcome.extra
         assert 0.0 <= outcome.accuracy <= 1.0
@@ -51,28 +55,36 @@ class TestRunner:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mi_topk_all_algorithms(self, dataset, truth, algorithm):
         target = dataset.mi_targets[0]
-        outcome = run_mi_top_k(dataset.store, algorithm, target, 2, truth=truth)
+        spec = QuerySpec("top_k", "mutual_information", k=2, target=target)
+        outcome = run_query(dataset.store, algorithm, spec, truth=truth)
+        assert outcome.query == "mi_topk"
         assert len(outcome.answer) == 2
         assert target not in outcome.answer
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mi_filter_all_algorithms(self, dataset, truth, algorithm):
         target = dataset.mi_targets[0]
-        outcome = run_mi_filter(dataset.store, algorithm, target, 0.3, truth=truth)
+        spec = QuerySpec(
+            "filter", "mutual_information", threshold=0.3, target=target
+        )
+        outcome = run_query(dataset.store, algorithm, spec, truth=truth)
+        assert outcome.query == "mi_filter"
         assert outcome.parameter == 0.3
 
     def test_exact_algorithm_reads_everything(self, dataset, truth):
-        outcome = run_entropy_top_k(dataset.store, "exact", 1, truth=truth)
+        spec = QuerySpec("top_k", "entropy", k=1)
+        outcome = run_query(dataset.store, "exact", spec, truth=truth)
         assert outcome.sample_fraction == 1.0
 
     def test_exact_algorithm_perfect_accuracy(self, dataset, truth):
         for k in (1, 4):
-            outcome = run_entropy_top_k(dataset.store, "exact", k, truth=truth)
+            spec = QuerySpec("top_k", "entropy", k=k)
+            outcome = run_query(dataset.store, "exact", spec, truth=truth)
             assert outcome.accuracy == 1.0
 
     def test_unknown_algorithm_rejected(self, dataset):
         with pytest.raises(ParameterError, match="unknown algorithm"):
-            run_entropy_top_k(dataset.store, "magic", 1)
+            run_query(dataset.store, "magic", QuerySpec("top_k", "entropy", k=1))
 
     def test_ground_truth_cache_reuses_scans(self, dataset):
         cache = GroundTruthCache()
@@ -83,6 +95,24 @@ class TestRunner:
         assert cache.mutual_informations(dataset.store, target) is (
             cache.mutual_informations(dataset.store, target)
         )
+
+    @pytest.mark.parametrize("score", ["entropy", "mutual_information"])
+    def test_ground_truth_cache_never_serves_a_dropped_store(self, score):
+        # Stores built and dropped in a loop recycle their memory, so a
+        # cache keyed on the store's id alone hands a new store the
+        # scores of one it no longer holds.
+        cache = GroundTruthCache()
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            store = ColumnStore(
+                {"t": rng.integers(0, 4, 64), "a": rng.integers(0, 8, 64)}
+            )
+            if score == "entropy":
+                assert cache.entropies(store) == exact_entropies(store)
+            else:
+                assert cache.mutual_informations(store, "t") == (
+                    exact_mutual_informations(store, "t")
+                )
 
 
 class TestFigureRegistry:
