@@ -254,6 +254,152 @@ def test_cold_run_records_misses(tmp_path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
+# Flush cadence: once per plan, once per standalone query
+# ----------------------------------------------------------------------
+def _count_writes(monkeypatch, path: Path) -> list[bytes]:
+    """Every atomic write to ``path`` from now on, in order."""
+    from repro.durability import atomic
+
+    writes: list[bytes] = []
+    original = atomic.atomic_write_bytes
+
+    def spy(target, data):
+        if Path(target) == path:
+            writes.append(data)
+        return original(target, data)
+
+    monkeypatch.setattr(atomic, "atomic_write_bytes", spy)
+    return writes
+
+
+def _file_counters(path: Path) -> dict:
+    from repro.durability.checkpoint import decode_counters, read_envelope
+
+    return decode_counters(
+        read_envelope(
+            path, marker=CACHE_FORMAT, schema_version=CACHE_SCHEMA_VERSION
+        )
+    )
+
+
+def test_execute_writes_the_partition_once_per_plan(
+    tmp_path: Path, monkeypatch
+) -> None:
+    store = _store()
+    path = _partition_path(store, tmp_path)
+    writes = _count_writes(monkeypatch, path)
+    executor = PlanExecutor(
+        store, seed=SEED, cache_dir=tmp_path, checkpoint_path=tmp_path / "p.ckpt"
+    )
+    executor.execute(plan_queries(store, _specs()))
+    assert len(writes) == 1
+    # the one write holds every answer and the sampler's final counters
+    partition = PlanCache(tmp_path).partition(
+        fingerprint=executor._store_fingerprint(),
+        shuffle=executor.sampler.shuffle_fingerprint(),
+    )
+    assert len(partition.to_payload()["answers"]) == len(_specs())
+    live = executor.sampler.state_snapshot()
+    assert {
+        name: entry["counted"]
+        for name, entry in _file_counters(path)["marginals"].items()
+    } == {name: entry["counted"] for name, entry in live["marginals"].items()}
+    # a warm rerun served every answer adds nothing, so it writes nothing
+    warm = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+    assert warm.execute(plan_queries(store, _specs())).stats.cells_scanned == 0
+    assert len(writes) == 1
+
+
+def test_strict_truncated_plan_keeps_its_partial_counters(
+    tmp_path: Path,
+) -> None:
+    from repro.core.budget import QueryBudget
+    from repro.exceptions import QueryInterruptedError
+
+    store = _store()
+    executor = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+    with pytest.raises(QueryInterruptedError):
+        executor.execute(
+            plan_queries(store, _specs()),
+            budget=QueryBudget(max_cells=400),
+            strict=True,
+        )
+    assert executor.cells_scanned > 0
+    counters = _file_counters(_partition_path(store, tmp_path))
+    live = executor.sampler.state_snapshot()
+    assert counters["marginals"].keys() == live["marginals"].keys()
+    for name, entry in live["marginals"].items():
+        assert counters["marginals"][name]["counted"] == entry["counted"]
+        np.testing.assert_array_equal(
+            counters["marginals"][name]["counts"], entry["counts"]
+        )
+
+
+def test_standalone_execute_one_flushes_per_call(
+    tmp_path: Path, monkeypatch
+) -> None:
+    store = _store()
+    writes = _count_writes(monkeypatch, _partition_path(store, tmp_path))
+    executor = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+    for count, spec in enumerate(_specs(), start=1):
+        executor.execute_one(spec)
+        assert len(writes) == count
+    executor.top_k_entropy(1, epsilon=0.1)
+    assert len(writes) == len(_specs()) + 1
+
+
+def test_interrupt_skips_the_flush(tmp_path: Path) -> None:
+    class Interrupting:
+        @property
+        def cancelled(self) -> bool:
+            raise KeyboardInterrupt
+
+    store = _store()
+    executor = PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        executor.execute(plan_queries(store, _specs()), cancellation=Interrupting())
+    assert executor.cells_scanned > 0
+    assert not _partition_path(store, tmp_path).exists()
+
+
+def _failing_flush(self) -> None:
+    raise OSError("disk full")
+
+
+def test_flush_error_never_masks_the_plan_error(
+    tmp_path: Path, monkeypatch
+) -> None:
+    from repro.testing.chaos import (
+        BoundaryFaultToken,
+        ChaosPlan,
+        SimulatedKillError,
+    )
+
+    store = _store()
+    monkeypatch.setattr(PlanCache, "flush", _failing_flush)
+
+    def executor() -> PlanExecutor:
+        return PlanExecutor(store, seed=SEED, cache_dir=tmp_path)
+
+    with pytest.raises(SimulatedKillError) as killed_plan:
+        executor().execute(
+            plan_queries(store, _specs()),
+            cancellation=BoundaryFaultToken(ChaosPlan.kill_at(2)),
+        )
+    with pytest.raises(SimulatedKillError) as killed_query:
+        executor().execute_one(
+            _specs()[0], cancellation=BoundaryFaultToken(ChaosPlan.kill_at(0))
+        )
+    for excinfo in (killed_plan, killed_query):
+        assert any("disk full" in note for note in excinfo.value.__notes__)
+    # with nothing else going wrong, the flush error is the error
+    with pytest.raises(OSError, match="disk full"):
+        executor().execute(plan_queries(store, _specs()))
+    with pytest.raises(OSError, match="disk full"):
+        executor().execute_one(_specs()[0])
+
+
+# ----------------------------------------------------------------------
 # Semantic reuse
 # ----------------------------------------------------------------------
 

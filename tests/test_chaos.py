@@ -9,6 +9,8 @@ The durability contract under test (see ``docs/RESILIENCE.md``):
   events* are byte-identical to the uninterrupted checkpointing run;
   a checkpoint also resumes under a substituted counting backend, and
   a cell-budgeted plan resumes to its uninterrupted budgeted answers;
+* with a plan cache next to the checkpoint, kill + resume leaves the
+  uninterrupted run's partition: the same counters and answers;
 * a flaky :class:`~repro.data.column_store.ColumnStore` (injected
   ``OSError`` mid-plan) degrades to retry → checkpoint → resume through
   :func:`~repro.durability.recovery.execute_plan_with_recovery`, with
@@ -36,9 +38,11 @@ from repro.testing.chaos import (
     SimulatedKillError,
     count_iteration_boundaries,
     plan_fingerprint,
+    result_fingerprint,
     truncate_file,
 )
 from repro.testing.faults import FlakyStore
+from tests.test_durability import _assert_counters_equal
 from tests.test_plan import _interleaved_specs, _interleaved_store
 
 SEED = 7
@@ -139,6 +143,83 @@ def _assert_resumes_identically(tmp_path, store, specs) -> None:
         assert '"event":"plan_resumed"' in resumed_lines[0]
         rest = resumed_lines[1:]
         assert rest == reference_lines[-len(rest):], f"kill at {kill_at}"
+
+
+def _partition_state(directory) -> tuple[dict, list[dict]]:
+    """Decoded counters and answers of the one partition in ``directory``."""
+    from repro.cache import CACHE_FORMAT, CACHE_SCHEMA_VERSION
+    from repro.durability.checkpoint import decode_counters, read_envelope
+
+    (path,) = directory.glob("part-*.json")
+    payload = read_envelope(
+        path, marker=CACHE_FORMAT, schema_version=CACHE_SCHEMA_VERSION
+    )
+    return decode_counters(payload), payload["answers"]
+
+
+def _without_cells(outcome) -> dict:
+    """Result fingerprints without their cell meters."""
+    prints = {}
+    for name, result in outcome.results.items():
+        fp = result_fingerprint(result)
+        del fp["stats"]["cells_scanned"]
+        prints[name] = fp
+    return prints
+
+
+def _answer_without_cells(answer: dict) -> dict:
+    stats = dict(answer["result"]["stats"])
+    del stats["cells_scanned"], stats["cells_saved"]
+    return {**answer, "result": {**answer["result"], "stats": stats}}
+
+
+def test_kill_and_resume_with_checkpoint_and_cache(tmp_path, monkeypatch):
+    """A kill at any boundary of a plan that checkpoints and caches, then
+    a resume against the same cache directory, leaves the partition an
+    uninterrupted run leaves. The killed plan's exit flushes its counters,
+    so the resumed run is served some of them: those cells count as saved
+    instead of scanned, and nothing else differs."""
+    import time
+
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    store = _golden_store()
+    specs = _mixed_specs()
+    plan = plan_queries(store, specs)
+    boundaries = count_iteration_boundaries(store, specs, seed=SEED)
+    reference = PlanExecutor(
+        store, seed=SEED, checkpoint_path=tmp_path / "reference.ckpt",
+        cache_dir=tmp_path / "reference",
+    ).execute(plan)
+    counters, answers = _partition_state(tmp_path / "reference")
+    assert len(answers) == len(specs)
+    expected = {
+        (a["kind"], a["score"], a["param"]): _answer_without_cells(a)
+        for a in answers
+    }
+
+    for kill_at in range(boundaries):
+        path = tmp_path / f"kill-{kill_at}.ckpt"
+        cache_dir = tmp_path / f"cache-{kill_at}"
+        with pytest.raises(SimulatedKillError):
+            PlanExecutor(
+                store, seed=SEED, checkpoint_path=path, cache_dir=cache_dir,
+            ).execute(
+                plan, cancellation=BoundaryFaultToken(ChaosPlan.kill_at(kill_at))
+            )
+        resumed = PlanExecutor.resume(path, store, cache_dir=cache_dir)
+        outcome = resumed.execute(resumed.resumed_plan())
+        assert _without_cells(outcome) == _without_cells(reference), kill_at
+        saved = sum(r.stats.cells_saved for r in outcome.results.values())
+        assert outcome.stats.cells_scanned + saved == reference.stats.cells_scanned
+
+        got_counters, got_answers = _partition_state(cache_dir)
+        _assert_counters_equal(got_counters, counters)
+        # A query resumed mid-loop stores no answer; every answer stored
+        # is the uninterrupted run's.
+        assert len(got_answers) >= len(specs) - 1, kill_at
+        for answer in got_answers:
+            key = (answer["kind"], answer["score"], answer["param"])
+            assert _answer_without_cells(answer) == expected[key], kill_at
 
 
 def test_kill_and_resume_a_cell_budgeted_plan(tmp_path):

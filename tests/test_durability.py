@@ -1,6 +1,6 @@
 """Tests for repro.durability: atomic writes and the checkpoint format.
 
-Four layers:
+The layers:
 
 * atomic write-rename — the destination either holds the old bytes or
   the complete new bytes, never a torn mix; ``AtomicTextFile`` only
@@ -13,6 +13,9 @@ Four layers:
 * sampler state — ``PrefixSampler.state_snapshot``/``from_state``
   reproduce the permutation, the prefix position, and every marginal
   and joint counter exactly;
+* the write sequence — every checkpoint a plan writes is the canonical
+  serialization of its envelope and holds the live counters of its
+  boundary, although a counter is encoded only when its prefix grows;
 * the shuffle recipe — checkpoints name the shuffle by its bit
   generator and state, so resume is bit-identical for every seed form
   and bit generator, a recipe that redraws a different permutation is
@@ -25,6 +28,7 @@ Four layers:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -45,6 +49,7 @@ from repro.durability.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_SCHEMA_VERSION,
     decode_sampler_state,
+    encode_counters,
     encode_sampler_state,
     load_checkpoint,
     save_checkpoint,
@@ -289,6 +294,126 @@ class TestSamplerState:
                 reference.marginal_counts(name, 900),
             )
         assert restored.cells_scanned == reference.cells_scanned
+
+
+# ----------------------------------------------------------------------
+# The write sequence of a checkpointed plan
+# ----------------------------------------------------------------------
+def _assert_counters_equal(decoded, live) -> None:
+    """Decoded counters equal live ones: prefixes, forms and counts."""
+    assert decoded["marginals"].keys() == live["marginals"].keys()
+    for name, entry in live["marginals"].items():
+        assert decoded["marginals"][name]["counted"] == entry["counted"]
+        np.testing.assert_array_equal(
+            decoded["marginals"][name]["counts"], entry["counts"]
+        )
+    assert len(decoded["joints"]) == len(live["joints"])
+    for got, want in zip(decoded["joints"], live["joints"]):
+        for key in ("first", "second", "counted"):
+            assert got[key] == want[key]
+        assert got["counter"].keys() == want["counter"].keys()
+        for key, value in want["counter"].items():
+            np.testing.assert_array_equal(got["counter"][key], value)
+
+
+class TestWriteSequence:
+    """Every checkpoint a plan writes is the canonical envelope of the
+    live state at that boundary, although each counter is encoded only
+    when its prefix grows."""
+
+    @staticmethod
+    def _store() -> ColumnStore:
+        rng = np.random.default_rng(31)
+        n = 3000
+        target = rng.integers(0, 5, n)
+        return ColumnStore(
+            {
+                # 1200 x 1000 codes: the ("wide", "wider") joint is sparse
+                "wide": rng.permutation(np.arange(n) % 1200),
+                "wider": rng.permutation(np.arange(n) % 1000),
+                "narrow": rng.integers(0, 3, n),
+                "target": target,
+                "noisy": np.where(
+                    rng.random(n) < 0.6, target, rng.integers(0, 5, n)
+                ),
+            }
+        )
+
+    def test_memo_encodes_a_counter_once_per_prefix(self, store):
+        sampler = PrefixSampler(store, seed=SEED)
+        sampler.marginal_counts("wide", 300)
+        sampler.marginal_counts("narrow", 300)
+        sampler.joint_counts("target", "noisy", 300)
+        memo = {}
+        first = encode_counters(sampler.state_snapshot(), memo)
+        sampler.marginal_counts("wide", 600)
+        second = encode_counters(sampler.state_snapshot(), memo)
+        assert second["marginals"]["narrow"] is first["marginals"]["narrow"]
+        assert second["joints"][0] is first["joints"][0]
+        assert second["marginals"]["wide"]["counted"] == 600
+        assert second == encode_counters(sampler.state_snapshot())
+        assert len(memo) == 3
+
+    def test_each_save_seals_the_live_state(self, tmp_path, monkeypatch):
+        from repro.durability import atomic
+
+        store = self._store()
+        specs = [
+            # pruning leaves counters behind the frontier between saves
+            QuerySpec(kind="top_k", score="entropy", k=1, epsilon=0.05, prune=True),
+            QuerySpec(kind="filter", score="entropy", threshold=2.5, epsilon=0.05),
+            QuerySpec(
+                kind="top_k", score="mutual_information", k=1, epsilon=0.3,
+                target="wider", attributes=("wide", "narrow", "noisy"),
+                prune=True,
+            ),
+            QuerySpec(
+                kind="filter", score="mutual_information", threshold=0.3,
+                epsilon=0.3, target="target", attributes=("noisy", "narrow"),
+            ),
+        ]
+        path = tmp_path / "plan.ckpt"
+        executor = PlanExecutor(store, seed=SEED, checkpoint_path=path)
+        writes = []
+        original = atomic.atomic_write_bytes
+
+        def spy(target, data):
+            if target == path:
+                # snapshot arrays are live: copy them before they grow
+                live = copy.deepcopy(executor.sampler.state_snapshot())
+                writes.append((data, live))
+            return original(target, data)
+
+        monkeypatch.setattr(atomic, "atomic_write_bytes", spy)
+        executor.execute(plan_queries(store, specs))
+
+        assert len(writes) > 8
+        counted = set()
+        sparse = False
+        for data, live in writes:
+            text = data.decode("utf-8")
+            envelope = json.loads(text)
+            assert text == json.dumps(
+                envelope, sort_keys=True, separators=(",", ":")
+            )
+            decoded = decode_sampler_state(envelope["payload"]["sampler"])
+            _assert_counters_equal(decoded, live)
+            assert decoded["cells_scanned"] == live["cells_scanned"]
+            counted.add(
+                tuple(e["counted"] for e in live["marginals"].values())
+            )
+            sparse = sparse or any(
+                "sparse_codes" in e["counter"] for e in live["joints"]
+            )
+        # the sequence really grows counters unevenly and holds a sparse joint
+        assert len(counted) > 3
+        assert any(len(set(prefixes)) > 1 for prefixes in counted)
+        assert sparse
+        # the last save is what loads back
+        _assert_counters_equal(
+            decode_sampler_state(load_checkpoint(path, store=store).sampler),
+            writes[-1][1],
+        )
 
 
 # ----------------------------------------------------------------------
