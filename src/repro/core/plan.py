@@ -1383,18 +1383,16 @@ class PlanExecutor:
                     trace=trace, metrics=metrics, checkpoint=checkpoint,
                     resume_state=resume_state,
                 )
-            except QueryInterruptedError as exc:
-                # Strict-mode truncation: the shared prefix counters have
-                # already grown, so the floor must ratchet to the partial
-                # result's sample size or a later query would ask the
-                # sampler to shrink a prefix.
-                partial = exc.partial
-                if isinstance(partial, (TopKResult, FilterResult)):
-                    self._floor = max(
-                        self._floor, partial.stats.final_sample_size
-                    )
+            except QueryInterruptedError:
                 self._last_cells = self._sampler.cells_scanned - before
                 raise
+            finally:
+                # Any exit, a strict truncation or an error mid-loop
+                # included, may leave the shared counters past the
+                # floor, and a later query must not ask them to shrink.
+                # No block outlives the query either.
+                self._sampler.release_block()
+                self._floor = max(self._floor, self._sampler.counted_frontier)
             if self._partition is not None and recorder is not None:
                 self._partition.put_answer(
                     **answer_key, history=recorder.history, result=result

@@ -53,7 +53,10 @@ class CountingBackend(Protocol):
 
         ``rows`` is either a materialized permutation block (shuffled
         sampling) or a plain slice (sequential sampling); it is shared
-        by every column of the batch. The i-th result has length
+        by every column of the batch. On large stores the block comes
+        sorted, so the gather streams forward; counts do not depend on
+        the order of ``rows``, only on which rows it holds. The i-th
+        result has length
         ``support_sizes[i]`` at least, exactly as ``np.bincount`` with
         ``minlength`` returns it.
         """

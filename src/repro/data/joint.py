@@ -140,12 +140,12 @@ class JointCounter:
             raise ParameterError(
                 f"mismatched batch shapes {first.shape} vs {second.shape}"
             )
-        # asarray, not astype: already-int64 blocks (the batch layer
-        # pre-casts the shared first-column block once) pass through
-        # without a copy.
-        return np.asarray(first, dtype=np.int64) * self._u2 + np.asarray(
-            second, dtype=np.int64
-        )
+        # One int64 buffer: the product lands in it and ``second`` is
+        # added in place (store dtypes are signed, so the add casts
+        # safely), instead of a product, a cast and a sum.
+        codes = np.multiply(first, self._u2, dtype=np.int64)
+        codes += second
+        return codes
 
     def nonzero_counts(self) -> np.ndarray:
         """Return the nonzero joint counts ``n_{i,j}`` as a flat int64 array.

@@ -26,6 +26,14 @@ iteration, and the martingale argument of Section 3.1 applies.
 * an exact account of work done (``cells_scanned``) so experiments can
   report a machine-independent cost next to wall-clock time.
 
+Counting needs only *which* rows a prefix block ``[start, stop)`` holds,
+not their order, so on large stores the sampler sorts each block's row
+indices once and every column gather over it streams forward through
+memory instead of scattering (``bincount`` ignores order, and a sparse
+joint merges each batch's already-sorted ``np.unique`` codes). Counts,
+snapshots and traces are the same either way; small stores, whose
+columns sit in cache, gather through the unsorted slice.
+
 The sampler also supports ``sequential=True``, which skips the shuffle and
 reads the physical row order directly. The paper does this for cache
 friendliness on columnar storage; it is statistically equivalent only when
@@ -70,6 +78,12 @@ class CounterCache(Protocol):
     ) -> tuple[int, JointCounter] | None:
         """Cached joint counter for the canonical pair ``(first, second)``."""
         ...
+
+
+# Stores with at least this many rows gather each permutation block in
+# row order (see PrefixSampler._prefix_rows). Below it the columns sit in
+# cache already, and the sort costs more than the scattered gather.
+_SORT_BLOCKS_FROM = 1 << 17
 
 
 def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -266,6 +280,17 @@ class PrefixSampler:
         entry = self._marginals.get(name)
         return entry[0] if entry is not None else 0
 
+    @property
+    def counted_frontier(self) -> int:
+        """The largest prefix any marginal or joint counter has reached.
+
+        Prefixes only grow, so a query that starts below it fails as
+        soon as it asks one of the counters sitting there to shrink.
+        """
+        prefixes = [counted for counted, _ in self._marginals.values()]
+        prefixes.extend(counted for counted, _ in self._joints.values())
+        return max(prefixes, default=0)
+
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpointing substrate)
     # ------------------------------------------------------------------
@@ -411,16 +436,34 @@ class PrefixSampler:
 
         Within one adaptive iteration every live column (and joint pair)
         extends its counts over the same ``[start, stop)`` block of the
-        shuffle, so the permutation slice is materialized once and shared
-        until a different block is requested. Sequential samplers return
-        a plain slice (the physical order needs no gather).
+        shuffle, so the block is materialized once and shared until a
+        different block is requested or :meth:`release_block` drops it.
+        On stores of at least ``_SORT_BLOCKS_FROM`` rows the block is
+        the sorted copy of the permutation slice (in-block order is
+        free; see the module docstring). Sequential samplers return a
+        plain slice (the physical order needs no gather).
         """
         if self._block_range != (start, stop):
             self._block_range = (start, stop)
-            self._block_rows = None if self._perm is None else self._perm[start:stop]
+            if self._perm is None:
+                self._block_rows = None
+            elif self._n >= _SORT_BLOCKS_FROM:
+                self._block_rows = np.sort(self._perm[start:stop])
+            else:
+                self._block_rows = self._perm[start:stop]
         if self._block_rows is None:
             return slice(start, stop)
         return self._block_rows
+
+    def release_block(self) -> None:
+        """Drop the cached permutation block.
+
+        A sorted block is a copy, not a view of the shuffle, so
+        :class:`repro.core.plan.PlanExecutor` releases it whenever a
+        query ends instead of holding it into the next run.
+        """
+        self._block_range = None
+        self._block_rows = None
 
     def _column_block(self, name: str, start: int, stop: int) -> np.ndarray:
         """Return the encoded values of rows ``start:stop`` of the prefix."""

@@ -6,7 +6,8 @@ results — answer order, ``(lower, upper, estimate)``, cells, iterations,
 final sample size, pruning count and the guarantee record — over a small
 grid of stores, seeds, sequential and explicit-schedule runs and
 budget-truncated runs is pinned in
-``tests/golden/baselines.json``. Floats are compared exactly: any change
+``tests/golden/baselines.json``, and reproduced with every permutation
+block gathered in row order as well. Floats are compared exactly: any change
 to an answer, a bound or a cell count fails here. Regenerate after an
 intentional change with::
 
@@ -31,6 +32,7 @@ from repro.baselines import (
 from repro.core.budget import QueryBudget
 from repro.core.results import FilterResult, TopKResult
 from repro.core.schedule import SampleSchedule
+from repro.data import sampling
 from repro.data.column_store import ColumnStore
 from repro.synth.datasets import load_dataset
 
@@ -193,6 +195,22 @@ def test_baselines_match_golden(
     # JSON round-trips binary64 floats exactly, so == is bit-identity.
     for name in sorted(golden):
         assert records[name] == golden[name], f"baseline case {name} drifted"
+
+
+def test_sorted_blocks_baselines_match_golden(
+    cdc, small_store: ColumnStore, correlated_store: ColumnStore, monkeypatch
+) -> None:
+    # Every golden store is far below the size from which the sampler
+    # gathers each block in row order; forcing the sorted path on them
+    # must leave every record unchanged.
+    monkeypatch.setattr(sampling, "_SORT_BLOCKS_FROM", 0)
+    cases = _cases(cdc.store, cdc.mi_targets[0], small_store, correlated_store)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(cases) == sorted(golden)
+    for name in sorted(golden):
+        assert _result_record(cases[name]()) == golden[name], (
+            f"baseline case {name} drifted with sorted blocks"
+        )
 
 
 def test_golden_grid_exercises_truncation_and_convergence() -> None:

@@ -13,7 +13,9 @@ not noise.
 The first line of every trace is the schema header; it is parsed (not
 byte-compared) so bumping ``TRACE_SCHEMA_VERSION`` fails loudly in
 ``test_schema_version_matches_goldens`` rather than as a confusing
-whole-file diff. Regenerate the goldens after an intentional change with::
+whole-file diff. Every case also runs with each permutation block
+gathered in row order (the sampler's path on large stores), against the
+same goldens. Regenerate the goldens after an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/test_golden_traces.py --update-golden
 """
@@ -35,6 +37,7 @@ from repro.core.swope import (
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
+from repro.data import sampling
 from repro.data.backends import CountingBackend
 from repro.data.column_store import ColumnStore
 from repro.obs import TRACE_SCHEMA_VERSION, JsonlSink
@@ -168,6 +171,11 @@ def test_trace_matches_golden(case: str, update_golden: bool) -> None:
     assert path.exists(), (
         f"golden file {path} missing; generate with --update-golden"
     )
+    _assert_matches_golden(case, lines)
+
+
+def _assert_matches_golden(case: str, lines: list[str]) -> None:
+    path = GOLDEN_DIR / f"{case}.jsonl"
     golden = path.read_text().splitlines()
     header = json.loads(golden[0])
     assert header["event"] == "header"
@@ -176,6 +184,15 @@ def test_trace_matches_golden(case: str, update_golden: bool) -> None:
         f"trace for {case} drifted from {path}; if the change is"
         " intentional, regenerate with --update-golden"
     )
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_sorted_blocks_trace_matches_golden(case: str, monkeypatch) -> None:
+    # The golden store is far below the size from which the sampler
+    # gathers each block in row order; forcing the sorted path on it
+    # must leave every event unchanged.
+    monkeypatch.setattr(sampling, "_SORT_BLOCKS_FROM", 0)
+    _assert_matches_golden(case, _trace_lines(case))
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -768,6 +768,29 @@ class TestPlanResilience:
         (end,) = sink.of_kind("plan_end")
         assert end.queries_completed == 0
 
+    def test_failed_query_ratchets_the_floor(self, store):
+        class FailingBackend(NumpyBackend):
+            """Raises ``OSError`` on its fourth ``count_columns`` call."""
+
+            calls = 0
+
+            def count_columns(self, columns, support_sizes, rows):
+                self.calls += 1
+                if self.calls == 4:
+                    raise OSError("simulated store read error")
+                return super().count_columns(columns, support_sizes, rows)
+
+        executor = PlanExecutor(store, seed=SEED, backend=FailingBackend())
+        with pytest.raises(OSError, match="simulated"):
+            executor.top_k_entropy(1)
+        floor = executor.sample_floor
+        # The failed query grew the shared counters; the next query
+        # starts at the floor they ratcheted instead of asking them to
+        # shrink.
+        result = executor.top_k_entropy(1)
+        assert result.attributes == ["wide"]
+        assert 0 < floor <= result.stats.final_sample_size
+
 
 # ----------------------------------------------------------------------
 # Observability

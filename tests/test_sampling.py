@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.budget import QueryBudget
+from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
+from repro.data import sampling
 from repro.data.backends import NumpyBackend
 from repro.data.column_store import ColumnStore
 from repro.data.joint import JointCounter
 from repro.data.sampling import PrefixSampler
-from repro.exceptions import ParameterError, SchemaError
+from repro.exceptions import ParameterError, QueryInterruptedError, SchemaError
 
 
 @pytest.fixture
@@ -501,3 +507,184 @@ class TestDerivedMarginals:
         # a sparse joint serves no marginal: both columns are gathered
         assert spy.counted == ["wide", "wider", "wide", "wider"]
         assert_exact_prefix_counts(sampler, sparse_store)
+
+
+def sort_blocks(monkeypatch, store, on):
+    """Gather every permutation block of ``store`` sorted (``on``) or
+    through the unsorted slice, whatever the store's size."""
+    monkeypatch.setattr(
+        sampling, "_SORT_BLOCKS_FROM", 0 if on else store.num_rows + 1
+    )
+
+
+def assert_same_state(ours, theirs):
+    """Equal nested snapshots: same keys, same order, same array bytes."""
+    if isinstance(ours, dict):
+        assert list(ours) == list(theirs)
+        for key in ours:
+            assert_same_state(ours[key], theirs[key])
+    elif isinstance(ours, (list, tuple)):
+        assert len(ours) == len(theirs)
+        for mine, other in zip(ours, theirs):
+            assert_same_state(mine, other)
+    elif isinstance(ours, np.ndarray):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    else:
+        assert ours == theirs
+
+
+class RowsBackend(NumpyBackend):
+    """Numpy counting that records every block of rows it is handed."""
+
+    def __init__(self) -> None:
+        self.rows: list[np.ndarray] = []
+
+    def count_columns(self, columns, support_sizes, rows):
+        self.rows.append(np.array(rows))
+        return super().count_columns(columns, support_sizes, rows)
+
+
+class TestSortedBlocks:
+    """A block is a set of rows: gathering it sorted changes no count,
+    snapshot, held delta or written byte."""
+
+    @staticmethod
+    def _store():
+        rng = np.random.default_rng(23)
+        n = 4000
+        target = rng.integers(0, 6, n)
+        return ColumnStore(
+            {
+                "x": rng.integers(0, 10, n),
+                "y": np.where(rng.random(n) < 0.7, target, rng.integers(0, 6, n)),
+                "target": target,
+                # 1001 x 1001 codes: the ("wide", "wider") joint is sparse
+                "wide": rng.permutation(np.arange(n) % 1001),
+                "wider": rng.permutation(np.arange(n) % 1001),
+            }
+        )
+
+    @staticmethod
+    def _count(store):
+        """Grow marginals, dense and sparse joints and held deltas."""
+        backend = RowsBackend()
+        sampler = PrefixSampler(store, seed=3, backend=backend)
+        sampler.marginal_counts_batch(["x", "y", "wide"], 500)
+        sampler.joint_counts_batch("target", ["x", "y"], 500)
+        sampler.joint_counts("wide", "wider", 500)
+        sampler.expect_joints([("target", "x"), ("target", "y")])
+        sampler.marginal_counts_batch(["x", "y", "wide"], 1500)
+        held = {
+            key: (start, stop, delta.copy())
+            for key, (start, stop, delta) in sampler._held.items()
+        }
+        sampler.joint_counts_batch("target", ["x", "y"], 3000)
+        sampler.joint_counts("wider", "wide", 3000)
+        sampler.marginal_counts_batch(["x", "y", "wide", "wider", "target"], 4000)
+        return sampler, held, backend.rows
+
+    def test_counts_snapshots_and_held_deltas_match(self, monkeypatch):
+        store = self._store()
+        sort_blocks(monkeypatch, store, on=True)
+        ours, our_held, our_rows = self._count(store)
+        sort_blocks(monkeypatch, store, on=False)
+        theirs, their_held, their_rows = self._count(store)
+
+        assert set(our_held) == {("target", "x"), ("target", "y")}
+        assert_same_state(our_held, their_held)
+        assert ours.cells_scanned == theirs.cells_scanned
+        snapshot = ours.state_snapshot()
+        assert_same_state(snapshot, theirs.state_snapshot())
+        assert not JointCounter.from_snapshot(
+            snapshot["joints"][-1]["counter"]
+        ).is_dense
+        assert_exact_prefix_counts(ours, store)
+        # the backend saw the same sets of rows, sorted only when asked
+        assert len(our_rows) == len(their_rows) > 0
+        for sorted_rows, rows in zip(our_rows, their_rows):
+            assert np.array_equal(sorted_rows, np.sort(rows))
+            assert np.all(np.diff(sorted_rows) > 0)
+        assert any(np.any(np.diff(rows) < 0) for rows in their_rows)
+
+    def test_default_threshold_sorts_only_large_stores(self):
+        small = ColumnStore({"x": np.arange(1000) % 7})
+        rows = PrefixSampler(small, seed=1)._prefix_rows(0, 500)
+        assert np.any(np.diff(rows) < 0)
+        assert sampling._SORT_BLOCKS_FROM > 60_000
+
+    @staticmethod
+    def _specs():
+        return [
+            QuerySpec(kind="top_k", score="entropy", k=1, epsilon=0.05, prune=True),
+            QuerySpec(kind="filter", score="entropy", threshold=2.5, epsilon=0.05),
+            QuerySpec(
+                kind="top_k", score="mutual_information", k=1, epsilon=0.3,
+                target="wider", attributes=("wide", "x", "y"), prune=True,
+            ),
+            QuerySpec(
+                kind="filter", score="mutual_information", threshold=0.3,
+                epsilon=0.3, target="target", attributes=("x", "y"),
+            ),
+        ]
+
+    def _writes(self, store, root, monkeypatch):
+        """Every file a cold checkpointed and cached plan writes, in order,
+        as ``(path relative to root, bytes)``."""
+        from repro.durability import atomic
+
+        root.mkdir()
+        writes = []
+        original = atomic.atomic_write_bytes
+
+        def spy(target, data):
+            writes.append((Path(target).relative_to(root).as_posix(), data))
+            return original(target, data)
+
+        monkeypatch.setattr(atomic, "atomic_write_bytes", spy)
+        executor = PlanExecutor(
+            store, seed=5, checkpoint_path=root / "plan.ckpt",
+            cache_dir=root / "cache",
+        )
+        executor.execute(plan_queries(store, self._specs()))
+        monkeypatch.setattr(atomic, "atomic_write_bytes", original)
+        return writes
+
+    def test_checkpoint_and_cache_bytes_match(self, tmp_path, monkeypatch):
+        # wall-clock fields are the only other source of difference
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        store = self._store()
+        sort_blocks(monkeypatch, store, on=True)
+        ours = self._writes(store, tmp_path / "sorted", monkeypatch)
+        sort_blocks(monkeypatch, store, on=False)
+        theirs = self._writes(store, tmp_path / "unsorted", monkeypatch)
+        names = [name for name, _ in ours]
+        assert names.count("plan.ckpt") > 8
+        assert any(name.startswith("cache/") for name in names)
+        assert ours == theirs
+
+    def test_no_block_outlives_a_query(self, monkeypatch):
+        store = self._store()
+        sort_blocks(monkeypatch, store, on=True)
+        plan = plan_queries(store, self._specs())
+
+        executor = PlanExecutor(store, seed=5)
+        executor.execute(plan)
+        assert executor.sampler._block_rows is None
+
+        truncated = PlanExecutor(store, seed=5, budget=QueryBudget(max_cells=1))
+        with pytest.raises(QueryInterruptedError):
+            truncated.execute(plan, strict=True)
+        assert truncated.sampler._block_rows is None
+
+        class FailingBackend(NumpyBackend):
+            def count_columns(self, columns, support_sizes, rows):
+                raise OSError("simulated store read error")
+
+        failing = PlanExecutor(store, seed=5, backend=FailingBackend())
+        with pytest.raises(OSError):
+            failing.execute(plan)
+        assert failing.sampler._block_rows is None
+        with pytest.raises(OSError):
+            failing.top_k_entropy(1)
+        assert failing.sampler._block_rows is None
