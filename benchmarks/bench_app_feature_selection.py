@@ -1,8 +1,8 @@
 """Application benchmark — feature selection cost, SWOPE vs exact engine.
 
 Quantifies the paper's headline motivation end to end: how much does the
-approximate MI machinery save inside a real selector? Runs Max-Relevance,
-mRMR, and CMIM over a registry dataset with both engines and records the
+approximate MI machinery save inside a real selector? Runs Max-Relevance
+and mRMR over a registry dataset with both engines and records the
 cells-scanned gap (answers must agree up to planted duplicates).
 """
 
@@ -11,20 +11,13 @@ from __future__ import annotations
 import pytest
 
 import _bench_config as cfg
-from repro.applications.feature_selection import (
-    cmim_select,
-    mrmr_select,
-    top_relevance_select,
-)
+from repro.applications.feature_selection import mrmr_select, top_relevance_select
 
 _SELECTORS = {
     "top_relevance": lambda store, label, engine: top_relevance_select(
         store, label, 5, engine=engine, seed=0
     ),
     "mrmr": lambda store, label, engine: mrmr_select(
-        store, label, 5, engine=engine, seed=0
-    ),
-    "cmim": lambda store, label, engine: cmim_select(
         store, label, 5, engine=engine, seed=0
     ),
 }

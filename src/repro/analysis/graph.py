@@ -361,7 +361,7 @@ class ProjectGraph:
 
     # -- dotted-name resolution ----------------------------------------
     def resolve_dotted(self, dotted: str, _depth: int = 0) -> Resolved | None:
-        """Resolve ``repro.core.engine.swope_entropy``-style names.
+        """Resolve ``repro.core.engine.adaptive_top_k``-style names.
 
         Finds the longest module prefix, then walks the remainder
         through that module's defs, classes, and re-export bindings

@@ -1,38 +1,26 @@
 """Downstream applications built on the SWOPE queries.
 
 The paper motivates its queries with concrete data-mining tasks; this
-subpackage implements three of them end to end:
+subpackage implements two of them end to end:
 
 * :mod:`repro.applications.feature_selection` — Max-Relevance, threshold,
   and greedy mRMR selectors (paper refs [12, 19, 24, 26, 31, 39]);
 * :mod:`repro.applications.decision_tree` — ID3-style trees whose split
-  choices are MI top-1 queries (paper refs [3, 27, 33]);
-* :mod:`repro.applications.clustering` — COOLCAT-style entropy-based
-  categorical clustering (paper ref [4]).
+  choices are MI top-1 queries (paper refs [3, 27, 33]).
 """
 
-from repro.applications.clustering import (
-    ClusteringResult,
-    coolcat_cluster,
-    expected_entropy,
-)
 from repro.applications.decision_tree import DecisionNode, EntropyTreeClassifier
 from repro.applications.feature_selection import (
     SelectionResult,
-    cmim_select,
     mrmr_select,
     threshold_select,
     top_relevance_select,
 )
 
 __all__ = [
-    "ClusteringResult",
     "DecisionNode",
     "EntropyTreeClassifier",
     "SelectionResult",
-    "cmim_select",
-    "coolcat_cluster",
-    "expected_entropy",
     "mrmr_select",
     "threshold_select",
     "top_relevance_select",

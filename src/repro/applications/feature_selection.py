@@ -28,7 +28,6 @@ from repro.baselines.exact import (
     exact_mutual_information,
     exact_mutual_informations,
 )
-from repro.core.conditional import conditional_mutual_information
 from repro.core.swope import (
     swope_filter_mutual_information,
     swope_top_k_mutual_information,
@@ -38,7 +37,6 @@ from repro.exceptions import ParameterError
 
 __all__ = [
     "SelectionResult",
-    "cmim_select",
     "mrmr_select",
     "threshold_select",
     "top_relevance_select",
@@ -227,72 +225,6 @@ def mrmr_select(
         assert best_name is not None
         selected.append(best_name)
         candidates.remove(best_name)
-
-    return SelectionResult(
-        features=selected,
-        scores={a: relevance[a] for a in selected},
-        cells_scanned=cells,
-        engine=engine,
-        details={"shortlist": float(shortlist)},
-    )
-
-
-def cmim_select(
-    store: ColumnStore,
-    label: str,
-    num_features: int,
-    *,
-    engine: str = "swope",
-    shortlist: int | None = None,
-    epsilon: float = 0.5,
-    seed: int | None = 0,
-) -> SelectionResult:
-    """Greedy Conditional-MI Maximisation (CMIM, Fleuret — paper ref [13]).
-
-    CMIM adds at each step the feature maximising
-    ``min over already-selected s of I(f; label | s)`` — a feature is only
-    as good as its information about the label that no chosen feature
-    already carries. Conditional MI has no SWOPE bound (see
-    :mod:`repro.core.conditional`), so the conditional refinement is
-    exact; with ``engine="swope"`` the *candidate pool* is first cut to a
-    shortlist by one approximate MI top-k query, which is where the
-    sampling savings come from.
-    """
-    _check_engine(engine)
-    if num_features < 1:
-        raise ParameterError(f"num_features must be >= 1, got {num_features}")
-    if shortlist is None:
-        shortlist = 2 * num_features + 2
-    if shortlist < num_features:
-        raise ParameterError(
-            f"shortlist ({shortlist}) must be >= num_features ({num_features})"
-        )
-    cells = 0
-    if engine == "swope":
-        top = swope_top_k_mutual_information(
-            store, label, shortlist, epsilon=epsilon, seed=seed
-        )
-        relevance = {e.attribute: e.estimate for e in top.estimates}
-        candidates = list(top.attributes)
-        cells += top.stats.cells_scanned
-    else:
-        relevance = exact_mutual_informations(store, label)
-        candidates = sorted(relevance, key=lambda a: (-relevance[a], a))[:shortlist]
-        cells += (1 + 3 * len(relevance)) * store.num_rows
-
-    selected: list[str] = []
-    # score[f] = min_s I(f; label | s) over selected s; starts at the
-    # unconditional relevance (empty min).
-    scores = {name: relevance[name] for name in candidates}
-    while len(selected) < num_features and candidates:
-        best = max(candidates, key=lambda name: (scores[name], name))
-        selected.append(best)
-        candidates.remove(best)
-        for name in candidates:
-            cmi = conditional_mutual_information(store, name, label, best)
-            cells += 4 * store.num_rows
-            if cmi < scores[name]:
-                scores[name] = cmi
 
     return SelectionResult(
         features=selected,

@@ -36,11 +36,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.applications.feature_selection import (
-    cmim_select,
-    mrmr_select,
-    top_relevance_select,
-)
+from repro.applications.feature_selection import mrmr_select, top_relevance_select
 from repro.core import (
     PlanExecutor,
     QueryBudget,
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "select", help="run a feature-selection application"
     )
     select.add_argument(
-        "method", choices=["relevance", "mrmr", "cmim"],
+        "method", choices=["relevance", "mrmr"],
         help="selection criterion",
     )
     select.add_argument("--dataset", choices=sorted(DATASETS), default="cdc")
@@ -628,7 +624,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     selector = {
         "relevance": top_relevance_select,
         "mrmr": mrmr_select,
-        "cmim": cmim_select,
     }[args.method]
     result = selector(store, label, args.k, engine=args.engine, seed=args.seed)
     print(

@@ -25,7 +25,6 @@ from repro.data.filters import (
 from repro.data.joint import JointCounter
 from repro.data.mmap_store import MmapStore, MmapStoreWriter
 from repro.data.sampling import PrefixSampler
-from repro.data.streaming import StreamingCounts, stream_csv_counts
 
 __all__ = [
     "AttributeProfile",
@@ -39,7 +38,6 @@ __all__ = [
     "NumpyBackend",
     "PrefixSampler",
     "PAPER_MAX_SUPPORT",
-    "StreamingCounts",
     "describe_store",
     "drop_constant_columns",
     "drop_high_support_columns",
@@ -50,5 +48,4 @@ __all__ = [
     "profile_attribute",
     "resolve_backend",
     "save_npz",
-    "stream_csv_counts",
 ]

@@ -607,7 +607,7 @@ class PrefixSampler:
         For each column of ``group`` with an expected pair whose dense
         joint sits at exactly ``start``, count the pair's joint delta
         over ``[start, stop)`` from the column's block and the target's
-        (cast once per target), hold it for the later query, and return
+        (gathered once per target), hold it for the later query, and return
         the marginal deltas of both attributes read off it (first pair
         wins). Joints that do not exist yet are never started here.
         """
@@ -624,7 +624,7 @@ class PrefixSampler:
                 counter = state[1]
                 block_target = target_blocks.get(target)
                 if block_target is None:
-                    block_target = self._store.column(target)[rows].astype(np.int64)
+                    block_target = self._store.column(target)[rows]
                     target_blocks[target] = block_target
                 if block is None:
                     block = self._store.column(name)[rows]
@@ -722,11 +722,7 @@ class PrefixSampler:
             if num_rows > counted:
                 block_first = first_blocks.get(counted)
                 if block_first is None:
-                    # Cast to the joint counter's code dtype once; every
-                    # pair sharing this block then skips its own cast.
-                    block_first = self._column_block(
-                        first, counted, num_rows
-                    ).astype(np.int64)
+                    block_first = self._column_block(first, counted, num_rows)
                     first_blocks[counted] = block_first
                 block_second = self._store.column(second)[
                     self._prefix_rows(counted, num_rows)

@@ -6,12 +6,12 @@ object-store throttling. This module provides
 
 * :func:`retry_with_backoff` — bounded exponential backoff with jitter
   around any callable, retrying only a configurable set of transient
-  exception types. :func:`repro.data.streaming.stream_csv_counts` and
-  :func:`repro.data.csv_io.load_csv` use it when asked to retry.
+  exception types. :func:`repro.data.csv_io.load_csv` uses it when
+  asked to retry.
 * :class:`FlakyReader` — a file *opener* that fails the first few
   attempts with a transient ``OSError`` (at open, or mid-stream after a
   configurable number of rows) and can inject per-line latency. Pass it
-  as ``opener=`` to the CSV readers to simulate flaky storage.
+  as ``opener=`` to the CSV reader to simulate flaky storage.
 * :class:`FlakyStore` — a :class:`~repro.data.column_store.ColumnStore`
   wrapper whose column reads fail transiently and/or run slow, for
   exercising query-level retry and deadline budgets.
@@ -180,11 +180,10 @@ class FlakyReader:
         Injection point for the latency sleep (tests pass a recorder).
 
     Use as the ``opener=`` argument of
-    :func:`~repro.data.streaming.stream_csv_counts` or
     :func:`~repro.data.csv_io.load_csv`:
 
     >>> reader = FlakyReader(fail_times=2)                   # doctest: +SKIP
-    >>> stream_csv_counts(path, opener=reader, max_retries=3)
+    >>> load_csv(path, opener=reader, max_retries=3)
     """
 
     def __init__(

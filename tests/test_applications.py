@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.applications.clustering import coolcat_cluster, expected_entropy
 from repro.applications.decision_tree import EntropyTreeClassifier
 from repro.applications.feature_selection import (
     mrmr_select,
@@ -167,68 +166,3 @@ class TestDecisionTree:
         predictions = tree.predict(labelled_store, rows)
         assert predictions.shape == (100,)
         assert set(predictions.tolist()) <= set(range(4))
-
-
-class TestClustering:
-    @pytest.fixture(scope="class")
-    def clusterable_store(self):
-        """Two planted blocks of records with distinct attribute profiles."""
-        rng = np.random.default_rng(5)
-        n_half = 1500
-        block_a = {
-            "c1": rng.integers(0, 2, n_half),  # values {0,1}
-            "c2": rng.integers(0, 2, n_half),
-            "c3": rng.integers(0, 2, n_half),
-        }
-        block_b = {
-            "c1": rng.integers(4, 6, n_half),  # values {4,5}: disjoint
-            "c2": rng.integers(4, 6, n_half),
-            "c3": rng.integers(4, 6, n_half),
-        }
-        return ColumnStore(
-            {
-                name: np.concatenate([block_a[name], block_b[name]])
-                for name in block_a
-            }
-        )
-
-    def test_recovers_planted_blocks(self, clusterable_store):
-        result = coolcat_cluster(clusterable_store, k=2, seed=0)
-        n_half = clusterable_store.num_rows // 2
-        first = result.assignments[:n_half]
-        second = result.assignments[n_half:]
-        # Each planted block should be (almost) pure within one cluster.
-        purity_first = max(np.mean(first == 0), np.mean(first == 1))
-        purity_second = max(np.mean(second == 0), np.mean(second == 1))
-        # COOLCAT's greedy streaming pass is not exact; high (not perfect)
-        # purity on cleanly separable blocks is the documented behaviour.
-        assert purity_first > 0.8
-        assert purity_second > 0.8
-        # and the two blocks land in different clusters
-        assert np.bincount(first, minlength=2).argmax() != np.bincount(
-            second, minlength=2
-        ).argmax()
-
-    def test_objective_beats_random_assignment(self, clusterable_store):
-        result = coolcat_cluster(clusterable_store, k=2, seed=0)
-        rng = np.random.default_rng(0)
-        random_assign = rng.integers(0, 2, clusterable_store.num_rows)
-        random_objective = expected_entropy(clusterable_store, random_assign, 2)
-        assert result.expected_entropy < random_objective
-
-    def test_cluster_sizes_sum_to_rows(self, clusterable_store):
-        result = coolcat_cluster(clusterable_store, k=3, seed=1)
-        assert result.cluster_sizes().sum() == clusterable_store.num_rows
-        assert (result.assignments >= 0).all()
-
-    def test_parameter_validation(self, clusterable_store):
-        with pytest.raises(ParameterError):
-            coolcat_cluster(clusterable_store, k=1)
-        with pytest.raises(ParameterError):
-            coolcat_cluster(clusterable_store, k=5, sample_size=3)
-        with pytest.raises(ParameterError):
-            coolcat_cluster(clusterable_store, k=2, refine_fraction=1.5)
-
-    def test_expected_entropy_validates_length(self, clusterable_store):
-        with pytest.raises(ParameterError):
-            expected_entropy(clusterable_store, np.zeros(3, dtype=int), 2)

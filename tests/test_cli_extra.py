@@ -27,13 +27,6 @@ class TestSelectCommand:
         assert code == 0
         assert "engine: exact" in capsys.readouterr().out
 
-    def test_cmim(self, capsys):
-        code = main(
-            ["select", "cmim", "--dataset", "cdc", "--scale", "0.01", "-k", "2"]
-        )
-        assert code == 0
-        assert "cmim selected 2 features" in capsys.readouterr().out
-
     def test_explicit_label(self, capsys):
         code = main(
             ["select", "relevance", "--dataset", "cdc", "--scale", "0.01",
@@ -42,9 +35,10 @@ class TestSelectCommand:
         assert code == 0
         assert "mi_base_01" in capsys.readouterr().out
 
-    def test_bad_method_rejected(self):
+    @pytest.mark.parametrize("method", ["magic", "cmim"])
+    def test_bad_method_rejected(self, method):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["select", "magic"])
+            build_parser().parse_args(["select", method])
 
 
 class TestFigureArtifacts:

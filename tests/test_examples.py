@@ -60,11 +60,3 @@ def test_tuning_epsilon_prints_the_grid(capsys):
     out = capsys.readouterr().out
     for epsilon in ("0.010", "0.500"):
         assert epsilon in out
-
-
-def test_clustering_reports_objective(capsys):
-    module = _load_example("categorical_clustering")
-    module.main()
-    out = capsys.readouterr().out
-    assert "expected entropy" in out
-    assert "purity" in out

@@ -8,7 +8,6 @@ import pytest
 from repro.baselines.exact import exact_entropies
 from repro.core import swope_top_k_entropy
 from repro.data.csv_io import load_csv
-from repro.data.streaming import stream_csv_counts
 from repro.exceptions import DataFormatError, ParameterError
 from repro.testing.faults import FlakyReader, FlakyStore, retry_with_backoff
 
@@ -159,40 +158,42 @@ class TestRetryWithBackoff:
 
 
 class TestFlakyReaderStreaming:
+    @staticmethod
+    def assert_same_columns(store, csv_file):
+        clean, _ = load_csv(csv_file)
+        for name in clean.attributes:
+            assert np.array_equal(store.column(name), clean.column(name))
+
     def test_recovers_from_open_failures(self, csv_file):
         reader = FlakyReader(fail_times=2, sleep=lambda _: None)
-        counts = stream_csv_counts(
+        store, _ = load_csv(
             csv_file, opener=reader, max_retries=3, retry_base_delay_s=0.0
         )
         assert reader.attempts == 3
         assert reader.failures_injected == 2
-        assert counts.num_rows == 5
-        clean = stream_csv_counts(csv_file)
-        assert counts.entropies() == clean.entropies()
+        self.assert_same_columns(store, csv_file)
 
     def test_recovers_from_mid_stream_failure(self, csv_file):
-        # The nastier mode: the failing attempts die after 2 rows. A
-        # retried pass must not double-count the rows already consumed.
+        # The nastier mode: the failing attempt dies after 2 rows. The
+        # retried load must not double-count the rows already consumed.
         reader = FlakyReader(fail_times=1, fail_after_rows=2, sleep=lambda _: None)
-        counts = stream_csv_counts(
+        store, _ = load_csv(
             csv_file, opener=reader, max_retries=2, retry_base_delay_s=0.0
         )
-        assert counts.num_rows == 5
-        assert counts.entropies() == stream_csv_counts(csv_file).entropies()
+        assert reader.failures_injected == 1
+        assert store.num_rows == 5
+        self.assert_same_columns(store, csv_file)
 
     def test_exhausted_retries_surface_oserror(self, csv_file):
         reader = FlakyReader(fail_times=5)
         with pytest.raises(OSError):
-            stream_csv_counts(
-                csv_file, opener=reader, max_retries=2, retry_base_delay_s=0.0
-            )
+            load_csv(csv_file, opener=reader, max_retries=2, retry_base_delay_s=0.0)
+        assert reader.attempts == 3
 
     def test_format_errors_are_not_retried(self, ragged_csv):
         reader = FlakyReader(fail_times=0)
         with pytest.raises(DataFormatError):
-            stream_csv_counts(
-                ragged_csv, opener=reader, max_retries=5, retry_base_delay_s=0.0
-            )
+            load_csv(ragged_csv, opener=reader, max_retries=5, retry_base_delay_s=0.0)
         assert reader.attempts == 1  # surfaced unchanged, no retry
 
     def test_load_csv_with_retries(self, csv_file):
@@ -206,31 +207,6 @@ class TestFlakyReaderStreaming:
     def test_load_csv_without_retries_fails_fast(self, csv_file):
         with pytest.raises(OSError):
             load_csv(csv_file, opener=FlakyReader(fail_times=1))
-
-
-class TestBadRowPolicy:
-    def test_raise_is_default(self, ragged_csv):
-        with pytest.raises(DataFormatError, match="row 3"):
-            stream_csv_counts(ragged_csv)
-
-    def test_skip_counts_bad_rows(self, ragged_csv):
-        counts = stream_csv_counts(ragged_csv, on_bad_row="skip")
-        assert counts.num_rows == 2
-        assert counts.bad_rows == 2
-        assert counts.support_size("color") == 1  # only 'red' rows survive
-
-    def test_warn_emits_and_counts(self, ragged_csv):
-        with pytest.warns(UserWarning, match="skipping row"):
-            counts = stream_csv_counts(ragged_csv, on_bad_row="warn")
-        assert counts.bad_rows == 2
-
-    def test_unknown_policy_rejected(self, csv_file):
-        with pytest.raises(ParameterError):
-            stream_csv_counts(csv_file, on_bad_row="explode")
-
-    def test_skipped_rows_do_not_count_against_max_rows(self, ragged_csv):
-        counts = stream_csv_counts(ragged_csv, on_bad_row="skip", max_rows=2)
-        assert counts.num_rows == 2
 
 
 class TestFlakyStore:
