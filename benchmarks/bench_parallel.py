@@ -1,7 +1,7 @@
 """Out-of-core storage benchmark.
 
 Builds a multi-GB on-disk :class:`~repro.data.mmap_store.MmapStore` chunk
-by chunk (default 10^8 rows x 16 int16 columns ~ 3.2 GB), then runs the
+by chunk (default 10^8 rows x 16 int8 columns ~ 1.6 GB), then runs the
 mixed example plan (``examples/plan_mixed.json``) against it in a *fresh
 child process* and reports the child's peak RSS. The acceptance gate is
 peak RSS < 25% of the dataset's on-disk bytes — the plan must stream,
@@ -43,8 +43,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SEED = 11
 
-#: Out-of-core workload: 16 int16 columns -> 32 bytes/row; 10^8 rows is
-#: ~3.2 GB on disk, far past any sensible in-memory materialisation.
+#: Out-of-core workload: 16 int8 columns -> 16 bytes/row; 10^8 rows is
+#: ~1.6 GB on disk, far past any sensible in-memory materialisation.
 #: Supports avoid u=4 (uniform entropy exactly 2.0 bits — the example
 #: plan's filter threshold, which no finite sample could ever decide),
 #: and the three noisy copies of the MI target give the MI queries
@@ -119,7 +119,7 @@ def build_ooc_store(directory: Path, num_rows: int) -> MmapStore:
 #: plan execution over the mmap store — not the build, not the parent.
 #: Peak RSS comes from ``VmHWM`` (per-address-space, reset by execve)
 #: rather than ``ru_maxrss``, which Linux carries across fork+exec: a
-#: child forked from the parent that just wrote the 3.2 GB store would
+#: child forked from the parent that just wrote the 1.6 GB store would
 #: otherwise inherit the builder's high-water mark and dwarf its own.
 _CHILD_SOURCE = """
 import json, re, resource, sys, time

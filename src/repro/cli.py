@@ -769,7 +769,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
     )
     print(f"fingerprint: {store.fingerprint()}")
     for name in store.attributes:
-        print(f"  {name:20s} u={store.support_size(name)}")
+        print(
+            f"  {name:20s} u={store.support_size(name)}"
+            f" dtype={store.column_dtype(name).name}"
+        )
     if args.verify:
         store.verify_fingerprint()
         print("fingerprint verified: column bytes match the manifest")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,14 +115,14 @@ def _entropies_from_trusted_counts(
     if len(counts_list) == 1:
         return [_entropy_from_trusted_counts(counts_list[0], total)]
     concat = np.concatenate(counts_list)
-    mask = concat > 0
-    p = concat[mask].astype(np.float64)
+    nonzero = np.flatnonzero(concat)
+    p = concat[nonzero].astype(np.float64)
     p /= float(total)
     terms = p * np.log2(p)
-    # Segment boundaries in `terms`: cumulative nonzero count at each
-    # vector's end within `concat` (integer arithmetic — exact).
-    stops = np.cumsum([c.shape[0] for c in counts_list])
-    ends = np.cumsum(mask)[stops - 1].tolist()
+    # Segment boundaries in `terms`: the number of nonzero positions
+    # before each vector's end within `concat` (integer search — exact).
+    stops = list(accumulate(c.shape[0] for c in counts_list))
+    ends = np.searchsorted(nonzero, stops).tolist()
     reduce_add = np.add.reduce  # what ndarray.sum dispatches to anyway
     entropies: list[float] = []
     start = 0

@@ -16,7 +16,7 @@ column under a live sampler would silently corrupt incremental counters.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -29,13 +29,52 @@ __all__ = ["ColumnSource", "ColumnStore"]
 _INTEGER_KINDS = ("i", "u")
 
 
+#: Rows hashed / counted per chunk when streaming a column, which may be
+#: a memmap (4 Mi rows ⇒ at most 32 MiB per chunk at the widest dtype).
+_CHUNK_ROWS = 1 << 22
+
+
+def _iter_chunks(length: int, chunk_rows: int = _CHUNK_ROWS) -> Iterator[slice]:
+    """Yield ``[lo, hi)`` slices covering ``range(length)`` in chunks."""
+    for lo in range(0, length, chunk_rows):
+        yield slice(lo, min(lo + chunk_rows, length))
+
+
 def _pick_dtype(support_size: int) -> np.dtype:
-    """Return the smallest integer dtype that holds ``[0, support_size)``."""
+    """Return the smallest signed integer dtype that holds ``[0, support_size)``.
+
+    Signed, because joint codes are built by adding a store column to an
+    int64 product in place (:meth:`~repro.data.joint.JointCounter._codes`).
+    """
+    if support_size <= np.iinfo(np.int8).max + 1:
+        return np.dtype(np.int8)
     if support_size <= np.iinfo(np.int16).max:
         return np.dtype(np.int16)
     if support_size <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def _fingerprint_columns(
+    num_rows: int, entries: Iterable[tuple[str, int, np.ndarray]]
+) -> str:
+    """sha256 over ``(rows, names, supports, column bytes)``, streamed.
+
+    The one fingerprint function of both storage engines. Each column is
+    hashed in its *canonical width*, :func:`_pick_dtype` floored at
+    int16, whatever width it is stored in: a store written as int16
+    before int8 storage existed and its int8 rebuild hash alike, and so
+    do in-memory and memory-mapped copies. The column may be a memmap,
+    so its bytes go through the digest in bounded chunks.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"rows:{num_rows}\n".encode("utf-8"))
+    for name, support, column in entries:
+        canonical = np.promote_types(_pick_dtype(support), np.int16)
+        digest.update(f"col:{name}:{support}:{canonical.str}\n".encode("utf-8"))
+        for block in _iter_chunks(column.shape[0]):
+            digest.update(np.ascontiguousarray(column[block], dtype=canonical))
+    return digest.hexdigest()
 
 
 @runtime_checkable
@@ -383,24 +422,18 @@ class ColumnStore:
         delegates here). The byte layout is pinned by golden census
         manifests: ``rows:{N}\\n`` then, per attribute in schema order,
         ``col:{name}:{support}:{dtype.str}\\n`` followed by the raw
-        little-endian column bytes. :class:`~repro.data.mmap_store.MmapStore`
-        computes the identical value over its on-disk columns, so the
-        two engines interoperate under one fingerprint. The store and its
-        columns are immutable, so the hash is computed once per store.
+        little-endian column bytes, where ``dtype`` is the column's
+        canonical width (the storage dtype floored at int16, so an int8
+        column still hashes as ``<i2``). :class:`~repro.data.mmap_store.MmapStore`
+        computes the identical value over its on-disk columns through the
+        same helper, so the two engines interoperate under one
+        fingerprint. The store and its columns are immutable, so the hash
+        is computed once per store.
         """
         if self._fingerprint is None:
-            self._fingerprint = self._hash_columns()
+            self._fingerprint = _fingerprint_columns(
+                self._num_rows,
+                [(n, self._support[n], col) for n, col in self._columns.items()],
+            )
         return self._fingerprint
 
-    def _hash_columns(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(f"rows:{self._num_rows}\n".encode("utf-8"))
-        for name in self.attributes:
-            column = np.ascontiguousarray(self.column(name))
-            digest.update(
-                f"col:{name}:{self.support_size(name)}:{column.dtype.str}\n".encode(
-                    "utf-8"
-                )
-            )
-            digest.update(column.tobytes())
-        return digest.hexdigest()

@@ -20,14 +20,17 @@ On-disk layout of a store directory::
     manifest.json      {"format", "schema_version", "num_rows",
                         "fingerprint", "columns": [{"name", "support_size",
                         "dtype", "file"}, ...]}
-    col_00000.npy      encoded column 0 (smallest int dtype that fits)
+    col_00000.npy      encoded column 0 (smallest signed int dtype that
+                       fits: int8 up to 128 values; older stores hold
+                       int16 files, which open and verify alike)
     col_00001.npy      ...
 
 The manifest's ``fingerprint`` is byte-identical to
 :meth:`ColumnStore.fingerprint` over the same encoded data — computed by
-streaming the finished column files in bounded chunks — so checkpoints
-and plan caches written against the in-memory store verify against the
-mmap store and vice versa.
+the same helper, which streams the finished column files in bounded
+chunks and hashes each in its canonical width — so checkpoints and plan
+caches written against the in-memory store verify against the mmap
+store and vice versa.
 
 Construction is chunked for the same reason reads are:
 :class:`MmapStoreWriter` preallocates the column files and accepts row
@@ -40,16 +43,21 @@ siblings and published by ``os.replace`` before the manifest lands
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.data.column_store import ColumnStore, _pick_dtype
+from repro.data.column_store import (
+    _CHUNK_ROWS,
+    ColumnStore,
+    _fingerprint_columns,
+    _iter_chunks,
+    _pick_dtype,
+)
 from repro.durability.atomic import atomic_write_text
 from repro.exceptions import ParameterError, SchemaError
 
@@ -72,41 +80,10 @@ MMAP_STORE_SCHEMA_VERSION = 1
 #: Manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
 
-#: Rows hashed / counted per chunk when streaming a column file
-#: (4 Mi rows ⇒ at most 32 MiB per chunk at the widest dtype).
-_CHUNK_ROWS = 1 << 22
-
 
 def _column_file_name(index: int) -> str:
     """Stable, filesystem-safe file name for the ``index``-th column."""
     return f"col_{index:05d}.npy"
-
-
-def _iter_chunks(length: int, chunk_rows: int = _CHUNK_ROWS) -> Iterator[slice]:
-    """Yield ``[lo, hi)`` slices covering ``range(length)`` in chunks."""
-    for lo in range(0, length, chunk_rows):
-        yield slice(lo, min(lo + chunk_rows, length))
-
-
-def _fingerprint_columns(
-    num_rows: int,
-    entries: list[tuple[str, int, np.ndarray]],
-) -> str:
-    """sha256 over ``(rows, names, supports, column bytes)``, streamed.
-
-    Must stay byte-identical to :meth:`ColumnStore.fingerprint`; the
-    arrays may be memmaps, which is why the bytes go through the digest
-    in bounded chunks instead of one ``tobytes()`` materialisation.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"rows:{num_rows}\n".encode("utf-8"))
-    for name, support, column in entries:
-        digest.update(
-            f"col:{name}:{support}:{column.dtype.str}\n".encode("utf-8")
-        )
-        for block in _iter_chunks(column.shape[0]):
-            digest.update(np.ascontiguousarray(column[block]).tobytes())
-    return digest.hexdigest()
 
 
 class MmapStoreWriter:
@@ -119,9 +96,12 @@ class MmapStoreWriter:
         a finished store manifest.
     support_sizes:
         Ordered ``{attribute: u_alpha}`` mapping fixing the schema. The
-        column dtype is the smallest integer type holding the support,
-        exactly as :class:`ColumnStore` picks it — which is what makes
-        the fingerprints of the two engines agree.
+        column dtype is the smallest signed integer type holding the
+        support, as :class:`ColumnStore` picks it. The fingerprints of
+        the two engines agree because both hash every column in its
+        canonical width (see :meth:`ColumnStore.fingerprint`), not
+        because they store the same dtype: a store written with int16
+        files before int8 storage existed hashes like its rebuild.
     num_rows:
         Total number of records the finished store will hold; the column
         files are preallocated at this length and filled by
@@ -442,6 +422,13 @@ class MmapStore:
         """Return ``u_alpha``, the number of distinct values of ``name``."""
         try:
             return self._support[name]
+        except KeyError:
+            raise SchemaError(f"unknown attribute {name!r}") from None
+
+    def column_dtype(self, name: str) -> np.dtype:
+        """Storage dtype of ``name`` as the manifest declares it."""
+        try:
+            return self._dtypes[name]
         except KeyError:
             raise SchemaError(f"unknown attribute {name!r}") from None
 

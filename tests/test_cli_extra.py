@@ -1,4 +1,5 @@
-"""Tests for the newer CLI subcommands: select, compare, figure --svg/--save."""
+"""Tests for the newer CLI subcommands: select, compare, figure --svg/--save,
+store build/info."""
 
 from __future__ import annotations
 
@@ -125,3 +126,25 @@ class TestDescribeCommand:
         )
         assert code == 0
         assert "ent_anchor_00" in capsys.readouterr().out
+
+
+class TestStoreCommand:
+    #: The cdc 0.01 fingerprint, the same for int16 and int8 column files.
+    CDC_001_FINGERPRINT = (
+        "e3dbdcf5d8f1dc83ebd30518a661710c2f4c360a1ab452cfceaaf66e7f73fe31"
+    )
+
+    def test_build_and_info(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "cdc_store")
+        code = main(
+            ["store", "build", "--dataset", "cdc", "--scale", "0.01",
+             "--out", out_dir]
+        )
+        assert code == 0
+        built = capsys.readouterr().out
+        assert f"fingerprint: {self.CDC_001_FINGERPRINT}" in built
+        assert main(["store", "info", out_dir, "--verify"]) == 0
+        info = capsys.readouterr().out
+        assert "  mi_base_00           u=64 dtype=int8\n" in info
+        assert "  top_twin_a_00        u=1000 dtype=int16\n" in info
+        assert "fingerprint verified" in info

@@ -50,8 +50,20 @@ class TestConstruction:
             col[0] = 9
 
     def test_dtype_is_compact(self):
-        store = ColumnStore({"a": np.array([0, 1, 2], dtype=np.int64)})
-        assert store.column("a").dtype == np.int16
+        # The smallest signed width holding [0, u): int8 up to 128 values.
+        expected = {
+            2: np.int8,
+            128: np.int8,
+            129: np.int16,
+            32_767: np.int16,
+            32_768: np.int32,
+        }
+        for support, dtype in expected.items():
+            store = ColumnStore(
+                {"a": np.array([0, support - 1], dtype=np.int64)},
+                support_sizes={"a": support},
+            )
+            assert store.column("a").dtype == dtype, support
 
     def test_dtype_grows_with_support(self):
         store = ColumnStore(

@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimators import (
+    _entropies_from_trusted_counts,
+    _entropy_from_trusted_counts,
     entropy_from_counts,
     entropy_from_probabilities,
     joint_entropy_from_counter,
@@ -128,3 +132,34 @@ class TestJointEntropyAndMI:
             np.bincount(a, minlength=3), np.bincount(b, minlength=3), counter
         )
         assert mi >= 0.0
+
+
+@st.composite
+def _count_vectors(draw):
+    """One shared total and count vectors, some padded with zeros."""
+    total = draw(st.integers(1, 10**7))
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        body = draw(st.lists(st.integers(0, total), max_size=24))
+        lead = draw(st.integers(0, 3))
+        trail = draw(st.integers(0, 3))
+        vectors.append(
+            np.array([0] * lead + body + [0] * trail, dtype=np.int64)
+        )
+    return total, vectors
+
+
+class TestBatchedTrustedEntropies:
+    """The batched helper the engine calls must equal the scalar one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_count_vectors())
+    def test_bitwise_equal_to_scalar_helper(self, case):
+        total, vectors = case
+        batched = _entropies_from_trusted_counts(vectors, total)
+        scalar = [_entropy_from_trusted_counts(v, total) for v in vectors]
+        assert [x.hex() for x in batched] == [x.hex() for x in scalar]
+
+    def test_zero_total_gives_zeros(self):
+        vectors = [np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)]
+        assert _entropies_from_trusted_counts(vectors, 0) == [0.0, 0.0]

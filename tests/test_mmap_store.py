@@ -11,12 +11,18 @@ Four layers:
   (so checkpoints and caches transfer), ``ColumnSource`` conformance,
   and bit-identical query answers mmap vs memory;
 * durability — checkpoint/resume round-trip on an mmap-backed plan,
-  including across a reopen of the store directory.
+  including across a reopen of the store directory;
+* legacy width — a store written with int16 column files (the width
+  before int8 storage) opens, verifies and answers exactly like its
+  int8 rebuild: one fingerprint, one plan, checkpoints and cache
+  partitions that cross between the two.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -36,7 +42,15 @@ from repro.exceptions import (
     ParameterError,
     SchemaError,
 )
-from repro.testing.chaos import plan_fingerprint
+from repro.testing.chaos import (
+    BoundaryFaultToken,
+    ChaosPlan,
+    SimulatedKillError,
+    count_iteration_boundaries,
+    plan_fingerprint,
+)
+from tests.test_cache import _payloads
+from tests.test_golden_traces import _golden_store, _mixed_specs
 
 SEED = 7
 
@@ -79,8 +93,8 @@ class TestWriter:
             )
 
     def test_dtypes_match_in_memory_choice(self, memory_store, disk_store):
-        # Same smallest-int dtype selection as ColumnStore — a dtype
-        # drift would silently change the fingerprint bytes.
+        # Same smallest signed dtype as ColumnStore: the storage width is
+        # decided in one place for both engines.
         for name in memory_store.attributes:
             assert (
                 disk_store.column(name).dtype
@@ -306,3 +320,106 @@ class TestMmapCheckpointResume:
         )
         with pytest.raises(CheckpointMismatchError):
             PlanExecutor.resume(path, other)
+
+
+# ----------------------------------------------------------------------
+# Stores written with int16 columns (before int8 storage)
+# ----------------------------------------------------------------------
+def _legacy_fingerprint(store: MmapStore) -> str:
+    """The fingerprint recipe of int16-only builds, over the column files.
+
+    Written out here rather than called, so the test pins the manifests
+    that earlier builds wrote, independently of the library's helper.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"rows:{store.num_rows}\n".encode("utf-8"))
+    for name in store.attributes:
+        column = np.asarray(store.column(name))
+        digest.update(
+            f"col:{name}:{store.support_size(name)}:{column.dtype.str}\n".encode(
+                "utf-8"
+            )
+        )
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def _write_int16_copy(source: MmapStore, directory) -> MmapStore:
+    """Copy ``source`` with every column file and manifest dtype as ``<i2``."""
+    shutil.copytree(source.directory, directory)
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for entry in manifest["columns"]:
+        path = directory / entry["file"]
+        np.save(path, np.load(path).astype(np.int16))
+        entry["dtype"] = np.dtype(np.int16).str
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return MmapStore.open(directory)
+
+
+class TestLegacyWidth:
+    @pytest.fixture()
+    def stores(self, tmp_path) -> dict[str, ColumnSource]:
+        memory = _golden_store()
+        narrow = MmapStore.from_column_store(memory, tmp_path / "int8")
+        legacy = _write_int16_copy(narrow, tmp_path / "int16")
+        return {"memory": memory, "int8": narrow, "int16": legacy}
+
+    def test_widths_on_disk(self, stores):
+        for name in stores["memory"].attributes:
+            assert stores["int8"].column(name).dtype == np.int8
+            assert stores["int16"].column(name).dtype == np.int16
+
+    def test_opens_and_verifies(self, stores):
+        legacy = stores["int16"]
+        assert _legacy_fingerprint(legacy) == legacy.fingerprint()
+        assert legacy.verify_fingerprint() == legacy.fingerprint()
+        assert stores["int8"].verify_fingerprint() == legacy.fingerprint()
+
+    def test_one_fingerprint(self, stores):
+        fingerprints = {store.fingerprint() for store in stores.values()}
+        assert fingerprints == {_legacy_fingerprint(stores["int16"])}
+
+    def test_same_plan_on_every_store(self, stores):
+        outcomes = [
+            plan_fingerprint(
+                PlanExecutor(store, seed=SEED).execute(
+                    plan_queries(store, _mixed_specs())
+                )
+            )
+            for store in stores.values()
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_checkpoint_from_int16_resumes_on_int8(self, stores, tmp_path):
+        legacy, narrow = stores["int16"], stores["int8"]
+        specs = _mixed_specs()
+        reference = plan_fingerprint(
+            PlanExecutor(narrow, seed=SEED).execute(plan_queries(narrow, specs))
+        )
+        kill_at = count_iteration_boundaries(legacy, specs, seed=SEED) // 2
+        path = tmp_path / "legacy.ckpt"
+        with pytest.raises(SimulatedKillError):
+            PlanExecutor(legacy, seed=SEED, checkpoint_path=path).execute(
+                plan_queries(legacy, specs),
+                cancellation=BoundaryFaultToken(ChaosPlan.kill_at(kill_at)),
+            )
+        resumed = PlanExecutor.resume(path, narrow)
+        outcome = resumed.execute(resumed.resumed_plan())
+        assert plan_fingerprint(outcome) == reference
+
+    @pytest.mark.parametrize("warm_on,serve_on", [("int16", "int8"), ("int8", "int16")])
+    def test_cache_partition_crosses_widths(
+        self, stores, tmp_path, warm_on, serve_on
+    ):
+        specs = _mixed_specs()
+        cold_store, warm_store = stores[warm_on], stores[serve_on]
+        cold = PlanExecutor(cold_store, seed=SEED, cache_dir=tmp_path).execute(
+            plan_queries(cold_store, specs)
+        )
+        assert cold.stats.cells_scanned > 0
+        warm = PlanExecutor(warm_store, seed=SEED, cache_dir=tmp_path).execute(
+            plan_queries(warm_store, specs)
+        )
+        assert warm.stats.cells_scanned == 0
+        assert _payloads(warm) == _payloads(cold)
