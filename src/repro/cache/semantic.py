@@ -19,6 +19,9 @@ interval still wide, but far from ``η``) has no later bounds on record;
 if the derived threshold ``η′`` still needs them, the replay returns
 ``None`` and the caller falls back to a fresh execution. A refusal is
 always safe — reuse is an optimisation, never an approximation.
+A replay starts where the requested run would evaluate first, at its
+decision floor (:func:`repro.core.bounds.mi_decision_floor`), and
+refuses a history that starts later.
 
 Histories are lists of ``(sample_size, {attribute: (lower, upper,
 width, midpoint)})`` — note ``width`` and ``midpoint`` are recorded
@@ -73,6 +76,24 @@ def _replay_stats(
     )
 
 
+def _from_first_evaluation(
+    history: History, first_evaluated: tuple[int, int]
+) -> tuple[int, History] | None:
+    """The iterations a derived run skips and the history it consults.
+
+    A derived run evaluates first at its decision floor
+    ``first_evaluated = (schedule index, sample size)``; it skips the
+    sizes before it, so the replay drops them too. A history that starts
+    later than that size lacks intervals the derived run would consult
+    (its own run had a higher floor): ``None``, refuse.
+    """
+    skipped, first_size = first_evaluated
+    rest = [entry for entry in history if entry[0] >= first_size]
+    if not rest or rest[0][0] != first_size:
+        return None
+    return skipped, rest
+
+
 def replay_filter(
     history: History,
     candidates: Sequence[str],
@@ -81,17 +102,23 @@ def replay_filter(
     population_size: int,
     *,
     target: str | None = None,
+    first_evaluated: tuple[int, int],
 ) -> FilterResult | None:
     """Replay a cached filter history against a (possibly higher) ``η``.
 
     Returns the :class:`~repro.core.results.FilterResult` a fresh run at
     ``threshold`` would produce, or ``None`` when the history does not
     cover every interval that run would need (see module docstring).
+    ``first_evaluated`` is the fresh run's ``(schedule index, sample
+    size)`` of its first evaluation, its decision floor.
     """
+    start = _from_first_evaluation(history, first_evaluated)
+    if start is None:
+        return None
+    iterations, history = start
     undecided = list(candidates)
     included: list[str] = []
     estimates: dict[str, AttributeEstimate] = {}
-    iterations = 0
     final_sample_size = 0
     converged = False
     for sample_size, bounds in history:
@@ -151,17 +178,22 @@ def replay_top_k(
     *,
     prune: bool = True,
     target: str | None = None,
+    first_evaluated: tuple[int, int],
 ) -> TopKResult | None:
     """Replay a cached top-``k`` history against a (possibly smaller) ``k``.
 
     Returns the :class:`~repro.core.results.TopKResult` a fresh run at
     ``k`` would produce, or ``None`` when the history does not cover it.
+    ``first_evaluated`` is as in :func:`replay_filter`.
     """
     if not candidates:
         return None
+    start = _from_first_evaluation(history, first_evaluated)
+    if start is None:
+        return None
+    iterations, history = start
     k_effective = min(k, len(candidates))
     live = list(candidates)
-    iterations = 0
     pruned = 0
     final_sample_size = 0
     answer: list[tuple[str, Bounds]] = []

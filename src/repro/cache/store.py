@@ -280,6 +280,7 @@ class CachePartition:
         prune: bool,
         param: float,
         population_size: int,
+        first_evaluated: tuple[int, int],
     ) -> ServedAnswer | None:
         """Serve a stored or dominated answer for this query shape.
 
@@ -288,7 +289,9 @@ class CachePartition:
         ``η <= η′`` descending; for top-k, stored ``k >= k′`` ascending —
         and replays each history until one covers the request. Replay
         refusal (history insufficient) falls through to the next entry,
-        then to a miss.
+        then to a miss. ``first_evaluated`` is the requested run's
+        ``(schedule index, sample size)`` of its first evaluation (its
+        decision floor), where each replay starts.
         """
         family = (
             kind,
@@ -326,6 +329,7 @@ class CachePartition:
                     epsilon,
                     population_size,
                     target=target,
+                    first_evaluated=first_evaluated,
                 )
             else:
                 derived = replay_top_k(
@@ -336,6 +340,7 @@ class CachePartition:
                     population_size,
                     prune=prune,
                     target=target,
+                    first_evaluated=first_evaluated,
                 )
             if derived is not None:
                 return ServedAnswer(derived, "semantic", entry.param)

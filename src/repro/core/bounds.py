@@ -18,6 +18,9 @@ This module is the mathematical core of the paper (Section 2.2, Lemma 1–4):
 * :func:`sample_size_for_width` — Lemma 4: the sample size ``M`` at which
   the interval width ``2λ + b(α)`` is guaranteed to drop below a target
   ``κ``.
+* :func:`mi_decision_floor` — the first schedule size at which any rule
+  of an MI query (top-k stop, prune, exact rank, filter include or
+  exclude) can fire on some data; the loops evaluate nothing below it.
 
 All bounds collapse to zero width at ``M = N`` (the sample is the whole
 dataset), which the algorithms rely on for guaranteed termination.
@@ -40,6 +43,7 @@ __all__ = [
     "entropy_intervals",
     "joint_entropy_interval",
     "loose_beta_sensitivity",
+    "mi_decision_floor",
     "mi_intervals",
     "mutual_information_interval",
     "permutation_half_width",
@@ -464,6 +468,101 @@ def mi_intervals(
             )
         )
     return intervals
+
+
+#: Bits by which :func:`mi_decision_floor` loosens each rule's data-free
+#: test. Rounded sample entropies can overshoot ``log2 u`` and a rounded
+#: sample MI can undershoot 0 by a few ulps; the margin keeps the floor
+#: at or below the first size where a rounded interval decides
+#: anything. It is orders of magnitude below the change in ``λ``
+#: between two schedule sizes.
+FLOOR_MARGIN = 1e-9
+
+
+def mi_decision_floor(
+    sizes: Sequence[int],
+    population_size: int,
+    failure_probability: float,
+    target_support: int,
+    candidate_supports: Sequence[int],
+    *,
+    epsilon: float | None,
+    k: int | None = None,
+    threshold: float | None = None,
+    prune: bool = True,
+) -> int:
+    """Index of the first of ``sizes`` at which an MI query's rule can fire.
+
+    The Section 4.1 interval of candidate ``α`` at sample size ``M`` is
+    ``upper = I_S + 3λ + b_t + b_α`` and ``lower = max(0, I_S - 3λ -
+    b_joint)``, of width ``6λ + b_t + b_α + b_joint``, where the sample
+    MI ``I_S`` lies in ``[0, log2 min(u_α, u_t, M)]`` whatever the data.
+    Only ``I_S`` depends on the data, so each rule has a data-free
+    necessary condition (``docs/THEORY.md``, "Decision floor"):
+
+    * top-k stop (``epsilon`` set): some upper bound is 0, or the
+      narrowest width is at most ``ε`` times the largest possible upper
+      bound;
+    * prune (``prune``, more candidates than ``k``) and the exact rank
+      (``epsilon=None``): the largest possible lower bound passes (or,
+      for the rank, reaches) the smallest possible upper bound;
+    * filter include, exclude or width rule (``threshold`` set): the
+      largest possible lower bound, the smallest possible upper bound or
+      the narrowest width reaches its side of ``η``.
+
+    Every test is loosened by :data:`FLOOR_MARGIN`. The last size is
+    ``N``, where the bounds are exact and a rule always fires, so the
+    result is at most ``len(sizes) - 1``. ``failure_probability`` is the
+    per-bound ``p'_f`` the query's intervals use; give exactly one of
+    ``k`` (top-k) and ``threshold`` (filter).
+    """
+    if (k is None) == (threshold is None):
+        raise ParameterError("give exactly one of k (top-k) and threshold (filter)")
+    if not candidate_supports:
+        raise ParameterError("an MI query needs at least one candidate")
+    if k is not None and epsilon is None and k >= len(candidate_supports):
+        return 0  # the exact rank stops once at most k candidates are live
+    prunes = k is not None and prune and len(candidate_supports) > k
+    n = population_size
+    margin = FLOOR_MARGIN
+    supports = set(candidate_supports)
+    last = len(sizes) - 1
+    for index in range(last):
+        m = sizes[index]
+        lam = permutation_half_width(m, n, failure_probability)
+        bias_target = bias_bound(target_support, m, n)
+        lower_top = 0.0  # largest lower bound
+        upper_low = math.inf  # smallest upper bound
+        upper_top = 0.0  # largest upper bound
+        width_min = math.inf
+        for support in supports:
+            score = math.log2(min(support, target_support, m)) + margin
+            bias = bias_bound(support, m, n)
+            bias_joint = bias_bound(target_support * support, m, n)
+            lower_top = max(lower_top, score - 3.0 * lam - bias_joint)
+            spread = 3.0 * lam + bias_target + bias
+            upper_low = min(upper_low, max(0.0, spread - margin))
+            upper_top = max(upper_top, score + spread)
+            width_min = min(width_min, 6.0 * lam + bias_target + bias + bias_joint)
+        width_min -= margin
+        if threshold is None:
+            if epsilon is None:
+                if lower_top >= upper_low:
+                    return index
+            elif upper_low <= 0.0 or width_min <= epsilon * upper_top:
+                return index
+            if prunes and lower_top > upper_low:
+                return index
+        elif epsilon is None:
+            if lower_top > threshold or upper_low < threshold:
+                return index
+        elif (
+            width_min < 2.0 * epsilon * threshold
+            or lower_top >= (1.0 - epsilon) * threshold
+            or upper_low < (1.0 + epsilon) * threshold
+        ):
+            return index
+    return last
 
 
 def sample_size_for_width(

@@ -46,10 +46,7 @@ from repro.core.budget import (
     check_interruption,
     raise_interrupted,
 )
-from repro.core.estimators import (
-    _entropies_from_trusted_counts,
-    _entropy_from_trusted_counts,
-)
+from repro.core.estimators import _entropies_from_trusted_counts
 from repro.core.results import (
     AttributeEstimate,
     FilterResult,
@@ -228,8 +225,8 @@ class EntropyScoreProvider:
 class MutualInformationScoreProvider:
     """Section 4 MI intervals ``I(α_t, α)`` over a prefix sampler.
 
-    The target attribute's entropy interval is computed once per sample
-    size and shared across all candidates of that iteration (as in
+    The target attribute's entropy interval is computed once per call
+    and shared across all candidates of that iteration (as in
     Algorithm 3, line 3).
     """
 
@@ -244,33 +241,12 @@ class MutualInformationScoreProvider:
         self._target = target
         self._p = validate_failure_probability(failure_per_bound)
         self._n = sampler.num_rows
-        self._target_cache: tuple[int, ConfidenceInterval] | None = None
         self.timings = PhaseTimings()
 
     @property
     def target(self) -> str:
         """The target attribute ``α_t``."""
         return self._target
-
-    def _target_interval(self, sample_size: int) -> ConfidenceInterval:
-        if self._target_cache is not None and self._target_cache[0] == sample_size:
-            return self._target_cache[1]
-        counting_start = time.perf_counter()
-        counts = self._sampler.marginal_counts(self._target, sample_size)
-        bounds_start = time.perf_counter()
-        sample_entropy = _entropy_from_trusted_counts(counts, sample_size)
-        iv = entropy_interval(
-            sample_entropy,
-            self._sampler.store.support_size(self._target),
-            sample_size,
-            self._n,
-            self._p,
-        )
-        done = time.perf_counter()
-        self.timings.counting_seconds += bounds_start - counting_start
-        self.timings.bounds_seconds += done - bounds_start
-        self._target_cache = (sample_size, iv)
-        return iv
 
     def intervals(
         self, attributes: Sequence[str], sample_size: int
@@ -283,29 +259,43 @@ class MutualInformationScoreProvider:
         store = self._sampler.store
         counting_start = time.perf_counter()
         # Joints first: once a dense joint sits at sample_size, the
-        # candidates' marginals and then the target's are read off its
+        # candidates' marginals and the target's are read off its
         # running total instead of gathered again.
         joints = self._sampler.joint_counts_batch(
             self._target, attributes, sample_size
         )
-        counts = self._sampler.marginal_counts_batch(attributes, sample_size)
-        self.timings.counting_seconds += time.perf_counter() - counting_start
-        target_iv = self._target_interval(sample_size)
+        names = list(joints)
+        counts = self._sampler.marginal_counts_batch(
+            [*names, self._target], sample_size
+        )
         bounds_start = time.perf_counter()
-        names = list(counts)
+        # One batched pass for the target's, the candidates' and the
+        # joints' entropies; each is bit-identical to its scalar value.
+        entropies = _entropies_from_trusted_counts(
+            [
+                counts[self._target],
+                *(counts[a] for a in names),
+                *(joints[a].flat_counts() for a in names),
+            ],
+            sample_size,
+        )
+        target_support = store.support_size(self._target)
+        target_iv = entropy_interval(
+            entropies[0], target_support, sample_size, self._n, self._p
+        )
         ivs = mi_intervals(
             target_iv,
-            _entropies_from_trusted_counts([counts[a] for a in names], sample_size),
+            entropies[1 : 1 + len(names)],
             [store.support_size(a) for a in names],
-            _entropies_from_trusted_counts(
-                [joints[a].nonzero_counts() for a in names], sample_size
-            ),
-            store.support_size(self._target),
+            entropies[1 + len(names) :],
+            target_support,
             sample_size,
             self._n,
             self._p,
         )
-        self.timings.bounds_seconds += time.perf_counter() - bounds_start
+        done = time.perf_counter()
+        self.timings.counting_seconds += bounds_start - counting_start
+        self.timings.bounds_seconds += done - bounds_start
         return dict(zip(names, ivs))
 
 
@@ -504,6 +494,56 @@ def _filter_decision(
     return None
 
 
+def _first_index(
+    ctx: _LoopContext,
+    schedule: SampleSchedule,
+    start: int,
+    decision_floor: int,
+    budget: QueryBudget | None,
+    cancellation: CancellationToken | None,
+    target: str | None,
+    attributes: Sequence[str],
+) -> int:
+    """Schedule index at which a loop evaluates its first intervals.
+
+    That is ``decision_floor`` when the loop starts below it: no rule
+    can fire at the sizes in between, so the first evaluation extends
+    the counters over them in one block and they are never boundaries.
+    Cancellation and the deadline are polled once, here. A cell budget
+    or a sample cap that would have stopped a loop stepping through
+    those sizes stops the jump at the same size: an MI interval extends
+    the target's marginal, each candidate's marginal and each (target,
+    candidate) joint, so the cells up to every size are known.
+    """
+    if not 0 <= decision_floor < len(schedule.sizes):
+        raise ParameterError(
+            f"decision floor {decision_floor} outside the schedule's"
+            f" {len(schedule.sizes)} sizes"
+        )
+    if decision_floor <= start:
+        return start
+    if target is None:
+        raise ParameterError("a decision floor needs the MI query's target")
+    sizes = schedule.sizes
+    if ctx.interruption(budget, cancellation, sizes[start + 1]) is not None:
+        return start
+    if budget is None:
+        return decision_floor
+    used = ctx.sampler.cells_scanned - ctx.cells_at_start
+    marginals = [target, *attributes]
+    joints = [(target, a) for a in attributes]
+    cap = budget.max_sample_size
+    for index in range(start, decision_floor):
+        if cap is not None and sizes[index + 1] > cap:
+            return index
+        if budget.max_cells is not None and (
+            used + ctx.sampler.cells_to_extend(marginals, joints, sizes[index])
+            >= budget.max_cells
+        ):
+            return index
+    return decision_floor
+
+
 def _kth_largest(values: list[float], k: int) -> float:
     """The k-th largest element of ``values`` (1-based k, k <= len).
 
@@ -530,6 +570,7 @@ def adaptive_top_k(
     metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
+    decision_floor: int = 0,
 ) -> TopKResult:
     """Generic adaptive top-k loop (Algorithms 1 and 3, and EntropyRank).
 
@@ -587,6 +628,14 @@ def adaptive_top_k(
         the loop skips the already-completed iterations (their counters
         live in the shared sampler) and emits no ``query_start`` event —
         the interrupted run already emitted it.
+    decision_floor:
+        Schedule index of the first size at which a rule of this MI
+        query can fire (:func:`repro.core.bounds.mi_decision_floor`).
+        A loop starting below it evaluates first at the floor: the
+        sizes in between count in ``iterations`` but get no intervals,
+        no event, no poll and no checkpoint (see :func:`_first_index`).
+        Answers, estimates and cells are those of a loop that stepped
+        through every size. Needs ``target``.
 
     Notes
     -----
@@ -645,8 +694,13 @@ def adaptive_top_k(
         ctx.stats.candidates_pruned = resume_state.pruned
     answer: list[tuple[str, Interval]] = []
     stop_reason: str | None = None
-    sample_size = schedule.sizes[start_index]
-    for index in range(start_index, len(schedule.sizes)):
+    first = _first_index(
+        ctx, schedule, start_index, decision_floor, budget, cancellation,
+        target, live,
+    )
+    iterations += first - start_index
+    sample_size = schedule.sizes[first]
+    for index in range(first, len(schedule.sizes)):
         sample_size = schedule.sizes[index]
         iterations += 1
         intervals = provider.intervals(live, sample_size)
@@ -784,6 +838,7 @@ def adaptive_filter(
     metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
+    decision_floor: int = 0,
 ) -> FilterResult:
     """Generic adaptive filtering loop (Algorithms 2 and 4, and EntropyFilter).
 
@@ -799,8 +854,8 @@ def adaptive_filter(
     everything). ``epsilon=None`` selects EntropyFilter's exact rule
     instead (see :func:`_filter_decision`); a converged exact run carries
     ``result.guarantee = None``.
-    ``budget``/``cancellation``/``strict``/``trace``/
-    ``metrics``/``checkpoint``/``resume_state`` behave as in
+    ``budget``/``cancellation``/``strict``/``trace``/``metrics``/
+    ``checkpoint``/``resume_state``/``decision_floor`` behave as in
     :func:`adaptive_top_k`; a truncated run resolves the still-undecided
     attributes best-effort by interval midpoint and lists them in
     ``result.guarantee.undecided``. A filter checkpoint additionally
@@ -849,8 +904,13 @@ def adaptive_filter(
         iterations = resume_state.iterations
         start_index = resume_state.next_index
     stop_reason: str | None = None
-    sample_size = schedule.sizes[start_index]
-    for index in range(start_index, len(schedule.sizes)):
+    first = _first_index(
+        ctx, schedule, start_index, decision_floor, budget, cancellation,
+        target, undecided,
+    )
+    iterations += first - start_index
+    sample_size = schedule.sizes[first]
+    for index in range(first, len(schedule.sizes)):
         sample_size = schedule.sizes[index]
         iterations += 1
         final_round = index == len(schedule.sizes) - 1

@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Union, cast
 
 import numpy as np
 
+from repro.core.bounds import mi_decision_floor
 from repro.core.budget import CancellationToken, QueryBudget
 from repro.core.cost import CostModel
 from repro.core.engine import (
@@ -830,14 +831,21 @@ def _remaining_budget(
     )
 
 
+#: Whether MI loops start evaluating at their decision floor. Tests
+#: switch it off to check that the floor changes nothing but the
+#: evaluations it skips.
+_SKIP_TO_DECISION_FLOOR = True
+
+
 def _wire_query(
     sampler: PrefixSampler,
     spec: QuerySpec,
     failure_probability: float,
     schedule: SampleSchedule | None,
+    epsilon: float | None,
     floor: int = 0,
-) -> tuple[list[str], SampleSchedule, ScoreProvider]:
-    """Turn ``spec`` into its candidates, schedule and score provider.
+) -> tuple[list[str], SampleSchedule, ScoreProvider, int]:
+    """Turn ``spec`` into its candidates, schedule, provider and decision floor.
 
     Candidate resolution raises the typed errors of :func:`plan_queries`.
     ``schedule`` defaults to the paper schedule with its start ratcheted
@@ -845,6 +853,9 @@ def _wire_query(
     reached. The provider's per-bound failure budget is union-bounded
     over that schedule: one Lemma 3 bound per candidate and round for
     entropy, three (target, candidate, joint) for mutual information.
+    The decision floor is the schedule index at which the loop evaluates
+    first (:func:`repro.core.bounds.mi_decision_floor` under ``epsilon``,
+    ``None`` for the exact rule); it is 0 for entropy queries.
     """
     store = sampler.store
     names = _resolved_candidates(store, spec)
@@ -863,19 +874,29 @@ def _wire_query(
             initial_size=min(store.num_rows, max(m0, floor)),
         )
     provider: ScoreProvider
+    decision_floor = 0
     if target is None:
         provider = EntropyScoreProvider(
             sampler, schedule.per_round_failure(failure_probability, len(names))
         )
     else:
-        provider = MutualInformationScoreProvider(
-            sampler,
-            target,
-            schedule.per_round_failure(
-                failure_probability, len(names), bounds_per_attribute=3
-            ),
+        per_bound = schedule.per_round_failure(
+            failure_probability, len(names), bounds_per_attribute=3
         )
-    return names, schedule, provider
+        provider = MutualInformationScoreProvider(sampler, target, per_bound)
+        if _SKIP_TO_DECISION_FLOOR:
+            decision_floor = mi_decision_floor(
+                schedule.sizes,
+                store.num_rows,
+                per_bound,
+                store.support_size(target),
+                [store.support_size(a) for a in names],
+                epsilon=epsilon,
+                k=spec.k if spec.kind == "top_k" else None,
+                threshold=spec.threshold if spec.kind == "filter" else None,
+                prune=spec.prune,
+            )
+    return names, schedule, provider, decision_floor
 
 
 def _run_loop(
@@ -893,6 +914,7 @@ def _run_loop(
     metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointHook | None = None,
     resume_state: LoopCheckpoint | None = None,
+    decision_floor: int = 0,
 ) -> QueryResult:
     """Enter the adaptive loop that answers ``spec``'s kind.
 
@@ -907,6 +929,7 @@ def _run_loop(
             prune=spec.prune, target=spec.target, trace=trace, budget=budget,
             cancellation=cancellation, strict=strict, metrics=metrics,
             checkpoint=checkpoint, resume_state=resume_state,
+            decision_floor=decision_floor,
         )
     if spec.threshold is None:  # pragma: no cover - QuerySpec guards
         raise PlanError("a filter spec needs a threshold")
@@ -915,6 +938,7 @@ def _run_loop(
         target=spec.target, trace=trace, budget=budget,
         cancellation=cancellation, strict=strict, metrics=metrics,
         checkpoint=checkpoint, resume_state=resume_state,
+        decision_floor=decision_floor,
     )
 
 
@@ -946,10 +970,13 @@ def run_exact_stopping(
         if failure_probability is not None
         else default_failure_probability(store.num_rows)
     )
-    names, schedule, provider = _wire_query(sampler, spec, failure, schedule)
+    names, schedule, provider, decision_floor = _wire_query(
+        sampler, spec, failure, schedule, None
+    )
     return _run_loop(
         spec, provider, sampler, names, None, schedule,
         budget=budget, cancellation=cancellation, strict=strict,
+        decision_floor=decision_floor,
     )
 
 
@@ -1206,16 +1233,22 @@ class PlanExecutor:
         spec: QuerySpec,
         name: str,
         answer_key: dict[str, Any],
+        first_evaluated: tuple[int, int],
         trace: TraceSink | None,
         metrics: MetricsRegistry | None,
     ) -> QueryResult | None:
         """A retired answer from the cache partition, or ``None`` on a miss.
 
-        Emits ``cache_hit``/``answer_reused`` or ``cache_miss`` and feeds
-        the cache (and, on a hit, the per-query) metrics.
+        ``first_evaluated`` is the ``(schedule index, sample size)`` at
+        which the query's loop would evaluate first (its decision floor);
+        a semantic replay starts there too. Emits
+        ``cache_hit``/``answer_reused`` or ``cache_miss`` and feeds the
+        cache (and, on a hit, the per-query) metrics.
         """
         served = partition.lookup_answer(
-            **answer_key, population_size=self._store.num_rows
+            **answer_key,
+            population_size=self._store.num_rows,
+            first_evaluated=first_evaluated,
         )
         if served is None:
             _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
@@ -1331,13 +1364,13 @@ class PlanExecutor:
             trace = self._trace
         if metrics is _UNSET:
             metrics = self._metrics
-        names, schedule, provider = _wire_query(
-            self._sampler, spec, self._failure, schedule, self._floor
-        )
         epsilon = (
             spec.epsilon
             if spec.epsilon is not None
             else PAPER_EPSILON[(spec.kind, spec.score)]
+        )
+        names, schedule, provider, decision_floor = _wire_query(
+            self._sampler, spec, self._failure, schedule, epsilon, self._floor
         )
         answer_key: dict[str, Any] = {
             "kind": spec.kind,
@@ -1366,7 +1399,13 @@ class PlanExecutor:
         ):
             name = spec.name if spec.name is not None else spec.describe()
             served = self._serve_from_cache(
-                self._partition, spec, name, answer_key, trace, metrics
+                self._partition,
+                spec,
+                name,
+                answer_key,
+                (decision_floor, schedule.sizes[decision_floor]),
+                trace,
+                metrics,
             )
         result: QueryResult
         if served is not None:
@@ -1381,7 +1420,7 @@ class PlanExecutor:
                     spec, provider, self._sampler, names, epsilon, schedule,
                     budget=budget, cancellation=cancellation, strict=strict,
                     trace=trace, metrics=metrics, checkpoint=checkpoint,
-                    resume_state=resume_state,
+                    resume_state=resume_state, decision_floor=decision_floor,
                 )
             except QueryInterruptedError:
                 self._last_cells = self._sampler.cells_scanned - before

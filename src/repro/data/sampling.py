@@ -286,6 +286,29 @@ class PrefixSampler:
         entry = self._marginals.get(name)
         return entry[0] if entry is not None else 0
 
+    def cells_to_extend(
+        self,
+        marginals: Iterable[str],
+        joints: Iterable[tuple[str, str]],
+        num_rows: int,
+    ) -> int:
+        """Cells that counting these counters up to ``num_rows`` bills.
+
+        One cell per row for each marginal and two for each joint pair,
+        from the counter's current prefix (counters already past
+        ``num_rows`` bill nothing). A held delta or a derived marginal
+        bills what a gather would; a counter cache is not consulted, so
+        a cached prefix can only lower the cells actually billed.
+        """
+        cells = sum(
+            max(0, num_rows - self.counted_prefix(name)) for name in set(marginals)
+        )
+        for pair in set(joints):
+            key = pair if pair[0] <= pair[1] else (pair[1], pair[0])
+            state = self._joints.get(key)
+            cells += 2 * max(0, num_rows - (0 if state is None else state[0]))
+        return cells
+
     @property
     def counted_frontier(self) -> int:
         """The largest prefix any marginal or joint counter has reached.

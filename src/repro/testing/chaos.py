@@ -193,7 +193,11 @@ def count_iteration_boundaries(
 
     Runs the plan on a fresh throwaway executor with a counting token
     and returns how many interruption checks the engine performed — the
-    exclusive upper bound for :meth:`ChaosPlan.kill_at` sweeps.
+    exclusive upper bound for :meth:`ChaosPlan.kill_at` sweeps. That is
+    one check per iteration boundary, plus one for each MI query that
+    starts below its decision floor: it polls once at the jump, and the
+    sizes it skips are not boundaries
+    (:func:`repro.core.bounds.mi_decision_floor`).
     """
     from repro.core.plan import PlanExecutor, plan_queries
 

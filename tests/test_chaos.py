@@ -4,7 +4,8 @@ The durability contract under test (see ``docs/RESILIENCE.md``):
 
 * kill the executor at *every* iteration boundary of the ``plan_mixed``
   golden workload (and of a plan whose entropy filter carries joint
-  deltas to a later MI filter), resume from the checkpoint, and the final answers,
+  deltas to a later MI filter, and of a plan whose first MI query jumps
+  to its decision floor), resume from the checkpoint, and the final answers,
   guarantee statuses, work accounting, *and the post-resume trace
   events* are byte-identical to the uninterrupted checkpointing run;
   a checkpoint also resumes under a substituted counting backend, and
@@ -104,6 +105,38 @@ def test_kill_and_resume_across_a_carried_joint(tmp_path):
     assert [s.score for s in plan_queries(store, specs).specs] == [
         "entropy", "mutual_information", "entropy", "mutual_information",
     ]
+    _assert_resumes_identically(tmp_path, store, specs)
+
+
+def test_kill_and_resume_an_mi_first_plan(tmp_path):
+    """A plan whose first query is MI and starts below its decision floor.
+
+    That query polls once at its jump to the floor (kill point 0) and
+    next at its first boundary after the floor (kill point 1), where
+    only the plan-start checkpoint exists; from every kill point the
+    resumed run ends with the uninterrupted answers and trace.
+    """
+    store = _golden_store()
+    specs = [
+        # ε = 0.9: the stop rule can fire from 1024 rows, so the query
+        # runs past its floor (at 0.5 it would evaluate only at N)
+        QuerySpec(
+            kind="top_k", score="mutual_information", k=2, epsilon=0.9,
+            target="target",
+        ),
+        _mixed_specs()[3],
+    ]
+    sink = InMemorySink()
+    plan = plan_queries(store, specs)
+    PlanExecutor(store, seed=SEED).execute(plan, trace=sink)
+    assert plan.specs[0].target is not None
+    assert sink.of_kind("iteration")[0].index > 0  # evaluated first at the floor
+    token = BoundaryFaultToken(ChaosPlan.kill_at(1))
+    with pytest.raises(SimulatedKillError):
+        PlanExecutor(
+            store, seed=SEED, checkpoint_path=tmp_path / "floor.ckpt"
+        ).execute(plan, cancellation=token)
+    assert token.fired == [(1, "kill")]
     _assert_resumes_identically(tmp_path, store, specs)
 
 

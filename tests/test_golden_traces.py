@@ -15,7 +15,9 @@ byte-compared) so bumping ``TRACE_SCHEMA_VERSION`` fails loudly in
 ``test_schema_version_matches_goldens`` rather than as a confusing
 whole-file diff. Every case also runs with each permutation block
 gathered in row order (the sampler's path on large stores), against the
-same goldens. Regenerate the goldens after an intentional change with::
+same goldens, and with the decision floor of MI queries switched off,
+where only the ``iteration`` events below each floor may differ.
+Regenerate the goldens after an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/test_golden_traces.py --update-golden
 """
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import plan as plan_module
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.core.schedule import SampleSchedule
 from repro.core.swope import (
@@ -133,7 +136,10 @@ def _run_case(
     elif case == "filter_entropy":
         swope_filter_entropy(store, 2.0, **common)
     elif case == "topk_mi":
-        swope_top_k_mutual_information(store, "target", 2, **common)
+        # At the MI default ε = 0.5 no rule of this query can fire below
+        # N = 2000 rows, so it would evaluate only there (its decision
+        # floor); at ε = 0.9 the stop rule can fire from 1024 rows on.
+        swope_top_k_mutual_information(store, "target", 2, epsilon=0.9, **common)
     elif case == "filter_mi":
         swope_filter_mutual_information(store, "target", 0.5, **common)
     else:  # pragma: no cover - parametrisation covers all cases
@@ -193,6 +199,43 @@ def test_sorted_blocks_trace_matches_golden(case: str, monkeypatch) -> None:
     # must leave every event unchanged.
     monkeypatch.setattr(sampling, "_SORT_BLOCKS_FROM", 0)
     _assert_matches_golden(case, _trace_lines(case))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_floor_drops_only_iterations_below_it(case: str, monkeypatch) -> None:
+    # With the decision floor off, every MI query steps through each
+    # schedule size. Dropping the iteration events below each query's
+    # floor must give the golden byte for byte: the floor changes no
+    # bound, decision, cell count or stat, only the evaluations it skips.
+    floors: dict[tuple, int] = {}
+    decide = plan_module.mi_decision_floor
+
+    def recording(sizes, *args, **kwargs):
+        floor = decide(sizes, *args, **kwargs)
+        floors[(tuple(sizes), kwargs["k"], kwargs["threshold"])] = floor
+        return floor
+
+    monkeypatch.setattr(plan_module, "mi_decision_floor", recording)
+    _assert_matches_golden(case, _trace_lines(case))
+    monkeypatch.setattr(plan_module, "_SKIP_TO_DECISION_FLOOR", False)
+    kept: list[str] = []
+    dropped = 0
+    floor = 0
+    for line in _trace_lines(case):
+        event = json.loads(line)
+        if event["event"] == "query_start":
+            floor = (
+                floors[(tuple(event["schedule"]), event["k"], event["threshold"])]
+                if event["score"] == "mutual_information"
+                else 0
+            )
+        if event["event"] == "iteration" and event["index"] < floor:
+            dropped += 1
+            continue
+        kept.append(line)
+    _assert_matches_golden(case, kept)
+    if case in ("topk_mi", "filter_mi", "plan_cached"):
+        assert dropped > 0
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -128,3 +128,99 @@ class TestErrors:
             counter.count_of(2, 0)
         with pytest.raises(ParameterError, match="outside supports"):
             counter.count_of(0, -1)
+
+
+def _pairs(u1: int, u2: int, n: int = 5_000, seed: int = 0):
+    """Random codes of two columns in the narrowest store dtype, with
+    both extreme codes present."""
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, u1, n)
+    second = rng.integers(0, u2, n)
+    first[:2], second[:2] = (0, u1 - 1), (0, u2 - 1)
+
+    def dtype(u: int) -> type:
+        return np.int8 if u <= 128 else np.int16 if u <= 32_767 else np.int32
+
+    return first.astype(dtype(u1)), second.astype(dtype(u2))
+
+
+def _reference_codes(first: np.ndarray, second: np.ndarray, u2: int) -> np.ndarray:
+    return first.astype(np.int64) * u2 + second.astype(np.int64)
+
+
+class TestNarrowCodes:
+    """Pair codes built in int16/int32 count exactly what int64 codes count."""
+
+    # u1 * u2 around 2**15, with a u = 1 column on either side
+    SHAPES = [
+        (1, 2**15 - 1), (1, 2**15), (1, 2**15 + 1),
+        (2**15 - 1, 1), (2**15, 1), (2**15 + 1, 1),
+        (3, 10_923),  # 2**15 + 1 with both supports above 1
+    ]
+
+    @pytest.mark.parametrize("u1,u2", SHAPES)
+    def test_code_type_is_the_narrowest_that_fits(self, u1, u2):
+        first, second = _pairs(u1, u2)
+        codes = JointCounter(u1, u2)._codes(first, second)
+        assert codes.dtype == (np.int16 if u1 * u2 < 2**15 else np.int32)
+        np.testing.assert_array_equal(codes, _reference_codes(first, second, u2))
+
+    @pytest.mark.parametrize("u1,u2", SHAPES)
+    def test_dense_counts_match_int64_codes(self, u1, u2):
+        first, second = _pairs(u1, u2)
+        reference = np.bincount(
+            _reference_codes(first, second, u2), minlength=u1 * u2
+        )
+        counter = JointCounter(u1, u2)
+        assert counter.is_dense
+        # the held-delta path: count() now, add() later
+        delta = counter.count(first, second)
+        np.testing.assert_array_equal(delta, reference)
+        counter.add(delta, first.size)
+        counter.update(first, second)
+        np.testing.assert_array_equal(counter.snapshot()["dense"], 2 * reference)
+        np.testing.assert_array_equal(counter.marginal(0), 2 * np.bincount(first, minlength=u1))
+
+    @pytest.mark.parametrize(
+        "u1,u2", [*SHAPES, (1, 2**31 - 1), (1, 2**31), (2, 2**30 + 1)]
+    )
+    def test_sparse_counts_match_int64_codes(self, u1, u2):
+        first, second = _pairs(u1, u2)
+        codes, counts = np.unique(
+            _reference_codes(first, second, u2), return_counts=True
+        )
+        counter = JointCounter(u1, u2, dense_limit=0)
+        half = first.size // 2
+        counter.update(first[:half], second[:half])
+        counter.update(first[half:], second[half:])
+        state = counter.snapshot()
+        got = dict(zip(state["sparse_codes"].tolist(), state["sparse_counts"].tolist()))
+        assert got == dict(zip(codes.tolist(), counts.tolist()))
+        expected = np.int16 if u1 * u2 < 2**15 else np.int32 if u1 * u2 < 2**31 else np.int64
+        assert counter._codes(first, second).dtype == expected
+
+    @pytest.mark.parametrize("u2", [2**15 - 1, 2**15, 2**15 + 1])
+    def test_held_deltas_match_int64_codes(self, u2):
+        # A constant target and a candidate of support u2: the entropy
+        # query between two MI queries counts the joint delta ahead.
+        from repro.data.column_store import ColumnStore
+        from repro.data.sampling import PrefixSampler
+
+        _, values = _pairs(1, u2, n=4_000, seed=1)
+        store = ColumnStore(
+            {"c": values, "t": np.zeros(values.size, dtype=np.int8)},
+            support_sizes={"c": u2},
+        )
+        sampler = PrefixSampler(store, seed=2)
+        sampler.joint_counts("t", "c", 1_000)
+        sampler.marginal_counts("c", 1_000)  # read off the joint
+        sampler.expect_joints([("t", "c")])
+        sampler.marginal_counts("c", 3_000)
+        assert ("c", "t") in sampler._held
+        joint = sampler.joint_counts("t", "c", 3_000)
+        rows = sampler.shuffled_prefix(3_000)
+        reference = np.bincount(
+            _reference_codes(values[rows], np.zeros(3_000, dtype=np.int8), 1),
+            minlength=u2,
+        )
+        np.testing.assert_array_equal(joint.snapshot()["dense"], reference)
