@@ -8,8 +8,8 @@ can only spot-check — every entropy expression must be base-2 (Lemmas
 error must derive from the :mod:`repro.exceptions` hierarchy. This
 package encodes those invariants as per-module AST lint rules
 (``SWP001``–``SWP012``, ``SWP017``, ``SWP018``) plus whole-program
-analyses over the project call graph (``SWP013``, ``SWP014``,
-``SWP016``) and runs them over the tree:
+analyses over the project call graph (``SWP014``, ``SWP016``) and runs
+them over the tree:
 
     python -m repro.analysis src/ tests/
     python -m repro.analysis --project src/ tests/
@@ -21,12 +21,10 @@ Structure
 * :mod:`repro.analysis.checks` — the concrete per-module SWOPE rules.
 * :mod:`repro.analysis.graph` — project-wide import/call graph built
   from per-module summaries.
-* :mod:`repro.analysis.flow` — intra-procedural determinism-taint
-  analysis feeding the graph summaries.
 * :mod:`repro.analysis.project` — the :class:`ProjectContext` handed to
   whole-program rules, including the entry-point contract.
 * :mod:`repro.analysis.checks_project` — the whole-program rules
-  (determinism taint, budget reachability, exception contract).
+  (budget reachability, exception contract).
 * :mod:`repro.analysis.checker` — parses files, applies rules, and
   resolves ``# noqa: SWP###`` suppressions (including unused- and
   unknown-suppression detection, reported as ``SWP000``).
@@ -35,7 +33,8 @@ Structure
   point.
 
 See ``docs/ANALYSIS.md`` for what each rule catches and why the
-invariant matters.
+invariant matters. Same-seed determinism is not linted: the run-time
+audit ``tests/test_determinism_audit.py`` checks it on real runs.
 """
 
 from __future__ import annotations

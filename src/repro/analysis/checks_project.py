@@ -1,12 +1,9 @@
-"""Whole-program rules SWP013, SWP014 and SWP016 (require ``--project``).
+"""Whole-program rules SWP014 and SWP016 (require ``--project``).
 
 These checks consume the linked :class:`~repro.analysis.graph.ProjectGraph`
 via a :class:`~repro.analysis.project.ProjectContext` and enforce the
 cross-module invariants the per-module rules cannot see:
 
-* **SWP013** — determinism taint: wall-clock/entropy/ordering
-  nondeterminism must not flow into trace events, checkpoint envelopes,
-  or result fingerprints (the substrate of golden-trace bit-identity).
 * **SWP014** — budget reachability: every adaptive loop reachable from
   a public entry point must observe its budget (cross-module SWP003).
 * **SWP016** — exception contract: the transitive raise-set of every
@@ -18,132 +15,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.checks import _BUILTIN_EXCEPTIONS
-from repro.analysis.flow import TaintLabel
-from repro.analysis.graph import FunctionInfo, ProjectGraph, Resolved
+from repro.analysis.graph import ProjectGraph, Resolved
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules import RULES, Violation, project_rule
 
 __all__: list[str] = []
-
-
-# ----------------------------------------------------------------------
-# SWP013 — determinism taint must not reach events/checkpoints/fingerprints
-# ----------------------------------------------------------------------
-#: Function sinks: hashing a result for golden-trace comparison.
-_FINGERPRINT_SINKS = {"result_fingerprint", "plan_fingerprint"}
-
-#: Modules whose ``*Event`` classes are trace-payload sinks.
-_EVENT_MODULE = "repro.obs.events"
-
-#: The durable checkpoint envelope.
-_CHECKPOINT_MODULE = "repro.durability.checkpoint"
-_CHECKPOINT_CLASS = "PlanCheckpoint"
-
-
-def _sink_description(
-    graph: ProjectGraph, chain: tuple[str, ...], info: FunctionInfo
-) -> str | None:
-    """Non-``None`` when the called chain is a determinism sink."""
-    resolved = graph.resolve_chain(chain, info)
-    name = chain[-1]
-    if resolved is not None:
-        if resolved.kind == "class":
-            if resolved.module == _EVENT_MODULE and resolved.qualname.endswith(
-                "Event"
-            ):
-                return f"trace event {resolved.qualname} payload"
-            if (
-                resolved.module == _CHECKPOINT_MODULE
-                and resolved.qualname == _CHECKPOINT_CLASS
-            ):
-                return "checkpoint envelope PlanCheckpoint"
-            return None
-        if resolved.kind == "function" and resolved.qualname in _FINGERPRINT_SINKS:
-            return f"{resolved.qualname}() input"
-        return None
-    # Name-based fallback for chains the resolver cannot follow (e.g. a
-    # sink class held in a local): better a reviewable finding than a
-    # silent miss.
-    if name.endswith("Event") and name[:1].isupper():
-        return f"trace event {name} payload"
-    if name == _CHECKPOINT_CLASS:
-        return "checkpoint envelope PlanCheckpoint"
-    if name in _FINGERPRINT_SINKS:
-        return f"{name}() input"
-    return None
-
-
-def _interprocedural_return_taint(
-    graph: ProjectGraph,
-) -> dict[str, set[TaintLabel]]:
-    """Fixpoint of per-function return taint across resolved call chains."""
-    taint: dict[str, set[TaintLabel]] = {
-        key: set(info.flow.return_labels)
-        for key, info in graph.functions.items()
-    }
-    resolved_via: dict[str, list[str]] = {}
-    for key, info in graph.functions.items():
-        callees: list[str] = []
-        for chain in info.flow.return_via:
-            resolved = graph.resolve_callable(chain, info)
-            if resolved is not None and resolved.kind == "function":
-                callees.append(resolved.key)
-        resolved_via[key] = callees
-    changed = True
-    while changed:
-        changed = False
-        for key, callees in resolved_via.items():
-            for callee in callees:
-                extra = taint.get(callee, set()) - taint[key]
-                if extra:
-                    taint[key] |= extra
-                    changed = True
-    return taint
-
-
-@project_rule(
-    "SWP013",
-    "determinism-taint",
-    summary="nondeterministic values must not reach trace events, checkpoints,"
-    " or result fingerprints",
-)
-def _check_determinism_taint(ctx: ProjectContext) -> Iterator[Violation]:
-    """Taint from wall clocks / OS entropy / iteration order must not sink.
-
-    Sources are detected intra-procedurally (:mod:`repro.analysis.flow`)
-    and propagated across function returns by a whole-program fixpoint;
-    any call whose tainted arguments reach an event constructor, the
-    ``PlanCheckpoint`` envelope, or a fingerprint function fires. The
-    ``RunStats`` timing fields are *not* sinks — wall time belongs in
-    the metrics layer, not the determinism-critical stream.
-    """
-    this = RULES["SWP013"]
-    graph = ctx.graph
-    return_taint = _interprocedural_return_taint(graph)
-    for info in ctx.iter_functions():
-        for call in info.flow.tainted_calls:
-            sink = _sink_description(graph, call.chain, info)
-            if sink is None:
-                continue
-            labels: set[TaintLabel] = set(call.labels)
-            for via in call.via:
-                resolved = graph.resolve_callable(via, info)
-                if resolved is not None and resolved.kind == "function":
-                    labels |= return_taint.get(resolved.key, set())
-            if not labels:
-                continue
-            sources = ", ".join(
-                sorted({label.source for label in labels})
-            )
-            yield ctx.violation(
-                this,
-                info,
-                call.lineno,
-                f"nondeterministic value ({sources}) flows into {sink};"
-                " same-seed runs would diverge — derive the field"
-                " deterministically or route it to the metrics layer",
-                column=call.col,
-            )
 
 
 # ----------------------------------------------------------------------

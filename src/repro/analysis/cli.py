@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--project",
         action="store_true",
         help="whole-program mode: build the cross-module call graph and run"
-        " the project rules (SWP013, SWP014, SWP016) as well",
+        " the project rules (SWP014, SWP016) as well",
     )
     parser.add_argument(
         "--select",

@@ -1,11 +1,11 @@
 """Project-wide import graph + call graph for whole-program rules.
 
 Per-module rules see one AST at a time; the cross-module invariants
-(SWP013, SWP014, SWP016) need to know *who calls whom* across
-``src/repro``. This module extracts a compact summary of every module —
-name bindings, classes, and per-function facts (calls, loops, raises,
-taint flow) — and links the summaries into a :class:`ProjectGraph` with
-name resolution and reachability queries.
+(SWP014, SWP016) need to know *who calls whom* across ``src/repro``.
+This module extracts a compact summary of every module — name
+bindings, classes, and per-function facts (calls, loops, raises) — and
+links the summaries into a :class:`ProjectGraph` with name resolution
+and reachability queries.
 
 Design constraints:
 
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.checks import _BUDGET_CHECK_CALLS, _is_adaptive_loop
-from repro.analysis.flow import FunctionFlow, analyze_function
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.checker import ModuleContext
@@ -100,7 +99,6 @@ class FunctionInfo:
     bindings: dict[str, str] = field(default_factory=dict)
     #: Names of functions defined directly inside this one.
     local_defs: dict[str, str] = field(default_factory=dict)
-    flow: FunctionFlow = field(default_factory=FunctionFlow)
 
     @property
     def key(self) -> str:
@@ -240,7 +238,6 @@ def _extract_function(
     module: str,
     qualname: str,
     cls: str | None,
-    context: "ModuleContext",
 ) -> FunctionInfo:
     info = FunctionInfo(
         qualname=qualname,
@@ -252,13 +249,6 @@ def _extract_function(
     extractor = _FunctionExtractor(info)
     for stmt in node.body:
         extractor.visit(stmt)
-    info.flow = analyze_function(
-        node,
-        time_aliases=set(context.time_aliases) or {"time"},
-        os_aliases={"os"},
-        numpy_aliases=set(context.numpy_aliases) or {"np", "numpy"},
-        random_aliases=set(context.random_aliases),
-    )
     return info
 
 
@@ -315,14 +305,9 @@ def extract_module(context: "ModuleContext") -> ModuleSummary:
                         _import_bindings(nested, context.module, is_package)
                     )
     for node, qualname, cls in _iter_defs(context.tree.body, "", None):
-        info = _extract_function(
-            node,
-            module=context.module,
-            qualname=qualname,
-            cls=cls,
-            context=context,
+        summary.functions[qualname] = _extract_function(
+            node, module=context.module, qualname=qualname, cls=cls
         )
-        summary.functions[qualname] = info
     return summary
 
 

@@ -17,7 +17,6 @@ Entry-point contract (kept in sync with ``docs/ANALYSIS.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.analysis.checker import ModuleContext
 from repro.analysis.graph import FunctionInfo, ProjectGraph
@@ -56,9 +55,6 @@ class ProjectContext:
     #: Parsed module contexts keyed by dotted module name.
     contexts: dict[str, ModuleContext] = field(default_factory=dict)
 
-    def module_context(self, module: str) -> ModuleContext | None:
-        return self.contexts.get(module)
-
     def entry_points(self) -> list[str]:
         """Public entry-point function keys (see module docstring)."""
         return entry_point_keys(self.graph)
@@ -69,8 +65,6 @@ class ProjectContext:
         info: FunctionInfo,
         lineno: int,
         message: str,
-        *,
-        column: int = 0,
     ) -> Violation:
         """Build a violation positioned inside ``info``'s module."""
         context = self.contexts[info.module]
@@ -78,13 +72,8 @@ class ProjectContext:
             rule=rule.code,
             path=context.path,
             line=lineno,
-            column=column,
+            column=0,
             message=message,
             severity=rule.severity,
             snippet=context.source_line(lineno),
         )
-
-    def iter_functions(self) -> Iterator[FunctionInfo]:
-        """Every function in the project, deterministic order."""
-        for key in sorted(self.graph.functions):
-            yield self.graph.functions[key]

@@ -106,7 +106,7 @@ class Violation:
 RuleCheck = Callable[["ModuleContext"], Iterable[Violation]]
 
 #: A whole-program rule inspects the :class:`~repro.analysis.project.ProjectContext`
-#: (call graph, taint summaries, every module) instead of one module.
+#: (call graph, every module) instead of one module.
 ProjectRuleCheck = Callable[["ProjectContext"], Iterable[Violation]]
 
 

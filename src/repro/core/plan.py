@@ -1712,8 +1712,6 @@ class PlanExecutor:
                         )
             finally:
                 self._sampler.discard_held_joints()
-                # The event reads the deterministic local, not the
-                # wall-clock-tainted stats object (SWP013).
                 cells_scanned = self._sampler.cells_scanned - progress.cells_at_start
                 completed = len(progress.results)
                 stats = PlanStats(

@@ -7,6 +7,9 @@ statistical-guarantee tests build their own, slightly larger, stores.
 
 from __future__ import annotations
 
+import time
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,40 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def update_golden(request: pytest.FixtureRequest) -> bool:
     """True when the run should regenerate golden trace files."""
     return bool(request.config.getoption("--update-golden"))
+
+
+class FakeClock:
+    """A clock that reads ``start``, ``start + step``, ... on successive calls."""
+
+    def __init__(self, start: float, step: float) -> None:
+        self.now = start
+        self.step = step
+
+    def __call__(self) -> float:
+        value = self.now
+        self.now += self.step
+        return value
+
+
+@pytest.fixture
+def fake_clocks(
+    monkeypatch: pytest.MonkeyPatch,
+) -> Callable[..., FakeClock]:
+    """Installs one :class:`FakeClock` as ``time.perf_counter``,
+    ``time.monotonic`` and ``time.time``.
+
+    Call it as ``fake_clocks(start, step=0.0)``; ``step=0`` freezes time.
+    Installing again replaces the clock, and the real clocks come back
+    when the test ends.
+    """
+
+    def install(start: float, step: float = 0.0) -> FakeClock:
+        clock = FakeClock(start, step)
+        for name in ("perf_counter", "monotonic", "time"):
+            monkeypatch.setattr(time, name, clock)
+        return clock
+
+    return install
 
 
 @pytest.fixture

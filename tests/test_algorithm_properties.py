@@ -5,7 +5,9 @@ randomly-shaped small stores — skewed columns, constants, binary flags,
 duplicated columns, tiny supports — and asserts the *contracts*, not
 point answers:
 
-* SWOPE answers always satisfy Definitions 5/6 against exact scores;
+* SWOPE answers always satisfy Definitions 5/6 against exact scores,
+  also at the boundaries: η exactly equal to an exact score, and a
+  constant (u = 1) MI target;
 * the baselines always return the exact answer;
 * invariants of the result objects hold (ordering, bounds, stats).
 
@@ -24,6 +26,7 @@ from repro.baselines import entropy_filter, entropy_rank_top_k
 from repro.baselines.exact import exact_entropies, exact_mutual_informations
 from repro.core.swope import (
     swope_filter_entropy,
+    swope_filter_mutual_information,
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
@@ -67,6 +70,31 @@ def stores(draw) -> ColumnStore:
     return ColumnStore(columns)
 
 
+#: ``None`` keeps the drawn threshold; an index replaces it with that
+#: attribute's exact score, so η sits exactly on a score.
+_ON_A_SCORE = st.none() | st.integers(0, 5)
+
+
+def _threshold(drawn: float, exact: dict[str, float], index: int | None) -> float:
+    if index is None:
+        return drawn
+    return list(exact.values())[index % len(exact)]
+
+
+def _with_constant(store: ColumnStore, name: str) -> ColumnStore:
+    """``store`` with column ``name`` replaced by a constant (u = 1)."""
+    return ColumnStore(
+        {
+            other: (
+                np.zeros(store.num_rows, dtype=np.int64)
+                if other == name
+                else store.column(other)
+            )
+            for other in store.attributes
+        }
+    )
+
+
 class TestTopKContract:
     @given(store=stores(), k=st.integers(1, 4), epsilon=st.floats(0.05, 0.9))
     @_SETTINGS
@@ -99,10 +127,12 @@ class TestFilterContract:
         store=stores(),
         threshold=st.floats(0.0, 6.0),
         epsilon=st.floats(0.05, 0.9),
+        on_score=_ON_A_SCORE,
     )
     @_SETTINGS
-    def test_definition6_always_holds(self, store, threshold, epsilon):
+    def test_definition6_always_holds(self, store, threshold, epsilon, on_score):
         exact = exact_entropies(store)
+        threshold = _threshold(threshold, exact, on_score)
         result = swope_filter_entropy(store, threshold, epsilon=epsilon, seed=0)
         assert check_filter_guarantee(result, exact, epsilon) == []
         assert set(result.estimates) == set(store.attributes)
@@ -117,15 +147,34 @@ class TestFilterContract:
 
 
 class TestMIContract:
-    @given(store=stores(), epsilon=st.floats(0.2, 0.9))
+    @given(
+        store=stores(), epsilon=st.floats(0.2, 0.9), constant_target=st.booleans()
+    )
     @_SETTINGS
-    def test_mi_topk_definition5(self, store, epsilon):
+    def test_mi_topk_definition5(self, store, epsilon, constant_target):
         target = store.attributes[0]
-        if store.num_attributes < 2:
-            return
+        if constant_target:
+            store = _with_constant(store, target)
         exact = exact_mutual_informations(store, target)
         result = swope_top_k_mutual_information(
             store, target, 1, epsilon=epsilon, seed=0
         )
         assert check_top_k_guarantee(result, exact, epsilon) == []
         assert target not in result.attributes
+
+    @given(
+        store=stores(),
+        threshold=st.floats(0.0, 2.0),
+        epsilon=st.floats(0.2, 0.9),
+        on_score=_ON_A_SCORE,
+    )
+    @_SETTINGS
+    def test_mi_filter_definition6(self, store, threshold, epsilon, on_score):
+        target = store.attributes[0]
+        exact = exact_mutual_informations(store, target)
+        threshold = _threshold(threshold, exact, on_score)
+        result = swope_filter_mutual_information(
+            store, target, threshold, epsilon=epsilon, seed=0
+        )
+        assert check_filter_guarantee(result, exact, epsilon) == []
+        assert set(result.estimates) == set(exact)

@@ -46,12 +46,15 @@ def check(path: str, text: str, **kwargs):
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_seventeen_rules_registered(self):
-        assert all_codes() == [f"SWP{i:03d}" for i in range(1, 19) if i != 15]
+    def test_all_sixteen_rules_registered(self):
+        # SWP013 and SWP015 are retired and unassigned.
+        assert all_codes() == [
+            f"SWP{i:03d}" for i in range(1, 19) if i not in (13, 15)
+        ]
 
     def test_project_rules_are_marked(self):
         project_codes = {c for c, r in RULES.items() if r.project}
-        assert project_codes == {"SWP013", "SWP014", "SWP016"}
+        assert project_codes == {"SWP014", "SWP016"}
 
     def test_unused_suppression_code_reserved(self):
         assert UNUSED_SUPPRESSION == "SWP000"
@@ -753,6 +756,11 @@ class TestCLI:
     def test_missing_path_exits_two(self, lint_tree, capsys):
         assert main(["no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
+
+    def test_retired_rule_codes_exit_two(self, lint_tree, capsys):
+        for code in ("SWP013", "SWP015"):
+            assert main(["code", "--project", "--select", code]) == 2
+            assert f"unknown rule {code!r}" in capsys.readouterr().err
 
     def test_list_rules(self, lint_tree, capsys):
         assert main(["--list-rules"]) == 0

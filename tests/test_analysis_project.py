@@ -2,10 +2,10 @@
 
 Covers the graph layer (name resolution across aliased imports,
 ``self``-method calls, ``__init__`` re-exports), the project rules
-SWP013, SWP014 and SWP016 with positive and negative fixtures (matching
-the per-module fixture pattern in ``tests/test_analysis.py``), project
-mode running the per-module rules too, the SARIF reporter, and the live
-tree staying clean in ``--project`` mode.
+SWP014 and SWP016 with positive and negative fixtures (matching the
+per-module fixture pattern in ``tests/test_analysis.py``), project mode
+running the per-module rules and judging project-rule suppressions, the
+SARIF reporter, and the live tree staying clean in ``--project`` mode.
 """
 
 from __future__ import annotations
@@ -183,167 +183,6 @@ class TestResolution:
         )
         origin = graph.reachable(["repro.f:swope_entry"])
         assert origin["repro.f:leaf"] == "repro.f:swope_entry"
-
-
-# ----------------------------------------------------------------------
-# SWP013 — determinism taint
-# ----------------------------------------------------------------------
-#: A minimal events module so sink resolution is exercised end to end.
-_EVENTS = "class QueryStartEvent:\n    def __init__(self, **fields):\n        self.fields = fields\n"
-
-
-class TestSWP013:
-    def test_wall_clock_into_event_payload_fires(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/obs/__init__.py": "",
-                "src/repro/obs/events.py": _EVENTS,
-                "src/repro/core/engine.py": (
-                    "import time\n"
-                    "from repro.obs.events import QueryStartEvent\n"
-                    "def emit(sink):\n"
-                    "    started = time.perf_counter()\n"
-                    "    sink(QueryStartEvent(at=started))\n"
-                ),
-            },
-        )
-        assert "SWP013" in codes(report)
-
-    def test_perf_counter_into_stats_only_is_clean(self, tmp_path):
-        # The acceptance true-negative: wall time may feed RunStats
-        # timing fields (the metrics layer), just never an event.
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/obs/__init__.py": "",
-                "src/repro/obs/events.py": _EVENTS,
-                "src/repro/core/engine.py": (
-                    "import time\n"
-                    "from repro.obs.events import QueryStartEvent\n"
-                    "class RunStats:\n"
-                    "    def __init__(self):\n"
-                    "        self.wall_seconds = 0.0\n"
-                    "def run(sink, n):\n"
-                    "    started = time.perf_counter()\n"
-                    "    stats = RunStats()\n"
-                    "    sink(QueryStartEvent(size=n))\n"
-                    "    stats.wall_seconds = time.perf_counter() - started\n"
-                    "    return stats\n"
-                ),
-            },
-        )
-        assert "SWP013" not in codes(report)
-
-    def test_taint_propagates_through_helper_return(self, tmp_path):
-        # Interprocedural: the wall clock is read two calls away.
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/obs/__init__.py": "",
-                "src/repro/obs/events.py": _EVENTS,
-                "src/repro/core/engine.py": (
-                    "import time\n"
-                    "from repro.obs.events import QueryStartEvent\n"
-                    "def now():\n"
-                    "    return time.perf_counter()\n"
-                    "def stamp():\n"
-                    "    return now()\n"
-                    "def emit(sink):\n"
-                    "    sink(QueryStartEvent(at=stamp()))\n"
-                ),
-            },
-        )
-        assert "SWP013" in codes(report)
-
-    def test_set_iteration_order_into_checkpoint_fires(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/durability/__init__.py": "",
-                "src/repro/durability/checkpoint.py": (
-                    "class PlanCheckpoint:\n"
-                    "    def __init__(self, **fields):\n"
-                    "        self.fields = fields\n"
-                ),
-                "src/repro/core/plan.py": (
-                    "from repro.durability.checkpoint import PlanCheckpoint\n"
-                    "def snapshot(names):\n"
-                    "    pending = set(names)\n"
-                    "    return PlanCheckpoint(pending=list(pending))\n"
-                ),
-            },
-        )
-        assert "SWP013" in codes(report)
-
-    def test_sorted_cleanses_order_taint(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/durability/__init__.py": "",
-                "src/repro/durability/checkpoint.py": (
-                    "class PlanCheckpoint:\n"
-                    "    def __init__(self, **fields):\n"
-                    "        self.fields = fields\n"
-                ),
-                "src/repro/core/plan.py": (
-                    "from repro.durability.checkpoint import PlanCheckpoint\n"
-                    "def snapshot(names):\n"
-                    "    pending = set(names)\n"
-                    "    return PlanCheckpoint(pending=sorted(pending))\n"
-                ),
-            },
-        )
-        assert "SWP013" not in codes(report)
-
-    def test_fingerprint_sink_fires_on_unseeded_rng(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/testing/__init__.py": "",
-                "src/repro/testing/chaos.py": (
-                    "def result_fingerprint(payload):\n"
-                    "    return repr(payload)\n"
-                ),
-                "src/repro/core/engine.py": (
-                    "import numpy as np\n"
-                    "from repro.testing.chaos import result_fingerprint\n"
-                    "def fp():\n"
-                    "    rng = np.random.default_rng()\n"
-                    "    return result_fingerprint(rng.random())\n"
-                ),
-            },
-        )
-        assert "SWP013" in codes(report)
-
-    def test_noqa_suppresses_and_is_tracked(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/obs/__init__.py": "",
-                "src/repro/obs/events.py": _EVENTS,
-                "src/repro/core/engine.py": (
-                    "import time\n"
-                    "from repro.obs.events import QueryStartEvent\n"
-                    "def emit(sink):\n"
-                    "    sink(QueryStartEvent(at=time.perf_counter()))  # noqa: SWP013\n"
-                ),
-            },
-        )
-        assert "SWP013" not in codes(report)
-        assert any(v.rule == "SWP013" for v in report.suppressed)
-
-    def test_stale_project_suppression_reported(self, tmp_path):
-        report = run_project(
-            tmp_path,
-            {
-                "src/repro/core/engine.py": (
-                    "def emit(sink):\n"
-                    "    sink(1)  # noqa: SWP013\n"
-                ),
-            },
-        )
-        assert "SWP000" in codes(report)
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +371,32 @@ class TestProjectMode:
         )
         assert "SWP008" in codes(report)
 
+    def test_noqa_suppresses_and_is_tracked(self, tmp_path):
+        report = run_project(
+            tmp_path,
+            {
+                "src/repro/exceptions.py": _EXC,
+                "src/repro/api.py": (
+                    "def swope_entropy(n):\n"
+                    "    raise ValueError('negative')  # noqa: SWP016\n"
+                ),
+            },
+        )
+        assert "SWP016" not in codes(report)
+        assert any(v.rule == "SWP016" for v in report.suppressed)
+
+    def test_stale_project_suppression_reported(self, tmp_path):
+        report = run_project(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": (
+                    "def emit(sink):\n"
+                    "    sink(1)  # noqa: SWP016\n"
+                ),
+            },
+        )
+        assert "SWP000" in codes(report)
+
 
 # ----------------------------------------------------------------------
 # SARIF output
@@ -547,7 +412,7 @@ class TestSarif:
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SWP001", "SWP013", "SWP016", "SWP000", "PARSE"} <= rule_ids
+        assert {"SWP001", "SWP014", "SWP016", "SWP000", "PARSE"} <= rule_ids
         [result] = run["results"]
         assert result["ruleId"] == "SWP008"
         assert result["level"] == "error"
@@ -602,5 +467,5 @@ class TestLiveTreeProject:
     def test_every_error_severity_project_rule(self):
         from repro.analysis.rules import RULES
 
-        for code in ("SWP013", "SWP014", "SWP016"):
+        for code in ("SWP014", "SWP016"):
             assert RULES[code].severity is Severity.ERROR

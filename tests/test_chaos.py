@@ -206,15 +206,13 @@ def _answer_without_cells(answer: dict) -> dict:
     return {**answer, "result": {**answer["result"], "stats": stats}}
 
 
-def test_kill_and_resume_with_checkpoint_and_cache(tmp_path, monkeypatch):
+def test_kill_and_resume_with_checkpoint_and_cache(tmp_path, fake_clocks):
     """A kill at any boundary of a plan that checkpoints and caches, then
     a resume against the same cache directory, leaves the partition an
     uninterrupted run leaves. The killed plan's exit flushes its counters,
     so the resumed run is served some of them: those cells count as saved
     instead of scanned, and nothing else differs."""
-    import time
-
-    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    fake_clocks(0.0)
     store = _golden_store()
     specs = _mixed_specs()
     plan = plan_queries(store, specs)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
@@ -650,9 +649,11 @@ class TestSortedBlocks:
         monkeypatch.setattr(atomic, "atomic_write_bytes", original)
         return writes
 
-    def test_checkpoint_and_cache_bytes_match(self, tmp_path, monkeypatch):
+    def test_checkpoint_and_cache_bytes_match(
+        self, tmp_path, monkeypatch, fake_clocks
+    ):
         # wall-clock fields are the only other source of difference
-        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        fake_clocks(0.0)
         store = self._store()
         sort_blocks(monkeypatch, store, on=True)
         ours = self._writes(store, tmp_path / "sorted", monkeypatch)
