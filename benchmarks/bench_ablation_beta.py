@@ -33,7 +33,7 @@ def test_ablation_beta_sensitivity(benchmark, dataset_key, beta_mode):
     )
 
     def run():
-        sampler = PrefixSampler(store, sequential=True)
+        sampler = PrefixSampler(store, seed=0)
         provider = EntropyScoreProvider(
             sampler,
             schedule.per_round_failure(failure, len(names)),

@@ -20,9 +20,7 @@ def test_ablation_pruning(benchmark, dataset_key, prune):
     store = cfg.dataset(dataset_key).store
 
     def run():
-        return swope_top_k_entropy(
-            store, 4, epsilon=0.1, sequential=True, prune=prune
-        )
+        return swope_top_k_entropy(store, 4, epsilon=0.1, prune=prune, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned
@@ -36,12 +34,8 @@ def test_ablation_pruning_same_answer(benchmark, dataset_key):
     store = cfg.dataset(dataset_key).store
 
     def run():
-        with_prune = swope_top_k_entropy(
-            store, 4, epsilon=0.1, sequential=True, prune=True
-        )
-        without = swope_top_k_entropy(
-            store, 4, epsilon=0.1, sequential=True, prune=False
-        )
+        with_prune = swope_top_k_entropy(store, 4, epsilon=0.1, prune=True, seed=0)
+        without = swope_top_k_entropy(store, 4, epsilon=0.1, prune=False, seed=0)
         return with_prune, without
 
     with_prune, without = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -29,7 +29,7 @@ def test_ablation_scaling_speedup_grows_with_n(benchmark, scale):
     store = dataset.store
 
     def run():
-        return swope_top_k_entropy(store, 4, epsilon=0.1, sequential=True)
+        return swope_top_k_entropy(store, 4, epsilon=0.1, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     exact_cells = store.num_attributes * store.num_rows

@@ -40,7 +40,7 @@ def test_ablation_schedule(benchmark, dataset_key, mode, factor):
 
     def run():
         return swope_top_k_entropy(
-            store, 4, epsilon=0.1, schedule=schedule, sequential=True
+            store, 4, epsilon=0.1, schedule=schedule, seed=0
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

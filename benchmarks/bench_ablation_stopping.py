@@ -2,7 +2,7 @@
 
 This is the paper's core contribution isolated: the SWOPE relative-error
 stopping rule versus the KDD'19 exact stopping rule, on the *same*
-substrate (same bounds, same doubling schedule, same sequential sampler).
+substrate (same bounds, same doubling schedule, same seeded sample).
 Any cost difference here is attributable purely to the stopping rules.
 """
 
@@ -25,8 +25,8 @@ def test_ablation_stopping_topk(benchmark, dataset_key, rule):
 
     def run():
         if rule == "swope-approximate":
-            return swope_top_k_entropy(store, 4, epsilon=0.1, sequential=True)
-        return entropy_rank_top_k(store, 4, sequential=True)
+            return swope_top_k_entropy(store, 4, epsilon=0.1, seed=0)
+        return entropy_rank_top_k(store, 4, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned
@@ -40,10 +40,8 @@ def test_ablation_stopping_filter(benchmark, dataset_key, rule):
 
     def run():
         if rule == "swope-approximate":
-            return swope_filter_entropy(
-                store, 2.0, epsilon=0.05, sequential=True
-            )
-        return entropy_filter(store, 2.0, sequential=True)
+            return swope_filter_entropy(store, 2.0, epsilon=0.05, seed=0)
+        return entropy_filter(store, 2.0, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cells_scanned"] = result.stats.cells_scanned

@@ -54,7 +54,7 @@ def entropy_rank_top_k(
     seed: int | np.random.Generator | None = None,
     attributes: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     prune: bool = True,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
@@ -66,7 +66,7 @@ def entropy_rank_top_k(
         attributes=_candidates(attributes), prune=prune,
     )
     return cast(TopKResult, run_exact_stopping(
-        store, spec, seed=seed, sequential=sequential,
+        store, spec, seed=seed, layout_seed=layout_seed,
         failure_probability=failure_probability, schedule=schedule,
         budget=budget, cancellation=cancellation, strict=strict,
     ))
@@ -80,7 +80,7 @@ def entropy_filter(
     seed: int | np.random.Generator | None = None,
     attributes: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -91,7 +91,7 @@ def entropy_filter(
         attributes=_candidates(attributes),
     )
     return cast(FilterResult, run_exact_stopping(
-        store, spec, seed=seed, sequential=sequential,
+        store, spec, seed=seed, layout_seed=layout_seed,
         failure_probability=failure_probability, schedule=schedule,
         budget=budget, cancellation=cancellation, strict=strict,
     ))
@@ -106,7 +106,7 @@ def entropy_rank_top_k_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     prune: bool = True,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
@@ -118,7 +118,7 @@ def entropy_rank_top_k_mutual_information(
         attributes=_candidates(candidates), prune=prune,
     )
     return cast(TopKResult, run_exact_stopping(
-        store, spec, seed=seed, sequential=sequential,
+        store, spec, seed=seed, layout_seed=layout_seed,
         failure_probability=failure_probability, schedule=schedule,
         budget=budget, cancellation=cancellation, strict=strict,
     ))
@@ -133,7 +133,7 @@ def entropy_filter_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     budget: QueryBudget | None = None,
     cancellation: CancellationToken | None = None,
     strict: bool = False,
@@ -144,7 +144,7 @@ def entropy_filter_mutual_information(
         target=target, attributes=_candidates(candidates),
     )
     return cast(FilterResult, run_exact_stopping(
-        store, spec, seed=seed, sequential=sequential,
+        store, spec, seed=seed, layout_seed=layout_seed,
         failure_probability=failure_probability, schedule=schedule,
         budget=budget, cancellation=cancellation, strict=strict,
     ))

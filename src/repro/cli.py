@@ -746,6 +746,11 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0 if report.violation_count == 0 else 1
 
 
+def _print_layout(store: MmapStore) -> None:
+    layout = store.sampling_layout()
+    print(f"layout: seed {layout.seed}, sha256 {layout.sha256}")
+
+
 def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "build":
         dataset = load_dataset(args.dataset, scale=args.scale)
@@ -761,6 +766,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             f" ({store.disk_bytes():,} bytes on disk)"
         )
         print(f"fingerprint: {store.fingerprint()}")
+        _print_layout(store)
         return 0
     store = MmapStore.open(Path(args.path))
     print(
@@ -768,6 +774,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         f" columns ({store.disk_bytes():,} bytes on disk)"
     )
     print(f"fingerprint: {store.fingerprint()}")
+    _print_layout(store)
     for name in store.attributes:
         print(
             f"  {name:20s} u={store.support_size(name)}"

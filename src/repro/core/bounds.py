@@ -32,6 +32,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import ParameterError
 
 __all__ = [
@@ -522,47 +524,68 @@ def mi_decision_floor(
         raise ParameterError("an MI query needs at least one candidate")
     if k is not None and epsilon is None and k >= len(candidate_supports):
         return 0  # the exact rank stops once at most k candidates are live
-    prunes = k is not None and prune and len(candidate_supports) > k
-    n = population_size
-    margin = FLOOR_MARGIN
-    supports = set(candidate_supports)
     last = len(sizes) - 1
-    for index in range(last):
-        m = sizes[index]
-        lam = permutation_half_width(m, n, failure_probability)
-        bias_target = bias_bound(target_support, m, n)
-        lower_top = 0.0  # largest lower bound
-        upper_low = math.inf  # smallest upper bound
-        upper_top = 0.0  # largest upper bound
-        width_min = math.inf
-        for support in supports:
-            score = math.log2(min(support, target_support, m)) + margin
-            bias = bias_bound(support, m, n)
-            bias_joint = bias_bound(target_support * support, m, n)
-            lower_top = max(lower_top, score - 3.0 * lam - bias_joint)
-            spread = 3.0 * lam + bias_target + bias
-            upper_low = min(upper_low, max(0.0, spread - margin))
-            upper_top = max(upper_top, score + spread)
-            width_min = min(width_min, 6.0 * lam + bias_target + bias + bias_joint)
-        width_min -= margin
-        if threshold is None:
-            if epsilon is None:
-                if lower_top >= upper_low:
-                    return index
-            elif upper_low <= 0.0 or width_min <= epsilon * upper_top:
-                return index
-            if prunes and lower_top > upper_low:
-                return index
-        elif epsilon is None:
-            if lower_top > threshold or upper_low < threshold:
-                return index
-        elif (
-            width_min < 2.0 * epsilon * threshold
-            or lower_top >= (1.0 - epsilon) * threshold
-            or upper_low < (1.0 + epsilon) * threshold
-        ):
-            return index
-    return last
+    if last <= 0:
+        return last
+    _check_probability(failure_probability)
+    prunes = k is not None and prune and len(candidate_supports) > k
+    n = float(population_size)
+    margin = FLOOR_MARGIN
+    # One row per size below N, one column per distinct candidate support.
+    m = np.array(sizes[:last], dtype=np.float64)[:, None]
+    if not 1.0 <= m.min() <= m.max() <= n:
+        raise ParameterError(
+            f"sample sizes must be in [1, {population_size}], got {sizes[:last]}"
+        )
+    u = np.array(sorted(set(candidate_supports)), dtype=np.float64)[None, :]
+    lam = _half_widths(m, n, failure_probability)
+    bias_target = _bias_bounds(float(target_support), m, n)
+    bias = _bias_bounds(u, m, n)
+    bias_joint = _bias_bounds(float(target_support) * u, m, n)
+    score = np.log2(np.minimum(np.minimum(u, float(target_support)), m)) + margin
+    spread = 3.0 * lam + bias_target + bias
+    # largest lower bound, smallest and largest upper bound, narrowest width
+    lower_top = np.maximum(0.0, (score - 3.0 * lam - bias_joint).max(axis=1))
+    upper_low = np.maximum(0.0, spread - margin).min(axis=1)
+    upper_top = np.maximum(0.0, (score + spread).max(axis=1))
+    width_min = (6.0 * lam + bias_target + bias + bias_joint).min(axis=1) - margin
+    if threshold is None:
+        if epsilon is None:
+            fires = lower_top >= upper_low
+        else:
+            fires = (upper_low <= 0.0) | (width_min <= epsilon * upper_top)
+        if prunes:
+            fires |= lower_top > upper_low
+    elif epsilon is None:
+        fires = (lower_top > threshold) | (upper_low < threshold)
+    else:
+        fires = (
+            (width_min < 2.0 * epsilon * threshold)
+            | (lower_top >= (1.0 - epsilon) * threshold)
+            | (upper_low < (1.0 + epsilon) * threshold)
+        )
+    hits = np.flatnonzero(fires)
+    return int(hits[0]) if hits.size else last
+
+
+def _half_widths(m: np.ndarray, n: float, failure_probability: float) -> np.ndarray:
+    """:func:`permutation_half_width` (tight β) over an array of sizes ``M < N``."""
+    # β of M = 1 is 1.0: the formula's log2(1/0) would be infinite.
+    safe = np.maximum(m, 2.0)
+    beta = np.where(m > 1.0, np.log2(safe / (safe - 1.0)) + np.log2(safe - 1.0) / safe, 1.0)
+    slack = 1.0 - 1.0 / (2.0 * np.maximum(m, n - m))
+    # ln(2/p_f): the Lemma 3 deviation term, as in permutation_half_width.
+    inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (  # noqa: SWP001
+        2.0 * (n - 0.5) * slack
+    )
+    return beta * np.sqrt(inner)
+
+
+def _bias_bounds(u: np.ndarray | float, m: np.ndarray, n: float) -> np.ndarray:
+    """:func:`bias_bound` over arrays of supports and sizes ``M < N``."""
+    if n == 1.0:
+        return np.zeros(np.broadcast(u, m).shape)
+    return np.log2(1.0 + (u - 1.0) * (n - m) / (m * (n - 1.0)))
 
 
 def sample_size_for_width(

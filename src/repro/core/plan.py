@@ -1,7 +1,7 @@
 """Query plans: declarative specs, a planner, and a shared-scan executor.
 
-The paper's four algorithms share one substrate — a prefix of a single
-row shuffle and the counts over it — so a *batch* of entropy/MI top-k
+The paper's four algorithms share one substrate — a prefix of the
+store's sampling layout and the counts over it — so a *batch* of entropy/MI top-k
 and filtering queries over the same table should share every counting
 pass. This module is that batch-serving layer:
 
@@ -47,9 +47,10 @@ one by one on a fresh executor at the same seed (the regression suite
 in ``tests/test_plan.py`` pins both).
 
 Statistical note: each query's guarantee is individually valid, but the
-queries of one plan share one shuffle, so their *failure events are
-dependent*. If you need independent failures across queries, run them
-in separately seeded executors (see ``docs/PLANNER.md``).
+queries of one plan share one sample, so their *failure events are
+dependent*. Separately seeded executors read different stretches of the
+store's one layout, so their failures are less dependent but not
+independent (see ``docs/PLANNER.md`` and ``docs/THEORY.md``).
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (both sit above)
     from repro.cache import CachePartition, PlanCache
+    from repro.cache.store import ServedAnswer
     from repro.durability.checkpoint import _CounterMemo
 
 __all__ = [
@@ -947,7 +949,7 @@ def run_exact_stopping(
     spec: QuerySpec,
     *,
     seed: int | np.random.Generator | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     failure_probability: float | None = None,
     schedule: SampleSchedule | None = None,
     budget: QueryBudget | None = None,
@@ -964,7 +966,7 @@ def run_exact_stopping(
     answer carries no approximation guarantee (``guarantee`` is
     ``None``) unless a budget or cancellation truncates the run.
     """
-    sampler = PrefixSampler(store, seed=seed, sequential=sequential)
+    sampler = PrefixSampler(store, seed=seed, layout_seed=layout_seed)
     failure = (
         failure_probability
         if failure_probability is not None
@@ -977,6 +979,25 @@ def run_exact_stopping(
         spec, provider, sampler, names, None, schedule,
         budget=budget, cancellation=cancellation, strict=strict,
         decision_floor=decision_floor,
+    )
+
+
+def _recorded_run_fits(served: "ServedAnswer", budget: QueryBudget) -> bool:
+    """Whether the run that recorded ``served`` fits ``budget``'s caps.
+
+    The recorded final sample must fit ``max_sample_size`` and the
+    recorded cells ``max_cells``. An exact hit records its run's cells
+    (moved into ``cells_saved``); a semantic replay records none, so it
+    is never served under a cell cap. A deadline is not checked.
+    """
+    stats = served.result.stats
+    if (
+        budget.max_sample_size is not None
+        and stats.final_sample_size > budget.max_sample_size
+    ):
+        return False
+    return budget.max_cells is None or (
+        served.mode == "exact" and stats.cells_saved <= budget.max_cells
     )
 
 
@@ -1001,19 +1022,21 @@ class PlanExecutor:
     >>> executor.marginal_cells()                   # incremental cost ~ 0
 
     Every query keeps its own Definition 5/6 guarantee, but queries on
-    one executor share one shuffle, so their failure events are
+    one executor share one sample, so their failure events are
     dependent; give each query its own seeded executor when they must
-    be independent.
+    be independent (executors over one store still share its layout,
+    see docs/THEORY.md).
 
     Parameters
     ----------
     store:
         The dataset to query.
     seed:
-        Seed for the single shuffle all queries share.
-    sequential:
-        Read physical row order instead of shuffling (only valid when
-        the physical order is already exchangeable).
+        Seed for the run's offset into the store's sampling layout,
+        which all queries share.
+    layout_seed:
+        Seed of the store's sampling layout (``None``: the store's own;
+        see :class:`~repro.data.sampling.PrefixSampler`).
     failure_probability:
         ``p_f`` used by every query (default: the paper's ``1/N``).
         Per-query failure budgets stay per-query — each query's bound
@@ -1056,7 +1079,7 @@ class PlanExecutor:
         store: ColumnSource,
         *,
         seed: int | np.random.Generator | None = None,
-        sequential: bool = False,
+        layout_seed: int | None = None,
         failure_probability: float | None = None,
         budget: QueryBudget | None = None,
         backend: str | CountingBackend | None = None,
@@ -1067,7 +1090,7 @@ class PlanExecutor:
         cache_dir: str | Path | None = None,
     ) -> None:
         self._setup(
-            PrefixSampler(store, seed=seed, sequential=sequential, backend=backend),
+            PrefixSampler(store, seed=seed, layout_seed=layout_seed, backend=backend),
             failure_probability=failure_probability,
             budget=budget,
             trace=trace,
@@ -1236,20 +1259,29 @@ class PlanExecutor:
         first_evaluated: tuple[int, int],
         trace: TraceSink | None,
         metrics: MetricsRegistry | None,
+        budget: QueryBudget | None,
     ) -> QueryResult | None:
         """A retired answer from the cache partition, or ``None`` on a miss.
 
         ``first_evaluated`` is the ``(schedule index, sample size)`` at
         which the query's loop would evaluate first (its decision floor);
-        a semantic replay starts there too. Emits
-        ``cache_hit``/``answer_reused`` or ``cache_miss`` and feeds the
-        cache (and, on a hit, the per-query) metrics.
+        a semantic replay starts there too. Under a ``budget`` an answer
+        is served only when the run that recorded it fits the budget's
+        caps (:func:`_recorded_run_fits`), so the cached answer is the
+        one the budgeted run would reach; a deadline alone never blocks
+        a serve, which costs no cells. Emits ``cache_hit``/
+        ``answer_reused`` or ``cache_miss`` and feeds the cache (and, on
+        a hit, the per-query) metrics.
         """
         served = partition.lookup_answer(
             **answer_key,
             population_size=self._store.num_rows,
             first_evaluated=first_evaluated,
         )
+        if served is not None and budget is not None and not _recorded_run_fits(
+            served, budget
+        ):
+            served = None
         if served is None:
             _emit(trace, CacheMissEvent(name=name, kind=spec.kind, score=spec.score))
             if metrics is not None:
@@ -1322,9 +1354,11 @@ class PlanExecutor:
         With a cache attached, retired answers are consulted before the
         engine runs — exact shape matches and semantic dominance serves
         (η′ ≥ η, k′ ≤ k) — and a converged run's answer and counters are
-        written back. Answer reuse is only consulted for unbudgeted,
-        uncancelled runs, so a budgeted run's degradation behaviour is
-        bit-identical with or without a cache. Each call writes the
+        written back. Answer reuse is skipped for cancellable runs, and
+        a budgeted run is served only an answer whose recorded run fits
+        its cell and sample caps, so its degradation behaviour is the
+        same with or without a cache; a deadline alone never blocks a
+        serve. Each call writes the
         cache back once when it returns or raises (strict truncation
         included, interrupts not); :meth:`execute` writes it once per
         plan instead.
@@ -1393,7 +1427,6 @@ class PlanExecutor:
         served: QueryResult | None = None
         if (
             self._partition is not None
-            and budget is None
             and cancellation is None
             and resume_state is None
         ):
@@ -1406,6 +1439,7 @@ class PlanExecutor:
                 (decision_floor, schedule.sizes[decision_floor]),
                 trace,
                 metrics,
+                budget,
             )
         result: QueryResult
         if served is not None:
@@ -1429,8 +1463,6 @@ class PlanExecutor:
                 # Any exit, a strict truncation or an error mid-loop
                 # included, may leave the shared counters past the
                 # floor, and a later query must not ask them to shrink.
-                # No block outlives the query either.
-                self._sampler.release_block()
                 self._floor = max(self._floor, self._sampler.counted_frontier)
             if self._partition is not None and recorder is not None:
                 self._partition.put_answer(
@@ -1867,7 +1899,7 @@ class PlanExecutor:
 
         The checkpoint is verified (format, schema version, sha256,
         dataset fingerprint against ``store``) and the shared sampler is
-        reconstructed with its exact permutation, prefix position, and
+        reconstructed with its layout, offset, prefix positions, and
         every marginal/joint counter; the next :meth:`execute` call on
         the returned executor restarts the plan at the last checkpointed
         iteration boundary and produces answers bit-identical to an
@@ -1905,6 +1937,6 @@ class PlanExecutor:
         executor._fingerprint = snapshot.dataset.get("fingerprint")
         executor._resumed = progress
         # The partition key includes the shuffle fingerprint, which comes
-        # from the restored permutation.
+        # from the restored layout and offset.
         executor._bind_cache(cache, cache_dir)
         return executor

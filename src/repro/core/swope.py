@@ -3,7 +3,7 @@
 Each function answers one query on a fresh
 :class:`~repro.core.plan.PlanExecutor`::
 
-    PlanExecutor(store, seed=, sequential=, backend=,
+    PlanExecutor(store, seed=, layout_seed=, backend=,
                  failure_probability=, cache=).<query>(...)
 
 so a single query and a plan share one path: candidate resolution,
@@ -40,7 +40,8 @@ epsilon:
 failure_probability:
     ``p_f``; defaults to the paper's ``1/N``.
 seed:
-    Seed or generator controlling the random shuffle.
+    Seed or generator of the run's offset into the store's sampling
+    layout.
 attributes / candidates:
     Restrict the query to these attributes (default: all; for MI, all
     but the target). An empty list raises
@@ -48,10 +49,9 @@ attributes / candidates:
 schedule:
     Override the sample-size schedule (default: paper ``M0`` with
     doubling).
-sequential:
-    Read physical row order instead of shuffling (only valid when the
-    physical order is already exchangeable, as for the i.i.d. synthetic
-    datasets the experiments use).
+layout_seed:
+    Seed of the store's sampling layout (``None``: the store's own; an
+    mmap store accepts only the seed it was built with).
 backend:
     Counting backend (``None`` or ``"numpy"`` for the built-in
     :class:`~repro.data.backends.NumpyBackend`, or a
@@ -114,7 +114,7 @@ def swope_top_k_entropy(
     seed: int | np.random.Generator | None = None,
     attributes: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
     trace: TraceSink | None = None,
@@ -132,7 +132,7 @@ def swope_top_k_entropy(
     of the run. Keywords as in the module docstring.
     """
     return PlanExecutor(
-        store, seed=seed, sequential=sequential, backend=backend,
+        store, seed=seed, layout_seed=layout_seed, backend=backend,
         failure_probability=failure_probability, cache=cache,
     ).top_k_entropy(
         k, epsilon=epsilon, attributes=attributes, prune=prune,
@@ -150,7 +150,7 @@ def swope_filter_entropy(
     seed: int | np.random.Generator | None = None,
     attributes: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     backend: str | CountingBackend | None = None,
     trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
@@ -166,7 +166,7 @@ def swope_filter_entropy(
     guarantee status. Keywords as in the module docstring.
     """
     return PlanExecutor(
-        store, seed=seed, sequential=sequential, backend=backend,
+        store, seed=seed, layout_seed=layout_seed, backend=backend,
         failure_probability=failure_probability, cache=cache,
     ).filter_entropy(
         threshold, epsilon=epsilon, attributes=attributes,
@@ -185,7 +185,7 @@ def swope_top_k_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     backend: str | CountingBackend | None = None,
     prune: bool = True,
     trace: TraceSink | None = None,
@@ -201,7 +201,7 @@ def swope_top_k_mutual_information(
     module docstring.
     """
     return PlanExecutor(
-        store, seed=seed, sequential=sequential, backend=backend,
+        store, seed=seed, layout_seed=layout_seed, backend=backend,
         failure_probability=failure_probability, cache=cache,
     ).top_k_mutual_information(
         target, k, epsilon=epsilon, candidates=candidates, prune=prune,
@@ -220,7 +220,7 @@ def swope_filter_mutual_information(
     seed: int | np.random.Generator | None = None,
     candidates: Sequence[str] | None = None,
     schedule: SampleSchedule | None = None,
-    sequential: bool = False,
+    layout_seed: int | None = None,
     backend: str | CountingBackend | None = None,
     trace: TraceSink | None = None,
     budget: QueryBudget | None = None,
@@ -235,7 +235,7 @@ def swope_filter_mutual_information(
     scores lower than entropy. Keywords as in the module docstring.
     """
     return PlanExecutor(
-        store, seed=seed, sequential=sequential, backend=backend,
+        store, seed=seed, layout_seed=layout_seed, backend=backend,
         failure_probability=failure_probability, cache=cache,
     ).filter_mutual_information(
         target, threshold, epsilon=epsilon, candidates=candidates,

@@ -1,6 +1,6 @@
 """The counting backend of the sampling substrate.
 
-Occurrence counting — gathering a block of prefix rows from an encoded
+Occurrence counting — reading a block of a run's rows from an encoded
 column and histogramming it with ``bincount`` — is the only data-touching
 operation on the adaptive query hot path, and the paper's cost model
 (cells scanned) charges exactly this work. Everything above it (bounds,
@@ -9,7 +9,7 @@ stopping rules, pruning) is pure arithmetic over the resulting counts.
 This module isolates that operation behind the :class:`CountingBackend`
 protocol so :class:`~repro.data.sampling.PrefixSampler` can batch the
 per-iteration work of *all* live candidate columns into a single call.
-:class:`NumpyBackend` — one gather + ``bincount`` pass per column — is
+:class:`NumpyBackend` — one ``bincount`` pass per column — is
 the one built-in backend; the protocol stays so callers (tests, most
 often) can pass their own instance. The engine depends only on the
 counts a backend returns, so any backend that returns the same counts
@@ -51,12 +51,10 @@ class CountingBackend(Protocol):
     ) -> list[np.ndarray]:
         """Per-column occurrence counts of ``column[rows]``.
 
-        ``rows`` is either a materialized permutation block (shuffled
-        sampling) or a plain slice (sequential sampling); it is shared
-        by every column of the batch. On large stores the block comes
-        sorted, so the gather streams forward; counts do not depend on
-        the order of ``rows``, only on which rows it holds. The i-th
-        result has length
+        The sampler passes layout-ordered column handles and a
+        contiguous slice of layout positions, shared by every column of
+        the batch; any row selector numpy accepts works, and counts do
+        not depend on its order. The i-th result has length
         ``support_sizes[i]`` at least, exactly as ``np.bincount`` with
         ``minlength`` returns it.
         """
@@ -64,7 +62,7 @@ class CountingBackend(Protocol):
 
 
 class NumpyBackend:
-    """NumPy gather + ``bincount`` per column."""
+    """NumPy ``bincount`` per column over ``column[rows]``."""
 
     name = "numpy"
 

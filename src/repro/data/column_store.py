@@ -11,6 +11,11 @@ size ``u_alpha``.
 The store is deliberately immutable after construction: the sampling layer
 (:mod:`repro.data.sampling`) hands out views of these arrays, and mutating a
 column under a live sampler would silently corrupt incremental counters.
+
+The sampler never reads the logical columns. It reads their copies in a
+:class:`~repro.data.layout.SamplingLayout` (one uniform shuffle of the
+rows, drawn once from a data-free layout seed), which the store memoises
+in chunks of ``_LAYOUT_CHUNK_ROWS`` rows as reads first touch them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.data.layout import SamplingLayout, validate_layout_seed
 from repro.exceptions import SchemaError
 
 __all__ = ["ColumnSource", "ColumnStore"]
@@ -32,6 +38,15 @@ _INTEGER_KINDS = ("i", "u")
 #: Rows hashed / counted per chunk when streaming a column, which may be
 #: a memmap (4 Mi rows ⇒ at most 32 MiB per chunk at the widest dtype).
 _CHUNK_ROWS = 1 << 22
+
+
+#: Rows of a layout-ordered column copied per chunk on first touch, so a
+#: plan that samples a small prefix gathers only the chunks it reads.
+_LAYOUT_CHUNK_ROWS = 1 << 16
+
+#: Layouts a store keeps memoised (least recently used evicted first):
+#: the default one and one other, such as an audit's.
+_MAX_LAYOUTS = 2
 
 
 def _iter_chunks(length: int, chunk_rows: int = _CHUNK_ROWS) -> Iterator[slice]:
@@ -56,7 +71,9 @@ def _pick_dtype(support_size: int) -> np.dtype:
 
 
 def _fingerprint_columns(
-    num_rows: int, entries: Iterable[tuple[str, int, np.ndarray]]
+    num_rows: int,
+    entries: Iterable[tuple[str, int, np.ndarray]],
+    order: np.ndarray | None = None,
 ) -> str:
     """sha256 over ``(rows, names, supports, column bytes)``, streamed.
 
@@ -65,16 +82,54 @@ def _fingerprint_columns(
     int16, whatever width it is stored in: a store written as int16
     before int8 storage existed and its int8 rebuild hash alike, and so
     do in-memory and memory-mapped copies. The column may be a memmap,
-    so its bytes go through the digest in bounded chunks.
+    so its bytes go through the digest in bounded chunks. With
+    ``order``, logical row ``i`` is ``column[order[i]]`` (a column held
+    in layout order hashes as its logical content).
     """
     digest = hashlib.sha256()
     digest.update(f"rows:{num_rows}\n".encode("utf-8"))
     for name, support, column in entries:
         canonical = np.promote_types(_pick_dtype(support), np.int16)
         digest.update(f"col:{name}:{support}:{canonical.str}\n".encode("utf-8"))
-        for block in _iter_chunks(column.shape[0]):
-            digest.update(np.ascontiguousarray(column[block], dtype=canonical))
+        for block in _iter_chunks(num_rows):
+            rows = block if order is None else order[block]
+            digest.update(np.ascontiguousarray(column[rows], dtype=canonical))
     return digest.hexdigest()
+
+
+class _LayoutMemo:
+    """A :class:`SamplingLayout` and the layout-ordered column copies."""
+
+    def __init__(self, layout: SamplingLayout) -> None:
+        self.layout = layout
+        # name -> (layout-ordered copy, filled flag per chunk)
+        self.columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def column(self, name: str, logical: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """``logical`` in layout order, with positions ``[start, stop)`` filled."""
+        entry = self.columns.get(name)
+        if entry is None:
+            chunks = -(-logical.shape[0] // _LAYOUT_CHUNK_ROWS)
+            entry = (np.empty_like(logical), np.zeros(chunks, dtype=bool))
+            entry[0].setflags(write=False)
+            self.columns[name] = entry
+        copy, filled = entry
+        first = start // _LAYOUT_CHUNK_ROWS
+        last = -(-stop // _LAYOUT_CHUNK_ROWS)
+        if not filled[first:last].all():
+            perm = self.layout.permutation()
+            # Writable only while chunks land, so readers never see a
+            # writable handle.
+            copy.setflags(write=True)
+            for chunk in np.flatnonzero(~filled[first:last]) + first:
+                rows = slice(
+                    int(chunk) * _LAYOUT_CHUNK_ROWS,
+                    (int(chunk) + 1) * _LAYOUT_CHUNK_ROWS,
+                )
+                copy[rows] = logical[perm[rows]]
+            copy.setflags(write=False)
+            filled[first:last] = True
+        return copy
 
 
 @runtime_checkable
@@ -83,16 +138,22 @@ class ColumnSource(Protocol):
 
     The sampling substrate (and everything above it) touches a dataset
     through exactly this surface: shape metadata, support sizes, column
-    *handles* for the counting backend, and permutation-prefix block
-    reads. Two implementations ship with the package:
+    *handles*, and the store's sampling layout with its layout-ordered
+    column handles (:meth:`sampling_layout`, :meth:`layout_column`),
+    which the sampler reads in contiguous slices. Two implementations
+    ship with the package:
 
     * :class:`ColumnStore` — every column fully resident in memory;
     * :class:`~repro.data.mmap_store.MmapStore` — ``.npy``-backed
       memory-mapped columns, so ``N ≫ RAM`` datasets stream through the
       engine with only the touched pages resident.
 
-    :meth:`column` returns an *array-like handle* — for a memory-mapped
-    store it is a :class:`numpy.memmap`, and materialising it in full
+    :meth:`column` returns an *array-like handle* in the store's physical
+    row order — logical order for :class:`ColumnStore`, layout order for
+    an mmap store, whose files are written that way. Order-free readers
+    (exact counts, and joint counts of two columns of one store) may use
+    either. For a memory-mapped store it is a :class:`numpy.memmap`, and
+    materialising it in full
     defeats the storage engine. Code outside :mod:`repro.data` and
     :mod:`repro.baselines` must read through :meth:`column_block`
     (enforced by analysis rule SWP018); the counting backend indexes the
@@ -121,7 +182,7 @@ class ColumnSource(Protocol):
         ...
 
     def column_block(self, name: str, rows: np.ndarray | slice) -> np.ndarray:
-        """Materialised block ``column(name)[rows]`` — the hot-path read API."""
+        """Materialised block ``column(name)[rows]`` in physical row order."""
         ...
 
     def support_size(self, name: str) -> int:
@@ -143,11 +204,22 @@ class ColumnSource(Protocol):
     def fingerprint(self) -> str:
         """sha256 identity over rows, names, supports, and column bytes.
 
-        Two sources with equal fingerprints produce identical counters
-        for every prefix — the property checkpoints and plan caches key
-        on. In-memory and mmap stores of the same encoded data return
-        the *same* value.
+        The logical content hash, in the rows' original order. Two
+        sources with equal fingerprints and equal sampling layouts
+        produce identical counters for every run — the property
+        checkpoints and plan caches key on. In-memory and mmap stores
+        of the same encoded data return the *same* value.
         """
+        ...
+
+    def sampling_layout(self, layout_seed: int | None = None) -> SamplingLayout:
+        """The layout the sampler reads in (``None``: the store's default)."""
+        ...
+
+    def layout_column(
+        self, name: str, start: int, stop: int, layout_seed: int | None = None
+    ) -> np.ndarray:
+        """Handle of ``name`` in layout order; positions ``[start, stop)`` readable."""
         ...
 
 
@@ -231,6 +303,7 @@ class ColumnStore:
         assert num_rows is not None
         self._num_rows = num_rows
         self._fingerprint: str | None = None
+        self._layouts: dict[int, _LayoutMemo] = {}
 
     @classmethod
     def _from_trusted_parts(
@@ -252,6 +325,7 @@ class ColumnStore:
         store._support = support_sizes
         store._num_rows = num_rows
         store._fingerprint = None
+        store._layouts = {}
         return store
 
     # ------------------------------------------------------------------
@@ -297,13 +371,47 @@ class ColumnStore:
     def column_block(self, name: str, rows: np.ndarray | slice) -> np.ndarray:
         """Return the encoded values of ``name`` at ``rows`` (gather or slice).
 
-        The block-read form of :meth:`column`: the one access pattern
-        the adaptive algorithms need (permutation-prefix blocks and row
-        subsets), and the only one that stays cheap on every storage
+        The block-read form of :meth:`column`: the access pattern of row
+        subsets (decision-tree nodes, for example), and the only one
+        that stays cheap on every storage
         engine. Code outside :mod:`repro.data` / :mod:`repro.baselines`
         must use this instead of materialising whole columns (SWP018).
         """
         return self.column(name)[rows]
+
+    def sampling_layout(self, layout_seed: int | None = None) -> SamplingLayout:
+        """The :class:`SamplingLayout` of ``layout_seed``, memoised on the store.
+
+        Any seed is accepted: the layout depends only on the seed and
+        ``N``. Nothing ``N``-sized runs here; the permutation is drawn
+        when a layout-ordered column or the layout's sha256 is first
+        needed. The store keeps the ``_MAX_LAYOUTS`` layouts used last.
+        """
+        seed = validate_layout_seed(layout_seed)
+        memo = self._layouts.pop(seed, None)
+        if memo is None:
+            memo = _LayoutMemo(SamplingLayout(self._num_rows, seed))
+            while len(self._layouts) >= _MAX_LAYOUTS:
+                # evict the least recently used layout and its copies
+                del self._layouts[next(iter(self._layouts))]
+        self._layouts[seed] = memo
+        return memo.layout
+
+    def layout_column(
+        self, name: str, start: int, stop: int, layout_seed: int | None = None
+    ) -> np.ndarray:
+        """``name`` in layout order, with positions ``[start, stop)`` filled.
+
+        The copy is memoised per layout and filled in chunks of
+        ``_LAYOUT_CHUNK_ROWS`` rows the first time a read touches them;
+        positions outside ``[start, stop)`` may be unfilled.
+        """
+        seed = validate_layout_seed(layout_seed)
+        memo = self._layouts.get(seed)
+        if memo is None:
+            self.sampling_layout(seed)
+            memo = self._layouts[seed]
+        return memo.column(name, self.column(name), start, stop)
 
     def support_size(self, name: str) -> int:
         """Return ``u_alpha``, the number of distinct values of ``name``."""
@@ -334,11 +442,14 @@ class ColumnStore:
             raise SchemaError(f"unknown attributes: {missing}")
         if not names:
             raise SchemaError("a ColumnStore requires at least one column")
-        return ColumnStore._from_trusted_parts(
+        selected = ColumnStore._from_trusted_parts(
             {n: self._columns[n] for n in names},
             {n: self._support[n] for n in names},
             self._num_rows,
         )
+        # Same rows, same arrays: the layout copies stay valid.
+        selected._layouts = self._layouts
+        return selected
 
     def drop(self, names: Iterable[str]) -> "ColumnStore":
         """Return a new store without the attributes in ``names``."""
@@ -393,8 +504,8 @@ class ColumnStore:
         name:
             Attribute to count.
         num_rows:
-            When given, only the first ``num_rows`` records are counted
-            (used by sequential-prefix sampling); otherwise all records.
+            When given, only the first ``num_rows`` records are counted;
+            otherwise all records.
 
         Returns
         -------

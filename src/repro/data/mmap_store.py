@@ -7,38 +7,43 @@ one ``.npy`` file per column, opened read-only through ``numpy``'s memmap
 machinery, plus a schema-versioned JSON manifest written through
 :func:`repro.durability.atomic.atomic_write_text`.
 
-The design leans on the engine's one access pattern. Prefix sampling only
-ever reads *blocks* — a permutation gather or a sequential slice of each
-requested column — and fancy-indexing a :class:`numpy.memmap` touches
-only the pages the block lives on. So an ``N ≫ RAM`` dataset streams
-through the adaptive loop with resident memory proportional to the
-*sample*, not the dataset; convergence at ``M ≪ N`` (the paper's whole
-point) is what keeps the working set small.
+The design leans on the engine's one access pattern. The column files
+hold the rows in the store's :class:`~repro.data.layout.SamplingLayout`
+(one uniform shuffle, drawn at build time from a data-free layout
+seed), so a run's sample is at most two contiguous slices of each file,
+and slicing a :class:`numpy.memmap` touches only the pages the slice
+lives on. So an ``N ≫ RAM`` dataset streams through the adaptive loop
+with resident memory proportional to the *sample*, not the dataset;
+convergence at ``M ≪ N`` (the paper's whole point) is what keeps the
+working set small. Opening a store runs nothing ``N``-sized: the
+layout's identity comes from the manifest.
 
 On-disk layout of a store directory::
 
     manifest.json      {"format", "schema_version", "num_rows",
-                        "fingerprint", "columns": [{"name", "support_size",
-                        "dtype", "file"}, ...]}
-    col_00000.npy      encoded column 0 (smallest signed int dtype that
-                       fits: int8 up to 128 values; older stores hold
-                       int16 files, which open and verify alike)
+                        "fingerprint", "layout": {"seed", "bit_generator",
+                        "state", "sha256"}, "columns": [{"name",
+                        "support_size", "dtype", "file"}, ...]}
+    col_00000.npy      encoded column 0 in layout order (smallest signed
+                       int dtype that fits: int8 up to 128 values)
     col_00001.npy      ...
 
 The manifest's ``fingerprint`` is byte-identical to
-:meth:`ColumnStore.fingerprint` over the same encoded data — computed by
-the same helper, which streams the finished column files in bounded
-chunks and hashes each in its canonical width — so checkpoints and plan
-caches written against the in-memory store verify against the mmap
-store and vice versa.
+:meth:`ColumnStore.fingerprint` over the same encoded data: the logical
+content in the rows' original order, hashed by the same helper in each
+column's canonical width. So checkpoints and plan caches written against
+the in-memory store verify against the mmap store and vice versa, and
+both engines lay out ``N`` rows alike under one layout seed.
 
 Construction is chunked for the same reason reads are:
-:class:`MmapStoreWriter` preallocates the column files and accepts row
-chunks, so a dataset can be built by a generator that never holds more
-than one chunk in memory. Column files are written to hidden ``.tmp``
-siblings and published by ``os.replace`` before the manifest lands
-(itself atomic), so a crash mid-build never leaves a directory that
-``MmapStore.open`` would mistake for a complete store.
+:class:`MmapStoreWriter` accepts row chunks in their original order into
+preallocated files, so a dataset can be built by a generator that never
+holds more than one chunk in memory; :meth:`MmapStoreWriter.finalize`
+then writes each column in layout order, chunk by chunk, which holds the
+permutation (8 bytes a row) in memory. Column files are written to
+hidden ``.tmp`` siblings and published by ``os.replace`` before the
+manifest lands (itself atomic), so a crash mid-build never leaves a
+directory that ``MmapStore.open`` would mistake for a complete store.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from repro.data.column_store import (
     _iter_chunks,
     _pick_dtype,
 )
+from repro.data.layout import SamplingLayout, validate_layout_seed
 from repro.durability.atomic import atomic_write_text
 from repro.exceptions import ParameterError, SchemaError
 
@@ -75,7 +81,10 @@ MMAP_STORE_FORMAT = "repro-mmap-store"
 #: Bumped on any change to the manifest layout or the column file format;
 #: mismatching stores are refused, never migrated (rebuild is cheap and
 #: the fingerprint guarantees the rebuild is the same dataset).
-MMAP_STORE_SCHEMA_VERSION = 1
+#: v2: column files hold the rows in the store's sampling layout, which
+#: the manifest records as ``layout``. A v1 file is in build order, which
+#: the sampler must never read as if it were shuffled.
+MMAP_STORE_SCHEMA_VERSION = 2
 
 #: Manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -106,6 +115,10 @@ class MmapStoreWriter:
         Total number of records the finished store will hold; the column
         files are preallocated at this length and filled by
         :meth:`append`.
+    layout_seed:
+        Seed of the store's sampling layout (``None``: the default
+        seed). Stores of one ``N`` built with one layout seed, in memory
+        or on disk, share one layout.
 
     Examples
     --------
@@ -120,6 +133,8 @@ class MmapStoreWriter:
         directory: str | Path,
         support_sizes: Mapping[str, int],
         num_rows: int,
+        *,
+        layout_seed: int | None = None,
     ) -> None:
         if num_rows < 0:
             raise ParameterError(f"num_rows must be >= 0, got {num_rows}")
@@ -133,6 +148,7 @@ class MmapStoreWriter:
                 " to overwrite an existing mmap store"
             )
         self._num_rows = num_rows
+        self._layout_seed = validate_layout_seed(layout_seed)
         self._support: dict[str, int] = {}
         self._files: dict[str, Path] = {}
         self._memmaps: dict[str, np.ndarray] = {}
@@ -144,9 +160,10 @@ class MmapStoreWriter:
                 )
             self._support[name] = support
             final = self._directory / _column_file_name(index)
-            temp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
-            # open_memmap writes a valid .npy header up front; the data
-            # region fills lazily as chunks land (sparse until then).
+            temp = final.with_name(f".{final.name}.rows-{os.getpid()}")
+            # Rows land here in their original order. open_memmap writes
+            # a valid .npy header up front; the data region fills lazily
+            # as chunks land (sparse until then).
             self._memmaps[name] = np.lib.format.open_memmap(
                 temp, mode="w+", dtype=_pick_dtype(support), shape=(num_rows,)
             )
@@ -213,7 +230,11 @@ class MmapStoreWriter:
         self._written = stop
 
     def finalize(self) -> "MmapStore":
-        """Flush, publish the column files, write the manifest, and open."""
+        """Lay the columns out, publish them, write the manifest, and open.
+
+        The fingerprint hashes the rows in the order they were appended;
+        each published column file holds them in layout order.
+        """
         if self._finalized:
             raise ParameterError("writer is already finalized")
         if self._written != self._num_rows:
@@ -221,27 +242,35 @@ class MmapStoreWriter:
                 f"store is incomplete: {self._written} of {self._num_rows}"
                 " rows written"
             )
-        entries: list[tuple[str, int, np.ndarray]] = []
-        for name, memmap in self._memmaps.items():
-            if isinstance(memmap, np.memmap):
-                memmap.flush()
-            entries.append((name, self._support[name], memmap))
-        fingerprint = _fingerprint_columns(self._num_rows, entries)
+        fingerprint = _fingerprint_columns(
+            self._num_rows,
+            [(name, self._support[name], self._memmaps[name]) for name in self._support],
+        )
+        layout = SamplingLayout(self._num_rows, self._layout_seed)
+        perm = layout.permutation()
         columns_payload = []
-        for index, name in enumerate(self._support):
-            memmap = self._memmaps[name]
-            temp = Path(getattr(memmap, "filename", ""))
-            dtype_str = memmap.dtype.str
-            # Drop our reference before publishing so the map closes.
-            del self._memmaps[name]
-            del memmap
-            os.replace(temp, self._files[name])
+        for name in self._support:
+            rows = self._memmaps.pop(name)
+            source = Path(getattr(rows, "filename", ""))
+            final = self._files[name]
+            temp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
+            laid_out = np.lib.format.open_memmap(
+                temp, mode="w+", dtype=rows.dtype, shape=(self._num_rows,)
+            )
+            for block in _iter_chunks(self._num_rows):
+                laid_out[block] = rows[perm[block]]
+            laid_out.flush()
+            dtype_str = laid_out.dtype.str
+            # Drop our references before publishing so the maps close.
+            del laid_out, rows
+            os.replace(temp, final)
+            source.unlink()
             columns_payload.append(
                 {
                     "name": name,
                     "support_size": self._support[name],
                     "dtype": dtype_str,
-                    "file": self._files[name].name,
+                    "file": final.name,
                 }
             )
         manifest = {
@@ -249,6 +278,7 @@ class MmapStoreWriter:
             "schema_version": MMAP_STORE_SCHEMA_VERSION,
             "num_rows": self._num_rows,
             "fingerprint": fingerprint,
+            "layout": {**layout.recipe(), "sha256": layout.sha256},
             "columns": columns_payload,
         }
         atomic_write_text(
@@ -265,9 +295,9 @@ class MmapStore:
     Satisfies :class:`~repro.data.column_store.ColumnSource`: the
     sampler, the plan executor, checkpoints, and all four ``swope_*``
     facades accept it wherever a :class:`ColumnStore` is accepted.
-    :meth:`column` hands out the cached read-only memmap — the counting
-    backend indexes it with permutation blocks, touching only the pages
-    the sample lives on.
+    :meth:`column` hands out the cached read-only memmap, in layout
+    order — the counting backend reads contiguous slices of it,
+    touching only the pages the sample lives on.
     """
 
     def __init__(
@@ -282,6 +312,10 @@ class MmapStore:
         self._manifest = manifest
         self._num_rows = int(manifest["num_rows"])
         self._fingerprint = str(manifest["fingerprint"])
+        recorded = manifest["layout"]
+        self._layout = SamplingLayout(
+            self._num_rows, int(recorded["seed"]), sha256=str(recorded["sha256"])
+        )
         self._support: dict[str, int] = {}
         self._dtypes: dict[str, np.dtype] = {}
         self._files: dict[str, Path] = {}
@@ -325,10 +359,12 @@ class MmapStore:
         if version != MMAP_STORE_SCHEMA_VERSION:
             raise SchemaError(
                 f"mmap store schema version {version!r} is not supported"
-                f" (this build reads version {MMAP_STORE_SCHEMA_VERSION});"
-                " rebuild the store"
+                f" (this build reads version {MMAP_STORE_SCHEMA_VERSION}, whose"
+                " column files hold the rows in a shuffled sampling layout);"
+                " rebuild the store with `repro store build` or"
+                " MmapStore.from_column_store"
             )
-        for key in ("num_rows", "fingerprint", "columns"):
+        for key in ("num_rows", "fingerprint", "layout", "columns"):
             if key not in manifest:
                 raise SchemaError(f"manifest at {manifest_path} lacks {key!r}")
         if not manifest["columns"]:
@@ -342,12 +378,18 @@ class MmapStore:
         directory: str | Path,
         *,
         chunk_rows: int = _CHUNK_ROWS,
+        layout_seed: int | None = None,
     ) -> "MmapStore":
-        """Materialise an in-memory store on disk (chunked copy)."""
+        """Materialise an in-memory store on disk (chunked copy).
+
+        The files are written in the layout of ``layout_seed``, which
+        is the layout ``store`` itself samples in under that seed.
+        """
         if chunk_rows < 1:
             raise ParameterError(f"chunk_rows must be >= 1, got {chunk_rows}")
         writer = MmapStoreWriter(
-            directory, store.support_sizes(), store.num_rows
+            directory, store.support_sizes(), store.num_rows,
+            layout_seed=layout_seed,
         )
         for block in _iter_chunks(store.num_rows, chunk_rows):
             writer.append(
@@ -394,7 +436,7 @@ class MmapStore:
     # Column access
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
-        """Read-only memmap handle of attribute ``name`` (opened lazily)."""
+        """Read-only memmap handle of ``name`` in layout order (opened lazily)."""
         handle = self._columns.get(name)
         if handle is not None:
             return handle
@@ -417,6 +459,29 @@ class MmapStore:
     def column_block(self, name: str, rows: np.ndarray | slice) -> np.ndarray:
         """Materialised block ``column(name)[rows]`` (touches only its pages)."""
         return np.asarray(self.column(name)[rows])
+
+    def sampling_layout(self, layout_seed: int | None = None) -> SamplingLayout:
+        """The layout the column files were written in (from the manifest).
+
+        ``layout_seed`` must be ``None`` or the seed the store was built
+        with: another layout would need another build.
+        """
+        if layout_seed is not None and (
+            validate_layout_seed(layout_seed) != self._layout.seed
+        ):
+            raise ParameterError(
+                f"mmap store at {self._directory} is laid out with layout seed"
+                f" {self._layout.seed}, not {layout_seed}; build another store"
+                f" with layout_seed={layout_seed} to sample in that layout"
+            )
+        return self._layout
+
+    def layout_column(
+        self, name: str, start: int, stop: int, layout_seed: int | None = None
+    ) -> np.ndarray:
+        """The memmap of ``name``: the files are in layout order already."""
+        self.sampling_layout(layout_seed)
+        return self.column(name)
 
     def support_size(self, name: str) -> int:
         """Return ``u_alpha``, the number of distinct values of ``name``."""
@@ -444,7 +509,11 @@ class MmapStore:
     # Counting / identity
     # ------------------------------------------------------------------
     def value_counts(self, name: str, num_rows: int | None = None) -> np.ndarray:
-        """Exact occurrence counts of ``name``, streamed in bounded chunks."""
+        """Exact occurrence counts of ``name``, streamed in bounded chunks.
+
+        ``num_rows`` counts a prefix of the files, which are in layout
+        order.
+        """
         column = self.column(name)
         stop = self._num_rows if num_rows is None else min(num_rows, self._num_rows)
         counts = np.zeros(self.support_size(name), dtype=np.int64)
@@ -462,17 +531,25 @@ class MmapStore:
     def verify_fingerprint(self) -> str:
         """Recompute the fingerprint from the column files and check it.
 
-        Streams every column in bounded chunks; raises
-        :class:`~repro.exceptions.SchemaError` when the recomputed value
-        disagrees with the manifest (bit rot or post-build edits).
-        Returns the verified fingerprint.
+        Redraws the layout (checked against the manifest's sha256) and
+        streams every column back into its original row order in bounded
+        chunks; raises :class:`~repro.exceptions.SchemaError` when the
+        recomputed value disagrees with the manifest (bit rot or
+        post-build edits). Returns the verified fingerprint.
         """
+        try:
+            perm = self._layout.permutation()
+        except ParameterError as exc:
+            raise SchemaError(f"mmap store at {self._directory}: {exc}") from exc
+        order = np.empty_like(perm)
+        order[perm] = np.arange(self._num_rows)
         actual = _fingerprint_columns(
             self._num_rows,
             [
                 (name, self._support[name], self.column(name))
                 for name in self._support
             ],
+            order,
         )
         if actual != self._fingerprint:
             raise SchemaError(

@@ -1,49 +1,43 @@
-"""Sampling-without-replacement substrate (random shuffle + prefix view).
+"""Sampling-without-replacement substrate (sampling layout + run offset).
 
 The paper treats a uniformly random subset :math:`\\mathcal{S}` of size ``M``
 as *the first M records after a random shuffle* of the input dataset
-(Section 2.2). All four SWOPE algorithms, as well as the EntropyRank /
-EntropyFilter baselines, grow the sample by extending this prefix — so the
+(Section 2.2), and gets its speed from "sequential sampling on columnar
+layout": the rows are shuffled once, and every later sample is a
+contiguous read. All four SWOPE algorithms, as well as the EntropyRank /
+EntropyFilter baselines, grow the sample by extending a prefix — so the
 sample of a later iteration always contains the sample of every earlier
 iteration, and the martingale argument of Section 3.1 applies.
 
 :class:`PrefixSampler` implements this substrate:
 
-* one random permutation of ``[0, N)`` drawn up front (the shuffle),
-  together with its *recipe* — the bit generator's class and state just
-  before the draw — so a snapshot can name the shuffle in a few hundred
-  bytes and a restore can redraw it instead of storing ``N`` indices;
+* the store's :class:`~repro.data.layout.SamplingLayout` — one uniform
+  shuffle of its rows, drawn once from a data-free layout seed and kept
+  with the store — plus a per-run *offset* ``r`` drawn from the run
+  seed. A run's sample of size ``M`` is layout positions
+  ``r … r + M − 1``, wrapping at ``N``, so every block a run reads is at
+  most two contiguous slices of each layout-ordered column: no
+  per-run permutation and no gather;
 * per-attribute occurrence counters ``m_i`` maintained *incrementally*
   (extending the prefix from ``M`` to ``M'`` touches only the ``M' - M``
-  new records of each requested attribute — the columnar "sequential
-  sampling" the paper describes);
+  new records of each requested attribute);
 * pairwise joint counters (for empirical mutual information) maintained the
   same way through :class:`repro.data.joint.JointCounter`; a marginal at
   a dense joint's prefix is read off that joint's running total instead
-  of being gathered, and within a plan a marginal extension counts the
-  joint deltas a later MI query will need from the block it reads
+  of being counted again, and within a plan a marginal extension counts
+  the joint deltas a later MI query will need from the block it reads
   anyway (:meth:`PrefixSampler.expect_joints`);
 * an exact account of work done (``cells_scanned``) so experiments can
   report a machine-independent cost next to wall-clock time.
 
-Counting needs only *which* rows a prefix block ``[start, stop)`` holds,
-not their order, so on large stores the sampler sorts each block's row
-indices once and every column gather over it streams forward through
-memory instead of scattering (``bincount`` ignores order, and a sparse
-joint merges each batch's already-sorted ``np.unique`` codes). Counts,
-snapshots and traces are the same either way; small stores, whose
-columns sit in cache, gather through the unsorted slice.
-
-The sampler also supports ``sequential=True``, which skips the shuffle and
-reads the physical row order directly. The paper does this for cache
-friendliness on columnar storage; it is statistically equivalent only when
-the physical order is itself exchangeable (true for our synthetic
-generators, which emit i.i.d. rows).
+Each run's sample is uniform because the layout is a uniform
+permutation independent of the data, and the offset is independent of
+both. Runs over one store share its layout, so their failure events are
+correlated, as with the paper's preprocessing shuffle (docs/THEORY.md).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Protocol
 
@@ -80,60 +74,14 @@ class CounterCache(Protocol):
         ...
 
 
-# Stores with at least this many rows gather each permutation block in
-# row order (see PrefixSampler._prefix_rows). Below it the columns sit in
-# cache already, and the sort costs more than the scattered gather.
-# Sorted/unsorted plan time of the perfbench mixed plan (17 columns,
-# 2-vCPU VM, median of 30-40 alternating runs, interquartile range in
-# brackets): int16 columns 0.95 [0.85-0.99] at 131,072 rows, 0.81 at
-# 200,000, 0.74 at 262,144; int8 columns 1.04 [1.00-1.07], 0.98
-# [0.94-1.03], 0.98 [0.97-1.03]. Narrower columns move the crossover
-# up, but within run-to-run spread, so the threshold stays.
-_SORT_BLOCKS_FROM = 1 << 17
-
-
-def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Normalise a seed argument into a :class:`numpy.random.Generator`."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _permutation_sha256(perm: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(perm).tobytes()).hexdigest()
-
-
-def _recipe_generator(shuffle: Mapping[str, object]) -> np.random.Generator:
-    """A generator in the state a snapshot's shuffle was drawn from.
-
-    The recipe is the bit generator's class name and its state just
-    before :meth:`numpy.random.Generator.permutation` ran. A numpy that
-    lacks the class or rejects the state cannot redraw the shuffle, so
-    both raise :class:`~repro.exceptions.CheckpointMismatchError`.
-    """
-    name = str(shuffle["bit_generator"])
-    bit_generator_cls = getattr(np.random, name, None)
-    if not (
-        isinstance(bit_generator_cls, type)
-        and issubclass(bit_generator_cls, np.random.BitGenerator)
-    ):
-        raise CheckpointMismatchError(
-            f"snapshot shuffle uses bit generator {name!r}, which this numpy"
-            " does not provide; refusing to resume"
-        )
-    bit_generator = bit_generator_cls(0)
-    try:
-        bit_generator.state = shuffle["state"]
-    except (TypeError, ValueError, KeyError) as exc:
-        raise CheckpointMismatchError(
-            f"snapshot {name} state is not accepted by this numpy ({exc});"
-            " refusing to resume"
-        ) from exc
-    return np.random.Generator(bit_generator)
+def _draw_offset(seed: int | np.random.Generator | None, num_rows: int) -> int:
+    """The run's start position in the layout, drawn from the run seed."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return int(rng.integers(num_rows))
 
 
 class PrefixSampler:
-    """Shuffled prefix view of a :class:`~repro.data.column_store.ColumnSource`
+    """A run's prefix view of a :class:`~repro.data.column_store.ColumnSource`
     with incremental counts.
 
     Parameters
@@ -141,12 +89,13 @@ class PrefixSampler:
     store:
         The dataset to sample from.
     seed:
-        Seed or generator for the shuffle. Queries made with the same seed
-        on the same store are fully reproducible.
-    sequential:
-        When true, no shuffle is performed and "sampling M records" means
-        reading the first M *physical* rows. Only valid when the physical
-        row order is already random/exchangeable.
+        Seed or generator for the run's offset into the store's sampling
+        layout. Queries made with the same seed and layout on the same
+        store are fully reproducible.
+    layout_seed:
+        Seed of the store's sampling layout (``None``: the store's own,
+        which for an in-memory store is the default seed). An mmap store
+        accepts only the seed it was built with.
     backend:
         Counting backend: ``None`` or ``"numpy"`` for
         :class:`~repro.data.backends.NumpyBackend`, or any
@@ -157,6 +106,7 @@ class PrefixSampler:
     -----
     Counters are created lazily per attribute (and per attribute pair), so
     a query over a small candidate set never pays for unrelated columns.
+    Nothing ``N``-sized runs at construction.
     """
 
     def __init__(
@@ -164,7 +114,7 @@ class PrefixSampler:
         store: ColumnSource,
         seed: int | np.random.Generator | None = None,
         *,
-        sequential: bool = False,
+        layout_seed: int | None = None,
         backend: str | CountingBackend | None = None,
         counter_cache: CounterCache | None = None,
     ) -> None:
@@ -172,36 +122,14 @@ class PrefixSampler:
         self._n = store.num_rows
         self._counter_cache = counter_cache
         self._cells_saved = 0
-        # The shuffle's recipe and its memoised sha256; both ``None`` for
-        # sequential samplers (see state_snapshot / shuffle_fingerprint).
-        self._shuffle_recipe: dict[str, object] | None = None
-        self._shuffle_sha256: str | None = None
-        if sequential:
-            self._perm: np.ndarray | None = None
-        else:
-            rng = _as_generator(seed)
-            bit_generator = rng.bit_generator
-            # The state getter builds a fresh dict (and fresh arrays), so
-            # the draw below cannot alias it; a bit generator whose getter
-            # did alias would fail the sha256 check on resume, not resume
-            # wrong counts.
-            self._shuffle_recipe = {
-                "bit_generator": type(bit_generator).__name__,
-                "state": bit_generator.state,
-            }
-            self._perm = rng.permutation(self._n)
-            self._perm.setflags(write=False)
+        self._layout = store.sampling_layout(layout_seed)
+        self._offset = _draw_offset(seed, self._n)
         # attribute -> (rows_counted, counts[u_alpha])
         self._marginals: dict[str, tuple[int, np.ndarray]] = {}
         # (attr_a, attr_b) -> (rows_counted, JointCounter)
         self._joints: dict[tuple[str, str], tuple[int, JointCounter]] = {}
         self._cells_scanned = 0
         self._backend = resolve_backend(backend)
-        # Per-iteration permutation-block cache: the [start, stop) slice
-        # of the shuffle, materialized once and shared by every column
-        # and joint pair extending over the same block.
-        self._block_range: tuple[int, int] | None = None
-        self._block_rows: np.ndarray | None = None
         # name -> the dense joint most recently counted with name. At
         # that joint's stop, name's marginal is read off its running
         # total (see _derived_marginal).
@@ -256,20 +184,15 @@ class PrefixSampler:
         self._counter_cache = cache
 
     def shuffle_fingerprint(self) -> str:
-        """sha256 identity of the row order this sampler scans in.
+        """Identity of the row order this sampler scans in.
 
-        Counters are a pure function of (dataset, row order, prefix
+        The layout's sha256 and the run's offset, as ``"{sha256}+{r}"``.
+        Counters are a pure function of (dataset, layout, offset, prefix
         length), so cache partitions key on this next to the dataset
-        fingerprint. Sequential samplers all share the physical order
-        and return the literal marker ``"sequential"``. The shuffle is
-        fixed (and read-only) for the sampler's life, so the hash is
-        computed once.
+        fingerprint. An mmap store's sha256 comes from its manifest; an
+        in-memory store hashes its layout once and memoises it.
         """
-        if self._perm is None:
-            return "sequential"
-        if self._shuffle_sha256 is None:
-            self._shuffle_sha256 = _permutation_sha256(self._perm)
-        return self._shuffle_sha256
+        return f"{self._layout.sha256}+{self._offset}"
 
     @property
     def counted_attributes(self) -> tuple[str, ...]:
@@ -297,7 +220,7 @@ class PrefixSampler:
         One cell per row for each marginal and two for each joint pair,
         from the counter's current prefix (counters already past
         ``num_rows`` bill nothing). A held delta or a derived marginal
-        bills what a gather would; a counter cache is not consulted, so
+        bills what a read would; a counter cache is not consulted, so
         a cached prefix can only lower the cells actually billed.
         """
         cells = sum(
@@ -327,10 +250,9 @@ class PrefixSampler:
         """In-memory snapshot of the sampler's resumable state.
 
         Captures everything a resumed process needs to continue the scan
-        bit-identically: the shuffle's recipe (``None`` in sequential
-        mode; otherwise ``{"bit_generator", "state", "sha256"}`` — the
-        generator class and state the permutation was drawn from, and
-        :meth:`shuffle_fingerprint` to verify the redraw), every
+        bit-identically: the row order as ``shuffle`` —
+        ``{"layout_seed", "layout", "offset"}``, the layout's seed and
+        sha256 and the run's offset — every
         marginal counter with its counted prefix, every
         joint counter (via :meth:`~repro.data.joint.JointCounter.snapshot`),
         and the cumulative ``cells_scanned`` meter, which downstream
@@ -339,12 +261,13 @@ class PrefixSampler:
         :mod:`repro.durability.checkpoint`. The returned structures must
         not be mutated.
         """
-        shuffle = None
-        if self._shuffle_recipe is not None:
-            shuffle = {**self._shuffle_recipe, "sha256": self.shuffle_fingerprint()}
         return {
             "num_rows": self._n,
-            "shuffle": shuffle,
+            "shuffle": {
+                "layout_seed": self._layout.seed,
+                "layout": self._layout.sha256,
+                "offset": self._offset,
+            },
             "cells_scanned": self._cells_scanned,
             "cells_saved": self._cells_saved,
             "marginals": {
@@ -373,10 +296,10 @@ class PrefixSampler:
         """Rebuild a sampler over ``store`` from a :meth:`state_snapshot`.
 
         The restored sampler continues the scan exactly where the
-        snapshot left it: same shuffle, same counted prefixes, same
-        ``cells_scanned`` meter. The shuffle is redrawn from its recipe
-        and checked against the recorded sha256; a redraw that differs
-        (another numpy, an edited generator state) raises
+        snapshot left it: same layout, same offset, same counted
+        prefixes, same ``cells_scanned`` meter. A store whose layout
+        under the recorded seed has another sha256 (another numpy, a
+        store laid out differently) raises
         :class:`~repro.exceptions.CheckpointMismatchError`. Structural
         mismatches against ``store`` (row count, counter lengths vs.
         support sizes, out-of-range prefixes) raise
@@ -391,22 +314,27 @@ class PrefixSampler:
                 f" {store.num_rows}"
             )
         shuffle = state["shuffle"]
-        if shuffle is None:
-            sampler = cls(store, sequential=True, backend=backend)
-        else:
-            assert isinstance(shuffle, Mapping)
-            sampler = cls(
-                store,
-                seed=_recipe_generator(shuffle),
-                backend=backend,
+        assert isinstance(shuffle, Mapping)
+        offset = int(shuffle["offset"])
+        if not 0 <= offset < num_rows:
+            raise ParameterError(
+                f"sampler snapshot offset {offset} is outside [0, {num_rows})"
             )
-            if sampler.shuffle_fingerprint() != shuffle["sha256"]:
-                raise CheckpointMismatchError(
-                    "the shuffle redrawn from the snapshot's generator state"
-                    " does not match its recorded sha256 (a numpy upgrade may"
-                    " have changed permutation()); refusing to resume against"
-                    " a different row order"
-                )
+        try:
+            sampler = cls(store, layout_seed=int(shuffle["layout_seed"]), backend=backend)
+            layout_sha256 = sampler._layout.sha256
+        except ParameterError as exc:
+            raise CheckpointMismatchError(
+                f"cannot rebuild the snapshot's sampling layout: {exc}"
+            ) from exc
+        if layout_sha256 != shuffle["layout"]:
+            raise CheckpointMismatchError(
+                f"the store's sampling layout under seed {shuffle['layout_seed']}"
+                " does not match the snapshot's recorded sha256 (a numpy"
+                " upgrade may have changed permutation()); refusing to resume"
+                " against a different row order"
+            )
+        sampler._offset = offset
         marginals = state["marginals"]
         assert isinstance(marginals, dict)
         for name, entry in marginals.items():
@@ -448,11 +376,14 @@ class PrefixSampler:
         return sampler
 
     def shuffled_prefix(self, num_rows: int) -> np.ndarray:
-        """Return the row indices making up the first ``num_rows`` samples."""
+        """Return the row indices making up the first ``num_rows`` samples.
+
+        Logical row indices of the store (``N``-sized work: for tests
+        and diagnostics, never on the counting path).
+        """
         self._check_prefix(num_rows)
-        if self._perm is None:
-            return np.arange(num_rows)
-        return self._perm[:num_rows]
+        positions = (self._offset + np.arange(num_rows)) % self._n
+        return self._layout.permutation()[positions]
 
     def _check_prefix(self, num_rows: int) -> None:
         if not 0 < num_rows <= self._n:
@@ -460,44 +391,23 @@ class PrefixSampler:
                 f"prefix size must be in [1, {self._n}], got {num_rows}"
             )
 
-    def _prefix_rows(self, start: int, stop: int) -> np.ndarray | slice:
-        """Row selector for prefix positions ``start:stop``, cached per block.
+    def _slices(self, start: int, stop: int) -> list[slice]:
+        """Layout positions of prefix positions ``start:stop``: one or two slices."""
+        low = (self._offset + start) % self._n
+        high = low + (stop - start)
+        if high <= self._n:
+            return [slice(low, high)]
+        return [slice(low, self._n), slice(0, high - self._n)]
 
-        Within one adaptive iteration every live column (and joint pair)
-        extends its counts over the same ``[start, stop)`` block of the
-        shuffle, so the block is materialized once and shared until a
-        different block is requested or :meth:`release_block` drops it.
-        On stores of at least ``_SORT_BLOCKS_FROM`` rows the block is
-        the sorted copy of the permutation slice (in-block order is
-        free; see the module docstring). Sequential samplers return a
-        plain slice (the physical order needs no gather).
-        """
-        if self._block_range != (start, stop):
-            self._block_range = (start, stop)
-            if self._perm is None:
-                self._block_rows = None
-            elif self._n >= _SORT_BLOCKS_FROM:
-                self._block_rows = np.sort(self._perm[start:stop])
-            else:
-                self._block_rows = self._perm[start:stop]
-        if self._block_rows is None:
-            return slice(start, stop)
-        return self._block_rows
-
-    def release_block(self) -> None:
-        """Drop the cached permutation block.
-
-        A sorted block is a copy, not a view of the shuffle, so
-        :class:`repro.core.plan.PlanExecutor` releases it whenever a
-        query ends instead of holding it into the next run.
-        """
-        self._block_range = None
-        self._block_rows = None
+    def _layout_column(self, name: str, rows: slice) -> np.ndarray:
+        return self._store.layout_column(
+            name, rows.start, rows.stop, self._layout.seed
+        )
 
     def _column_block(self, name: str, start: int, stop: int) -> np.ndarray:
         """Return the encoded values of rows ``start:stop`` of the prefix."""
-        col = self._store.column(name)
-        return col[self._prefix_rows(start, stop)]
+        blocks = [self._layout_column(name, rows)[rows] for rows in self._slices(start, stop)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     # ------------------------------------------------------------------
     # Marginal counts
@@ -523,9 +433,9 @@ class PrefixSampler:
         """Occurrence counts of several attributes over the same prefix.
 
         The batched form of :meth:`marginal_counts` (which delegates
-        here): one backend pass counts every requested column, with the
-        permutation block materialized once and shared. Two kinds of
-        column skip the backend:
+        here): one backend pass per contiguous slice of the layout (one,
+        or two where the run wraps at ``N``) counts every requested
+        column. Two kinds of column skip the backend:
 
         * a column whose most recent dense joint (see
           :meth:`joint_counts_batch`) sits at ``num_rows`` is read off
@@ -533,7 +443,7 @@ class PrefixSampler:
         * a column one of whose :meth:`expect_joints` pairs has an
           existing dense joint at exactly the column's prefix is read
           off that pair's joint delta over the same block, counted here
-          from the column's block and the target's (gathered once per
+          from the column's block and the target's (read once per
           target and block), and the delta is held for the later query
           that counts the joint (:meth:`joint_counts_batch` adds it).
 
@@ -582,7 +492,7 @@ class PrefixSampler:
             starts[name] = counted
             counters[name] = counts
         # Group extensions by their start offset (counters at different
-        # prefixes need different blocks) so each block is gathered once.
+        # prefixes need different blocks) so each block is read once.
         by_start: dict[int, list[str]] = {}
         for name in ordered:
             start = starts[name]
@@ -596,20 +506,20 @@ class PrefixSampler:
             self._cells_scanned += num_rows - start
             self._marginals[name] = (num_rows, counters[name])
         for start, group in by_start.items():
-            rows = self._prefix_rows(start, num_rows)
             deltas = (
                 self._count_expected_joints(group, start, num_rows)
                 if self._expected and self._joints
                 else {}
             )
             rest = [name for name in group if name not in deltas]
-            if rest:
+            for rows in self._slices(start, num_rows) if rest else ():
                 fresh = self._backend.count_columns(
-                    [self._store.column(name) for name in rest],
+                    [self._layout_column(name, rows) for name in rest],
                     [counters[name].shape[0] for name in rest],
                     rows,
                 )
-                deltas.update(zip(rest, fresh))
+                for name, counts in zip(rest, fresh):
+                    deltas[name] = counts if name not in deltas else deltas[name] + counts
             for name in group:
                 counters[name] += deltas[name]
                 self._cells_scanned += num_rows - start
@@ -636,11 +546,10 @@ class PrefixSampler:
         For each column of ``group`` with an expected pair whose dense
         joint sits at exactly ``start``, count the pair's joint delta
         over ``[start, stop)`` from the column's block and the target's
-        (gathered once per target), hold it for the later query, and return
+        (read once per target), hold it for the later query, and return
         the marginal deltas of both attributes read off it (first pair
         wins). Joints that do not exist yet are never started here.
         """
-        rows = self._prefix_rows(start, stop)
         target_blocks: dict[str, np.ndarray] = {}
         deltas: dict[str, np.ndarray] = {}
         for name in group:
@@ -653,10 +562,10 @@ class PrefixSampler:
                 counter = state[1]
                 block_target = target_blocks.get(target)
                 if block_target is None:
-                    block_target = self._store.column(target)[rows]
+                    block_target = self._column_block(target, start, stop)
                     target_blocks[target] = block_target
                 if block is None:
-                    block = self._store.column(name)[rows]
+                    block = self._column_block(name, start, stop)
                 if key[0] == target:
                     delta = counter.count(block_target, block)
                 else:
@@ -688,26 +597,26 @@ class PrefixSampler:
 
         The batched form of :meth:`joint_counts` (which delegates here):
         the block of ``first`` values for each distinct start offset is
-        gathered once and shared by every pair extending over it, as is
-        the permutation block itself. Counts, cost accounting, and error
+        read once and shared by every pair extending over it. Counts,
+        cost accounting, and error
         behaviour are identical to the equivalent scalar calls.
 
         A pair at the start of a delta that
         :meth:`marginal_counts_batch` held for it takes that delta
-        (billed ``2 (stop - start)`` cells, as a gather would be) and
-        gathers only what lies beyond its stop; a held delta that no
+        (billed ``2 (stop - start)`` cells, as a read would be) and
+        reads only what lies beyond its stop; a held delta that no
         longer starts at the pair's prefix (a counter cache moved it) is
         dropped. Each dense pair also becomes the marginal source of both
         its attributes at its new prefix, so a following
         :meth:`marginal_counts_batch` reads their counts off the joint's
-        running total instead of gathering those columns again. Sparse
+        running total instead of counting those columns again. Sparse
         joints serve no marginals.
 
         Returns the live counters keyed by the second attribute's name;
         duplicate names collapse to one entry.
         """
         self._check_prefix(num_rows)
-        # first-column blocks gathered so far, keyed by start offset
+        # first-column blocks read so far, keyed by start offset
         first_blocks: dict[int, np.ndarray] = {}
         out: dict[str, JointCounter] = {}
         for second in seconds:
@@ -753,9 +662,7 @@ class PrefixSampler:
                 if block_first is None:
                     block_first = self._column_block(first, counted, num_rows)
                     first_blocks[counted] = block_first
-                block_second = self._store.column(second)[
-                    self._prefix_rows(counted, num_rows)
-                ]
+                block_second = self._column_block(second, counted, num_rows)
                 if key[0] == first:
                     counter.update(block_first, block_second)
                 else:

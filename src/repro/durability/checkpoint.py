@@ -4,11 +4,12 @@ A :class:`~repro.core.plan.PlanExecutor` run is deterministic at a fixed
 seed: the sample is a prefix of one shuffle, counters only grow, and
 every trace event is derived from counter state — so a snapshot of
 (shuffle, counters, retired answers, loop position) is enough to restart
-a killed plan and produce *bit-identical* final answers. The shuffle is
-recorded by its recipe, not its ``N`` indices: the bit generator's class
-and state just before the draw, plus the permutation's sha256, so the
-restore redraws it and proves the redraw identical (a numpy that draws
-differently is refused). This module owns that snapshot's on-disk form:
+a killed plan and produce *bit-identical* final answers. The row order
+is recorded as the store's sampling layout (its seed and sha256) and the
+run's offset into it, never as ``N`` indices; the restore checks the
+store's layout against the recorded sha256 (a store or numpy that lays
+the rows out differently is refused). This module owns that snapshot's
+on-disk form:
 
 * a single JSON document (``{"format", "schema_version", "sha256",
   "payload"}``) written through
@@ -17,9 +18,8 @@ differently is refused). This module owns that snapshot's on-disk form:
   (:func:`write_envelope`/:func:`read_envelope`) and counter codec
   (:func:`encode_counters`/:func:`decode_counters`) seal the plan
   cache's partition files (:mod:`repro.cache.store`);
-* arrays — the counters, and the few ndarray leaves of a generator
-  state (MT19937 ``key``, Philox ``counter``/``key``, SFC64 ``state``) —
-  encoded as base64(zlib(raw bytes)) with dtype and shape, so the
+* arrays — the counters — encoded as base64(zlib(raw bytes)) with
+  dtype and shape, so the
   restored values are byte-for-byte the saved ones; a checkpoint's size
   therefore tracks the counters, never the row count;
 * a sha256 over the canonical payload serialization, verified on load —
@@ -100,7 +100,10 @@ CHECKPOINT_FORMAT = "repro-plan-checkpoint"
 #: v3: the sampler records its shuffle as ``shuffle`` (bit generator,
 #: generator state, permutation sha256) instead of the ``permutation``
 #: array, and drops the redundant ``sequential`` flag.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: samplers read the store's sampling layout from a run offset, and
+#: ``shuffle`` is ``{"layout_seed", "layout", "offset"}`` (the layout's
+#: seed and sha256, and the offset).
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _PAYLOAD_KEYS = ("dataset", "executor", "sampler", "specs", "progress")
 
@@ -175,23 +178,6 @@ def _decode_joint(payload: dict[str, Any]) -> dict[str, Any]:
         out["sparse_codes"] = _decode_array(payload["sparse_codes"])
         out["sparse_counts"] = _decode_array(payload["sparse_counts"])
     return out
-
-
-def _encode_generator_state(value: Any) -> Any:
-    """JSON-ready generator state: ndarray leaves become tagged arrays."""
-    if isinstance(value, np.ndarray):
-        return {"ndarray": _encode_array(value)}
-    if isinstance(value, dict):
-        return {str(key): _encode_generator_state(item) for key, item in value.items()}
-    return value
-
-
-def _decode_generator_state(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"ndarray"}:
-            return _decode_array(value["ndarray"])
-        return {key: _decode_generator_state(item) for key, item in value.items()}
-    return value
 
 
 #: Encoded counter entries, one per marginal name or ``(first, second)``
@@ -284,6 +270,15 @@ def decode_counters(payload: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+def _shuffle_entry(shuffle: Mapping[str, Any]) -> dict[str, Any]:
+    """The sampler's row order: layout seed, layout sha256 and run offset."""
+    return {
+        "layout_seed": int(shuffle["layout_seed"]),
+        "layout": str(shuffle["layout"]),
+        "offset": int(shuffle["offset"]),
+    }
+
+
 def encode_sampler_state(
     state: dict[str, Any], memo: _CounterMemo | None = None
 ) -> dict[str, Any]:
@@ -291,14 +286,9 @@ def encode_sampler_state(
 
     ``memo`` is the sampler's counter memo (see :func:`encode_counters`).
     """
-    shuffle = state["shuffle"]
     return {
         "num_rows": int(state["num_rows"]),
-        "shuffle": None if shuffle is None else {
-            "bit_generator": str(shuffle["bit_generator"]),
-            "state": _encode_generator_state(shuffle["state"]),
-            "sha256": str(shuffle["sha256"]),
-        },
+        "shuffle": _shuffle_entry(state["shuffle"]),
         "cells_scanned": int(state["cells_scanned"]),
         "cells_saved": int(state.get("cells_saved", 0)),
         **encode_counters(state, memo),
@@ -308,14 +298,9 @@ def encode_sampler_state(
 def decode_sampler_state(payload: dict[str, Any]) -> dict[str, Any]:
     """Live-array form :meth:`~repro.data.sampling.PrefixSampler.from_state` takes."""
     try:
-        shuffle = payload["shuffle"]
         return {
             "num_rows": int(payload["num_rows"]),
-            "shuffle": None if shuffle is None else {
-                "bit_generator": str(shuffle["bit_generator"]),
-                "state": _decode_generator_state(shuffle["state"]),
-                "sha256": str(shuffle["sha256"]),
-            },
+            "shuffle": _shuffle_entry(payload["shuffle"]),
             "cells_scanned": int(payload["cells_scanned"]),
             "cells_saved": int(payload.get("cells_saved", 0)),
             **decode_counters(payload),
@@ -740,7 +725,8 @@ def read_envelope(
     if version != schema_version:
         raise CheckpointMismatchError(
             f"{target} has schema version {version!r}; this build reads"
-            f" only version {schema_version} and never migrates old files"
+            f" only version {schema_version} and never migrates old files;"
+            " start the run again without it"
         )
     payload = envelope.get("payload")
     if not isinstance(payload, dict):

@@ -123,7 +123,7 @@ def run_query(
     *,
     seed: int | None = 0,
     truth: GroundTruthCache | None = None,
-    sequential: bool = True,
+    layout_seed: int | None = None,
 ) -> QueryOutcome:
     """Run ``spec`` under ``algorithm`` and score it against exact ground truth.
 
@@ -131,12 +131,11 @@ def run_query(
     :class:`~repro.core.plan.PlanExecutor`, ``"entropy_rank"`` through
     :func:`~repro.core.plan.run_exact_stopping` (EntropyRank or
     EntropyFilter, by the spec's kind), and ``"exact"`` by full scan.
-    ``sequential`` defaults to ``True``, mirroring the paper's setup
+    Both sampled algorithms read the store's sampling layout (of
+    ``layout_seed``, ``None`` for the store's default) in contiguous
+    slices from an offset drawn from ``seed`` — the paper's setup
     ("SWOPE stores data by columnar layout and do sequential sampling",
-    Section 6.1): the synthetic datasets emit i.i.d. rows, so a physical
-    prefix is statistically equivalent to a shuffled one and avoids the
-    gather cost of permuted reads. Pass ``sequential=False`` to exercise
-    the shuffled path.
+    Section 6.1) on the default path.
     """
     if algorithm not in ALGORITHMS:
         raise ParameterError(
@@ -146,10 +145,12 @@ def run_query(
     result: QueryResult
     if algorithm == "swope":
         result = PlanExecutor(
-            store, seed=seed, sequential=sequential
+            store, seed=seed, layout_seed=layout_seed
         ).execute_one(spec)
     elif algorithm == "entropy_rank":
-        result = run_exact_stopping(store, spec, seed=seed, sequential=sequential)
+        result = run_exact_stopping(
+            store, spec, seed=seed, layout_seed=layout_seed
+        )
     else:
         result = _exact_answer(store, spec)
     scores = truth.scores(store, spec)

@@ -234,7 +234,8 @@ class FlakyReader:
 class FlakyStore:
     """ColumnStore wrapper injecting transient failures into column reads.
 
-    The first ``fail_times`` calls to :meth:`column` raise ``OSError``;
+    The first ``fail_times`` column reads (:meth:`column`, and the
+    sampler's :meth:`layout_column`) raise ``OSError``;
     later calls succeed, optionally after ``latency_s`` of injected
     delay per read. Everything else delegates to the wrapped store, so a
     ``FlakyStore`` can stand in anywhere a
@@ -267,8 +268,8 @@ class FlakyStore:
         self.reads = 0
         self.failures_injected = 0
 
-    # -- fault-injected read -------------------------------------------
-    def column(self, name: str):
+    # -- fault-injected reads ------------------------------------------
+    def _inject(self) -> None:
         self.reads += 1
         if self._remaining_failures > 0:
             self._remaining_failures -= 1
@@ -276,6 +277,9 @@ class FlakyStore:
             raise OSError(self._message)
         if self._latency_s > 0.0:
             self._sleep(self._latency_s)
+
+    def column(self, name: str):
+        self._inject()
         # Fault-injection wrapper: this *is* the read it instruments.
         return self._store.column(name)  # noqa: SWP018
 
@@ -283,6 +287,11 @@ class FlakyStore:
         # Routed through self.column() so block reads share the same
         # failure/latency injection as whole-handle reads.
         return self.column(name)[rows]  # noqa: SWP018
+
+    def layout_column(self, name: str, start: int, stop: int, layout_seed=None):
+        # The sampler's reads: injected like every other column read.
+        self._inject()
+        return self._store.layout_column(name, start, stop, layout_seed)
 
     # -- transparent delegation ----------------------------------------
     @property

@@ -310,6 +310,44 @@ def test_execute_writes_the_partition_once_per_plan(
     assert len(writes) == 1
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_budgeted_rerun_is_served_only_within_the_recorded_cost(
+    tmp_path: Path, index: int
+) -> None:
+    from repro.core.budget import QueryBudget
+    from repro.obs import InMemorySink
+
+    store = _store()
+    spec = _specs()[index]
+    cold = PlanExecutor(store, seed=SEED, cache_dir=tmp_path).execute_one(spec)
+    cells, size = cold.stats.cells_scanned, cold.stats.final_sample_size
+    assert cells > 0
+
+    def rerun(budget: QueryBudget) -> tuple[object, list[str]]:
+        sink = InMemorySink()
+        result = PlanExecutor(
+            store, seed=SEED, cache_dir=tmp_path, trace=sink
+        ).execute_one(spec, budget=budget)
+        return result, sink.kinds()
+
+    # Caps the recorded run fits, and a deadline alone: served, 0 cells.
+    for budget in (
+        QueryBudget(max_cells=cells, max_sample_size=size),
+        QueryBudget(deadline_ms=1e9),
+    ):
+        result, kinds = rerun(budget)
+        assert "answer_reused" in kinds and "iteration" not in kinds
+        assert result.stats.cells_scanned == 0
+        assert _payloads({"q": result}) == _payloads({"q": cold})
+    # A cap below the recorded cost: the engine runs again.
+    for budget in (
+        QueryBudget(max_cells=cells - 1),
+        QueryBudget(max_sample_size=size - 1),
+    ):
+        _, kinds = rerun(budget)
+        assert "cache_miss" in kinds and "iteration" in kinds
+
+
 def test_strict_truncated_plan_keeps_its_partial_counters(
     tmp_path: Path,
 ) -> None:

@@ -13,6 +13,9 @@ three. The audit requires that share minus a binomial tolerance.
   counters come from a plan cache, and runs resumed from a mid-plan
   checkpoint all go through :meth:`PlanExecutor.execute`, with one
   executor per run seed.
+* **Layouts.** Every run also draws its own sampling layout (the layout
+  seed is the run seed; an mmap store is built in it), so the runs are
+  independent. Runs that share one layout are not (docs/THEORY.md).
 * **Schedule.** The paper schedule has a dozen sizes, which would shrink
   the per-bound ``p`` below 0.1. The audit swaps in short schedules
   (the ``short_schedule`` fixture), so entropy queries run at per-bound ``p = 0.2``
@@ -174,21 +177,26 @@ def _run(store, specs, seed, failure, **executor_kwargs) -> InMemorySink:
     return sink
 
 
-def _audit(store, specs, failure, exact, seeds, tmp_path, mode) -> Coverage:
+def _audit(store_for, specs, failure, exact, seeds, tmp_path, mode) -> Coverage:
+    """Coverage over ``seeds``; ``store_for(seed)`` gives a run's store
+    and the executor keywords that select its layout."""
     coverage = Coverage(exact, failure_rate(specs, failure))
     for seed in seeds:
+        store, layout = store_for(seed)
         if mode == "cold":
-            coverage.add_run(_run(store, specs, seed, failure))
+            coverage.add_run(_run(store, specs, seed, failure, **layout))
         elif mode == "warm":
             cache = tmp_path / f"cache-{seed}"
-            _run(store, specs, seed, failure, cache_dir=cache)
+            _run(store, specs, seed, failure, cache_dir=cache, **layout)
             # Another epsilon misses the cached answers, so the engine
             # runs again over counters served from the cache.
             warm_specs = [
                 QuerySpec(**{**spec.__dict__, "epsilon": 2 * EPSILON})
                 for spec in specs
             ]
-            coverage.add_run(_run(store, warm_specs, seed, failure, cache_dir=cache))
+            coverage.add_run(
+                _run(store, warm_specs, seed, failure, cache_dir=cache, **layout)
+            )
         else:  # resumed from a checkpoint taken mid-plan
             kill_at = 3 if specs[0].score == "entropy" else 1
             path = tmp_path / f"run-{seed}.ckpt"
@@ -196,7 +204,7 @@ def _audit(store, specs, failure, exact, seeds, tmp_path, mode) -> Coverage:
             with pytest.raises(SimulatedKillError):
                 PlanExecutor(
                     store, seed=seed, failure_probability=failure,
-                    checkpoint_path=path, trace=killed,
+                    checkpoint_path=path, trace=killed, **layout,
                 ).execute(
                     plan_queries(store, specs),
                     cancellation=BoundaryFaultToken(ChaosPlan.kill_at(kill_at)),
@@ -231,9 +239,14 @@ def failure_rate(specs, failure: float) -> float:
 def test_intervals_cover_at_their_stated_rate(
     audit_store, tmp_path, store_kind, mode, runs, score
 ):
-    store = audit_store
-    if store_kind == "mmap":
-        store = MmapStore.from_column_store(audit_store, tmp_path / "store")
+    def store_for(seed: int):
+        if store_kind == "mmap":
+            disk = MmapStore.from_column_store(
+                audit_store, tmp_path / f"store-{seed}", layout_seed=seed
+            )
+            return disk, {}
+        return audit_store, {"layout_seed": seed}
+
     if score == "entropy":
         specs, failure = _entropy_specs(audit_store), ENTROPY_FAILURE
         exact = {spec.attributes[0]: spec.threshold for spec in specs}
@@ -241,7 +254,7 @@ def test_intervals_cover_at_their_stated_rate(
         specs, failure = _mi_specs(audit_store), MI_FAILURE
         exact = {"noisy": specs[0].threshold}
     seeds = range(1_000, 1_000 + runs)
-    coverage = _audit(store, specs, failure, exact, seeds, tmp_path, mode)
+    coverage = _audit(store_for, specs, failure, exact, seeds, tmp_path, mode)
     # Every size of the schedule below N was evaluated in every run.
     evaluated = {size for _, size in coverage.runs}
     assert NUM_ROWS - 1 in evaluated

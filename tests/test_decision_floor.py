@@ -26,7 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import plan as plan_module
-from repro.core.bounds import FLOOR_MARGIN, mi_decision_floor
+from repro.core.bounds import (
+    FLOOR_MARGIN,
+    bias_bound,
+    mi_decision_floor,
+    permutation_half_width,
+)
 from repro.core.budget import QueryBudget
 from repro.core.engine import default_failure_probability
 from repro.core.estimators import _entropy_from_trusted_counts
@@ -322,6 +327,82 @@ class TestMarginAndHelper:
             sizes, 1_000, 1e-9, 4, [1], epsilon=None, threshold=0.0
         )
         assert floor == len(sizes) - 1
+
+
+def _scalar_floor(
+    sizes, population_size, failure_probability, target_support,
+    candidate_supports, *, epsilon, k=None, threshold=None, prune=True,
+) -> int:
+    """The scalar loop ``mi_decision_floor`` replaced: its reference."""
+    if k is not None and epsilon is None and k >= len(candidate_supports):
+        return 0
+    prunes = k is not None and prune and len(candidate_supports) > k
+    n = population_size
+    margin = FLOOR_MARGIN
+    last = len(sizes) - 1
+    for index in range(last):
+        m = sizes[index]
+        lam = permutation_half_width(m, n, failure_probability)
+        bias_target = bias_bound(target_support, m, n)
+        lower_top, upper_low, upper_top, width_min = 0.0, math.inf, 0.0, math.inf
+        for support in set(candidate_supports):
+            score = math.log2(min(support, target_support, m)) + margin
+            bias = bias_bound(support, m, n)
+            bias_joint = bias_bound(target_support * support, m, n)
+            lower_top = max(lower_top, score - 3.0 * lam - bias_joint)
+            spread = 3.0 * lam + bias_target + bias
+            upper_low = min(upper_low, max(0.0, spread - margin))
+            upper_top = max(upper_top, score + spread)
+            width_min = min(width_min, 6.0 * lam + bias_target + bias + bias_joint)
+        width_min -= margin
+        if threshold is None:
+            if epsilon is None:
+                if lower_top >= upper_low:
+                    return index
+            elif upper_low <= 0.0 or width_min <= epsilon * upper_top:
+                return index
+            if prunes and lower_top > upper_low:
+                return index
+        elif epsilon is None:
+            if lower_top > threshold or upper_low < threshold:
+                return index
+        elif (
+            width_min < 2.0 * epsilon * threshold
+            or lower_top >= (1.0 - epsilon) * threshold
+            or upper_low < (1.0 + epsilon) * threshold
+        ):
+            return index
+    return last
+
+
+@st.composite
+def _floor_inputs(draw):
+    n = draw(st.integers(min_value=2, max_value=2_000_000))
+    start = draw(st.integers(min_value=1, max_value=max(1, n // 4)))
+    kwargs = {
+        "epsilon": draw(st.one_of(st.none(), st.floats(0.01, 0.999))),
+        "prune": draw(st.booleans()),
+    }
+    supports = draw(st.lists(st.integers(1, 300), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        kwargs["k"] = draw(st.integers(1, 10))
+    else:
+        kwargs["threshold"] = draw(st.floats(0.0, 10.0))
+    args = (
+        SampleSchedule(n, start).sizes,
+        n,
+        draw(st.floats(1e-12, 0.3)),
+        draw(st.integers(1, 64)),
+        supports,
+    )
+    return args, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_floor_inputs())
+def test_vectorised_floor_matches_the_scalar_loop(inputs):
+    args, kwargs = inputs
+    assert mi_decision_floor(*args, **kwargs) == _scalar_floor(*args, **kwargs)
 
 
 def _mi_first_specs() -> list[QuerySpec]:

@@ -35,16 +35,23 @@ class TestRunnerSequentialFlag:
     def test_shuffled_path(self, dataset):
         outcome = run_query(
             dataset.store, "swope", QuerySpec("top_k", "entropy", k=2),
-            seed=3, sequential=False,
+            seed=3, layout_seed=3,
         )
         assert len(outcome.answer) == 2
 
-    def test_sequential_deterministic_regardless_of_seed(self, dataset):
+    def test_layout_seed_is_part_of_the_run(self, dataset):
         spec = QuerySpec("top_k", "entropy", k=2)
-        a = run_query(dataset.store, "swope", spec, seed=1, sequential=True)
-        b = run_query(dataset.store, "swope", spec, seed=2, sequential=True)
-        assert a.answer == b.answer
-        assert a.cells_scanned == b.cells_scanned
+        runs = [
+            run_query(dataset.store, algorithm, spec, seed=1, layout_seed=layout)
+            for algorithm in ("swope", "entropy_rank")
+            for layout in (None, 0, 5)
+        ]
+        # None is the default layout seed 0; another seed is another sample
+        for default, zero, other in (runs[:3], runs[3:]):
+            assert (default.answer, default.cells_scanned) == (
+                zero.answer, zero.cells_scanned
+            )
+            assert default.answer == other.answer
 
     def test_mi_filter_exact_runner(self, dataset):
         target = dataset.mi_targets[0]

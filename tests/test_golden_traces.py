@@ -7,16 +7,16 @@ is compared byte-for-byte against a committed golden file under
 :class:`~repro.core.plan.PlanExecutor` so the plan-level events
 (``plan_start``/``query_retired``/``plan_end``) are pinned too. Trace
 events carry no wall-clock fields, so the stream is a pure function of
-the seeded shuffle — any diff is a real behaviour change in the engine,
-not noise.
+the store's sampling layout and the seeded run offset — any diff is a
+real behaviour change in the engine, not noise.
 
 The first line of every trace is the schema header; it is parsed (not
 byte-compared) so bumping ``TRACE_SCHEMA_VERSION`` fails loudly in
 ``test_schema_version_matches_goldens`` rather than as a confusing
-whole-file diff. Every case also runs with each permutation block
-gathered in row order (the sampler's path on large stores), against the
-same goldens, and with the decision floor of MI queries switched off,
-where only the ``iteration`` events below each floor may differ.
+whole-file diff. Every case also runs on a memory-mapped copy of the
+store, which holds the same layout on disk, against the same goldens,
+and with the decision floor of MI queries switched off, where only the
+``iteration`` events below each floor may differ.
 Regenerate the goldens after an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/test_golden_traces.py --update-golden
@@ -40,9 +40,9 @@ from repro.core.swope import (
     swope_top_k_entropy,
     swope_top_k_mutual_information,
 )
-from repro.data import sampling
 from repro.data.backends import CountingBackend
-from repro.data.column_store import ColumnStore
+from repro.data.column_store import ColumnSource, ColumnStore
+from repro.data.mmap_store import MmapStore
 from repro.obs import TRACE_SCHEMA_VERSION, JsonlSink
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -86,9 +86,12 @@ def _mixed_specs() -> list[QuerySpec]:
 
 
 def _run_case(
-    case: str, sink: JsonlSink, backend: str | CountingBackend | None = None
+    case: str,
+    sink: JsonlSink,
+    backend: str | CountingBackend | None = None,
+    store: ColumnSource | None = None,
 ) -> None:
-    store = _golden_store()
+    store = _golden_store() if store is None else store
     if case == "plan_mixed":
         executor = PlanExecutor(store, seed=SEED, backend=backend)
         plan = plan_queries(store, _mixed_specs())
@@ -147,11 +150,13 @@ def _run_case(
 
 
 def _trace_lines(
-    case: str, backend: str | CountingBackend | None = None
+    case: str,
+    backend: str | CountingBackend | None = None,
+    store: ColumnSource | None = None,
 ) -> list[str]:
     buffer = io.StringIO()
     sink = JsonlSink(buffer)
-    _run_case(case, sink, backend)
+    _run_case(case, sink, backend, store)
     sink.close()
     return buffer.getvalue().splitlines()
 
@@ -193,12 +198,11 @@ def _assert_matches_golden(case: str, lines: list[str]) -> None:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_sorted_blocks_trace_matches_golden(case: str, monkeypatch) -> None:
-    # The golden store is far below the size from which the sampler
-    # gathers each block in row order; forcing the sorted path on it
-    # must leave every event unchanged.
-    monkeypatch.setattr(sampling, "_SORT_BLOCKS_FROM", 0)
-    _assert_matches_golden(case, _trace_lines(case))
+def test_mmap_trace_matches_golden(case: str, tmp_path) -> None:
+    # An mmap copy is written in the layout the memory store samples in
+    # under the same layout seed: every event must be unchanged.
+    store = MmapStore.from_column_store(_golden_store(), tmp_path / "store")
+    _assert_matches_golden(case, _trace_lines(case, store=store))
 
 
 @pytest.mark.parametrize("case", CASES)

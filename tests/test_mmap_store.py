@@ -87,10 +87,17 @@ class TestWriter:
         assert disk_store.attributes == memory_store.attributes
         assert disk_store.support_sizes() == memory_store.support_sizes()
         assert disk_store.max_support_size() == memory_store.max_support_size()
+        n = memory_store.num_rows
         for name in memory_store.attributes:
+            # The files hold the rows in the layout the memory store
+            # samples in under the same (default) layout seed.
             np.testing.assert_array_equal(
-                np.asarray(disk_store.column(name)), memory_store.column(name)
+                np.asarray(disk_store.column(name)),
+                memory_store.layout_column(name, 0, n),
             )
+        assert disk_store.sampling_layout().sha256 == (
+            memory_store.sampling_layout().sha256
+        )
 
     def test_dtypes_match_in_memory_choice(self, memory_store, disk_store):
         # Same smallest signed dtype as ColumnStore: the storage width is
@@ -216,15 +223,16 @@ class TestColumnSourceInterop:
         assert reopened.fingerprint() == disk_store.fingerprint()
 
     def test_column_block_matches_memory(self, memory_store, disk_store, rng):
-        rows = rng.permutation(memory_store.num_rows)[:333]
+        # Physical rows of the mmap store are layout positions.
+        n = memory_store.num_rows
+        rows = rng.permutation(n)[:333]
         for name in memory_store.attributes:
+            laid_out = memory_store.layout_column(name, 0, n)
             np.testing.assert_array_equal(
-                disk_store.column_block(name, rows),
-                memory_store.column_block(name, rows),
+                disk_store.column_block(name, rows), laid_out[rows]
             )
             np.testing.assert_array_equal(
-                disk_store.column_block(name, slice(10, 200)),
-                memory_store.column_block(name, slice(10, 200)),
+                disk_store.column_block(name, slice(10, 200)), laid_out[10:200]
             )
 
     def test_value_counts_match_memory(self, memory_store, disk_store):
@@ -234,7 +242,10 @@ class TestColumnSourceInterop:
             )
             np.testing.assert_array_equal(
                 disk_store.value_counts(name, num_rows=500),
-                memory_store.value_counts(name, num_rows=500),
+                np.bincount(
+                    memory_store.layout_column(name, 0, 500)[:500],
+                    minlength=memory_store.support_size(name),
+                ),
             )
 
     def test_unknown_attribute_rejected(self, disk_store):
@@ -329,12 +340,14 @@ def _legacy_fingerprint(store: MmapStore) -> str:
     """The fingerprint recipe of int16-only builds, over the column files.
 
     Written out here rather than called, so the test pins the manifests
-    that earlier builds wrote, independently of the library's helper.
+    that earlier builds wrote, independently of the library's helper. The
+    files are in layout order; the fingerprint hashes the original order.
     """
+    logical = np.argsort(store.sampling_layout().permutation())
     digest = hashlib.sha256()
     digest.update(f"rows:{store.num_rows}\n".encode("utf-8"))
     for name in store.attributes:
-        column = np.asarray(store.column(name))
+        column = np.asarray(store.column(name))[logical]
         digest.update(
             f"col:{name}:{store.support_size(name)}:{column.dtype.str}\n".encode(
                 "utf-8"

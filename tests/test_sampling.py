@@ -13,6 +13,7 @@ from repro.data import sampling
 from repro.data.backends import NumpyBackend
 from repro.data.column_store import ColumnStore
 from repro.data.joint import JointCounter
+from repro.data.mmap_store import MmapStore
 from repro.data.sampling import PrefixSampler
 from repro.exceptions import ParameterError, QueryInterruptedError, SchemaError
 
@@ -43,23 +44,28 @@ class TestShuffle:
         assert np.array_equal(a, b)
 
     def test_shuffle_is_read_only_and_hashed_once(self, store, monkeypatch):
-        from repro.data import sampling
+        from repro.data import layout
 
         calls: list[int] = []
-        real = sampling._permutation_sha256
+        real = layout._permutation_sha256
 
         def counting(perm):
             calls.append(len(perm))
             return real(perm)
 
-        monkeypatch.setattr(sampling, "_permutation_sha256", counting)
+        monkeypatch.setattr(layout, "_permutation_sha256", counting)
         sampler = PrefixSampler(store, seed=3)
         first = sampler.shuffle_fingerprint()
         sampler.state_snapshot()
+        # another run over the store reuses the memoised layout
+        other = PrefixSampler(store, seed=4)
         assert sampler.shuffle_fingerprint() == first
+        assert other.shuffle_fingerprint().split("+")[0] == first.split("+")[0]
         assert calls == [store.num_rows]
         with pytest.raises(ValueError):
-            sampler.shuffled_prefix(10)[0] = 0
+            store.sampling_layout().permutation()[0] = 0
+        with pytest.raises(ValueError):
+            store.layout_column("x", 0, 10)[0] = 0
 
     def test_different_seeds_differ(self, store):
         a = PrefixSampler(store, seed=1).shuffled_prefix(100)
@@ -70,9 +76,20 @@ class TestShuffle:
         sampler = PrefixSampler(store, seed=np.random.default_rng(3))
         assert sampler.shuffled_prefix(5).shape == (5,)
 
-    def test_sequential_mode_is_identity(self, store):
-        sampler = PrefixSampler(store, sequential=True)
-        assert np.array_equal(sampler.shuffled_prefix(10), np.arange(10))
+    def test_prefix_is_a_wrapping_run_of_the_layout(self, store):
+        n = store.num_rows
+        perm = store.sampling_layout().permutation()
+        sampler = PrefixSampler(store, seed=11)
+        offset = int(np.random.default_rng(11).integers(n))
+        expected = perm[(offset + np.arange(n)) % n]
+        assert np.array_equal(sampler.shuffled_prefix(n), expected)
+        # a run that starts near the end wraps: counts over both slices
+        sampler._offset = n - 7
+        counts = sampler.marginal_counts("x", 20)
+        rows = np.concatenate([perm[n - 7:], perm[:13]])
+        assert np.array_equal(
+            counts, np.bincount(store.column("x")[rows], minlength=10)
+        )
 
     def test_prefix_bounds_checked(self, store):
         sampler = PrefixSampler(store, seed=1)
@@ -178,11 +195,20 @@ class SpyBackend:
     name = "spy"
 
     def __init__(self, store: ColumnStore) -> None:
-        self._names = {id(store.column(a)): a for a in store.attributes}
+        self._names = {
+            id(store.layout_column(a, 0, 0)): a for a in store.attributes
+        }
         self.counted: list[str] = []
+        self._last: tuple[list[str], int] | None = None
 
     def count_columns(self, columns, support_sizes, rows):
-        self.counted.extend(self._names[id(column)] for column in columns)
+        names = [self._names[id(column)] for column in columns]
+        # A block that wraps at N arrives as two slices, [lo, N) then
+        # [0, hi): record its columns once.
+        wrapped = rows.start == 0 and self._last == (names, len(columns[0]))
+        if not wrapped:
+            self.counted.extend(names)
+        self._last = (names, rows.stop)
         return NumpyBackend().count_columns(columns, support_sizes, rows)
 
 
@@ -508,14 +534,6 @@ class TestDerivedMarginals:
         assert_exact_prefix_counts(sampler, sparse_store)
 
 
-def sort_blocks(monkeypatch, store, on):
-    """Gather every permutation block of ``store`` sorted (``on``) or
-    through the unsorted slice, whatever the store's size."""
-    monkeypatch.setattr(
-        sampling, "_SORT_BLOCKS_FROM", 0 if on else store.num_rows + 1
-    )
-
-
 def assert_same_state(ours, theirs):
     """Equal nested snapshots: same keys, same order, same array bytes."""
     if isinstance(ours, dict):
@@ -534,19 +552,20 @@ def assert_same_state(ours, theirs):
 
 
 class RowsBackend(NumpyBackend):
-    """Numpy counting that records every block of rows it is handed."""
+    """Numpy counting that records every row selector it is handed."""
 
     def __init__(self) -> None:
-        self.rows: list[np.ndarray] = []
+        self.rows: list[slice] = []
 
     def count_columns(self, columns, support_sizes, rows):
-        self.rows.append(np.array(rows))
+        self.rows.append(rows)
         return super().count_columns(columns, support_sizes, rows)
 
 
-class TestSortedBlocks:
-    """A block is a set of rows: gathering it sorted changes no count,
-    snapshot, held delta or written byte."""
+class TestLayoutReads:
+    """Runs read contiguous slices of the layout: an mmap store and an
+    in-memory store of one layout give the same counts, snapshots, held
+    deltas and written bytes."""
 
     @staticmethod
     def _store():
@@ -583,11 +602,10 @@ class TestSortedBlocks:
         sampler.marginal_counts_batch(["x", "y", "wide", "wider", "target"], 4000)
         return sampler, held, backend.rows
 
-    def test_counts_snapshots_and_held_deltas_match(self, monkeypatch):
+    def test_counts_snapshots_and_held_deltas_match(self, tmp_path):
         store = self._store()
-        sort_blocks(monkeypatch, store, on=True)
-        ours, our_held, our_rows = self._count(store)
-        sort_blocks(monkeypatch, store, on=False)
+        disk = MmapStore.from_column_store(store, tmp_path / "store")
+        ours, our_held, our_rows = self._count(disk)
         theirs, their_held, their_rows = self._count(store)
 
         assert set(our_held) == {("target", "x"), ("target", "y")}
@@ -599,18 +617,11 @@ class TestSortedBlocks:
             snapshot["joints"][-1]["counter"]
         ).is_dense
         assert_exact_prefix_counts(ours, store)
-        # the backend saw the same sets of rows, sorted only when asked
-        assert len(our_rows) == len(their_rows) > 0
-        for sorted_rows, rows in zip(our_rows, their_rows):
-            assert np.array_equal(sorted_rows, np.sort(rows))
-            assert np.all(np.diff(sorted_rows) > 0)
-        assert any(np.any(np.diff(rows) < 0) for rows in their_rows)
-
-    def test_default_threshold_sorts_only_large_stores(self):
-        small = ColumnStore({"x": np.arange(1000) % 7})
-        rows = PrefixSampler(small, seed=1)._prefix_rows(0, 500)
-        assert np.any(np.diff(rows) < 0)
-        assert sampling._SORT_BLOCKS_FROM > 60_000
+        # the backend saw only contiguous slices, the run's last block
+        # wrapping at N into two of them
+        assert our_rows == their_rows
+        assert all(isinstance(rows, slice) and rows.step is None for rows in our_rows)
+        assert our_rows[-1].start == 0
 
     @staticmethod
     def _specs():
@@ -655,37 +666,10 @@ class TestSortedBlocks:
         # wall-clock fields are the only other source of difference
         fake_clocks(0.0)
         store = self._store()
-        sort_blocks(monkeypatch, store, on=True)
-        ours = self._writes(store, tmp_path / "sorted", monkeypatch)
-        sort_blocks(monkeypatch, store, on=False)
-        theirs = self._writes(store, tmp_path / "unsorted", monkeypatch)
+        disk = MmapStore.from_column_store(store, tmp_path / "store")
+        ours = self._writes(disk, tmp_path / "mmap", monkeypatch)
+        theirs = self._writes(store, tmp_path / "memory", monkeypatch)
         names = [name for name, _ in ours]
         assert names.count("plan.ckpt") > 8
         assert any(name.startswith("cache/") for name in names)
         assert ours == theirs
-
-    def test_no_block_outlives_a_query(self, monkeypatch):
-        store = self._store()
-        sort_blocks(monkeypatch, store, on=True)
-        plan = plan_queries(store, self._specs())
-
-        executor = PlanExecutor(store, seed=5)
-        executor.execute(plan)
-        assert executor.sampler._block_rows is None
-
-        truncated = PlanExecutor(store, seed=5, budget=QueryBudget(max_cells=1))
-        with pytest.raises(QueryInterruptedError):
-            truncated.execute(plan, strict=True)
-        assert truncated.sampler._block_rows is None
-
-        class FailingBackend(NumpyBackend):
-            def count_columns(self, columns, support_sizes, rows):
-                raise OSError("simulated store read error")
-
-        failing = PlanExecutor(store, seed=5, backend=FailingBackend())
-        with pytest.raises(OSError):
-            failing.execute(plan)
-        assert failing.sampler._block_rows is None
-        with pytest.raises(OSError):
-            failing.top_k_entropy(1)
-        assert failing.sampler._block_rows is None

@@ -115,6 +115,8 @@ class TestGuaranteesStillHold:
 
 class TestSequentialSession:
     def test_sequential_mode(self, store):
-        executor = PlanExecutor(store, sequential=True)
+        # Every run reads its sample sequentially from the layout; the
+        # layout seed picks which layout.
+        executor = PlanExecutor(store, layout_seed=7)
         result = executor.top_k_entropy(1, epsilon=0.2)
         assert result.attributes == ["wide"]

@@ -150,5 +150,5 @@ class TestCustomScheduleAndSampler:
         assert result.stats.final_sample_size == small_store.num_rows
 
     def test_sequential_sampler(self, small_store):
-        result = swope_top_k_entropy(small_store, k=2, sequential=True)
+        result = swope_top_k_entropy(small_store, k=2, seed=0, layout_seed=7)
         assert result.attributes == ["wide", "medium"]
