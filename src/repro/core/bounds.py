@@ -28,6 +28,7 @@ dataset), which the algorithms rely on for guaranteed termination.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -528,21 +529,49 @@ def mi_decision_floor(
     if last <= 0:
         return last
     _check_probability(failure_probability)
-    prunes = k is not None and prune and len(candidate_supports) > k
-    n = float(population_size)
-    margin = FLOOR_MARGIN
-    # One row per size below N, one column per distinct candidate support.
-    m = np.array(sizes[:last], dtype=np.float64)[:, None]
-    if not 1.0 <= m.min() <= m.max() <= n:
+    if not 1 <= min(sizes[:last]) <= max(sizes[:last]) <= population_size:
         raise ParameterError(
             f"sample sizes must be in [1, {population_size}], got {sizes[:last]}"
         )
-    u = np.array(sorted(set(candidate_supports)), dtype=np.float64)[None, :]
+    return _floor_index(
+        tuple(sizes[:last]),
+        float(population_size),
+        failure_probability,
+        float(target_support),
+        tuple(sorted(set(candidate_supports))),
+        epsilon,
+        threshold,
+        k is not None and prune and len(candidate_supports) > k,
+        FLOOR_MARGIN,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _floor_index(
+    sizes: tuple[int, ...],
+    n: float,
+    failure_probability: float,
+    target_support: float,
+    supports: tuple[int, ...],
+    epsilon: float | None,
+    threshold: float | None,
+    prunes: bool,
+    margin: float,
+) -> int:
+    """:func:`mi_decision_floor` over the sizes below ``N``, memoised.
+
+    A pure function of its arguments, and plans repeat query shapes, so
+    a repeated shape costs a lookup instead of some 60 numpy calls.
+    """
+    last = len(sizes)
+    # One row per size below N, one column per distinct candidate support.
+    m = np.array(sizes, dtype=np.float64)[:, None]
+    u = np.array(supports, dtype=np.float64)[None, :]
     lam = _half_widths(m, n, failure_probability)
-    bias_target = _bias_bounds(float(target_support), m, n)
+    bias_target = _bias_bounds(target_support, m, n)
     bias = _bias_bounds(u, m, n)
-    bias_joint = _bias_bounds(float(target_support) * u, m, n)
-    score = np.log2(np.minimum(np.minimum(u, float(target_support)), m)) + margin
+    bias_joint = _bias_bounds(target_support * u, m, n)
+    score = np.log2(np.minimum(np.minimum(u, target_support), m)) + margin
     spread = 3.0 * lam + bias_target + bias
     # largest lower bound, smallest and largest upper bound, narrowest width
     lower_top = np.maximum(0.0, (score - 3.0 * lam - bias_joint).max(axis=1))

@@ -6,7 +6,8 @@ from disk (:class:`~repro.data.mmap_store.MmapStore`) behind the common
 :class:`~repro.data.column_store.ColumnSource` protocol, how raw values
 become dense codes (:mod:`repro.data.encoding`), how files are read and
 cached (:mod:`repro.data.csv_io`), the paper's column pre-filters
-(:mod:`repro.data.filters`), the sampling-without-replacement substrate
+(:mod:`repro.data.filters`), each store's one-shuffle sampling layout
+(:mod:`repro.data.layout`), the sampling-without-replacement substrate
 with incremental marginal/joint counters (:mod:`repro.data.sampling`,
 :mod:`repro.data.joint`), and the counting backend
 (:mod:`repro.data.backends`).
@@ -23,6 +24,7 @@ from repro.data.filters import (
     drop_high_support_columns,
 )
 from repro.data.joint import JointCounter
+from repro.data.layout import SamplingLayout
 from repro.data.mmap_store import MmapStore, MmapStoreWriter
 from repro.data.sampling import PrefixSampler
 
@@ -38,6 +40,7 @@ __all__ = [
     "NumpyBackend",
     "PrefixSampler",
     "PAPER_MAX_SUPPORT",
+    "SamplingLayout",
     "describe_store",
     "drop_constant_columns",
     "drop_high_support_columns",

@@ -42,7 +42,7 @@ _CHUNK_ROWS = 1 << 22
 
 #: Rows of a layout-ordered column copied per chunk on first touch, so a
 #: plan that samples a small prefix gathers only the chunks it reads.
-_LAYOUT_CHUNK_ROWS = 1 << 16
+_LAYOUT_CHUNK_ROWS = 1 << 12
 
 #: Layouts a store keeps memoised (least recently used evicted first):
 #: the default one and one other, such as an audit's.
@@ -102,33 +102,43 @@ class _LayoutMemo:
 
     def __init__(self, layout: SamplingLayout) -> None:
         self.layout = layout
-        # name -> (layout-ordered copy, filled flag per chunk)
-        self.columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # name -> (layout-ordered copy, 1 per chunk not yet filled);
+        # the flags are empty once every chunk is filled
+        self.columns: dict[str, tuple[np.ndarray, bytearray]] = {}
 
-    def column(self, name: str, logical: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """``logical`` in layout order, with positions ``[start, stop)`` filled."""
+    def column(self, name: str, store: "ColumnStore", start: int, stop: int) -> np.ndarray:
+        """``name`` in layout order, with positions ``[start, stop)`` filled."""
         entry = self.columns.get(name)
         if entry is None:
+            logical = store.column(name)
+            copy = np.empty_like(logical)
+            copy.setflags(write=False)
             chunks = -(-logical.shape[0] // _LAYOUT_CHUNK_ROWS)
-            entry = (np.empty_like(logical), np.zeros(chunks, dtype=bool))
-            entry[0].setflags(write=False)
-            self.columns[name] = entry
-        copy, filled = entry
+            entry = self.columns[name] = (copy, bytearray(b"\x01" * chunks))
+        copy, unfilled = entry
         first = start // _LAYOUT_CHUNK_ROWS
         last = -(-stop // _LAYOUT_CHUNK_ROWS)
-        if not filled[first:last].all():
+        if 1 in unfilled[first:last]:
             perm = self.layout.permutation()
+            logical = store.column(name)
             # Writable only while chunks land, so readers never see a
             # writable handle.
             copy.setflags(write=True)
-            for chunk in np.flatnonzero(~filled[first:last]) + first:
-                rows = slice(
-                    int(chunk) * _LAYOUT_CHUNK_ROWS,
-                    (int(chunk) + 1) * _LAYOUT_CHUNK_ROWS,
-                )
+            chunk = first
+            while chunk < last:  # one gather per run of unfilled chunks
+                if not unfilled[chunk]:
+                    chunk += 1
+                    continue
+                end = chunk
+                while end < last and unfilled[end]:
+                    end += 1
+                rows = slice(chunk * _LAYOUT_CHUNK_ROWS, end * _LAYOUT_CHUNK_ROWS)
                 copy[rows] = logical[perm[rows]]
+                unfilled[chunk:end] = bytes(end - chunk)
+                chunk = end
             copy.setflags(write=False)
-            filled[first:last] = True
+            if 1 not in unfilled:
+                self.columns[name] = (copy, bytearray())  # complete
         return copy
 
 
@@ -406,12 +416,15 @@ class ColumnStore:
         ``_LAYOUT_CHUNK_ROWS`` rows the first time a read touches them;
         positions outside ``[start, stop)`` may be unfilled.
         """
-        seed = validate_layout_seed(layout_seed)
-        memo = self._layouts.get(seed)
+        memo = None if layout_seed is None else self._layouts.get(layout_seed)
         if memo is None:
+            seed = validate_layout_seed(layout_seed)
             self.sampling_layout(seed)
             memo = self._layouts[seed]
-        return memo.column(name, self.column(name), start, stop)
+        entry = memo.columns.get(name)
+        if entry is not None and not entry[1]:  # the hot path: complete
+            return entry[0]
+        return memo.column(name, self, start, stop)
 
     def support_size(self, name: str) -> int:
         """Return ``u_alpha``, the number of distinct values of ``name``."""

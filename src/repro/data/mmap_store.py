@@ -41,7 +41,7 @@ preallocated files, so a dataset can be built by a generator that never
 holds more than one chunk in memory; :meth:`MmapStoreWriter.finalize`
 then writes each column in layout order, chunk by chunk, which holds the
 permutation (8 bytes a row) in memory. Column files are written to
-hidden ``.tmp`` siblings and published by ``os.replace`` before the
+hidden siblings and published by ``os.replace`` before the
 manifest lands (itself atomic), so a crash mid-build never leaves a
 directory that ``MmapStore.open`` would mistake for a complete store.
 """

@@ -77,7 +77,7 @@ class CounterCache(Protocol):
 def _draw_offset(seed: int | np.random.Generator | None, num_rows: int) -> int:
     """The run's start position in the layout, drawn from the run seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return int(rng.integers(num_rows))
+    return int(rng.integers(num_rows)) if num_rows else 0
 
 
 class PrefixSampler:
@@ -399,14 +399,14 @@ class PrefixSampler:
             return [slice(low, high)]
         return [slice(low, self._n), slice(0, high - self._n)]
 
-    def _layout_column(self, name: str, rows: slice) -> np.ndarray:
-        return self._store.layout_column(
-            name, rows.start, rows.stop, self._layout.seed
-        )
-
     def _column_block(self, name: str, start: int, stop: int) -> np.ndarray:
         """Return the encoded values of rows ``start:stop`` of the prefix."""
-        blocks = [self._layout_column(name, rows)[rows] for rows in self._slices(start, stop)]
+        read = self._store.layout_column
+        seed = self._layout.seed
+        blocks = [
+            read(name, rows.start, rows.stop, seed)[rows]
+            for rows in self._slices(start, stop)
+        ]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     # ------------------------------------------------------------------
@@ -512,9 +512,10 @@ class PrefixSampler:
                 else {}
             )
             rest = [name for name in group if name not in deltas]
+            read, seed = self._store.layout_column, self._layout.seed
             for rows in self._slices(start, num_rows) if rest else ():
                 fresh = self._backend.count_columns(
-                    [self._layout_column(name, rows) for name in rest],
+                    [read(name, rows.start, rows.stop, seed) for name in rest],
                     [counters[name].shape[0] for name in rest],
                     rows,
                 )

@@ -207,6 +207,63 @@ class TestOpenValidation:
             reopened.verify_fingerprint()
 
 
+    def test_build_order_store_is_refused_with_the_fix(self, disk_store):
+        # A schema-1 store holds its rows in build order: sampling it as
+        # if it were shuffled would read sorted data as a sample.
+        manifest_path = disk_store.directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema_version"] = 1
+        del manifest["layout"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="rebuild the store with `repro store build`"):
+            MmapStore.open(disk_store.directory)
+
+
+class TestLayout:
+    def test_builds_are_byte_identical(self, memory_store, tmp_path):
+        first = MmapStore.from_column_store(memory_store, tmp_path / "a")
+        second = MmapStore.from_column_store(memory_store, tmp_path / "b")
+        files = sorted(path.name for path in first.directory.iterdir())
+        assert files == sorted(path.name for path in second.directory.iterdir())
+        for name in files:
+            assert (first.directory / name).read_bytes() == (
+                second.directory / name
+            ).read_bytes(), name
+        manifest = json.loads((first.directory / MANIFEST_NAME).read_text())
+        assert manifest["layout"]["seed"] == 0
+        assert manifest["layout"]["bit_generator"] == "PCG64"
+        assert manifest["layout"]["sha256"] == memory_store.sampling_layout().sha256
+
+    def test_open_and_executor_run_nothing_n_sized(self, disk_store, monkeypatch):
+        from repro.data.layout import SamplingLayout
+
+        def refuse(self):
+            raise AssertionError("an N-sized permutation was drawn")
+
+        monkeypatch.setattr(SamplingLayout, "permutation", refuse)
+        store = MmapStore.open(disk_store.directory)
+        executor = PlanExecutor(store, seed=SEED)
+        assert executor.sampler.shuffle_fingerprint().startswith(
+            store.sampling_layout().sha256
+        )
+        executor.execute(plan_queries(store, _specs()))
+
+    def test_layout_seed_is_fixed_at_build(self, memory_store, tmp_path):
+        disk = MmapStore.from_column_store(
+            memory_store, tmp_path / "seed3", layout_seed=3
+        )
+        assert disk.sampling_layout().seed == disk.sampling_layout(3).seed == 3
+        with pytest.raises(ParameterError, match="layout_seed=4"):
+            PlanExecutor(disk, seed=SEED, layout_seed=4)
+        specs = _specs()
+        on_disk = PlanExecutor(disk, seed=SEED).execute(plan_queries(disk, specs))
+        in_memory = PlanExecutor(memory_store, seed=SEED, layout_seed=3).execute(
+            plan_queries(memory_store, specs)
+        )
+        assert plan_fingerprint(on_disk) == plan_fingerprint(in_memory)
+        assert disk.verify_fingerprint() == memory_store.fingerprint()
+
+
 # ----------------------------------------------------------------------
 # Engine interop
 # ----------------------------------------------------------------------

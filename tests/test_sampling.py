@@ -99,6 +99,73 @@ class TestShuffle:
             sampler.shuffled_prefix(store.num_rows + 1)
 
 
+class TestLayoutIsNeverThePhysicalOrder:
+    """A store whose rows are sorted is still sampled uniformly."""
+
+    @staticmethod
+    def _sorted_store() -> tuple[ColumnStore, np.ndarray]:
+        shares = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
+        n = 100_000
+        column = np.repeat(np.arange(len(shares)), (shares * n).astype(int))
+        return ColumnStore({"sorted": column, "other": column[::-1].copy()}), shares
+
+    @pytest.mark.parametrize("engine", ["memory", "mmap"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_percent_matches_the_value_proportions(
+        self, tmp_path, engine, seed
+    ):
+        store, shares = self._sorted_store()
+        if engine == "mmap":
+            store = MmapStore.from_column_store(store, tmp_path / "store")
+        m = store.num_rows // 100
+        counts = PrefixSampler(store, seed=seed).marginal_counts("sorted", m)
+        # Within five binomial standard deviations of every share; the
+        # physical order's first 1% is all zeros.
+        tolerance = 5 * np.sqrt(shares * (1 - shares) / m)
+        assert np.all(np.abs(counts / m - shares) <= tolerance)
+
+    def test_sampler_construction_runs_nothing_n_sized(self, monkeypatch):
+        from repro.data.layout import SamplingLayout
+
+        store, _ = self._sorted_store()
+
+        def refuse(self):
+            raise AssertionError("an N-sized permutation was drawn")
+
+        monkeypatch.setattr(SamplingLayout, "permutation", refuse)
+        PlanExecutor(store, seed=1)
+
+
+class TestLayoutMemo:
+    def test_copies_fill_in_chunks_on_first_touch(self):
+        from repro.data import column_store
+
+        n = 3 * column_store._LAYOUT_CHUNK_ROWS + 5
+        store = ColumnStore({"x": np.arange(n) % 7})
+        store.layout_column("x", 10, 20)
+        _, unfilled = store._layouts[0].columns["x"]
+        assert list(unfilled) == [0, 1, 1, 1]
+        copy = store.layout_column("x", n - 3, n)
+        assert list(unfilled) == [0, 1, 1, 0]
+        perm = store.sampling_layout().permutation()
+        np.testing.assert_array_equal(copy[:20], store.column("x")[perm[:20]])
+        np.testing.assert_array_equal(copy[-3:], store.column("x")[perm[-3:]])
+
+    def test_select_shares_and_head_rebuilds(self):
+        store = ColumnStore({"x": np.arange(100) % 7, "y": np.arange(100) % 3})
+        store.layout_column("x", 0, 100)
+        assert store.select(["x"]).layout_column("x", 0, 100) is (
+            store.layout_column("x", 0, 100)
+        )
+        assert store.head(50).sampling_layout().num_rows == 50
+
+    def test_keeps_the_two_layouts_used_last(self):
+        store = ColumnStore({"x": np.arange(100) % 7})
+        for seed in (0, 5, 0, 9):
+            store.sampling_layout(seed)
+        assert list(store._layouts) == [0, 9]
+
+
 class TestMarginalCounts:
     def test_counts_match_direct_count(self, store):
         sampler = PrefixSampler(store, seed=5)
