@@ -1,9 +1,10 @@
 """Persistent cross-plan counter and answer cache.
 
 The paper's prefix-sampling structure makes caching unusually clean:
-for a fixed dataset *and a fixed shuffle*, the marginal counter of an
+for a fixed dataset *and a fixed row order* (the store's sampling
+layout and a run's offset into it), the marginal counter of an
 attribute at prefix length ``M`` is a pure function of ``(dataset,
-shuffle, attribute, M)`` — valid forever, reusable by any later
+row order, attribute, M)`` — valid forever, reusable by any later
 session. Likewise a retired answer, together with the per-iteration
 interval history that produced it, is a pure function of the query
 shape. This module stores both:
@@ -18,7 +19,8 @@ shape. This module stores both:
   :mod:`repro.cache.semantic`).
 
 Cache state is partitioned by ``(dataset fingerprint, shuffle
-fingerprint)`` — both sha256 digests — because counters from a
+fingerprint)`` — the dataset's sha256, and the layout's sha256 with the
+run offset — because counters from a
 different dataset *or* a different row order are garbage for this one.
 There is deliberately no way to read or write cache state without
 naming the fingerprint (enforced tree-wide by analysis rule SWP017).

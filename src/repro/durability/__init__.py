@@ -9,7 +9,7 @@ Three layers (see ``docs/RESILIENCE.md``):
 * :mod:`repro.durability.checkpoint` — the versioned, sha256-verified,
   dataset-fingerprinted checkpoint format that snapshots
   :class:`~repro.core.plan.PlanExecutor` progress at iteration
-  boundaries: the shuffle, every marginal/joint counter, the ratcheted
+  boundaries: the row order, every marginal/joint counter, the ratcheted
   sample floor, retired answers with their
   :class:`~repro.core.results.GuaranteeStatus`, residual budgets, and
   the in-flight query's loop state;

@@ -1,9 +1,9 @@
 """Versioned, fingerprint-keyed checkpoints of plan-executor progress.
 
 A :class:`~repro.core.plan.PlanExecutor` run is deterministic at a fixed
-seed: the sample is a prefix of one shuffle, counters only grow, and
+seed: the sample is a prefix of one row order, counters only grow, and
 every trace event is derived from counter state — so a snapshot of
-(shuffle, counters, retired answers, loop position) is enough to restart
+(row order, counters, retired answers, loop position) is enough to restart
 a killed plan and produce *bit-identical* final answers. The row order
 is recorded as the store's sampling layout (its seed and sha256) and the
 run's offset into it, never as ``N`` indices; the restore checks the
@@ -612,7 +612,7 @@ class PlanCheckpoint:
       store the counters describe;
     * ``executor`` — failure probability, ratcheted sample floor,
       queries run, iteration boundaries seen, checkpoint cadence;
-    * ``sampler`` — the shuffle's recipe and every counter
+    * ``sampler`` — the row order (layout and offset) and every counter
       (:func:`encode_sampler_state`);
     * ``specs`` — the normalized plan specs, so resuming against a
       different plan is refused;

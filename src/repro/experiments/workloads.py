@@ -267,7 +267,7 @@ def run_scenario(
     scenario:
         A registry key or a :class:`~repro.synth.census.CensusScenario`.
     seed:
-        Drives both generation and the executor's shuffle, so one number
+        Drives both generation and the executor's offset, so one number
         pins the whole run.
     scale:
         Row-count multiplier forwarded to generation.

@@ -5,8 +5,9 @@ events: one ``query_start``, one ``iteration`` per sample size visited,
 zero or more ``prune`` / ``budget_degradation`` events, and exactly one
 ``query_end`` — even for runs truncated by a budget or raised in strict
 mode. Events are **deterministic**: they carry no wall-clock timestamps
-and every field is a pure function of the seeded shuffle, so two runs at
-the same seed serialise to byte-identical JSONL. That determinism is
+and every field is a pure function of the store's layout and the seeded
+offset into it, so two runs at the same seed serialise to
+byte-identical JSONL. That determinism is
 what makes the golden-trace regression suite
 (``tests/test_golden_traces.py``) possible; wall-clock quantities go to
 the :mod:`repro.obs.metrics` layer instead.

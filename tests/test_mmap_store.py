@@ -263,6 +263,31 @@ class TestLayout:
         assert plan_fingerprint(on_disk) == plan_fingerprint(in_memory)
         assert disk.verify_fingerprint() == memory_store.fingerprint()
 
+    def test_checkpoint_resumes_only_on_its_layout(self, memory_store, tmp_path):
+        specs = _specs()
+        path = tmp_path / "memory.ckpt"
+        reference = plan_fingerprint(
+            PlanExecutor(memory_store, seed=SEED, layout_seed=3).execute(
+                plan_queries(memory_store, specs)
+            )
+        )
+        with pytest.raises(SimulatedKillError):
+            PlanExecutor(
+                memory_store, seed=SEED, layout_seed=3, checkpoint_path=path
+            ).execute(
+                plan_queries(memory_store, specs),
+                cancellation=BoundaryFaultToken(ChaosPlan.kill_at(2)),
+            )
+        other = MmapStore.from_column_store(memory_store, tmp_path / "seed0")
+        with pytest.raises(CheckpointMismatchError, match="layout"):
+            PlanExecutor.resume(path, other)
+        same = MmapStore.from_column_store(
+            memory_store, tmp_path / "seed3", layout_seed=3
+        )
+        resumed = PlanExecutor.resume(path, same)
+        outcome = resumed.execute(resumed.resumed_plan())
+        assert plan_fingerprint(outcome) == reference
+
 
 # ----------------------------------------------------------------------
 # Engine interop
