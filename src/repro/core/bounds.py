@@ -601,7 +601,9 @@ def _half_widths(m: np.ndarray, n: float, failure_probability: float) -> np.ndar
     """:func:`permutation_half_width` (tight β) over an array of sizes ``M < N``."""
     # β of M = 1 is 1.0: the formula's log2(1/0) would be infinite.
     safe = np.maximum(m, 2.0)
-    beta = np.where(m > 1.0, np.log2(safe / (safe - 1.0)) + np.log2(safe - 1.0) / safe, 1.0)
+    beta = np.where(
+        m > 1.0, np.log2(safe / (safe - 1.0)) + np.log2(safe - 1.0) / safe, 1.0
+    )
     slack = 1.0 - 1.0 / (2.0 * np.maximum(m, n - m))
     # ln(2/p_f): the Lemma 3 deviation term, as in permutation_half_width.
     inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (  # noqa: SWP001

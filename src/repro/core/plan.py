@@ -1,9 +1,9 @@
 """Query plans: declarative specs, a planner, and a shared-scan executor.
 
 The paper's four algorithms share one substrate — a prefix of the
-store's sampling layout and the counts over it — so a *batch* of entropy/MI top-k
-and filtering queries over the same table should share every counting
-pass. This module is that batch-serving layer:
+store's sampling layout and the counts over it — so a *batch* of
+entropy/MI top-k and filtering queries over the same table should share
+every counting pass. This module is that batch-serving layer:
 
 * :class:`QuerySpec` — one query, declaratively: ``kind`` (``top_k`` or
   ``filter``) × ``score`` (``entropy`` or ``mutual_information``) plus

@@ -106,7 +106,9 @@ class _LayoutMemo:
         # the flags are empty once every chunk is filled
         self.columns: dict[str, tuple[np.ndarray, bytearray]] = {}
 
-    def column(self, name: str, store: "ColumnStore", start: int, stop: int) -> np.ndarray:
+    def column(
+        self, name: str, store: "ColumnStore", start: int, stop: int
+    ) -> np.ndarray:
         """``name`` in layout order, with positions ``[start, stop)`` filled."""
         entry = self.columns.get(name)
         if entry is None:

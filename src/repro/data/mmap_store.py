@@ -244,7 +244,10 @@ class MmapStoreWriter:
             )
         fingerprint = _fingerprint_columns(
             self._num_rows,
-            [(name, self._support[name], self._memmaps[name]) for name in self._support],
+            [
+                (name, self._support[name], self._memmaps[name])
+                for name in self._support
+            ],
         )
         layout = SamplingLayout(self._num_rows, self._layout_seed)
         perm = layout.permutation()

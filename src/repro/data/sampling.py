@@ -321,7 +321,9 @@ class PrefixSampler:
                 f"sampler snapshot offset {offset} is outside [0, {num_rows})"
             )
         try:
-            sampler = cls(store, layout_seed=int(shuffle["layout_seed"]), backend=backend)
+            sampler = cls(
+                store, layout_seed=int(shuffle["layout_seed"]), backend=backend
+            )
             layout_sha256 = sampler._layout.sha256
         except ParameterError as exc:
             raise CheckpointMismatchError(
@@ -520,7 +522,8 @@ class PrefixSampler:
                     rows,
                 )
                 for name, counts in zip(rest, fresh):
-                    deltas[name] = counts if name not in deltas else deltas[name] + counts
+                    # a block that wraps at N is counted in two slices
+                    deltas[name] = deltas[name] + counts if name in deltas else counts
             for name in group:
                 counters[name] += deltas[name]
                 self._cells_scanned += num_rows - start

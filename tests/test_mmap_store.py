@@ -215,7 +215,7 @@ class TestOpenValidation:
         manifest["schema_version"] = 1
         del manifest["layout"]
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SchemaError, match="rebuild the store with `repro store build`"):
+        with pytest.raises(SchemaError, match="rebuild the store with `repro store"):
             MmapStore.open(disk_store.directory)
 
 
