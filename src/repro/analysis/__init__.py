@@ -7,24 +7,16 @@ can only spot-check — every entropy expression must be base-2 (Lemmas
 ``QueryBudget``/``CancellationToken`` contract, and every intentional
 error must derive from the :mod:`repro.exceptions` hierarchy. This
 package encodes those invariants as per-module AST lint rules
-(``SWP001``–``SWP012``, ``SWP017``, ``SWP018``) plus whole-program
-analyses over the project call graph (``SWP014``, ``SWP016``) and runs
-them over the tree:
+(``SWP001``–``SWP012``, ``SWP017``, ``SWP018``) and runs them over the
+tree:
 
     python -m repro.analysis src/ tests/
-    python -m repro.analysis --project src/ tests/
 
 Structure
 ---------
 * :mod:`repro.analysis.rules` — the rule framework: :class:`Violation`,
   :class:`Rule`, the ``SWP###`` registry, and severities.
 * :mod:`repro.analysis.checks` — the concrete per-module SWOPE rules.
-* :mod:`repro.analysis.graph` — project-wide import/call graph built
-  from per-module summaries.
-* :mod:`repro.analysis.project` — the :class:`ProjectContext` handed to
-  whole-program rules, including the entry-point contract.
-* :mod:`repro.analysis.checks_project` — the whole-program rules
-  (budget reachability, exception contract).
 * :mod:`repro.analysis.checker` — parses files, applies rules, and
   resolves ``# noqa: SWP###`` suppressions (including unused- and
   unknown-suppression detection, reported as ``SWP000``).
@@ -33,8 +25,11 @@ Structure
   point.
 
 See ``docs/ANALYSIS.md`` for what each rule catches and why the
-invariant matters. Same-seed determinism is not linted: the run-time
-audit ``tests/test_determinism_audit.py`` checks it on real runs.
+invariant matters. Three contracts are checked at run time instead of
+linted, on real runs: same-seed determinism
+(``tests/test_determinism_audit.py``), the budget poll between any two
+schedule sizes (``tests/test_poll_audit.py``), and the ``except
+ReproError`` promise (``tests/test_exception_contract.py``).
 """
 
 from __future__ import annotations
@@ -43,30 +38,21 @@ from repro.analysis.checker import (
     AnalysisReport,
     ModuleContext,
     analyze_paths,
-    analyze_project,
     analyze_source,
 )
 from repro.analysis.rules import RULES, Rule, Severity, Violation, all_codes
 
 # Importing the concrete checks registers them with the RULES registry.
 from repro.analysis import checks as _checks  # noqa: F401
-from repro.analysis import checks_project as _checks_project  # noqa: F401
-from repro.analysis.graph import ModuleSummary, ProjectGraph, extract_module
-from repro.analysis.project import ProjectContext
 
 __all__ = [
     "AnalysisReport",
     "ModuleContext",
-    "ModuleSummary",
-    "ProjectContext",
-    "ProjectGraph",
     "RULES",
     "Rule",
     "Severity",
     "Violation",
     "all_codes",
     "analyze_paths",
-    "analyze_project",
     "analyze_source",
-    "extract_module",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "ModuleContext",
     "analyze_file",
     "analyze_paths",
-    "analyze_project",
     "analyze_source",
     "build_context",
     "iter_python_files",
@@ -243,8 +242,7 @@ def _resolve_suppressions(
 ) -> None:
     """Route raw findings through ``# noqa`` comments into ``report``.
 
-    Shared by the per-module and whole-program paths so both get the
-    same contract: a suppression silences only its own line and rule;
+    The contract: a suppression silences only its own line and rule;
     a suppression naming a selected rule that did not fire is stale
     (``SWP000``); a suppression naming a rule code that does not exist
     at all — a typo, or a rule that was deleted — is also ``SWP000``,
@@ -299,9 +297,7 @@ def analyze_source(
 
     Unused-suppression detection only considers codes belonging to rules
     that actually ran: narrowing with ``--select`` must not mark the
-    other rules' suppressions as stale. Project rules never run here —
-    they need the whole-program graph (:func:`analyze_project`) — so
-    their suppressions are likewise never judged stale by this path.
+    other rules' suppressions as stale.
     """
     report = AnalysisReport(checked_files=1)
     try:
@@ -312,10 +308,13 @@ def analyze_source(
     rules = iter_rules(select, ignore)
     raw: list[Violation] = []
     for active_rule in rules:
-        raw.extend(active_rule.run(context))
-    ran = {r.code for r in rules if not r.project}
+        raw.extend(active_rule.check(context))
     _resolve_suppressions(
-        context, raw, ran=ran, report_unused=report_unused, report=report
+        context,
+        raw,
+        ran={r.code for r in rules},
+        report_unused=report_unused,
+        report=report,
     )
     return report
 
@@ -395,94 +394,3 @@ def analyze_paths(
         )
     combined.violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
     return combined
-
-
-def _display_path(path: Path, display_root: Path | None) -> str:
-    display = path
-    if display_root is not None:
-        try:
-            display = path.resolve().relative_to(display_root.resolve())
-        except ValueError:
-            display = path
-    return display.as_posix()
-
-
-def analyze_project(
-    paths: Sequence[Path],
-    *,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-    report_unused: bool = True,
-    display_root: Path | None = None,
-) -> AnalysisReport:
-    """Whole-program analysis: per-module rules + graph-based rules.
-
-    Parses every ``.py`` file under ``paths`` once, runs the per-module
-    rules on each, links every parsed module inside the ``repro``
-    package into a :class:`~repro.analysis.graph.ProjectGraph`, and runs
-    the registered ``@project_rule`` checks over the resulting
-    :class:`~repro.analysis.project.ProjectContext`.
-
-    Suppression staleness is judged per file against the codes that
-    actually ran there (project codes only inside the ``repro``
-    package); unknown-rule suppressions are judged everywhere.
-    """
-    # Imported lazily: graph.py needs checks.py which needs this module.
-    from repro.analysis.graph import ProjectGraph, extract_module
-    from repro.analysis.project import ProjectContext
-
-    if not RULES:  # pragma: no cover - guarded by package __init__ imports
-        raise AnalysisError("no analysis rules registered; import repro.analysis")
-    rules = iter_rules(select, ignore)
-    module_rules = [r for r in rules if not r.project]
-    project_rules = [r for r in rules if r.project]
-    report = AnalysisReport()
-
-    contexts: list[ModuleContext] = []
-    for file_path in iter_python_files(paths):
-        display = _display_path(file_path, display_root)
-        report.checked_files += 1
-        try:
-            text = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            report.parse_errors.append((display, f"unreadable: {exc}"))
-            continue
-        try:
-            contexts.append(build_context(display, text))
-        except SyntaxError as exc:
-            report.parse_errors.append(
-                (display, f"syntax error: {exc.msg} (line {exc.lineno})")
-            )
-            continue
-
-    raw_by_path: dict[str, list[Violation]] = {}
-    for context in contexts:
-        raw = raw_by_path.setdefault(context.path, [])
-        for active_rule in module_rules:
-            raw.extend(active_rule.run(context))
-
-    graph_contexts = [c for c in contexts if c.in_package("repro")]
-    graph = ProjectGraph(extract_module(c) for c in graph_contexts)
-    project_context = ProjectContext(
-        graph=graph, contexts={c.module: c for c in graph_contexts}
-    )
-    for active_rule in project_rules:
-        for violation in active_rule.run_project(project_context):
-            raw_by_path.setdefault(violation.path, []).append(violation)
-
-    graph_paths = {c.path for c in graph_contexts}
-    module_codes = {r.code for r in module_rules}
-    project_codes = {r.code for r in project_rules}
-    for context in contexts:
-        ran = set(module_codes)
-        if context.path in graph_paths:
-            ran |= project_codes
-        _resolve_suppressions(
-            context,
-            raw_by_path.get(context.path, []),
-            ran=ran,
-            report_unused=report_unused,
-            report=report,
-        )
-    report.violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
-    return report

@@ -12,8 +12,7 @@ Typical invocations::
 
     python -m repro.analysis src/ tests/
     python -m repro.analysis src/ --select SWP002,SWP008 --format json
-    python -m repro.analysis --project src/ scripts/
-    python -m repro.analysis --project --format sarif src/
+    python -m repro.analysis --format sarif src/ > analysis.sarif
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import checks as _checks  # noqa: F401 - registers rules
-from repro.analysis import checks_project as _checks_project  # noqa: F401
-from repro.analysis.checker import AnalysisReport, analyze_paths, analyze_project
+from repro.analysis.checker import analyze_paths
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.rules import RULES
 from repro.exceptions import AnalysisError
@@ -53,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="whole-program mode: build the cross-module call graph and run"
-        " the project rules (SWP014, SWP016) as well",
     )
     parser.add_argument(
         "--select",
@@ -116,23 +108,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         select = _parse_codes(args.select) if args.select else None
         ignore = _parse_codes(args.ignore) if args.ignore else None
-        report_unused = not args.no_unused_suppressions
-        if args.project:
-            report: AnalysisReport = analyze_project(
-                [Path(p) for p in args.paths],
-                select=select,
-                ignore=ignore,
-                report_unused=report_unused,
-                display_root=Path.cwd(),
-            )
-        else:
-            report = analyze_paths(
-                [Path(p) for p in args.paths],
-                select=select,
-                ignore=ignore,
-                report_unused=report_unused,
-                display_root=Path.cwd(),
-            )
+        report = analyze_paths(
+            [Path(p) for p in args.paths],
+            select=select,
+            ignore=ignore,
+            report_unused=not args.no_unused_suppressions,
+            display_root=Path.cwd(),
+        )
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 The text reporter is what CI logs show; the JSON reporter is a stable
 machine-readable contract (violations, counts, and exit metadata) for
 tooling built on top of the pass; the SARIF 2.1.0 reporter feeds GitHub
-code scanning so whole-program findings annotate pull requests.
+code scanning so findings annotate pull requests.
 """
 
 from __future__ import annotations

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.exceptions import AnalysisError, ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.checker import ModuleContext
-    from repro.analysis.project import ProjectContext
 
 __all__ = [
     "RULES",
-    "ProjectRuleCheck",
     "Rule",
     "RuleCheck",
     "Severity",
@@ -38,7 +36,6 @@ __all__ = [
     "all_codes",
     "get_rule",
     "iter_rules",
-    "project_rule",
     "rule",
 ]
 
@@ -105,46 +102,23 @@ class Violation:
 
 RuleCheck = Callable[["ModuleContext"], Iterable[Violation]]
 
-#: A whole-program rule inspects the :class:`~repro.analysis.project.ProjectContext`
-#: (call graph, every module) instead of one module.
-ProjectRuleCheck = Callable[["ProjectContext"], Iterable[Violation]]
-
 
 @dataclass(frozen=True)
 class Rule:
     """A registered check: stable code, severity, scope note, callable.
 
-    ``project`` distinguishes the two rule shapes: per-module rules
-    (``check`` receives a :class:`~repro.analysis.checker.ModuleContext`
-    and run on every analysed file) and whole-program rules (``check``
-    receives a :class:`~repro.analysis.project.ProjectContext` and run
-    once per analysis pass, only under ``--project``).
+    ``check`` receives a :class:`~repro.analysis.checker.ModuleContext`
+    and runs on every analysed file.
     """
 
     code: str
     name: str
     severity: Severity
     summary: str
-    check: RuleCheck | ProjectRuleCheck
+    check: RuleCheck
     #: Human-readable scope note shown by ``--list-rules`` (the check
     #: itself enforces its scope; this is documentation).
     scope: str = "src/repro"
-    #: Whole-program rule: needs a ProjectContext, skipped per-module.
-    project: bool = False
-
-    def run(self, context: "ModuleContext") -> Iterator[Violation]:
-        """Apply a per-module rule to one module (project rules skip)."""
-        if self.project:
-            return
-        check = self.check
-        yield from check(context)  # type: ignore[arg-type]
-
-    def run_project(self, context: "ProjectContext") -> Iterator[Violation]:
-        """Apply a whole-program rule to the project graph."""
-        if not self.project:  # pragma: no cover - guarded by callers
-            return
-        check = self.check
-        yield from check(context)  # type: ignore[arg-type]
 
 
 #: The global rule registry, keyed by ``SWP###`` code, insertion-ordered.
@@ -179,43 +153,6 @@ def rule(
             summary=summary,
             check=check,
             scope=scope,
-        )
-        return check
-
-    return decorate
-
-
-def project_rule(
-    code: str,
-    name: str,
-    *,
-    severity: Severity = Severity.ERROR,
-    summary: str,
-    scope: str = "src/repro (whole-program)",
-) -> Callable[[ProjectRuleCheck], ProjectRuleCheck]:
-    """Like :func:`rule`, but registers a whole-program check.
-
-    The decorated callable receives a
-    :class:`~repro.analysis.project.ProjectContext` and yields
-    :class:`Violation` objects anywhere in the project. Project rules
-    run only under ``--project`` (per-module runs cannot build the call
-    graph they need) and share the registry, ``--select``/``--ignore``,
-    and ``# noqa`` machinery with per-module rules.
-    """
-    if not (code.startswith("SWP") and code[3:].isdigit() and len(code) == 6):
-        raise ParameterError(f"rule codes look like SWP###, got {code!r}")
-
-    def decorate(check: ProjectRuleCheck) -> ProjectRuleCheck:
-        if code in RULES:
-            raise ParameterError(f"duplicate rule code {code}")
-        RULES[code] = Rule(
-            code=code,
-            name=name,
-            severity=severity,
-            summary=summary,
-            check=check,
-            scope=scope,
-            project=True,
         )
         return check
 

@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 
-def _candidates(names: Sequence[str] | None) -> tuple[str, ...] | None:
-    return None if names is None else tuple(names)
-
-
 def entropy_rank_top_k(
     store: ColumnSource,
     k: int,
@@ -63,7 +59,7 @@ def entropy_rank_top_k(
     """EntropyRank: answer an *exact* entropy top-k query by adaptive sampling."""
     spec = QuerySpec(
         kind="top_k", score="entropy", k=k,
-        attributes=_candidates(attributes), prune=prune,
+        attributes=attributes, prune=prune,
     )
     return cast(TopKResult, run_exact_stopping(
         store, spec, seed=seed, layout_seed=layout_seed,
@@ -88,7 +84,7 @@ def entropy_filter(
     """EntropyFilter: answer an *exact* entropy filtering query by sampling."""
     spec = QuerySpec(
         kind="filter", score="entropy", threshold=threshold,
-        attributes=_candidates(attributes),
+        attributes=attributes,
     )
     return cast(FilterResult, run_exact_stopping(
         store, spec, seed=seed, layout_seed=layout_seed,
@@ -115,7 +111,7 @@ def entropy_rank_top_k_mutual_information(
     """Answer an *exact* MI top-k query against ``target`` by adaptive sampling."""
     spec = QuerySpec(
         kind="top_k", score="mutual_information", k=k, target=target,
-        attributes=_candidates(candidates), prune=prune,
+        attributes=candidates, prune=prune,
     )
     return cast(TopKResult, run_exact_stopping(
         store, spec, seed=seed, layout_seed=layout_seed,
@@ -141,7 +137,7 @@ def entropy_filter_mutual_information(
     """Answer an *exact* MI filtering query against ``target`` by adaptive sampling."""
     spec = QuerySpec(
         kind="filter", score="mutual_information", threshold=threshold,
-        target=target, attributes=_candidates(candidates),
+        target=target, attributes=candidates,
     )
     return cast(FilterResult, run_exact_stopping(
         store, spec, seed=seed, layout_seed=layout_seed,

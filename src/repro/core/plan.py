@@ -212,8 +212,9 @@ class QuerySpec:
     target:
         MI target attribute (``mutual_information`` specs only).
     attributes:
-        Candidate attributes (at least one); ``None`` means all
-        attributes of the store (minus the target for MI specs).
+        Candidate attributes (at least one), any sequence of names but a
+        bare string, kept as a tuple; ``None`` means all attributes of
+        the store (minus the target for MI specs).
     prune:
         Apply top-k candidate pruning (ignored by ``filter`` specs).
     name:
@@ -226,7 +227,7 @@ class QuerySpec:
     threshold: float | None = None
     epsilon: float | None = None
     target: str | None = None
-    attributes: tuple[str, ...] | None = None
+    attributes: Sequence[str] | None = None
     prune: bool = True
     name: str | None = None
 
@@ -264,6 +265,10 @@ class QuerySpec:
                 f" (got target={self.target!r})"
             )
         if self.attributes is not None:
+            if isinstance(self.attributes, str):
+                raise PlanError(
+                    f"'attributes' must be a list of names, got {self.attributes!r}"
+                )
             if not isinstance(self.attributes, tuple):
                 object.__setattr__(self, "attributes", tuple(self.attributes))
             if not self.attributes:
@@ -351,17 +356,13 @@ class QuerySpec:
         if not isinstance(prune, bool):
             raise PlanError(f"'prune' must be a boolean, got {prune!r}")
         attributes = payload.get("attributes")
-        resolved_attributes: tuple[str, ...] | None = None
-        if attributes is not None:
-            if isinstance(attributes, str) or not isinstance(attributes, Sequence):
-                raise PlanError(
-                    f"'attributes' must be a list of names, got {attributes!r}"
-                )
-            if not all(isinstance(a, str) for a in attributes):
-                raise PlanError(
-                    f"'attributes' must be a list of names, got {attributes!r}"
-                )
-            resolved_attributes = tuple(attributes)
+        if attributes is not None and not (
+            isinstance(attributes, Sequence)
+            and all(isinstance(a, str) for a in attributes)
+        ):
+            raise PlanError(
+                f"'attributes' must be a list of names, got {attributes!r}"
+            )
         return cls(
             kind=kind,
             score=score,
@@ -369,7 +370,7 @@ class QuerySpec:
             threshold=None if threshold is None else float(threshold),
             epsilon=None if epsilon is None else float(epsilon),
             target=target,
-            attributes=resolved_attributes,
+            attributes=cast("Sequence[str] | None", attributes),
             prune=prune,
             name=name,
         )
@@ -386,7 +387,7 @@ def load_plan(source: str | Path) -> list[QuerySpec]:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read plan file {path}: {exc}") from exc
     try:
         payload = json.loads(text)
@@ -1202,8 +1203,15 @@ class PlanExecutor:
             return
         from repro.cache import PlanCache  # local: layering
 
-        if cache is None:
-            cache = PlanCache(Path(cache_dir))  # type: ignore[arg-type]
+        if cache_dir is not None:
+            directory = Path(cache_dir)
+            nearest = next(p for p in (directory, *directory.parents) if p.exists())
+            if not nearest.is_dir():
+                raise ParameterError(
+                    f"cache_dir {directory} cannot be a directory: {nearest}"
+                    " is an existing file"
+                )
+            cache = PlanCache(directory)
         elif not isinstance(cache, PlanCache):
             raise ParameterError(
                 f"cache= must be a PlanCache or None; got {type(cache).__name__}"
@@ -1499,7 +1507,7 @@ class PlanExecutor:
         """
         spec = QuerySpec(
             kind="top_k", score="entropy", k=k, epsilon=epsilon,
-            attributes=None if attributes is None else tuple(attributes),
+            attributes=attributes,
             prune=prune,
         )
         return cast(TopKResult, self.execute_one(
@@ -1525,7 +1533,7 @@ class PlanExecutor:
         spec = QuerySpec(
             kind="filter", score="entropy", threshold=threshold,
             epsilon=epsilon,
-            attributes=None if attributes is None else tuple(attributes),
+            attributes=attributes,
         )
         return cast(FilterResult, self.execute_one(
             spec, schedule=schedule, budget=budget, cancellation=cancellation,
@@ -1554,7 +1562,7 @@ class PlanExecutor:
         spec = QuerySpec(
             kind="top_k", score="mutual_information", k=k, epsilon=epsilon,
             target=target,
-            attributes=None if candidates is None else tuple(candidates),
+            attributes=candidates,
             prune=prune,
         )
         return cast(TopKResult, self.execute_one(
@@ -1581,7 +1589,7 @@ class PlanExecutor:
         spec = QuerySpec(
             kind="filter", score="mutual_information", threshold=threshold,
             epsilon=epsilon, target=target,
-            attributes=None if candidates is None else tuple(candidates),
+            attributes=candidates,
         )
         return cast(FilterResult, self.execute_one(
             spec, schedule=schedule, budget=budget, cancellation=cancellation,

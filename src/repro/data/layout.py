@@ -26,25 +26,35 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 
-__all__ = ["DEFAULT_LAYOUT_SEED", "SamplingLayout", "validate_layout_seed"]
+__all__ = [
+    "DEFAULT_LAYOUT_SEED",
+    "SamplingLayout",
+    "validate_layout_seed",
+    "validate_seed",
+]
 
 #: The layout seed a store uses when none is named.
 DEFAULT_LAYOUT_SEED = 0
+
+
+def validate_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` as a non-negative int, as numpy's generators require."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be a non-negative integer, got {seed!r}"
+        ) from None
+    if value < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def validate_layout_seed(layout_seed: int | None) -> int:
     """``layout_seed`` as a non-negative int (``None``: the default seed)."""
     if layout_seed is None:
         return DEFAULT_LAYOUT_SEED
-    try:
-        seed = operator.index(layout_seed)
-    except TypeError:
-        raise ParameterError(
-            f"layout_seed must be a non-negative integer, got {layout_seed!r}"
-        ) from None
-    if seed < 0:
-        raise ParameterError(f"layout_seed must be >= 0, got {seed}")
-    return seed
+    return validate_seed(layout_seed, "layout_seed")
 
 
 def _permutation_sha256(perm: np.ndarray) -> str:

@@ -350,7 +350,7 @@ class MmapStore:
             )
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"corrupt manifest at {manifest_path}: {exc}") from exc
         if not isinstance(manifest, dict) or manifest.get("format") != (
             MMAP_STORE_FORMAT

@@ -46,6 +46,7 @@ import numpy as np
 from repro.data.backends import CountingBackend, resolve_backend
 from repro.data.column_store import ColumnSource
 from repro.data.joint import JointCounter
+from repro.data.layout import validate_seed
 from repro.exceptions import CheckpointMismatchError, ParameterError, SchemaError
 
 __all__ = ["CounterCache", "PrefixSampler"]
@@ -76,7 +77,10 @@ class CounterCache(Protocol):
 
 def _draw_offset(seed: int | np.random.Generator | None, num_rows: int) -> int:
     """The run's start position in the layout, drawn from the run seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(None if seed is None else validate_seed(seed))
     return int(rng.integers(num_rows)) if num_rows else 0
 
 

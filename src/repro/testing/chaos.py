@@ -150,8 +150,10 @@ class BoundaryFaultToken:
     sample). This token counts those polls and fires the scheduled
     fault when its ordinal comes up: ``kill`` raises
     :class:`SimulatedKillError`, ``io_error`` raises :class:`OSError`,
-    ``cancel`` returns ``True`` (cooperative degradation). With no plan
-    it is a pure boundary counter.
+    ``cancel`` returns ``True`` (cooperative degradation) at that poll
+    and every later one, as a cancelled
+    :class:`~repro.core.budget.CancellationToken` does. With no plan it
+    is a pure boundary counter.
     """
 
     def __init__(self, plan: ChaosPlan | None = None) -> None:
@@ -166,6 +168,8 @@ class BoundaryFaultToken:
     def cancelled(self) -> bool:
         boundary = self.checks
         self.checks += 1
+        if self.reason is not None:
+            return True
         action = self._actions.get(boundary)
         if action is None:
             return False

@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis import analyze_paths, analyze_source
 from repro.analysis.cli import main
-from repro.analysis.reporting import render_json, render_text
+from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.rules import RULES, UNUSED_SUPPRESSION, Severity, all_codes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,15 +46,11 @@ def check(path: str, text: str, **kwargs):
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_sixteen_rules_registered(self):
-        # SWP013 and SWP015 are retired and unassigned.
+    def test_all_fourteen_rules_registered(self):
+        # SWP013 to SWP016 are retired and unassigned.
         assert all_codes() == [
-            f"SWP{i:03d}" for i in range(1, 19) if i not in (13, 15)
+            f"SWP{i:03d}" for i in range(1, 19) if i not in (13, 14, 15, 16)
         ]
-
-    def test_project_rules_are_marked(self):
-        project_codes = {c for c, r in RULES.items() if r.project}
-        assert project_codes == {"SWP014", "SWP016"}
 
     def test_unused_suppression_code_reserved(self):
         assert UNUSED_SUPPRESSION == "SWP000"
@@ -720,6 +716,46 @@ class TestReporters:
         assert "no violations" in render_text(report)
 
 
+class TestSarif:
+    def test_sarif_shape_and_fingerprints(self):
+        report = check(CORE, "import time\ndef f():\n    return time.time()\n")
+        assert codes(report) == ["SWP008"]
+        payload = json.loads(render_sarif(report))
+        assert payload["version"] == "2.1.0"
+        run = payload["runs"][0]
+        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+        assert {"SWP001", "SWP018", "SWP000", "PARSE"} <= rule_ids
+        [result] = run["results"]
+        assert result["ruleId"] == "SWP008"
+        assert result["level"] == "error"
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"] == CORE
+        assert location["region"]["startLine"] == 3
+        assert location["region"]["startColumn"] >= 1
+        fingerprint = result["partialFingerprints"]["swopeFingerprint/v1"]
+        assert fingerprint == report.violations[0].fingerprint
+
+    def test_parse_errors_become_results(self):
+        report = check("src/repro/broken.py", "def f(:\n")
+        payload = json.loads(render_sarif(report))
+        [result] = payload["runs"][0]["results"]
+        assert result["ruleId"] == "PARSE"
+        assert result["level"] == "error"
+
+    def test_cli_sarif_output_parses(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--format", "sarif", "src"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["version"] == "2.1.0"
+        assert payload["runs"][0]["results"] == []
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -758,8 +794,8 @@ class TestCLI:
         assert "no such path" in capsys.readouterr().err
 
     def test_retired_rule_codes_exit_two(self, lint_tree, capsys):
-        for code in ("SWP013", "SWP015"):
-            assert main(["code", "--project", "--select", code]) == 2
+        for code in ("SWP013", "SWP014", "SWP015", "SWP016"):
+            assert main(["code", "--select", code]) == 2
             assert f"unknown rule {code!r}" in capsys.readouterr().err
 
     def test_list_rules(self, lint_tree, capsys):

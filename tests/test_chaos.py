@@ -45,6 +45,7 @@ from repro.testing.chaos import (
 from repro.testing.faults import FlakyStore
 from tests.test_durability import _assert_counters_equal
 from tests.test_plan import _interleaved_specs, _interleaved_store
+from tests.test_poll_audit import PollAudit, _mi_first_specs
 
 SEED = 7
 
@@ -117,15 +118,7 @@ def test_kill_and_resume_an_mi_first_plan(tmp_path):
     resumed run ends with the uninterrupted answers and trace.
     """
     store = _golden_store()
-    specs = [
-        # ε = 0.9: the stop rule can fire from 1024 rows, so the query
-        # runs past its floor (at 0.5 it would evaluate only at N)
-        QuerySpec(
-            kind="top_k", score="mutual_information", k=2, epsilon=0.9,
-            target="target",
-        ),
-        _mixed_specs()[3],
-    ]
+    specs = _mi_first_specs()
     sink = InMemorySink()
     plan = plan_queries(store, specs)
     PlanExecutor(store, seed=SEED).execute(plan, trace=sink)
@@ -353,21 +346,54 @@ def test_cross_backend_resume_is_identical(tmp_path, sharded_backend):
     assert plan_fingerprint(outcome) == reference_fp
 
 
-def test_cancel_fault_degrades_with_honest_guarantee():
-    store = _golden_store()
-    plan = plan_queries(store, _mixed_specs())
-    token = BoundaryFaultToken(ChaosPlan.from_steps("run:1 cancel"))
+#: Plans whose every poll the cancel sweep below cancels at: the mixed
+#: golden plan, an MI query that jumps to its decision floor, and four
+#: queries over 200,000 rows that poll in more than one query.
+_CANCEL_WORKLOADS = {
+    "mixed": (_golden_store, _mixed_specs),
+    "mi_first": (_golden_store, _mi_first_specs),
+    "interleaved": (_interleaved_store, _interleaved_specs),
+}
+_CANCEL_POINTS = [
+    (workload, poll)
+    for workload, (store, specs) in _CANCEL_WORKLOADS.items()
+    for poll in range(count_iteration_boundaries(store(), specs(), seed=SEED))
+]
+
+
+@pytest.mark.parametrize(
+    "workload, cancel_at", _CANCEL_POINTS, ids=[f"{w}-{j}" for w, j in _CANCEL_POINTS]
+)
+def test_cancel_fault_degrades_with_honest_guarantee(
+    monkeypatch, workload, cancel_at
+):
+    """Cancelled at its j-th poll, for every j, a plan stops within one step.
+
+    The query running at that poll reports ``cancelled`` and an unmet
+    guarantee; the poll audit checks that no query read more than one
+    step between two polls, nor evaluated again after a poll stopped it.
+    """
+    store_of, specs_of = _CANCEL_WORKLOADS[workload]
+    store = store_of()
+    plan = plan_queries(store, specs_of())
+    token = BoundaryFaultToken(ChaosPlan.from_steps(f"run:{cancel_at} cancel"))
+    audit = PollAudit(monkeypatch)
     outcome = PlanExecutor(store, seed=SEED).execute(plan, cancellation=token)
-    assert token.fired == [(1, "cancel")]
+    assert token.fired == [(cancel_at, "cancel")]
+    audit.check()
+    polls = [(query, poll) for query in audit.queries for poll in query.polls]
+    running, poll = polls[cancel_at]
+    assert poll[4] == "cancelled"
+    guarantee = outcome[running.spec.name].guarantee
+    assert guarantee is not None
+    assert guarantee.stopping_reason == "cancelled"
+    assert not guarantee.guarantee_met
     degraded = [
-        result
+        result.guarantee
         for result in outcome.results.values()
         if result.guarantee is not None and not result.guarantee.guarantee_met
     ]
-    assert degraded, "the cancelled query must report a degraded guarantee"
-    assert all(
-        result.guarantee.stopping_reason == "cancelled" for result in degraded
-    )
+    assert all(status.stopping_reason == "cancelled" for status in degraded)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ These encode the mathematical facts the algorithms rely on:
 * MI non-negativity and symmetry;
 * permutation-invariance of count-based estimators;
 * the encode/decode round trip;
-* schedule structure for arbitrary shapes.
+* schedule structure for arbitrary shapes;
+* two boundary cases of the queries: a run forced to M = N answers
+  exactly, and identical columns tied at the k-th score are told apart
+  the same way under every sampling layout.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import exact_entropies, exact_mutual_informations
 from repro.core.bounds import (
     beta_sensitivity,
     bias_bound,
@@ -31,8 +35,16 @@ from repro.core.estimators import (
     mutual_information_from_counts,
 )
 from repro.core.schedule import SampleSchedule
+from repro.core.swope import (
+    swope_filter_entropy,
+    swope_filter_mutual_information,
+    swope_top_k_entropy,
+    swope_top_k_mutual_information,
+)
+from repro.data.column_store import ColumnStore
 from repro.data.encoding import encode_column
 from repro.data.joint import JointCounter
+from repro.experiments.accuracy import check_filter_guarantee, check_top_k_guarantee
 
 counts_strategy = st.lists(
     st.integers(min_value=0, max_value=10_000), min_size=1, max_size=64
@@ -186,3 +198,84 @@ class TestScheduleProperties:
         per = schedule.per_round_failure(pf, h, bounds_per_attribute=bounds)
         total = per * schedule.num_iterations * h * bounds
         assert total == pytest.approx(pf, rel=1e-9)
+
+
+class TestQueryBoundaryCases:
+    @given(
+        num_rows=st.integers(min_value=1, max_value=300),
+        supports=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=5),
+        data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.integers(min_value=1, max_value=5),
+        eta=st.floats(min_value=0.05, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_forced_full_scan_answers_exactly(
+        self, num_rows, supports, data_seed, k, eta
+    ):
+        """A schedule whose only size is N: every interval collapses to
+        the exact score, and Definitions 5 and 6 hold at any ε."""
+        rng = np.random.default_rng(data_seed)
+        store = ColumnStore(
+            {f"c{i}": rng.integers(0, u, num_rows) for i, u in enumerate(supports)}
+        )
+        full = SampleSchedule(population_size=num_rows, initial_size=num_rows)
+        assert tuple(full.sizes) == (num_rows,)
+        exact = exact_entropies(store)
+        target, *candidates = store.attributes
+        exact_mi = exact_mutual_informations(store, target)
+        epsilon = 0.01
+        runs = [
+            (swope_top_k_entropy(store, k, epsilon=epsilon, schedule=full), exact),
+            (swope_filter_entropy(store, eta, epsilon=epsilon, schedule=full), exact),
+            (swope_top_k_mutual_information(
+                store, target, k, epsilon=epsilon, schedule=full), exact_mi),
+            (swope_filter_mutual_information(
+                store, target, eta, epsilon=epsilon, schedule=full), exact_mi),
+        ]
+        for result, scores in runs:
+            estimates = (
+                result.estimates.values()
+                if isinstance(result.estimates, dict)
+                else result.estimates
+            )
+            for est in estimates:
+                assert est.sample_size == num_rows
+                assert est.lower == pytest.approx(scores[est.attribute], abs=1e-9)
+                assert est.upper == pytest.approx(scores[est.attribute], abs=1e-9)
+            check = (
+                check_top_k_guarantee
+                if hasattr(result, "k")
+                else check_filter_guarantee
+            )
+            assert not check(result, scores, epsilon)
+            assert result.guarantee is None or result.guarantee.guarantee_met
+
+    @given(
+        num_rows=st.integers(min_value=512, max_value=4096),
+        k=st.integers(min_value=1, max_value=3),
+        data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_identical_columns_tied_at_rank_k(self, num_rows, k, data_seed, seed):
+        """Two identical columns hold ranks k and k + 1: either is a valid
+        k-th answer, and the run picks the same one under every layout."""
+        rng = np.random.default_rng(data_seed)
+        twin = rng.integers(0, 8, num_rows)  # about 3 bits
+        columns = {f"high{i}": rng.integers(0, 64, num_rows) for i in range(k - 1)}
+        columns.update(
+            twin_a=twin, twin_b=twin.copy(), low=rng.integers(0, 2, num_rows)
+        )
+        store = ColumnStore(columns)
+        exact = exact_entropies(store)
+        assert exact["twin_a"] == exact["twin_b"]
+        answers = set()
+        for layout_seed in range(4):
+            result = swope_top_k_entropy(
+                store, k, epsilon=0.1, seed=seed, layout_seed=layout_seed
+            )
+            assert not check_top_k_guarantee(result, exact, 0.1)
+            assert len({"twin_a", "twin_b"} & set(result.attributes)) == 1
+            answers.add(frozenset(result.attributes))
+        assert len(answers) == 1
+
