@@ -511,8 +511,9 @@ class PlanCache:
     def flush(self) -> None:
         """Atomically write every dirty partition (no-op when in-memory).
 
-        A partition re-encodes only the counters that grew since it last
-        wrote them.
+        Each write encodes the partition's counters afresh: a plan
+        flushes a partition once, and a warm rerun starts from a fresh
+        load, so an encoding memo would never be hit.
         """
         if self.directory is None:
             return

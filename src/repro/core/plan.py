@@ -376,6 +376,14 @@ class QuerySpec:
         )
 
 
+def _checked_path(value: str | Path, what: str) -> Path:
+    """``value`` as a path, refusing the NUL byte no file system accepts."""
+    path = Path(value)
+    if "\x00" in str(path):
+        raise ParameterError(f"{what} {str(path)!r} holds a NUL byte")
+    return path
+
+
 def load_plan(source: str | Path) -> list[QuerySpec]:
     """Parse a plan file (JSON) into a list of :class:`QuerySpec`.
 
@@ -387,7 +395,7 @@ def load_plan(source: str | Path) -> list[QuerySpec]:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable text, a NUL in the path
         raise DataFormatError(f"cannot read plan file {path}: {exc}") from exc
     try:
         payload = json.loads(text)
@@ -1125,7 +1133,9 @@ class PlanExecutor:
         self._queries_run = 0
         self._last_cells = 0
         self._checkpoint_path = (
-            None if checkpoint_path is None else Path(checkpoint_path)
+            None
+            if checkpoint_path is None
+            else _checked_path(checkpoint_path, "checkpoint_path")
         )
         self._boundaries = 0  # iteration boundaries seen across all plans
         self._fingerprint: str | None = None
@@ -1204,7 +1214,7 @@ class PlanExecutor:
         from repro.cache import PlanCache  # local: layering
 
         if cache_dir is not None:
-            directory = Path(cache_dir)
+            directory = _checked_path(cache_dir, "cache_dir")
             nearest = next(p for p in (directory, *directory.parents) if p.exists())
             if not nearest.is_dir():
                 raise ParameterError(

@@ -56,11 +56,14 @@ def initial_sample_size(
     n = population_size
     u_max = max(2, max_support_size)
     log2_n = math.log2(max(n, 2))
-    numerator = (
-        # The paper's M0 uses ln(h·log2(N)/p_f) — natural log by design.
-        math.log(num_attributes * max(log2_n, 1.0) / failure_probability)  # noqa: SWP001
-        * log2_n**2
-    )
+    ratio = num_attributes * max(log2_n, 1.0) / failure_probability
+    if math.isinf(ratio):
+        raise ParameterError(
+            f"failure probability {failure_probability!r} is too small:"
+            " h·log2(N)/p_f overflows a float"
+        )
+    # The paper's M0 uses ln(h·log2(N)/p_f) — natural log by design.
+    numerator = math.log(ratio) * log2_n**2  # noqa: SWP001
     m0 = math.ceil(numerator / math.log2(u_max) ** 2)
     return max(MIN_INITIAL_SAMPLE, min(n, m0))
 

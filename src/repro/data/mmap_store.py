@@ -48,8 +48,11 @@ directory that ``MmapStore.open`` would mistake for a complete store.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import os
+import stat
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
@@ -313,25 +316,39 @@ class MmapStore:
             )
         self._directory = directory
         self._manifest = manifest
-        self._num_rows = int(manifest["num_rows"])
-        self._fingerprint = str(manifest["fingerprint"])
+        self._num_rows = _manifest_int(manifest["num_rows"], "num_rows", 0)
+        self._fingerprint = _manifest_str(manifest["fingerprint"], "fingerprint")
         recorded = manifest["layout"]
-        self._layout = SamplingLayout(
-            self._num_rows, int(recorded["seed"]), sha256=str(recorded["sha256"])
-        )
+        if not isinstance(recorded, dict):
+            raise SchemaError(f"manifest layout must be an object, got {recorded!r}")
+        try:
+            self._layout = SamplingLayout(
+                self._num_rows,
+                _manifest_int(recorded.get("seed"), "layout seed", 0),
+                sha256=_manifest_str(recorded.get("sha256"), "layout sha256"),
+            )
+        except ParameterError as exc:
+            raise SchemaError(f"manifest layout is invalid: {exc}") from exc
         self._support: dict[str, int] = {}
         self._dtypes: dict[str, np.dtype] = {}
-        self._files: dict[str, Path] = {}
-        for entry in manifest["columns"]:
-            name = str(entry["name"])
-            self._support[name] = int(entry["support_size"])
-            self._dtypes[name] = np.dtype(str(entry["dtype"]))
-            path = directory / str(entry["file"])
-            if not path.is_file():
-                raise SchemaError(
-                    f"mmap store at {directory} is missing column file"
-                    f" {entry['file']!r} (declared for attribute {name!r})"
-                )
+        # plain strings: a Path per column costs more than its checks
+        self._files: dict[str, str] = {}
+        root = os.fspath(directory)
+        columns = manifest["columns"]
+        if not isinstance(columns, list):
+            raise SchemaError(f"manifest columns must be a list, got {columns!r}")
+        for entry in columns:
+            if not isinstance(entry, dict):
+                raise SchemaError(f"manifest column must be an object, got {entry!r}")
+            name = _manifest_str(entry.get("name"), "column name")
+            if name in self._support:
+                raise SchemaError(f"manifest declares column {name!r} twice")
+            support = _manifest_int(entry.get("support_size"), "support", 1, name)
+            dtype = _manifest_dtype(entry.get("dtype"), name, support)
+            path = os.path.join(root, _manifest_str(entry.get("file"), "file", name))
+            _check_column_file(path, name, self._num_rows, dtype)
+            self._support[name] = support
+            self._dtypes[name] = dtype
             self._files[name] = path
         self._columns: dict[str, np.ndarray] = {}
 
@@ -445,7 +462,12 @@ class MmapStore:
             return handle
         if name not in self._support:
             raise SchemaError(f"unknown attribute {name!r}")
-        loaded = np.load(self._files[name], mmap_mode="r")
+        try:
+            loaded = np.load(self._files[name], mmap_mode="r")
+        except (OSError, ValueError) as exc:
+            raise SchemaError(
+                f"column file for {name!r} is unreadable: {exc}"
+            ) from exc
         if loaded.ndim != 1 or loaded.shape[0] != self._num_rows:
             raise SchemaError(
                 f"column file for {name!r} has shape {loaded.shape}, expected"
@@ -564,8 +586,109 @@ class MmapStore:
 
     def disk_bytes(self) -> int:
         """Total bytes of the column files on disk (excludes the manifest)."""
-        return sum(path.stat().st_size for path in self._files.values())
+        return sum(os.stat(path).st_size for path in self._files.values())
 
 
 #: Capability token gating direct ``MmapStore(...)`` construction.
 _OPEN_TOKEN = object()
+
+
+def _field(what: str, column: str | None) -> str:
+    return what if column is None else f"column {column!r} {what}"
+
+
+def _manifest_int(
+    value: Any, what: str, minimum: int, column: str | None = None
+) -> int:
+    """A manifest field that must be an integer ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(
+            f"manifest {_field(what, column)} must be an integer >= {minimum},"
+            f" got {value!r}"
+        )
+    return value
+
+
+def _manifest_str(value: Any, what: str, column: str | None = None) -> str:
+    """A manifest field that must be a string."""
+    if not isinstance(value, str):
+        raise SchemaError(
+            f"manifest {_field(what, column)} must be a string, got {value!r}"
+        )
+    return value
+
+
+def _manifest_dtype(value: Any, column: str, support: int) -> np.dtype:
+    """A column's declared dtype: a signed integer type holding its support."""
+    try:
+        dtype = np.dtype(_manifest_str(value, "dtype", column))
+    except (TypeError, ValueError, SyntaxError) as exc:
+        raise SchemaError(
+            f"manifest {_field('dtype', column)} {value!r} is unknown"
+        ) from exc
+    if dtype.kind != "i" or support > 1 << (8 * dtype.itemsize - 1):
+        raise SchemaError(
+            f"manifest {_field('dtype', column)} {value!r} cannot hold"
+            f" {support} values"
+        )
+    return dtype
+
+
+@functools.lru_cache(maxsize=16)
+def _npy_data_offset(descr: str, num_rows: int) -> int:
+    """Where numpy writes the data of a 1-D ``.npy`` array of ``num_rows``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": (num_rows,)}
+    )
+    return header.tell()
+
+
+def _check_column_file(path: str, name: str, num_rows: int, dtype: np.dtype) -> None:
+    """Refuse a column file that is missing or disagrees with the manifest.
+
+    Opening a store reads nothing ``N``-sized, and a file of exactly the
+    size numpy writes for ``num_rows`` values of ``dtype`` costs one
+    ``stat``. Any other size has its ``.npy`` header read, so a file
+    whose header numpy laid out differently still opens when its shape
+    and dtype agree. :meth:`MmapStore.column` checks both again when it
+    maps the file.
+    """
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):
+        info = None
+    if info is None or not stat.S_ISREG(info.st_mode):
+        directory, file = os.path.split(path)
+        raise SchemaError(
+            f"mmap store at {directory} is missing column file"
+            f" {file!r} (declared for attribute {name!r})"
+        )
+    data_bytes = num_rows * dtype.itemsize
+    if info.st_size == _npy_data_offset(dtype.str, num_rows) + data_bytes:
+        return
+    fmt = np.lib.format
+    try:
+        with open(path, "rb") as handle:
+            if fmt.read_magic(handle) == (1, 0):
+                shape, _, stored = fmt.read_array_header_1_0(handle)
+            else:
+                shape, _, stored = fmt.read_array_header_2_0(handle)
+            offset = handle.tell()
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"column file for {name!r} is unreadable: {exc}") from exc
+    if shape != (num_rows,):
+        raise SchemaError(
+            f"column file for {name!r} has shape {shape}, expected"
+            f" ({num_rows},) — store files were modified after build"
+        )
+    if stored != dtype:
+        raise SchemaError(
+            f"column file for {name!r} has dtype {stored}, manifest"
+            f" declares {dtype}"
+        )
+    if info.st_size != offset + data_bytes:
+        raise SchemaError(
+            f"column file for {name!r} holds {info.st_size - offset} data"
+            f" bytes, not {data_bytes} — the file is truncated or was modified"
+        )

@@ -38,18 +38,20 @@ correlated, as with the paper's preprocessing shuffle (docs/THEORY.md).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from typing import Protocol
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Protocol, TypeVar
 
 import numpy as np
 
 from repro.data.backends import CountingBackend, resolve_backend
 from repro.data.column_store import ColumnSource
-from repro.data.joint import JointCounter
+from repro.data.joint import JointCounter, count_two_joints, packs_two
 from repro.data.layout import validate_seed
 from repro.exceptions import CheckpointMismatchError, ParameterError, SchemaError
 
 __all__ = ["CounterCache", "PrefixSampler"]
+
+_Job = TypeVar("_Job")
 
 
 class CounterCache(Protocol):
@@ -73,6 +75,18 @@ class CounterCache(Protocol):
     ) -> tuple[int, JointCounter] | None:
         """Cached joint counter for the canonical pair ``(first, second)``."""
         ...
+
+
+def _in_twos(
+    jobs: Sequence[_Job], packs: Callable[[_Job, _Job], bool]
+) -> Iterator[Sequence[_Job]]:
+    """``jobs`` in order, one at a time or two adjacent ones that pack."""
+    index = 0
+    while index < len(jobs):
+        pair = index + 1 < len(jobs) and packs(jobs[index], jobs[index + 1])
+        width = 2 if pair else 1
+        yield jobs[index : index + width]
+        index += width
 
 
 def _draw_offset(seed: int | np.random.Generator | None, num_rows: int) -> int:
@@ -526,6 +540,11 @@ class PrefixSampler:
                     rows,
                 )
                 for name, counts in zip(rest, fresh):
+                    if counts.shape != counters[name].shape:
+                        raise SchemaError(
+                            f"{name!r} holds a value at or above its declared"
+                            f" support size {counters[name].shape[0]}"
+                        )
                     # a block that wraps at N is counted in two slices
                     deltas[name] = deltas[name] + counts if name in deltas else counts
             for name in group:
@@ -553,31 +572,47 @@ class PrefixSampler:
 
         For each column of ``group`` with an expected pair whose dense
         joint sits at exactly ``start``, count the pair's joint delta
-        over ``[start, stop)`` from the column's block and the target's
-        (read once per target), hold it for the later query, and return
-        the marginal deltas of both attributes read off it (first pair
-        wins). Joints that do not exist yet are never started here.
+        over ``[start, stop)`` from the column's block and the target's,
+        hold it for the later query, and return the marginal deltas of
+        both attributes read off it (first pair wins). Two adjacent
+        pairs of one target that pack are counted in one pass
+        (:meth:`_count_two`); any other pair from the target's block,
+        read once per target. Joints that do not exist yet are never
+        started here.
         """
-        target_blocks: dict[str, np.ndarray] = {}
-        deltas: dict[str, np.ndarray] = {}
+        # (target, candidate, key, counter) of each joint to count
+        jobs: list[tuple[str, str, tuple[str, str], JointCounter]] = []
         for name in group:
-            block: np.ndarray | None = None
             for target in self._expected.get(name, {}):
                 key = (target, name) if target <= name else (name, target)
                 state = self._joints.get(key)
                 if state is None or state[0] != start or not state[1].is_dense:
                     continue
-                counter = state[1]
+                jobs.append((target, name, key, state[1]))
+        target_blocks: dict[str, np.ndarray] = {}
+        # the last candidate block read for a pair counted alone
+        named: tuple[str, np.ndarray] | None = None
+        deltas: dict[str, np.ndarray] = {}
+        for some in _in_twos(
+            jobs, lambda a, b: a[0] == b[0] and self._packs(a[0], a[1], b[1])
+        ):
+            target, name, key, counter = some[0]
+            if len(some) == 2:
+                counts: tuple[np.ndarray, ...] = self._count_two(
+                    target, (key, some[1][2]), start, stop
+                )
+            else:
                 block_target = target_blocks.get(target)
                 if block_target is None:
                     block_target = self._column_block(target, start, stop)
                     target_blocks[target] = block_target
-                if block is None:
-                    block = self._column_block(name, start, stop)
+                if named is None or named[0] != name:
+                    named = (name, self._column_block(name, start, stop))
                 if key[0] == target:
-                    delta = counter.count(block_target, block)
+                    counts = (counter.count(block_target, named[1]),)
                 else:
-                    delta = counter.count(block, block_target)
+                    counts = (counter.count(named[1], block_target),)
+            for (_, _, key, _), delta in zip(some, counts):
                 self._held[key] = (start, stop, delta)
                 table = delta.reshape(self._store.support_size(key[0]), -1)
                 for axis, side in ((1, key[0]), (0, key[1])):
@@ -603,11 +638,14 @@ class PrefixSampler:
     ) -> dict[str, JointCounter]:
         """Joint counts of ``first`` with each of ``seconds`` over the prefix.
 
-        The batched form of :meth:`joint_counts` (which delegates here):
-        the block of ``first`` values for each distinct start offset is
-        read once and shared by every pair extending over it. Counts,
-        cost accounting, and error
-        behaviour are identical to the equivalent scalar calls.
+        The batched form of :meth:`joint_counts` (which delegates here).
+        Two adjacent dense pairs that extend from the same prefix and
+        pack (:func:`~repro.data.joint.packs_two`) are counted in one
+        pass (:meth:`_count_two`); every other pair shares the block of
+        ``first`` values read once per distinct start offset. Counts,
+        cost accounting, and the errors raised are identical to the
+        equivalent scalar calls; a batch that raises leaves the pairs it
+        had resolved at their current prefix.
 
         A pair at the start of a delta that
         :meth:`marginal_counts_batch` held for it takes that delta
@@ -624,8 +662,8 @@ class PrefixSampler:
         duplicate names collapse to one entry.
         """
         self._check_prefix(num_rows)
-        # first-column blocks read so far, keyed by start offset
-        first_blocks: dict[int, np.ndarray] = {}
+        # (second, key, counted, counter) of each pair left to count
+        jobs: list[tuple[str, tuple[str, str], int, JointCounter]] = []
         out: dict[str, JointCounter] = {}
         for second in seconds:
             if second in out:
@@ -658,14 +696,36 @@ class PrefixSampler:
                     previous = counted
                     counted, counter = served_joint
                     self._cells_saved += 2 * (counted - previous)
-                    self._joints[key] = (counted, counter)
             held = self._held.pop(key, None)
             if held is not None and held[0] == counted and held[1] <= num_rows:
                 counter.add(held[2], held[1] - counted)
                 self._cells_scanned += 2 * (held[1] - counted)
                 counted = held[1]
-                self._joints[key] = (counted, counter)
+            # Entered now, in ``seconds`` order (the order checkpoints
+            # list joints in), and moved to ``num_rows`` once counted.
+            self._joints[key] = (counted, counter)
             if num_rows > counted:
+                jobs.append((second, key, counted, counter))
+            if counter.is_dense:
+                self._derived[first] = self._derived[second] = key
+            out[second] = counter
+        # first-column blocks read so far, keyed by start offset
+        first_blocks: dict[int, np.ndarray] = {}
+        for some in _in_twos(
+            jobs,
+            lambda a, b: a[2] == b[2]
+            and a[3].is_dense
+            and b[3].is_dense
+            and self._packs(first, a[0], b[0]),
+        ):
+            second, key, counted, counter = some[0]
+            if len(some) == 2:
+                keys = (key, some[1][1])
+                for (_, _, _, each), delta in zip(
+                    some, self._count_two(first, keys, counted, num_rows)
+                ):
+                    each.add(delta, num_rows - counted)
+            else:
                 block_first = first_blocks.get(counted)
                 if block_first is None:
                     block_first = self._column_block(first, counted, num_rows)
@@ -675,12 +735,43 @@ class PrefixSampler:
                     counter.update(block_first, block_second)
                 else:
                     counter.update(block_second, block_first)
+            for _, key, _, counter in some:
                 self._cells_scanned += 2 * (num_rows - counted)
                 self._joints[key] = (num_rows, counter)
-            if counter.is_dense:
-                self._derived[first] = self._derived[second] = key
-            out[second] = counter
         return out
+
+    def _packs(self, target: str, first: str, second: str) -> bool:
+        """Whether ``target``'s joints with both candidates count in one pass."""
+        support = self._store.support_size
+        return packs_two(support(target), support(first), support(second))
+
+    def _count_two(
+        self,
+        target: str,
+        keys: tuple[tuple[str, str], tuple[str, str]],
+        start: int,
+        stop: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat deltas over ``[start, stop)`` of two of ``target``'s joints.
+
+        Counted by :func:`~repro.data.joint.count_two_joints`, one slice
+        of the layout at a time (a block that wraps at ``N`` is never
+        concatenated); each delta is laid out as its key's counter is.
+        """
+        names = [target] + [key[1] if key[0] == target else key[0] for key in keys]
+        read, seed = self._store.layout_column, self._layout.seed
+        blocks = (
+            tuple(read(name, rows.start, rows.stop, seed)[rows] for name in names)
+            for rows in self._slices(start, stop)
+        )
+        tables = count_two_joints(
+            blocks, tuple(self._store.support_size(name) for name in names)
+        )
+        deltas = [
+            (table if key[0] == target else table.T).ravel()
+            for key, table in zip(keys, tables)
+        ]
+        return deltas[0], deltas[1]
 
     # ------------------------------------------------------------------
     # Joints counted ahead for a plan's later queries

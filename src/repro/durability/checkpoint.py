@@ -710,7 +710,7 @@ def read_envelope(
     target = Path(path)
     try:
         text = target.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable text, a NUL in the path
         raise CheckpointError(f"cannot read {target}: {exc}") from exc
     try:
         envelope = json.loads(text)

@@ -14,8 +14,9 @@ hypothesis feeds malformed input to the entry points
   duplicate attributes and a bare string; negative seeds; empty and
   1-row stores and u = 1 targets;
 * the files they read — checkpoint, cache partition, mmap manifest and
-  plan — as arbitrary, truncated, non-JSON and non-UTF-8 bytes, missing
-  paths, and a ``cache_dir`` that is a file;
+  plan — as arbitrary, truncated, non-JSON and non-UTF-8 bytes or one
+  flipped byte, missing paths, paths holding a NUL byte, and a
+  ``cache_dir`` that is a file;
 * ``repro query`` (:func:`repro.cli.main`), with arbitrary strings for
   its flags.
 
@@ -56,7 +57,13 @@ from repro.core.swope import (
 )
 from repro.data.column_store import ColumnStore
 from repro.data.mmap_store import MANIFEST_NAME, MmapStore
-from repro.exceptions import ReproError
+from repro.exceptions import (
+    CheckpointError,
+    DataFormatError,
+    ParameterError,
+    ReproError,
+    SchemaError,
+)
 
 #: The builtins an entry point may let through: control flow and the
 #: abstract-seam marker, never an error a caller could provoke.
@@ -251,6 +258,7 @@ _FILTER = {"kind": "filter", "k": None, "threshold": 0.5}
 @example(store_name="main", spec=_spec(epsilon=float("nan")), seed=0, failure=None)
 @example(store_name="main", spec=_spec(), seed=-1, failure=None)
 @example(store_name="main", spec=_spec(), seed=0, failure=float("inf"))
+@example(store_name="main", spec=_spec(), seed=0, failure=5e-324)
 @example(store_name="main", spec=_spec(**{**_FILTER, "threshold": float("nan")}),
          seed=0, failure=None)
 @example(store_name="main", spec=_spec(**{**_FILTER, "threshold": -1.0}), seed=0,
@@ -279,18 +287,27 @@ def test_single_query_entry_points_raise_only_repro_errors(
     specs=st.lists(_specs(), min_size=0, max_size=3),
     seed=_seeds,
     layout_seed=st.none() | st.integers(-3, 3),
+    failure=st.none() | _floats,
 )
 @example(store_name="main", specs=[_spec(), _spec(attributes=["nope"])], seed=0,
-         layout_seed=None)
-@example(store_name="main", specs=[_spec(attributes="ab")], seed=0, layout_seed=None)
-@example(store_name="main", specs=[_spec()], seed=-1, layout_seed=None)
-@example(store_name="main_mmap", specs=[_spec()], seed=0, layout_seed=-1)
-def test_plans_raise_only_repro_errors(stores, store_name, specs, seed, layout_seed):
+         layout_seed=None, failure=None)
+@example(store_name="main", specs=[_spec(attributes="ab")], seed=0, layout_seed=None,
+         failure=None)
+@example(store_name="main", specs=[_spec()], seed=-1, layout_seed=None, failure=None)
+@example(store_name="main_mmap", specs=[_spec()], seed=0, layout_seed=-1,
+         failure=None)
+@example(store_name="main", specs=[_spec()], seed=0, layout_seed=None,
+         failure=5e-324)
+def test_plans_raise_only_repro_errors(
+    stores, store_name, specs, seed, layout_seed, failure
+):
     store = stores[store_name]
 
     def run():
         plan = plan_queries(store, [QuerySpec(**spec) for spec in specs])
-        return PlanExecutor(store, seed=seed, layout_seed=layout_seed).execute(plan)
+        return PlanExecutor(
+            store, seed=seed, layout_seed=layout_seed, failure_probability=failure
+        ).execute(plan)
 
     outcome = _within_contract(run)
     if outcome is not None:
@@ -403,20 +420,44 @@ def _damaged_store(stores, artifacts, damage) -> Path:
     return directory
 
 
-# A flipped manifest byte can leave well-formed JSON with a wrong field
-# (a dtype numpy does not know), which MmapStore.open does not check;
-# manifests are fuzzed as truncated, non-JSON and non-UTF-8 only.
-_MANIFEST_DAMAGE = _DAMAGE.filter(lambda damage: damage[0] != "flip")
+#: Manifest flips that leave well-formed JSON: the row count, a dtype, a
+#: support size shrunk below the data's values, and a column pointed at
+#: another column's file.
+_MANIFEST_FLIPS = {
+    "num_rows": ('"num_rows": 300', 14, 1),
+    "dtype": ('"|i1"', 1, ord("|") ^ ord("(")),
+    "support": ('"support_size": 3', 16, 1),
+    "file": ('"col_00000.npy"', 9, 1),
+}
+
+
+def _manifest_flip(manifest: bytes, field: str) -> tuple[Any, ...]:
+    """Damage that XORs one byte of a manifest field, as its bytes."""
+    text, offset, xor = _MANIFEST_FLIPS[field]
+    at = manifest.index(text.encode("ascii")) + offset
+    return ("replace", manifest[:at] + bytes([manifest[at] ^ xor]) + manifest[at + 1 :])
 
 
 @_FUZZ
-@given(damage=_MANIFEST_DAMAGE)
+@given(damage=_DAMAGE)
 @example(damage=_NON_UTF8)
+@example(damage=("flip_field", "num_rows"))
+@example(damage=("flip_field", "dtype"))
+@example(damage=("flip_field", "support"))
+@example(damage=("flip_field", "file"))
 def test_damaged_manifests_raise_only_repro_errors(stores, artifacts, damage):
+    if damage[0] == "flip_field":
+        damage = _manifest_flip(artifacts["manifest"], damage[1])
     directory = _damaged_store(stores, artifacts, damage)
     store = _within_contract(lambda: MmapStore.open(directory))
-    if store is not None:
-        assert _within_contract(lambda: swope_top_k_entropy(store, 2)) is not None
+    if store is not None and (
+        _within_contract(lambda: swope_top_k_entropy(store, 2)) is None
+    ):
+        # A store that opens but cannot answer has a manifest that lies
+        # about its data (a shrunk support size, another column's file),
+        # which only the N-sized fingerprint check can see.
+        with pytest.raises(SchemaError, match="fails verification"):
+            store.verify_fingerprint()
 
 
 @_FUZZ
@@ -446,6 +487,23 @@ def test_missing_paths_and_a_file_as_cache_dir_are_repro_errors(stores, tmp_path
     afile.write_text("not a directory", encoding="utf-8")
     with pytest.raises(ReproError):
         call(stores["main"], tmp_path / "missing", afile)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda store: PlanExecutor.resume("run\x00.ckpt", store), CheckpointError),
+        (lambda store: load_plan("plan\x00.json"), DataFormatError),
+        (lambda store: MmapStore.open("store\x00"), SchemaError),
+        (lambda store: PlanExecutor(store, cache_dir="cache\x00"), ParameterError),
+        (lambda store: PlanExecutor(store, checkpoint_path="run\x00.ckpt"),
+         ParameterError),
+    ],
+    ids=["resume", "load-plan", "mmap-open", "cache-dir", "checkpoint-path"],
+)
+def test_paths_with_a_nul_byte_are_refused(stores, call, error):
+    with pytest.raises(error, match="NUL|null|not an mmap store"):
+        call(stores["main"])
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +576,7 @@ _CLI_DAMAGE = st.fixed_dictionaries(
         "plan": st.just(_INTACT) | _DAMAGE,
         "checkpoint": st.just(_INTACT) | _DAMAGE,
         "partition": st.just(_INTACT) | _DAMAGE,
-        "manifest": st.just(_INTACT) | _MANIFEST_DAMAGE,
+        "manifest": st.just(_INTACT) | _DAMAGE,
     }
 )
 

@@ -196,6 +196,60 @@ class TestOpenValidation:
         with pytest.raises(SchemaError, match="missing column file"):
             MmapStore.open(disk_store.directory)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: m.update(num_rows="fifty"), "num_rows must be an integer"),
+            (lambda m: m.update(num_rows=True), "num_rows must be an integer"),
+            (lambda m: m.update(num_rows=m["num_rows"] - 1), "has shape"),
+            (lambda m: m.update(fingerprint=7), "fingerprint must be a string"),
+            (lambda m: m["layout"].update(seed=-1), "layout seed must be"),
+            (lambda m: m.update(layout=[]), "layout must be an object"),
+            (lambda m: m.update(columns="a"), "columns must be a list"),
+            (lambda m: m["columns"][0].update(dtype="<i9"), "dtype '<i9' is unknown"),
+            (lambda m: m["columns"][0].update(dtype="<f8"), "cannot hold"),
+            (lambda m: m["columns"][0].update(dtype="<i2"), "has dtype int8"),
+            (lambda m: m["columns"][0].update(support_size=0), "support must be"),
+            (lambda m: m["columns"][0].update(support_size=300), "cannot hold"),
+            (lambda m: m["columns"][0].update(file=None), "file must be a string"),
+            (lambda m: m["columns"][0].pop("name"), "name must be a string"),
+            (lambda m: m["columns"][1].update(name=m["columns"][0]["name"]),
+             "declares column .* twice"),
+        ],
+        ids=[
+            "rows-text", "rows-bool", "rows-fewer", "fingerprint", "layout-seed",
+            "layout-type", "columns-type", "dtype-unknown", "dtype-float",
+            "dtype-file", "support-zero", "support-dtype", "file-type",
+            "name-missing", "name-twice",
+        ],
+    )
+    def test_wrong_manifest_fields_are_schema_errors(self, disk_store, edit, match):
+        manifest_path = disk_store.directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=match):
+            MmapStore.open(disk_store.directory)
+
+    def test_column_file_with_another_header_layout_opens(self, disk_store):
+        # a version 2.0 header is longer: the size check falls back to
+        # reading it, and shape and dtype agree
+        path = disk_store.directory / "col_00000.npy"
+        data = np.load(path)
+        with open(path, "wb") as handle:
+            np.lib.format.write_array(handle, data, version=(2, 0))
+        reopened = MmapStore.open(disk_store.directory)
+        name = json.loads((disk_store.directory / MANIFEST_NAME).read_text())[
+            "columns"
+        ][0]["name"]
+        assert np.array_equal(reopened.column(name), data)
+
+    def test_truncated_column_file_refused(self, disk_store):
+        path = disk_store.directory / "col_00000.npy"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(SchemaError, match="truncated"):
+            MmapStore.open(disk_store.directory)
+
     def test_verify_fingerprint_detects_tampering(self, disk_store):
         assert disk_store.verify_fingerprint() == disk_store.fingerprint()
         path = disk_store.directory / "col_00000.npy"

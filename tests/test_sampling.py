@@ -501,17 +501,19 @@ class TestDerivedMarginals:
         assert set(sampler._held) == {("x", "y"), ("y", "z")}
         # x and z came off their joint deltas, the target y off a row sum
         assert spy.counted == []
-        updates: list[int] = []
-        real_update = JointCounter.update
+        read: dict[str, int] = {}
+        real_read = store.layout_column
 
-        def recording_update(counter, first, second):
-            updates.append(first.size)
-            real_update(counter, first, second)
+        def recording_read(name, start, stop, layout_seed=None):
+            read[name] = read.get(name, 0) + stop - start
+            return real_read(name, start, stop, layout_seed)
 
-        monkeypatch.setattr(JointCounter, "update", recording_update)
+        monkeypatch.setattr(store, "layout_column", recording_read)
         mi_step(sampler, "y", ["x", "z"], mi_size, joints_first=True)
-        # only rows beyond the held [500, 1000) block are gathered
-        assert updates == ([mi_size - 1000] * 2 if mi_size > 1000 else [])
+        # only rows beyond the held [500, 1000) block are read, the
+        # target's once for both candidates
+        rest = mi_size - 1000
+        assert read == ({"x": rest, "y": rest, "z": rest} if rest else {})
         mi_step(reference, "y", ["x", "z"], mi_size, joints_first=True)
         assert_same_counts(sampler, reference)
         assert sampler._held == {}

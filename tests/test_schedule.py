@@ -43,6 +43,15 @@ class TestInitialSampleSize:
         with pytest.raises(ParameterError):
             initial_sample_size(100, 5, 0.0, 10)
 
+    @pytest.mark.parametrize("failure", [5e-324, 1e-310, 1e-307])
+    def test_failure_probability_too_small_for_a_float(self, failure):
+        # h·log2(N)/p_f overflows: a ParameterError, not an OverflowError
+        with pytest.raises(ParameterError, match="too small"):
+            initial_sample_size(1000, 5, failure, 10)
+
+    def test_tiny_failure_probability_that_fits_a_float(self):
+        assert initial_sample_size(1000, 5, 1e-300, 10) == 1000
+
 
 class TestMaxIterations:
     def test_formula(self):
