@@ -10,10 +10,11 @@ same ``bincount`` pattern the marginal counters use.
 A query scores every candidate ``a`` from its joint counts with one
 target ``t`` over a shared block of the prefix. Where the codes of the
 target with *two* candidates ``a``, ``b`` fit int16 (``u_t * u_a * u_b
-< 2^15``, the bound :func:`_code_dtype` draws for pairs),
-:func:`count_two_joints` counts both pairs in one ``bincount`` over the
-three-way codes ``(t * u_a + a) * u_b + b`` and reads each pair's table
-off the three-way table as a sum over the other candidate's axis. The
+< 2^15``, :func:`packs_two`, the bound :func:`_code_dtype` draws for
+pairs), :meth:`JointCounter.count_two` counts both pairs in one
+``bincount`` over three-way codes and reads each pair's table off the
+three-way table as a sum over the other candidate's axis;
+``JointCounter.update(..., also=...)`` adds them to both counters. The
 counts are exact integers, so this equals two pair counts bit for bit;
 it reads the target's block once and runs one cast, one min/max scan and
 one scatter instead of two of each.
@@ -33,13 +34,11 @@ nothing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
 import numpy as np
 
 from repro.exceptions import ParameterError, SchemaError
 
-__all__ = ["JointCounter", "DENSE_LIMIT", "count_two_joints", "packs_two"]
+__all__ = ["JointCounter", "DENSE_LIMIT", "packs_two"]
 
 #: Largest ``u1 * u2`` for which a dense count array is allocated (8 MB).
 DENSE_LIMIT = 1_000_000
@@ -60,51 +59,36 @@ def _code_dtype(product: int) -> type[np.signedinteger]:
     return np.int64
 
 
+_PAST_SUPPORT = (
+    "a joint code lies outside the supports' product: a value is at or"
+    " above its column's declared support size"
+)
+
+
 def _bincount(codes: np.ndarray, size: int) -> np.ndarray:
-    """``bincount`` of codes that must all lie below ``size``."""
-    counts = np.bincount(codes, minlength=size)
+    """``bincount`` of codes that must all lie in ``0 .. size - 1``.
+
+    A value at or above its column's declared support can push a code
+    past the end, or wrap a narrow code below zero; either is a
+    :class:`SchemaError`. (A code it moves to another cell inside the
+    table is not seen here.)
+    """
+    try:
+        counts = np.bincount(codes, minlength=size)
+    except ValueError as exc:  # a negative code
+        raise SchemaError(_PAST_SUPPORT) from exc
     if counts.shape[0] != size:
-        raise SchemaError(
-            "a joint code lies past the supports' product: a value is at or"
-            " above its column's declared support size"
-        )
+        raise SchemaError(_PAST_SUPPORT)
     return counts
 
 
 def packs_two(target: int, first: int, second: int) -> bool:
     """Whether three-way codes over these supports stay int16.
 
-    The bound under which :func:`count_two_joints` runs: wider codes
-    would widen every buffer its pass writes.
+    The bound under which :meth:`JointCounter.count_two` runs: wider
+    codes would widen every buffer its pass writes.
     """
     return _code_dtype(target * first * second) is np.int16
-
-
-def count_two_joints(
-    blocks: Iterable[Sequence[np.ndarray]], supports: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint counts of a target with two candidates, one pass per block.
-
-    ``blocks`` yields ``(target, first, second)`` value arrays of equal
-    length (the contiguous slices of one prefix block), and ``supports``
-    is ``(u_t, u_a, u_b)`` with :func:`packs_two` true. The codes
-    ``(t * u_a + a) * u_b + b`` are built by Horner's rule in one int16
-    buffer per slice and counted by one ``bincount``. Returns the
-    ``(u_t, u_a)`` and ``(u_t, u_b)`` tables summed over every slice.
-    """
-    u_t, u_a, u_b = supports
-    table: np.ndarray | None = None
-    for target, first, second in blocks:
-        codes = np.multiply(target, u_a, dtype=np.int16)
-        codes += first
-        codes *= u_b
-        codes += second
-        counts = _bincount(codes, u_t * u_a * u_b)
-        table = counts if table is None else table + counts
-    if table is None:
-        raise ParameterError("count_two_joints() needs at least one block")
-    cube = table.reshape(u_t, u_a, u_b)
-    return cube.sum(axis=2), cube.sum(axis=1)
 
 
 class JointCounter:
@@ -162,13 +146,26 @@ class JointCounter:
         return self._dense is not None
 
     # ------------------------------------------------------------------
-    def update(self, first: np.ndarray, second: np.ndarray) -> None:
+    def update(
+        self,
+        first: np.ndarray,
+        second: np.ndarray,
+        *,
+        also: tuple[JointCounter, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         """Add one batch of records' pair observations to the counter.
 
         For a dense counter this is :meth:`count` followed by
         :meth:`add`; a sparse counter merges the batch's unique codes
-        into its map.
+        into its map. ``also=(other, other_first, other_second)`` updates
+        ``other`` too, as ``other.update(other_first, other_second)``
+        would, in the same pass (:meth:`count_two`).
         """
+        if also is not None:
+            mine, theirs = self.count_two(first, second, also)
+            self.add(mine, first.size)
+            also[0].add(theirs, first.size)
+            return
         if self._dense is not None:
             self.add(self.count(first, second), first.size)
             return
@@ -190,6 +187,58 @@ class JointCounter:
         if self._dense is None:
             raise ParameterError("count() needs a dense joint counter")
         return _bincount(self._codes(first, second), self._dense.shape[0])
+
+    def count_two(
+        self,
+        first: np.ndarray,
+        second: np.ndarray,
+        also: tuple[JointCounter, np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense counts of one batch for this counter and another, in one pass.
+
+        ``also`` is ``(other, other_first, other_second)``. Returns
+        ``(self.count(first, second), other.count(other_first,
+        other_second))`` bit for bit. The two joints share one
+        attribute, passed as the same array object to both; with
+        ``third`` the other joint's array that is not shared (support
+        ``u3``), the batch is coded as
+        ``(first * u2 + second) * u3 + third`` by Horner's rule in one
+        int16 buffer and counted by one ``bincount``, and each counter's
+        table is a sum over the three-way table. Both counters must be
+        dense and the three supports must pass :func:`packs_two`.
+        """
+        other, other_first, other_second = also
+        for axis, shared in enumerate((first, second)):
+            if other_first is shared or other_second is shared:
+                break
+        else:
+            raise ParameterError("count_two() needs joints that share an attribute")
+        flip = other_second is shared  # the other table is (third, shared)
+        third = other_first if flip else other_second
+        sizes = (other._u2, other._u1) if flip else (other._u1, other._u2)
+        if sizes[0] != (self._u1, self._u2)[axis]:
+            raise ParameterError(
+                f"joints share an attribute of supports {sizes[0]} and"
+                f" {(self._u1, self._u2)[axis]}"
+            )
+        u1, u2, u3 = self._u1, self._u2, sizes[1]
+        if self._dense is None or other._dense is None or not packs_two(u1, u2, u3):
+            raise ParameterError(
+                "count_two() needs two dense joints whose three supports"
+                f" {(u1, u2, u3)} pass packs_two()"
+            )
+        if not first.shape == second.shape == third.shape:
+            raise ParameterError(
+                f"mismatched batch shapes {first.shape}, {second.shape},"
+                f" {third.shape}"
+            )
+        codes = np.multiply(first, u2, dtype=np.int16)
+        codes += second
+        codes *= u3
+        codes += third
+        cube = _bincount(codes, u1 * u2 * u3).reshape(u1, u2, u3)
+        theirs = cube.sum(axis=1 - axis)
+        return cube.sum(axis=2).ravel(), (theirs.T if flip else theirs).ravel()
 
     def add(self, delta: np.ndarray, records: int) -> None:
         """Fold in a :meth:`count` delta that covers ``records`` records."""

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.data.backends import CountingBackend, resolve_backend
 from repro.data.column_store import ColumnSource
-from repro.data.joint import JointCounter, count_two_joints, packs_two
+from repro.data.joint import JointCounter, packs_two
 from repro.data.layout import validate_seed
 from repro.exceptions import CheckpointMismatchError, ParameterError, SchemaError
 
@@ -576,9 +576,9 @@ class PrefixSampler:
         hold it for the later query, and return the marginal deltas of
         both attributes read off it (first pair wins). Two adjacent
         pairs of one target that pack are counted in one pass
-        (:meth:`_count_two`); any other pair from the target's block,
-        read once per target. Joints that do not exist yet are never
-        started here.
+        (:meth:`JointCounter.count_two`, per layout slice); any other
+        pair from the target's block, read once per target. Joints that
+        do not exist yet are never started here.
         """
         # (target, candidate, key, counter) of each joint to count
         jobs: list[tuple[str, str, tuple[str, str], JointCounter]] = []
@@ -598,9 +598,12 @@ class PrefixSampler:
         ):
             target, name, key, counter = some[0]
             if len(some) == 2:
-                counts: tuple[np.ndarray, ...] = self._count_two(
+                counts: tuple[np.ndarray, ...] = ()
+                for pair, other in self._slice_pairs(
                     target, (key, some[1][2]), start, stop
-                )
+                ):
+                    two = counter.count_two(*pair, (some[1][3], *other))
+                    counts = tuple(map(np.add, counts, two)) if counts else two
             else:
                 block_target = target_blocks.get(target)
                 if block_target is None:
@@ -641,7 +644,8 @@ class PrefixSampler:
         The batched form of :meth:`joint_counts` (which delegates here).
         Two adjacent dense pairs that extend from the same prefix and
         pack (:func:`~repro.data.joint.packs_two`) are counted in one
-        pass (:meth:`_count_two`); every other pair shares the block of
+        pass (``JointCounter.update(..., also=...)``, one call per
+        layout slice); every other pair shares the block of
         ``first`` values read once per distinct start offset. Counts,
         cost accounting, and the errors raised are identical to the
         equivalent scalar calls; a batch that raises leaves the pairs it
@@ -720,11 +724,11 @@ class PrefixSampler:
         ):
             second, key, counted, counter = some[0]
             if len(some) == 2:
-                keys = (key, some[1][1])
-                for (_, _, _, each), delta in zip(
-                    some, self._count_two(first, keys, counted, num_rows)
+                _, key_b, _, counter_b = some[1]
+                for pair, other in self._slice_pairs(
+                    first, (key, key_b), counted, num_rows
                 ):
-                    each.add(delta, num_rows - counted)
+                    counter.update(*pair, also=(counter_b, *other))
             else:
                 block_first = first_blocks.get(counted)
                 if block_first is None:
@@ -745,33 +749,27 @@ class PrefixSampler:
         support = self._store.support_size
         return packs_two(support(target), support(first), support(second))
 
-    def _count_two(
+    def _slice_pairs(
         self,
         target: str,
         keys: tuple[tuple[str, str], tuple[str, str]],
         start: int,
         stop: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat deltas over ``[start, stop)`` of two of ``target``'s joints.
+    ) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Each key's two blocks, in key order, per slice of ``[start, stop)``.
 
-        Counted by :func:`~repro.data.joint.count_two_joints`, one slice
-        of the layout at a time (a block that wraps at ``N`` is never
-        concatenated); each delta is laid out as its key's counter is.
+        Both keys pair ``target`` with a candidate, and the target's
+        block is one array shared by both pairs, which is how
+        :meth:`JointCounter.count_two` finds the attribute they share. A
+        block that wraps at ``N`` is never concatenated.
         """
         names = [target] + [key[1] if key[0] == target else key[0] for key in keys]
         read, seed = self._store.layout_column, self._layout.seed
-        blocks = (
-            tuple(read(name, rows.start, rows.stop, seed)[rows] for name in names)
-            for rows in self._slices(start, stop)
-        )
-        tables = count_two_joints(
-            blocks, tuple(self._store.support_size(name) for name in names)
-        )
-        deltas = [
-            (table if key[0] == target else table.T).ravel()
-            for key, table in zip(keys, tables)
-        ]
-        return deltas[0], deltas[1]
+        for rows in self._slices(start, stop):
+            block = {
+                name: read(name, rows.start, rows.stop, seed)[rows] for name in names
+            }
+            yield tuple((block[key[0]], block[key[1]]) for key in keys)
 
     # ------------------------------------------------------------------
     # Joints counted ahead for a plan's later queries

@@ -1,11 +1,12 @@
-"""Two candidates' joints counted in one pass (:func:`count_two_joints`).
+"""Two candidates' joints counted in one pass (:meth:`JointCounter.count_two`).
 
 The sampler counts a target's joints with two adjacent candidates from
 one ``bincount`` over three-way codes where those codes fit int16. The
 counts are exact integers, so everything downstream must be bit for bit
 what one pass per pair gives. Three layers check it:
 
-* the kernel against per-pair ``bincount``, over one or two slices;
+* the kernel against per-pair counts, in both key orientations, over one
+  or two slices, and a value at its declared support refused;
 * the sampler against itself with packing switched off, and against a
   direct count over the prefix: both key orientations, supports whose
   product is ``2^15 - 1`` (packs) and ``2^15`` (does not), blocks that
@@ -15,6 +16,7 @@ what one pass per pair gives. Three layers check it:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,10 @@ from hypothesis import strategies as st
 from repro.core.plan import PlanExecutor, QuerySpec, plan_queries
 from repro.data import sampling
 from repro.data.column_store import ColumnStore
-from repro.data.joint import DENSE_LIMIT, JointCounter, count_two_joints, packs_two
+from repro.data.joint import DENSE_LIMIT, JointCounter, packs_two
+from repro.data.mmap_store import MANIFEST_NAME, MmapStore
 from repro.data.sampling import PrefixSampler
+from repro.exceptions import SchemaError
 
 N = 600
 
@@ -57,20 +61,60 @@ def test_the_bound_is_the_int16_code_bound():
     supports=st.tuples(*[st.integers(1, 40)] * 3).filter(lambda s: packs_two(*s)),
     length=st.integers(1, 300),
     cut=st.floats(0.0, 1.0),
+    target_second=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kernel_equals_per_pair_bincount(supports, length, cut, seed):
+def test_kernel_equals_per_pair_counts(supports, length, cut, target_second, seed):
     rng = np.random.default_rng(seed)
     u_t, u_a, u_b = supports
     t, a, b = (rng.integers(0, u, length).astype(np.int8) for u in supports)
     at = int(cut * length)
     parts = [p for p in (slice(0, at), slice(at, length)) if p.stop > p.start]
-    with_a, with_b = count_two_joints(((t[p], a[p], b[p]) for p in parts), supports)
-    expected_a = np.bincount(t.astype(np.int64) * u_a + a, minlength=u_t * u_a)
-    expected_b = np.bincount(t.astype(np.int64) * u_b + b, minlength=u_t * u_b)
-    assert with_a.dtype == with_b.dtype == np.int64
-    assert np.array_equal(with_a.ravel(), expected_a)
-    assert np.array_equal(with_b.ravel(), expected_b)
+
+    def keyed(target, candidate, flip):
+        return (candidate, target) if flip else (target, candidate)
+
+    flip_a, flip_b = target_second
+    packed = [JointCounter(*keyed(u_t, u, flip)) for u, flip in ((u_a, flip_a),
+                                                                (u_b, flip_b))]
+    pairwise = [JointCounter(*keyed(u_t, u, flip)) for u, flip in ((u_a, flip_a),
+                                                                  (u_b, flip_b))]
+    for part in parts:
+        block = t[part]  # one array, shared by both pairs
+        pair_a, pair_b = keyed(block, a[part], flip_a), keyed(block, b[part], flip_b)
+        mine, theirs = packed[0].count_two(*pair_a, (packed[1], *pair_b))
+        assert mine.dtype == theirs.dtype == np.int64
+        assert np.array_equal(mine, pairwise[0].count(*pair_a))
+        assert np.array_equal(theirs, pairwise[1].count(*pair_b))
+        packed[0].update(*pair_a, also=(packed[1], *pair_b))
+        pairwise[0].update(*pair_a)
+        pairwise[1].update(*pair_b)
+    for ours, reference in zip(packed, pairwise):
+        assert ours.total == reference.total == length
+        assert np.array_equal(ours.flat_counts(), reference.flat_counts())
+
+
+@pytest.mark.parametrize("packs", [True, False])
+def test_value_at_its_declared_support_is_a_schema_error(tmp_path, monkeypatch, packs):
+    # ``t`` holds 7, but the manifest was edited to declare 7 values:
+    # its three-way codes with (a31, z151) pass 2^15 - 1 and wrap int16
+    # below zero; its pair codes pass the table's end.
+    columns = {"t": np.arange(N) % 8, "a": np.arange(N) % 31, "z": np.arange(N) % 151}
+    store = MmapStore.from_column_store(
+        ColumnStore(columns, support_sizes={"t": 8, "a": 31, "z": 151}), tmp_path / "s"
+    )
+    manifest_path = store.directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["columns"]:
+        if entry["name"] == "t":
+            entry["support_size"] = 7
+    manifest_path.write_text(json.dumps(manifest))
+    shrunk = MmapStore.open(store.directory)
+    assert packs_two(*(shrunk.support_size(name) for name in "taz"))
+    if not packs:
+        monkeypatch.setattr(sampling, "packs_two", lambda *supports: False)
+    with pytest.raises(SchemaError, match="declared support size"):
+        PrefixSampler(shrunk, seed=1).joint_counts_batch("t", ["a", "z"], N)
 
 
 def _run(store, seed, sizes, orders, entropy_between, first_names):

@@ -233,7 +233,7 @@ class TestOpenValidation:
 
     def test_column_file_with_another_header_layout_opens(self, disk_store):
         # a version 2.0 header is longer: the size check falls back to
-        # reading it, and shape and dtype agree
+        # mapping the file, and shape and dtype agree
         path = disk_store.directory / "col_00000.npy"
         data = np.load(path)
         with open(path, "wb") as handle:
@@ -244,10 +244,22 @@ class TestOpenValidation:
         ][0]["name"]
         assert np.array_equal(reopened.column(name), data)
 
-    def test_truncated_column_file_refused(self, disk_store):
+    def test_same_size_file_of_another_dtype_refused_when_read(self, disk_store):
+        # open checks sizes only; the header is checked when the file is mapped
         path = disk_store.directory / "col_00000.npy"
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(SchemaError, match="truncated"):
+        data = np.load(path)
+        assert data.dtype == np.int8
+        np.save(path, data.astype(np.uint8))
+        reopened = MmapStore.open(disk_store.directory)
+        name = reopened.attributes[0]
+        with pytest.raises(SchemaError, match="has dtype uint8"):
+            reopened.column(name)
+
+    @pytest.mark.parametrize("keep", [0, 10, -1])
+    def test_truncated_column_file_refused(self, disk_store, keep):
+        path = disk_store.directory / "col_00000.npy"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(SchemaError, match="is unreadable"):
             MmapStore.open(disk_store.directory)
 
     def test_verify_fingerprint_detects_tampering(self, disk_store):
