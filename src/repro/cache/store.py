@@ -72,7 +72,9 @@ CACHE_FORMAT = "repro-plan-cache"
 
 #: Bumped on any payload-layout change; mismatching files are treated as
 #: empty (cache semantics: stale state degrades to a miss, never an error).
-CACHE_SCHEMA_VERSION = 1
+#: v2: counters in the checkpoint's v5 codec (narrow raw integers, dense
+#: joint tables possibly as their nonzero cells) instead of zlib streams.
+CACHE_SCHEMA_VERSION = 2
 
 QueryResult = Union[TopKResult, FilterResult]
 

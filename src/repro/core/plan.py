@@ -1855,8 +1855,6 @@ class PlanExecutor:
                 "sample_floor": self._floor,
                 "queries_run": self._queries_run,
                 "boundaries_seen": self._boundaries,
-                # Kept for the checkpoint format: every boundary is saved.
-                "checkpoint_every": 1,
             },
             sampler=ckpt.encode_sampler_state(
                 self._sampler.state_snapshot(), self._encoded

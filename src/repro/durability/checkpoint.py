@@ -18,10 +18,13 @@ on-disk form:
   (:func:`write_envelope`/:func:`read_envelope`) and counter codec
   (:func:`encode_counters`/:func:`decode_counters`) seal the plan
   cache's partition files (:mod:`repro.cache.store`);
-* arrays — the counters — encoded as base64(zlib(raw bytes)) with
-  dtype and shape, so the
-  restored values are byte-for-byte the saved ones; a checkpoint's size
-  therefore tracks the counters, never the row count;
+* arrays — the counters — stored as the base64 of their raw
+  little-endian bytes in the narrowest width that holds their largest
+  value (``|u1``, ``<u2``, ``<u4``, else ``<i8``), with dtype and
+  shape, and decoded to int64 with the saved values; a dense joint
+  table is stored as its nonzero cells (indices and counts) when that
+  takes fewer bytes. A checkpoint's size therefore tracks the counters,
+  never the row count;
 * a sha256 over the canonical payload serialization, verified on load —
   a truncated or hand-edited file raises
   :class:`~repro.exceptions.CheckpointError` instead of resuming from
@@ -46,7 +49,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import zlib
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +68,7 @@ from repro.core.results import (
     TopKResult,
 )
 from repro.data.column_store import ColumnSource
+from repro.data.joint import DENSE_LIMIT
 from repro.durability.atomic import atomic_write_text
 from repro.exceptions import CheckpointError, CheckpointMismatchError
 
@@ -103,7 +107,10 @@ CHECKPOINT_FORMAT = "repro-plan-checkpoint"
 #: v4: samplers read the store's sampling layout from a run offset, and
 #: ``shuffle`` is ``{"layout_seed", "layout", "offset"}`` (the layout's
 #: seed and sha256, and the offset).
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v5: counter arrays are raw little-endian integers in their narrowest
+#: width instead of zlib streams, a dense joint table may be stored as
+#: its nonzero cells, and ``executor`` drops ``checkpoint_every``.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 _PAYLOAD_KEYS = ("dataset", "executor", "sampler", "specs", "progress")
 
@@ -133,23 +140,114 @@ def store_fingerprint(store: ColumnSource) -> str:
 # ----------------------------------------------------------------------
 # Array and counter-state codecs
 # ----------------------------------------------------------------------
-def _encode_array(arr: np.ndarray) -> dict[str, Any]:
-    data = np.ascontiguousarray(arr)
+#: The widths a counter array is stored in, narrowest first: unsigned
+#: widths for the largest value they hold, ``<i8`` for anything else.
+_UNSIGNED_WIDTHS = ((0xFF, "|u1"), (0xFFFF, "<u2"), (0xFFFF_FFFF, "<u4"))
+_STORED_DTYPES = {
+    name: np.dtype(name) for name in ("|u1", "<u2", "<u4", "<i8")
+}
+
+
+def _narrowest(low: int, high: int) -> str:
+    """The narrowest stored dtype holding every value in ``[low, high]``."""
+    if low >= 0:
+        for limit, name in _UNSIGNED_WIDTHS:
+            if high <= limit:
+                return name
+    return "<i8"
+
+
+def _value_range(arr: np.ndarray) -> tuple[int, int]:
+    return (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+
+
+def _encode_array(arr: np.ndarray, dtype: str | None = None) -> dict[str, Any]:
+    """``arr``'s raw little-endian bytes, base64, in its narrowest width."""
+    data = np.asarray(arr)
+    if dtype is None:
+        dtype = _narrowest(*_value_range(data))
     return {
-        "dtype": data.dtype.str,
+        "dtype": dtype,
         "shape": list(data.shape),
-        "data": base64.b64encode(zlib.compress(data.tobytes())).decode("ascii"),
+        "data": base64.b64encode(data.astype(dtype, copy=False).tobytes()).decode(
+            "ascii"
+        ),
     }
 
 
 def _decode_array(payload: Any) -> np.ndarray:
+    """The writable int64 array :func:`_encode_array` stored."""
     try:
-        raw = zlib.decompress(base64.b64decode(payload["data"]))
-        arr = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        arr = arr.reshape([int(d) for d in payload["shape"]])
-    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        dtype = _STORED_DTYPES[payload["dtype"]]
+        shape = payload["shape"]
+        raw = base64.b64decode(payload["data"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt array payload in checkpoint: {exc}") from exc
-    return arr.copy()  # frombuffer is read-only; counters must be writable
+    if not (
+        isinstance(shape, list)
+        and all(type(d) is int and d >= 0 for d in shape)
+        and len(raw) == math.prod(shape) * dtype.itemsize
+    ):
+        raise CheckpointError(
+            "corrupt array payload in checkpoint:"
+            f" {len(raw)} data bytes for shape {shape!r} of {dtype.str}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.int64)
+
+
+def _encode_table(table: np.ndarray) -> dict[str, Any]:
+    """A dense joint table, whole or as its nonzero cells, whichever is smaller.
+
+    Both forms store narrowed integers (:func:`_encode_array`), so the
+    choice compares exact byte counts: ``size`` cells at the counts'
+    width against ``nonzero`` cell indices at the indices' width plus
+    ``nonzero`` counts at the counts' width.
+    """
+    low, high = _value_range(table)
+    counts = _narrowest(low, high)
+    cells = _narrowest(0, table.size - 1)
+    nonzero = int(np.count_nonzero(table))
+    whole = table.size * _STORED_DTYPES[counts].itemsize
+    sparse = nonzero * (
+        _STORED_DTYPES[cells].itemsize + _STORED_DTYPES[counts].itemsize
+    )
+    if low < 0 or table.size > DENSE_LIMIT or sparse >= whole:
+        return {"dense": _encode_array(table, counts)}
+    index = np.flatnonzero(table)
+    return {
+        "nonzero_cells": _encode_array(index, cells),
+        "nonzero_counts": _encode_array(table[index], counts),
+    }
+
+
+def _decode_table(payload: Mapping[str, Any], size: int) -> np.ndarray:
+    """The dense table of ``size`` cells :func:`_encode_table` stored."""
+    if "dense" in payload:
+        table = _decode_array(payload["dense"])
+        if table.shape != (size,):
+            raise CheckpointError(
+                f"dense joint table has shape {table.shape}, not ({size},)"
+            )
+        return table
+    cells = _decode_array(payload["nonzero_cells"])
+    counts = _decode_array(payload["nonzero_counts"])
+    if not 0 < size <= DENSE_LIMIT:
+        raise CheckpointError(f"a joint table of {size} cells is not dense")
+    if cells.ndim != 1 or cells.shape != counts.shape:
+        raise CheckpointError(
+            f"nonzero cells {cells.shape} and counts {counts.shape} differ"
+        )
+    if cells.size and (
+        cells[0] < 0 or cells[-1] >= size or np.any(np.diff(cells) <= 0)
+    ):
+        raise CheckpointError(
+            f"nonzero cells are not strictly increasing within [0, {size})"
+        )
+    if np.any(counts <= 0):
+        raise CheckpointError("a nonzero cell has a count below 1")
+    table = np.zeros(size, dtype=np.int64)
+    table[cells] = counts
+    return table
 
 
 def _encode_joint(snapshot: dict[str, Any]) -> dict[str, Any]:
@@ -159,7 +257,7 @@ def _encode_joint(snapshot: dict[str, Any]) -> dict[str, Any]:
         "total": int(snapshot["total"]),
     }
     if "dense" in snapshot:
-        out["dense"] = _encode_array(snapshot["dense"])
+        out.update(_encode_table(snapshot["dense"]))
     else:
         out["sparse_codes"] = _encode_array(snapshot["sparse_codes"])
         out["sparse_counts"] = _encode_array(snapshot["sparse_counts"])
@@ -172,11 +270,13 @@ def _decode_joint(payload: dict[str, Any]) -> dict[str, Any]:
         "support_second": int(payload["support_second"]),
         "total": int(payload["total"]),
     }
-    if "dense" in payload:
-        out["dense"] = _decode_array(payload["dense"])
-    else:
+    if "sparse_codes" in payload:
         out["sparse_codes"] = _decode_array(payload["sparse_codes"])
         out["sparse_counts"] = _decode_array(payload["sparse_counts"])
+    else:
+        out["dense"] = _decode_table(
+            payload, out["support_first"] * out["support_second"]
+        )
     return out
 
 
@@ -224,8 +324,10 @@ def encode_counters(
     :meth:`~repro.data.sampling.PrefixSampler.state_snapshot` returns;
     checkpoints and plan-cache partitions both store counters this way.
 
-    ``memo`` skips the zlib + base64 encoding of a counter whose prefix
-    has not grown since the last call with the same memo. It is valid
+    ``memo`` skips the encoding of a counter whose prefix has not grown
+    since the last call with the same memo; the counters of the query a
+    plan is running grow at every boundary, so only the others are
+    skipped. It is valid
     only while a counter's contents are a function of its key and its
     ``counted`` prefix, as for the counters of one sampler, so a memo
     is never shared between samplers. Keying on the prefix, not on
@@ -611,7 +713,7 @@ class PlanCheckpoint:
     * ``dataset`` — ``{"fingerprint", "num_rows"}`` identity of the
       store the counters describe;
     * ``executor`` — failure probability, ratcheted sample floor,
-      queries run, iteration boundaries seen, checkpoint cadence;
+      queries run and iteration boundaries seen;
     * ``sampler`` — the row order (layout and offset) and every counter
       (:func:`encode_sampler_state`);
     * ``specs`` — the normalized plan specs, so resuming against a

@@ -16,7 +16,8 @@ hypothesis feeds malformed input to the entry points
 * the files they read — checkpoint, cache partition, mmap manifest and
   plan — as arbitrary, truncated, non-JSON and non-UTF-8 bytes or one
   flipped byte, missing paths, paths holding a NUL byte, and a
-  ``cache_dir`` that is a file;
+  ``cache_dir`` that is a file; and checkpoints and cache partitions
+  resealed around a counter array the codec refuses;
 * ``repro query`` (:func:`repro.cli.main`), with arbitrary strings for
   its flags.
 
@@ -28,6 +29,8 @@ input must exit 0, or exit 2 with an ``error:`` line.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import io
 import json
 import os
@@ -341,6 +344,7 @@ def artifacts(stores, tmp_path_factory) -> dict[str, Any]:
         "root": root,
         "plan": plan,
         "answers": {name: cold[name].attributes for name in plan.names},
+        "cells": cold.stats.cells_scanned,
         "plan_file": plan_path.read_bytes(),
         "checkpoint": checkpoint.read_bytes(),
         "partition": (partition.name, partition.read_bytes()),
@@ -361,8 +365,45 @@ _DAMAGE = st.one_of(
 _NON_UTF8 = ("non_utf8", b"")
 
 
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _resealed(valid: bytes, edit: str) -> bytes:
+    """``valid`` with one counter damaged, resealed so the sha256 holds.
+
+    ``edit`` makes the first marginal's dtype ``|O`` (``object_dtype``)
+    or ``<f8`` (``float_dtype``), or its data one byte short
+    (``short_data``), or stores the first joint's table as one nonzero
+    cell at an index equal to the table size (``cell_at_size``).
+    """
+    envelope = json.loads(valid)
+    payload = envelope["payload"]
+    counters = payload.get("sampler", payload)  # a checkpoint or a partition
+    counts = next(iter(counters["marginals"].values()))["counts"]
+    if edit == "object_dtype":
+        counts["dtype"] = "|O"
+    elif edit == "float_dtype":
+        counts["dtype"] = "<f8"
+    elif edit == "short_data":
+        counts["data"] = _b64(base64.b64decode(counts["data"])[:-1])
+    else:
+        table = counters["joints"][0]["counter"]
+        for form in ("dense", "nonzero_cells", "nonzero_counts"):
+            table.pop(form, None)
+        size = table["support_first"] * table["support_second"]
+        assert size <= 0xFF
+        table["nonzero_cells"] = {"dtype": "|u1", "shape": [1], "data": _b64(bytes([size]))}
+        table["nonzero_counts"] = {"dtype": "|u1", "shape": [1], "data": _b64(b"\x01")}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    envelope["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(envelope).encode("utf-8")
+
+
 def _damaged(valid: bytes, damage: tuple[Any, ...]) -> bytes:
     how = damage[0]
+    if how == "counter":
+        return _resealed(valid, damage[1])
     if how == "replace":
         return damage[1]
     if how == "truncate":
@@ -383,6 +424,10 @@ def _write(path: Path, valid: bytes, damage: tuple[Any, ...]) -> Path:
 @_FUZZ
 @given(damage=_DAMAGE)
 @example(damage=_NON_UTF8)
+@example(damage=("counter", "object_dtype"))
+@example(damage=("counter", "float_dtype"))
+@example(damage=("counter", "short_data"))
+@example(damage=("counter", "cell_at_size"))
 def test_damaged_checkpoints_raise_only_repro_errors(stores, artifacts, damage):
     path = _write(artifacts["root"] / "damaged.ckpt", artifacts["checkpoint"], damage)
 
@@ -390,6 +435,10 @@ def test_damaged_checkpoints_raise_only_repro_errors(stores, artifacts, damage):
         executor = PlanExecutor.resume(path, stores["main"])
         return executor.execute(executor.resumed_plan())
 
+    if damage[0] == "counter":
+        with pytest.raises(CheckpointError, match="array payload|nonzero cell"):
+            resume()
+        return
     outcome = _within_contract(resume)
     if outcome is not None:
         assert {n: outcome[n].attributes for n in outcome} == artifacts["answers"]
@@ -398,6 +447,10 @@ def test_damaged_checkpoints_raise_only_repro_errors(stores, artifacts, damage):
 @_FUZZ
 @given(damage=_DAMAGE)
 @example(damage=_NON_UTF8)
+@example(damage=("counter", "object_dtype"))
+@example(damage=("counter", "float_dtype"))
+@example(damage=("counter", "short_data"))
+@example(damage=("counter", "cell_at_size"))
 def test_damaged_cache_partitions_start_cold(stores, artifacts, damage):
     """A defective partition is a cache miss: the run answers as if cold."""
     directory = artifacts["root"] / "damaged-cache"
@@ -409,6 +462,8 @@ def test_damaged_cache_partitions_start_cold(stores, artifacts, damage):
         artifacts["plan"]
     )
     assert {n: outcome[n].attributes for n in outcome} == artifacts["answers"]
+    if damage[0] == "counter":  # one bad array drops the whole partition
+        assert outcome.stats.cells_scanned == artifacts["cells"]
 
 
 def _damaged_store(stores, artifacts, damage) -> Path:
