@@ -161,7 +161,7 @@ class EntropyTreeClassifier:
         labels = store.column_block(self.label, rows)
         # Label histogram over the node's row subset (a tree split, not
         # a sample prefix) — outside the backend seam.
-        counts = np.bincount(  # noqa: SWP009
+        counts = np.bincount(
             labels, minlength=store.support_size(self.label)
         )
         node = DecisionNode(

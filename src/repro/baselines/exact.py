@@ -57,7 +57,7 @@ def exact_joint_entropy(store: ColumnStore, first: str, second: str) -> float:
         raise SchemaError("joint entropy of an attribute with itself is its entropy")
     # Exact baseline reads the whole dataset once; there is no sampler
     # whose batch methods could own this counter.
-    counter = JointCounter(  # noqa: SWP009
+    counter = JointCounter(
         store.support_size(first), store.support_size(second)
     )
     counter.update(store.column(first), store.column(second))

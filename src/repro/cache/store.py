@@ -23,7 +23,7 @@ fingerprint)`` — the dataset's sha256, and the layout's sha256 with the
 run offset — because counters from a
 different dataset *or* a different row order are garbage for this one.
 There is deliberately no way to read or write cache state without
-naming the fingerprint (enforced tree-wide by analysis rule SWP017).
+naming the fingerprint: both keys are keyword-only, with no default.
 
 On disk each partition is one JSON file in the checkpoint envelope
 (format marker, schema version, payload sha256, atomic replace; see
@@ -153,7 +153,7 @@ class CachePartition:
 
     Construct via :meth:`PlanCache.partition` — the keyword-only
     fingerprints are the cache key and must always be spelled at the
-    call site (analysis rule SWP017 flags fingerprint-free access).
+    call site (a call which omits either of them raises TypeError).
     """
 
     def __init__(self, *, fingerprint: str, shuffle: str) -> None:
@@ -480,7 +480,7 @@ class PlanCache:
         """The partition for one (dataset fingerprint, shuffle) pair.
 
         Both keys are mandatory and keyword-only: there is no such thing
-        as cache state without a dataset identity (SWP017).
+        as cache state without any dataset identity at all.
         """
         key = (fingerprint, shuffle)
         part = self._partitions.get(key)

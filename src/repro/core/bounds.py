@@ -138,7 +138,7 @@ def permutation_half_width(
     slack = 1.0 - 1.0 / (2.0 * max(m, n - m))
     # Lemma 3's deviation term is stated with ln(2/p_f) — a genuine
     # natural log, not an entropy quantity in bits.
-    inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (  # noqa: SWP001
+    inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (
         2.0 * (n - 0.5) * slack
     )
     return beta * math.sqrt(inner)
@@ -606,7 +606,7 @@ def _half_widths(m: np.ndarray, n: float, failure_probability: float) -> np.ndar
     )
     slack = 1.0 - 1.0 / (2.0 * np.maximum(m, n - m))
     # ln(2/p_f): the Lemma 3 deviation term, as in permutation_half_width.
-    inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (  # noqa: SWP001
+    inner = (m * (n - m) * math.log(2.0 / failure_probability)) / (
         2.0 * (n - 0.5) * slack
     )
     return beta * np.sqrt(inner)
@@ -646,7 +646,7 @@ def sample_size_for_width(
         return 1
     log_term = 2.0 * math.log2(n) * math.sqrt(
         # ln(2/p_f) again: the same Lemma 3 deviation term, inverted.
-        2.0 * math.log(2.0 / failure_probability) * n / (n - 0.5)  # noqa: SWP001
+        2.0 * math.log(2.0 / failure_probability) * n / (n - 0.5)
     )
     numerator = n * (log_term + support_size) ** 2
     m_star = numerator / ((n - 1.0) * target_width**2)

@@ -178,7 +178,7 @@ def check_interruption(
     ``"cell_budget"``, ``"sample_cap"``) or ``None`` to continue.
     Cancellation is an explicit caller request and takes precedence over
     budget limits. Shared by the SWOPE engine and the exact-stopping
-    baselines so that rule SWP003 has a single call signature to verify.
+    baselines, so the poll audit wraps one function and sees every poll.
     """
     if cancellation is not None and cancellation.cancelled:
         return "cancelled"

@@ -1359,8 +1359,8 @@ class PlanExecutor:
         methods and the four :mod:`repro.core.swope` functions come
         through here, and :meth:`execute` runs each of its queries
         through the same wiring. The exact-stopping baselines share it
-        through :func:`run_exact_stopping`, and analysis rule SWP011
-        keeps any other caller from reaching around both. Candidate
+        through :func:`run_exact_stopping`; the poll audit fails each
+        query loop that evaluates outside ``_run_loop``. Candidate
         resolution raises the typed errors of :func:`plan_queries`;
         ``ε`` defaults to :data:`PAPER_EPSILON`; ``schedule`` defaults
         to the paper schedule started at the ratchet floor.

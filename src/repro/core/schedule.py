@@ -63,7 +63,7 @@ def initial_sample_size(
             " h·log2(N)/p_f overflows a float"
         )
     # The paper's M0 uses ln(h·log2(N)/p_f) — natural log by design.
-    numerator = math.log(ratio) * log2_n**2  # noqa: SWP001
+    numerator = math.log(ratio) * log2_n**2
     m0 = math.ceil(numerator / math.log2(u_max) ** 2)
     return max(MIN_INITIAL_SAMPLE, min(n, m0))
 

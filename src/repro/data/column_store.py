@@ -168,7 +168,7 @@ class ColumnSource(Protocol):
     materialising it in full
     defeats the storage engine. Code outside :mod:`repro.data` and
     :mod:`repro.baselines` must read through :meth:`column_block`
-    (enforced by analysis rule SWP018); the counting backend indexes the
+    (``tests/test_source_invariants``); the counting backend indexes the
     handle with a block selector, which touches only the selected pages.
     """
 
@@ -387,7 +387,7 @@ class ColumnStore:
         subsets (decision-tree nodes, for example), and the only one
         that stays cheap on every storage
         engine. Code outside :mod:`repro.data` / :mod:`repro.baselines`
-        must use this instead of materialising whole columns (SWP018).
+        must use this, not whole columns (``test_source_invariants``).
         """
         return self.column(name)[rows]
 

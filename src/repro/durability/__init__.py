@@ -5,7 +5,7 @@ Three layers (see ``docs/RESILIENCE.md``):
 * :mod:`repro.durability.atomic` — the shared write-temp-then-rename
   helpers every durable artifact (checkpoints, traces, metrics dumps,
   bench JSON) must go through, so a crash mid-write never leaves a
-  truncated file behind (analysis rule SWP012 enforces this);
+  truncated file behind (``test_source_invariants.py`` test);
 * :mod:`repro.durability.checkpoint` — the versioned, sha256-verified,
   dataset-fingerprinted checkpoint format that snapshots
   :class:`~repro.core.plan.PlanExecutor` progress at iteration
@@ -44,7 +44,7 @@ def __getattr__(name: str) -> object:
     if module_name is None:
         # The module __getattr__ protocol (PEP 562) requires a plain
         # AttributeError so hasattr()/getattr() fallbacks keep working.
-        raise AttributeError(  # noqa: SWP007
+        raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}"
         )
     import importlib
@@ -57,8 +57,8 @@ def __dir__() -> list[str]:
 
 
 # The checkpoint/recovery names resolve through __getattr__ above
-# (lazily, to break the import cycle) — SWP006 cannot see that.
-__all__ = [  # noqa: SWP006
+# (lazily, to break the import cycle), so they are not bound here.
+__all__ = [
     "AtomicTextFile",
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_SCHEMA_VERSION",

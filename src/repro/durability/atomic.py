@@ -9,9 +9,9 @@ POSIX) and fsync before renaming, so the destination path only ever
 holds a complete artifact: either the previous version or the new one,
 never a prefix of the new one.
 
-Analysis rule SWP012 keeps every other ``src/repro`` module from calling
-``open(path, "w")`` / ``Path.write_text`` directly; this module (and the
-fault injectors in :mod:`repro.testing`) are the sanctioned exceptions.
+``tests/test_source_invariants.py`` keeps other ``src/repro`` modules
+from calling ``open(path, "w")`` / ``Path.write_text``; this package (and
+the fault injectors in :mod:`repro.testing`) are the two exempt packages.
 """
 
 from __future__ import annotations

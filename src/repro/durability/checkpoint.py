@@ -756,7 +756,7 @@ def _json_default(obj: object) -> object:
         return float(obj)
     # json.dumps requires its default= hook to raise TypeError, not a
     # repro error, to signal "cannot serialize".
-    raise TypeError(  # noqa: SWP007
+    raise TypeError(
         f"checkpoint payload contains non-serializable {type(obj)!r}"
     )
 

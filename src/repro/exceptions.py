@@ -65,14 +65,6 @@ class UnknownAttributeError(SchemaError, KeyError):
     """
 
 
-class AnalysisError(ReproError):
-    """The static-analysis pass (:mod:`repro.analysis`) was misconfigured.
-
-    Examples: an unknown ``SWP###`` code passed to ``--select``, or a
-    malformed baseline file.
-    """
-
-
 class CheckpointError(ReproError):
     """A plan checkpoint could not be written, read, or verified.
 

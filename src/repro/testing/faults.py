@@ -281,12 +281,12 @@ class FlakyStore:
     def column(self, name: str):
         self._inject()
         # Fault-injection wrapper: this *is* the read it instruments.
-        return self._store.column(name)  # noqa: SWP018
+        return self._store.column(name)
 
     def column_block(self, name: str, rows):
         # Routed through self.column() so block reads share the same
         # failure/latency injection as whole-handle reads.
-        return self.column(name)[rows]  # noqa: SWP018
+        return self.column(name)[rows]
 
     def layout_column(self, name: str, start: int, stop: int, layout_seed=None):
         # The sampler's reads: injected like every other column read.
